@@ -10,12 +10,7 @@ Usage (installed package):
     python -m repro report --cache-dir .repro_cache
     python -m repro calibrate
     python -m repro lint src tests --json
-    python -m repro bench --quick
     python -m repro serve --port 7707 --shards 4
-
-``bench`` times the pinned Fig.-7 scenario with the hot-path kernels on
-and off plus each kernel's inner loop in isolation, and writes
-``BENCH_hotpath.json``; ``--min-speedup`` turns it into a CI gate.
 
 Every command prints plain-text tables; nothing is plotted, so the tool
 works in any terminal and its output can be diffed in CI.  ``sweep`` and
@@ -205,27 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="MS",
                       help="sanitizer blocked-loop threshold in "
                            "milliseconds (default 250)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the hot-path kernels on the pinned Fig.-7 scenario",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke shape: shorter scenario, fewer repeats")
-    bench.add_argument("--seed", type=int, default=1, help="master seed")
-    bench.add_argument("--repeats", type=_positive_int, default=None,
-                       help="end-to-end repeats per kernel variant")
-    bench.add_argument("--out", default="BENCH_hotpath.json",
-                       help="report path (BENCH_hotpath.json)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="exit 1 if the end-to-end kernel speedup "
-                            "falls below this ratio")
-    bench.add_argument("--profile", action="store_true",
-                       help="also cProfile one end-to-end run per kernel "
-                            "variant; the cumtime top table is written "
-                            "next to the JSON report")
-    bench.add_argument("--profile-top", type=_positive_int, default=40,
-                       metavar="N", help="rows per profile table (40)")
 
     serve = sub.add_parser(
         "serve",
@@ -738,52 +712,9 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
     return report.exit_code
 
 
-def cmd_bench(args: argparse.Namespace, out) -> int:
-    from repro.experiments.bench import run_hotpath_bench
-
-    report = run_hotpath_bench(
-        seed=args.seed,
-        quick=args.quick,
-        repeats=args.repeats,
-        out_path=args.out,
-        profile=args.profile,
-        profile_top_n=args.profile_top,
-    )
-    scenario = report["scenario"]
-    end = report["end_to_end"]
-    print("bench: %s, %d robots (%d anchors), %.0fs, seed=%d%s"
-          % (scenario["preset"], scenario["n_robots"],
-             scenario["n_anchors"], scenario["duration_s"], report["seed"],
-             " (quick)" if report["quick"] else ""), file=out)
-    print("scenario fingerprint: %s" % scenario["fingerprint"][:16],
-          file=out)
-    print("", file=out)
-    for label, key in (("kernels off", "kernels_off"),
-                       ("kernels on", "kernels_on")):
-        row = end[key]
-        print("  %-12s p50 %.3fs  p90 %.3fs  %.0f events/s"
-              % (label, row["wall_p50_s"], row["wall_p90_s"],
-                 row["events_per_s"]), file=out)
-    print("  end-to-end speedup: %.2fx" % end["speedup"], file=out)
-    print("", file=out)
-    print("components:", file=out)
-    for name, comp in report["components"].items():
-        print("  %-18s %.2fx" % (name, comp["speedup"]), file=out)
-    print("  hot-path speedup (geometric mean): %.2fx"
-          % report["hotpath_speedup"], file=out)
-    print("", file=out)
-    print("report written to %s" % args.out, file=out)
-    if "profile_path" in report:
-        print("profile written to %s" % report["profile_path"], file=out)
-    if args.min_speedup is not None and end["speedup"] < args.min_speedup:
-        print("FAIL: end-to-end speedup %.2fx below required %.2fx"
-              % (end["speedup"], args.min_speedup), file=out)
-        return 1
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace, out) -> int:
     import asyncio
+    import signal
 
     from repro.serve import LocalizationServer, ServeConfig, ServiceCore
 
@@ -830,13 +761,21 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             await server.drain()
             _export_traces(core, args, out)
             return code
+        # SIGINT and SIGTERM both end serving and trigger the drain,
+        # whatever disposition the process inherited (a background job
+        # starts with SIGINT ignored).
+        serving = asyncio.ensure_future(server.serve_forever())
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, serving.cancel)
         try:
-            await server.serve_forever()
+            await serving
         except (KeyboardInterrupt, asyncio.CancelledError):
             pass
         finally:
             # Graceful drain: shed new work, flush checkpoints, stop.
-            await server.drain()
+            flushed = await server.drain()
+            print("drained: %d checkpoint(s) flushed" % flushed, file=out)
             _export_traces(core, args, out)
         return 0
 
@@ -1088,8 +1027,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_report(args, out)
     if args.command == "lint":
         return cmd_lint(args, out)
-    if args.command == "bench":
-        return cmd_bench(args, out)
     if args.command == "serve":
         return cmd_serve(args, out)
     if args.command == "chaos":

@@ -48,6 +48,9 @@ __all__ = ["ConstraintFieldCache"]
 #: choice a pure performance knob, never a correctness one.
 POSITION_QUANTUM_M = 1e-6
 
+#: LRU capacity, in fields per store, of a team's shared cache.
+CACHE_CAPACITY = 128
+
 _DistKey = Tuple[int, int]
 _ConstraintKey = Tuple[Optional[int], int, int, int]
 
@@ -71,7 +74,7 @@ class ConstraintFieldCache:
             the same bin reuse directly).
     """
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(self, capacity: int = CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(
                 "capacity must be >= 1, got %r" % capacity

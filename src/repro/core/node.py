@@ -91,8 +91,9 @@ class RobotNode:
         """:meth:`localization_error` with the true position supplied.
 
         The team's bulk metric sampler computes every node's true
-        position in one vectorized pass (the ``soa_state`` kernel) and
-        hands the coordinates in.  Requires an estimator — the sampler
+        position in one vectorized pass (the team's
+        :class:`~repro.sim.world.WorldState`) and hands the coordinates
+        in.  Requires an estimator — the sampler
         only measures estimator nodes.  ``math.hypot`` here is exactly
         what ``Vec2.distance_to`` computes, so the value is bit-identical
         to the scalar query.

@@ -25,6 +25,9 @@ import numpy as np
 #: the filter robust against outlier measurements.
 UNIFORM_FLOOR_WEIGHT = 0.02
 
+#: LUT resolution: nodes over twice the table support.
+LUT_ENTRIES = 16384
+
 
 @dataclass(frozen=True)
 class DistanceDistribution:
@@ -188,7 +191,7 @@ class PdfTable:
         # anything beyond the domain clamps to the last node, which is
         # floor-level density just like the exact evaluation.
         self._lut_enabled = False
-        self._lut_entries = 16384
+        self._lut_entries = LUT_ENTRIES
         self._luts: Dict[int, np.ndarray] = {}
 
     def set_lut(self, enabled: bool, entries: Optional[int] = None) -> None:

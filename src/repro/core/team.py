@@ -11,7 +11,7 @@ counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -151,14 +151,12 @@ class CoCoATeam:
             never changes simulation behaviour, so it must not change
             cache fingerprints either.
         kernels: optional :class:`~repro.kernels.KernelConfig` selecting
-            the hot-path kernels (batched delivery, LUT densities,
-            constraint-field cache).  Defaults through
+            LUT or exact densities.  Defaults through
             :func:`~repro.kernels.default_kernels` (process override,
-            then the ``REPRO_KERNELS`` environment variable, then
-            everything on).  Like telemetry, kernels are not part of the
-            config: the batched/cache kernels are bit-identical and the
-            LUT stays within figure tolerance, so they must not change
-            cache fingerprints.
+            then the ``REPRO_KERNELS`` environment variable, then LUT
+            on).  Like telemetry, it is
+            not part of the config: the LUT stays within figure
+            tolerance, so it must not change cache fingerprints.
     """
 
     def __init__(
@@ -173,23 +171,12 @@ class CoCoATeam:
         self.telemetry = telemetry
         self.kernels = resolve_kernels(kernels)
         self.streams = RandomStreams(config.master_seed)
-        # One-second wheel slots: every recurring protocol timer (beacon
-        # periods, MAC backoff, multicast refresh, metric sampling) lands
-        # within a few slots of the clock.
-        self.sim = Simulator(
-            wheel_slot_s=1.0 if self.kernels.time_wheel else None
-        )
+        self.sim = Simulator()
         self.channel = BroadcastChannel(
-            self.sim,
-            config.path_loss,
-            self.streams.get("phy"),
-            batched=self.kernels.batched_delivery,
-            coalesced=self.kernels.coalesced_delivery,
+            self.sim, config.path_loss, self.streams.get("phy")
         )
-        self.world: Optional[WorldState] = None
-        if self.kernels.soa_state:
-            self.world = WorldState(config.n_robots)
-            self.channel.attach_world(self.world)
+        self.world = WorldState(config.n_robots)
+        self.channel.attach_world(self.world)
         plan = faults if faults is not None else config.faults
         self.fault_plan = plan
         self.faults: Optional[FaultInjector] = None
@@ -213,15 +200,11 @@ class CoCoATeam:
             # Per-run LUT selection.  Tables are shared across runs via
             # SharedCalibration, so this must be (and is) idempotent:
             # flipping the flag keeps any already-built LUT arrays
-            # around for the next kernels-on run.
-            self.pdf_table.set_lut(
-                self.kernels.lut_pdf, self.kernels.lut_entries
-            )
+            # around for the next LUT run.
+            self.pdf_table.set_lut(self.kernels.lut_pdf)
         self.constraint_cache: Optional[ConstraintFieldCache] = None
-        if self.kernels.constraint_cache and self._needs_rf():
-            self.constraint_cache = ConstraintFieldCache(
-                self.kernels.cache_capacity
-            )
+        if self._needs_rf():
+            self.constraint_cache = ConstraintFieldCache()
         self.nodes: List[RobotNode] = []
         self._sync_seq = 0
         self._build_team()
@@ -248,7 +231,6 @@ class CoCoATeam:
                 v_min=config.v_min,
                 v_max=config.v_max,
                 rest_time_max=config.rest_time_max_s,
-                memoize=self.kernels.pose_memo,
             )
             interface = NetworkInterface(
                 self.sim,
@@ -259,9 +241,8 @@ class CoCoATeam:
                 self.streams.spawn("mac", node_id),
                 receiver=config.receiver,
             )
-            if self.world is not None:
-                mobility.bind_world(self.world, node_id)
-                interface.radio.bind_world(self.world, node_id)
+            mobility.bind_world(self.world, node_id)
+            interface.radio.bind_world(self.world, node_id)
             clock = DriftingClock.random(
                 self.streams.spawn("clock", node_id), config.clock_drift_rate
             )
@@ -541,29 +522,22 @@ class CoCoATeam:
 
     def _sample_metrics(self, _count: int) -> None:
         t = self.sim.now
-        row = []
-        world = self.world
-        if world is not None:
-            # Bulk path (soa_state kernel): advance every estimator
-            # first — exactly the per-node draws the interleaved scalar
-            # loop makes, in the same per-node order — then evaluate all
-            # true positions in one vectorized pass.
-            measured = self._measured_nodes()
-            for node in measured:
-                node.estimator.advance_to(t)
-            xs, ys = world.positions_at(t)
-            for node in measured:
-                row.append(
-                    node.localization_error_from(
-                        xs[node.node_id], ys[node.node_id]
-                    )
-                )
-        else:
-            for node in self._measured_nodes():
-                node.estimator.advance_to(t)
-                row.append(node.localization_error(t))
+        # Advance every estimator first (each draws only from its own
+        # streams, so the order against the position pass is free), then
+        # evaluate all true positions in one vectorized pass.
+        measured = self._measured_nodes()
+        for node in measured:
+            node.estimator.advance_to(t)
+        xs, ys = self.world.positions_at(t)
         self._sample_times.append(t)
-        self._sample_errors.append(row)
+        self._sample_errors.append(
+            [
+                node.localization_error_from(
+                    xs[node.node_id], ys[node.node_id]
+                )
+                for node in measured
+            ]
+        )
 
     def run(self) -> TeamResult:
         """Execute the scenario and collect the results."""

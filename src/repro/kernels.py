@@ -1,41 +1,29 @@
-"""Hot-path kernel switches: batched delivery, LUT densities, field cache.
+"""The one hot-path kernel choice that changes results: LUT densities.
 
-The simulator's wall-clock is dominated by three inner loops — offering a
-frame to every receiver, evaluating a distance density over every grid
-cell, and recomputing identical constraint fields for every robot that
-heard the same beacon.  Each loop has a *kernel*: a vectorized/cached
-implementation that produces the same results as the straightforward one.
+Every other hot-path technique in the simulator — the batched RSSI draw
+and single delivery event per frame in
+:class:`~repro.net.channel.BroadcastChannel`, the structure-of-arrays
+world state, the shared constraint-field cache and the pose memo — is
+bit-identical to the straightforward evaluation it replaces, so it is
+simply the code, with no switch (golden science digests pin the bytes).
 
-:class:`KernelConfig` selects which kernels a run uses.  The contract per
-kernel:
+The LUT kernel (:class:`~repro.core.pdf_table.PdfTable`) is different:
+it quantizes the distance axis, so it is *tolerance-identical* — per-figure
+metrics stay within 0.1 % relative of the exact densities (pinned by a
+test).  Runs that need the exact densities switch it off.
 
-- ``batched_delivery`` (:meth:`~repro.net.channel.BroadcastChannel`),
-  ``constraint_cache`` (:class:`~repro.core.constraint_cache.ConstraintFieldCache`),
-  ``pose_memo``, and the engine-core kernels ``time_wheel``,
-  ``coalesced_delivery``, and ``soa_state`` are **bit-identical** to the
-  scalar paths: same RNG stream consumption, same float operations,
-  byte-equal results.  The regression suite enforces this.
-- ``lut_pdf`` (:class:`~repro.core.pdf_table.PdfTable`) quantizes the
-  distance axis, so it is *tolerance-identical*: per-figure metrics stay
-  within 0.1 % relative of the exact path (pinned by a test).  Runs that
-  need byte-equality against historical results disable it.
-
-The kernel selection deliberately lives **outside**
-:class:`~repro.core.config.CoCoAConfig`: like telemetry, kernels never
-change what a scenario *is*, so they must not change orchestrator cache
-fingerprints.  Resolution order for a run's kernels:
+The selection deliberately lives **outside**
+:class:`~repro.core.config.CoCoAConfig`: like telemetry, it never changes
+what a scenario *is*, so it must not change orchestrator cache
+fingerprints.  Resolution order for a run:
 
 1. an explicit ``kernels=`` argument to :class:`~repro.core.team.CoCoATeam`,
 2. a process-local override installed with :func:`use_kernels` /
-   :func:`set_default_kernels` (tests, benchmarks),
-3. the ``REPRO_KERNELS`` environment variable (``on`` / ``off`` /
-   ``bitexact``), which also reaches process-pool workers because
-   children inherit the environment,
-4. :data:`KERNELS_ON` (the default: everything enabled).
-
-``bitexact`` selects :data:`KERNELS_BITEXACT` — every bit-identical
-kernel on, the tolerance-identical LUT off — for runs that want the
-speed but must stay byte-equal to the reference paths.
+   :func:`set_default_kernels` (tests),
+3. the ``REPRO_KERNELS`` environment variable (``on`` / ``off``), which
+   also reaches process-pool workers because children inherit the
+   environment,
+4. :data:`KERNELS_ON` (the default: LUT on).
 """
 
 from __future__ import annotations
@@ -49,123 +37,56 @@ __all__ = [
     "KernelConfig",
     "KERNELS_ON",
     "KERNELS_OFF",
-    "KERNELS_BITEXACT",
     "default_kernels",
     "resolve_kernels",
     "set_default_kernels",
     "use_kernels",
 ]
 
-#: Environment variable consulted when no explicit/process-local override
-#: is installed.  ``off`` selects :data:`KERNELS_OFF`, ``bitexact``
-#: selects :data:`KERNELS_BITEXACT`; anything else (or unset) selects
-#: :data:`KERNELS_ON`.
+#: Environment variable consulted when no explicit selection is passed.
 KERNELS_ENV_VAR = "REPRO_KERNELS"
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Which hot-path kernels a run uses.
+    """Which result-changing hot-path kernels a run uses.
 
     Attributes:
-        batched_delivery: vectorize per-frame receiver delivery in
-            :class:`~repro.net.channel.BroadcastChannel` (bit-identical).
         lut_pdf: evaluate RSSI-bin densities through a precomputed
             distance lookup table (tolerance-identical; < 0.1 % on
-            figure metrics).
-        lut_entries: LUT resolution (nodes over twice the table support).
-        constraint_cache: share per-beacon constraint fields between
-            robots with identical grids (bit-identical).
-        cache_capacity: LRU capacity, in constraint fields, of the
-            shared cache.
-        pose_memo: memoize each robot's last computed pose, so the
-            several subsystems that query the same robot at the same
-            instant within one event reuse it (bit-identical: a pose is
-            a pure function of the query time once the trajectory legs
-            are drawn, and repeat same-time queries draw no randomness).
-        time_wheel: back the event queue with the slotted time wheel in
-            :class:`~repro.sim.engine.Simulator` instead of a single
-            binary heap (bit-identical: pops merge the active slot and
-            the heap by the exact ``(time, seq)`` key, so the firing
-            sequence is unchanged — a property test pins this).
-        coalesced_delivery: end all receptions of a frame inside the
-            frame's own delivery event instead of scheduling one rx-end
-            event per receiver (bit-identical: radios leave RX at the
-            same instants in the same order, with the same energy
-            billing, but ~80 % of the engine's events disappear).
-        soa_state: mirror node kinematics and radio power state into
-            shared structure-of-arrays blocks
-            (:class:`~repro.sim.world.WorldState`) so the channel and
-            the metric sampler evaluate whole-team positions in one
-            vectorized pass (bit-identical: elementwise float64 leg
-            interpolation matches the scalar arithmetic bit for bit,
-            and distances stay scalar ``math.hypot``).
+            figure metrics) instead of the exact per-call evaluation.
     """
 
-    batched_delivery: bool = True
     lut_pdf: bool = True
-    lut_entries: int = 16384
-    constraint_cache: bool = True
-    cache_capacity: int = 128
-    pose_memo: bool = True
-    time_wheel: bool = True
-    coalesced_delivery: bool = True
-    soa_state: bool = True
-
-    def __post_init__(self) -> None:
-        if self.lut_entries < 2:
-            raise ValueError(
-                "lut_entries must be >= 2, got %r" % self.lut_entries
-            )
-        if self.cache_capacity < 1:
-            raise ValueError(
-                "cache_capacity must be >= 1, got %r" % self.cache_capacity
-            )
-
-    @property
-    def any_enabled(self) -> bool:
-        """True if at least one kernel is switched on."""
-        return (
-            self.batched_delivery
-            or self.lut_pdf
-            or self.constraint_cache
-            or self.pose_memo
-            or self.time_wheel
-            or self.coalesced_delivery
-            or self.soa_state
-        )
 
 
-#: Every kernel enabled — the default for new runs.
+#: The default for new runs: LUT densities on.
 KERNELS_ON = KernelConfig()
-#: Every kernel disabled — the scalar reference paths, byte-equal to the
-#: pre-kernel implementation.
-KERNELS_OFF = KernelConfig(
-    batched_delivery=False,
-    lut_pdf=False,
-    constraint_cache=False,
-    pose_memo=False,
-    time_wheel=False,
-    coalesced_delivery=False,
-    soa_state=False,
-)
-#: Every bit-identical kernel on, the tolerance-identical LUT off: runs
-#: under this selection are byte-equal to :data:`KERNELS_OFF` runs.
-KERNELS_BITEXACT = KernelConfig(lut_pdf=False)
+#: Exact densities: byte-equal to the pre-LUT evaluation.
+KERNELS_OFF = KernelConfig(lut_pdf=False)
+
+_ENV_VALUES = {"on": KERNELS_ON, "off": KERNELS_OFF}
 
 _process_override: Optional[KernelConfig] = None
 
 
 def default_kernels() -> KernelConfig:
-    """The kernels a run gets when none are passed explicitly."""
+    """The kernels a run gets when none are passed explicitly.
+
+    Raises:
+        ValueError: if ``REPRO_KERNELS`` holds anything but ``on`` or
+            ``off`` (case and surrounding blanks ignored; set but empty
+            counts as unset).
+    """
     if _process_override is not None:
         return _process_override
-    value = os.environ.get(KERNELS_ENV_VAR, "on").strip().lower()
-    if value == "off":
-        return KERNELS_OFF
-    if value == "bitexact":
-        return KERNELS_BITEXACT
-    return KERNELS_ON
+    raw = os.environ.get(KERNELS_ENV_VAR, "")
+    try:
+        return _ENV_VALUES[raw.strip().lower() or "on"]
+    except KeyError:
+        raise ValueError(
+            "%s=%r: expected 'on' or 'off'" % (KERNELS_ENV_VAR, raw)
+        ) from None
 
 
 def resolve_kernels(kernels: Optional[KernelConfig]) -> KernelConfig:

@@ -93,13 +93,12 @@ class WaypointMobility(MobilityModel):
             rest is drawn uniformly from ``[0, rest_time_max]``.  The paper's
             headline experiments use 0 (continuous movement).
         start: optional fixed start position; defaults to uniform random.
-        memoize: keep a one-entry pose memo (the ``pose_memo`` kernel of
-            :class:`~repro.kernels.KernelConfig`).  Several subsystems
-            query the same robot at the same instant within one event
-            (channel offer, delivery interference, odometry read, metric
-            sampling); the pose is a pure function of ``t`` once the legs
-            are drawn, and repeat queries never draw additional
-            randomness, so replaying the cached pose is bit-identical.
+
+    The last computed pose is memoized.  Several subsystems query the
+    same robot at the same instant within one event (channel offer,
+    delivery interference, odometry read, metric sampling); the pose is a
+    pure function of ``t`` once the legs are drawn, and repeat queries
+    never draw additional randomness, so replaying it is bit-identical.
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class WaypointMobility(MobilityModel):
         v_max: float = 2.0,
         rest_time_max: float = 0.0,
         start: Optional[Vec2] = None,
-        memoize: bool = False,
     ) -> None:
         if not 0 < v_min <= v_max:
             raise ValueError(
@@ -133,9 +131,9 @@ class WaypointMobility(MobilityModel):
         self._legs: List[Leg] = [self._new_leg(start, depart_time=0.0)]
         self._leg_index = 0
         self._last_query_time = 0.0
-        # One-entry pose memo; None when the kernel is off.
-        self._pose_memo: Optional[dict] = {} if memoize else None
-        # SoA mirror (the soa_state kernel); None when unbound.
+        self._memo_t: Optional[float] = None
+        self._memo_pose: Optional[Pose] = None
+        # SoA mirror (see repro.sim.world); None when unbound.
         self._world = None
         self._world_row = 0
 
@@ -227,11 +225,8 @@ class WaypointMobility(MobilityModel):
         )
 
     def pose(self, t: float) -> Pose:
-        memo = self._pose_memo
-        if memo is not None:
-            cached = memo.get(t)
-            if cached is not None:
-                return cached
+        if t == self._memo_t:
+            return self._memo_pose
         leg = self.current_leg(t)
         if t >= leg.arrive_time:
             # Resting at the destination.
@@ -254,10 +249,8 @@ class WaypointMobility(MobilityModel):
                 leg.heading,
                 leg.speed,
             )
-        if memo is not None:
-            if memo:
-                memo.clear()
-            memo[t] = pose
+        self._memo_t = t
+        self._memo_pose = pose
         return pose
 
     def time_to_waypoint(self, t: float) -> float:

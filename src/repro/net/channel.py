@@ -19,7 +19,7 @@ same channel realization that decided reception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,15 +100,8 @@ class BroadcastChannel:
         rng: random stream for RSSI noise.
         bitrate_bps: physical bitrate (paper: 2 Mbps).
         preamble_s: fixed per-frame preamble airtime.
-        batched: when True, :meth:`transmit` offers each frame through
-            the batched delivery kernel (bit-identical to the scalar
-            path; see :mod:`repro.kernels`).  :class:`~repro.core.team`
-            sets this from the run's :class:`~repro.kernels.KernelConfig`.
-        coalesced: when True, receivers' radios are released inside the
-            frame's single delivery event instead of via one rx-end
-            event per receiver (the ``coalesced_delivery`` kernel;
-            bit-identical, see :meth:`_deliver_frame`).  Implies the
-            batched offer path.
+        trace: optional trace log (``channel.tx``, ``channel.rx`` and
+            ``channel.collision`` categories).
     """
 
     def __init__(
@@ -119,8 +112,6 @@ class BroadcastChannel:
         bitrate_bps: float = 2e6,
         preamble_s: float = PREAMBLE_S,
         trace: Optional[TraceLog] = None,
-        batched: bool = False,
-        coalesced: bool = False,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError(
@@ -135,8 +126,6 @@ class BroadcastChannel:
         self._transmissions: List[Transmission] = []
         self._trace = trace if trace is not None else TraceLog()
         self._faults = None
-        self.batched = batched
-        self.coalesced = coalesced
         self._world = None
         self._row_entries: Optional[List[_NodeEntry]] = None
         self.stats = ChannelStats()
@@ -147,9 +136,7 @@ class BroadcastChannel:
         The world's rows must cover exactly the node ids registered on
         this channel (the team binds node ``i`` to row ``i``), with every
         mobility model and radio bound to it — otherwise the masks would
-        disagree with the per-object state.  The bulk path also stands
-        down whenever a fault injector is installed or any radio arms a
-        receive-fault gate, since those are per-receiver decisions.
+        disagree with the per-object state.
         """
         self._world = world
         self._row_entries = None
@@ -265,128 +252,43 @@ class BroadcastChannel:
             now, "channel.tx", src_id, kind=packet.kind, uid=packet.uid
         )
 
-        if self.batched or self.coalesced:
-            self._offer_batch(tx, airtime)
-        else:
-            for receiver in self._nodes.values():
-                if receiver.node_id == src_id:
-                    continue
-                self._offer(tx, receiver, airtime)
+        self._offer(tx, airtime)
         return airtime
 
-    def _offer(
-        self, tx: Transmission, receiver: _NodeEntry, airtime: float
-    ) -> None:
-        """Decide whether ``receiver`` may decode ``tx``; schedule delivery."""
-        self.stats.frames_offered += 1
-        if not receiver.radio.is_awake:
-            self.stats.frames_missed_asleep += 1
-            return
-        if receiver.radio.reception_impaired:
-            self.stats.frames_missed_brownout += 1
-            return
-        if receiver.radio.is_transmitting:
-            self.stats.frames_missed_half_duplex += 1
-            return
-        position = receiver.mobility.position(self._sim.now)
-        distance = max(position.distance_to(tx.src_position), 1.0)
-        rssi = float(self._path_loss.sample_rssi(distance, self._rng))
-        effective_rssi = rssi
-        if self._faults is not None:
-            offered = self._faults.offer_rssi(
-                self._sim.now, tx.src, receiver.node_id, rssi
-            )
-            if offered is None:
-                self.stats.frames_jammed += 1
-                return
-            effective_rssi = offered
-        if not receiver.receiver.can_decode(effective_rssi):
-            self.stats.frames_below_sensitivity += 1
-            return
-        receiver.radio.begin_receive(airtime)
-        self._sim.schedule(
-            airtime,
-            self._deliver,
-            tx,
-            receiver,
-            rssi,
-            name="deliver",
-        )
+    def _offer(self, tx: Transmission, airtime: float) -> None:
+        """Offer ``tx`` to every other node and start the receptions.
 
-    def _offer_batch(self, tx: Transmission, airtime: float) -> None:
-        """Batched-delivery kernel: offer ``tx`` to every other node.
-
-        Bit-identical to running :meth:`_offer` per receiver in node
-        order.  The scalar path interleaves, per receiver, the radio
-        eligibility filters, one RSSI draw from the channel stream, and
-        the fault/decode decision — but the filters never depend on the
-        draw, the draws never depend on the filters' side effects (the
-        counters), and fault draws come from their own streams.  So the
-        kernel may run all filters first, sample every surviving
-        receiver's RSSI in one batched draw
+        Per receiver, in node order, the medium applies the eligibility
+        filters (asleep, browned out, half duplex), one RSSI draw from
+        the channel stream, the fault verdict and the decode threshold.
+        The filters never depend on the draw, the draws never depend on
+        the filters' side effects (the counters), and fault draws come
+        from their own streams, so all filters run first, every
+        surviving receiver's RSSI is sampled in one batched draw
         (:meth:`~repro.net.phy.PathLossModel.sample_rssi_batch` replays
-        the scalar draw order exactly), and then walk the survivors for
-        the fault/decode/schedule step, still in node order.
+        the scalar draw order exactly), and the survivors are then
+        walked for the fault/decode step, still in node order.
 
-        Deliveries are likewise merged into a single frame-completion
-        event (:meth:`_deliver_frame`) instead of one event per
-        receiver.  The per-receiver delivery bodies still run in node
-        order at the same timestamp; the only reordering is that every
-        radio's rx-end timer now fires before the first delivery rather
-        than interleaved with them.  That is unobservable: energy billing
-        depends on state-change *times* (identical — everything happens
-        at the frame end instant), and no delivery decision reads another
-        receiver's radio state.  Handlers that transmit in response to a
-        delivery cannot perturb the remaining deliveries in either
-        ordering, because a transmission starting at the frame-end
-        instant never overlaps the just-ended frame's half-open airtime
-        interval.  Only the engine's event *count* differs, which is why
-        the byte-equality gate covers the science payload rather than
-        the scheduler's own counters.
+        Decoding receivers enter RX with no per-receiver rx-end event:
+        the frame's single delivery event (:meth:`_deliver_frame`), at
+        the end of the airtime, releases them all.
         """
         now = self._sim.now
         world = self._world
-        if (
-            world is not None
-            and self._faults is None
-            and not world.has_receive_faults
-        ):
+        if world is not None:
             eligible, distances = self._eligible_soa(tx, now, world)
         else:
-            eligible = []
-            distances = []
-            for receiver in self._nodes.values():
-                if receiver.node_id == tx.src:
-                    continue
-                self.stats.frames_offered += 1
-                if not receiver.radio.is_awake:
-                    self.stats.frames_missed_asleep += 1
-                    continue
-                if receiver.radio.reception_impaired:
-                    self.stats.frames_missed_brownout += 1
-                    continue
-                if receiver.radio.is_transmitting:
-                    self.stats.frames_missed_half_duplex += 1
-                    continue
-                position = receiver.mobility.position(now)
-                eligible.append(receiver)
-                # Vec2.distance_to (math.hypot) — NOT a vectorized hypot:
-                # np.hypot and sqrt(dx*dx + dy*dy) are not bit-identical
-                # to it.
-                distances.append(
-                    max(position.distance_to(tx.src_position), 1.0)
-                )
+            eligible, distances = self._eligible_scan(tx, now)
         if not eligible:
             return
         rssi_batch = self._path_loss.sample_rssi_batch(
             np.asarray(distances), self._rng
         )
-        coalesced = self.coalesced
         faults = self._faults
         stats = self.stats
-        if coalesced and airtime <= 0:
-            # Hoisted from begin_receive_unmanaged (whose body is inlined
-            # in the survivor loop below): one check per frame instead of
+        if airtime <= 0:
+            # Hoisted from Radio.begin_receive (whose body is inlined in
+            # the survivor loop below): one check per frame instead of
             # one per receiver.
             raise ValueError("airtime_s must be positive, got %r" % airtime)
         rx_end = now + airtime
@@ -408,44 +310,77 @@ class BroadcastChannel:
             if effective_rssi < receiver.receiver.sensitivity_dbm:
                 stats.frames_below_sensitivity += 1
                 continue
-            if coalesced:
-                # Inlined Radio.begin_receive_unmanaged.  Eligibility
-                # admits only awake, non-transmitting radios, and nothing
-                # between the scan and this walk changes radio state, so
-                # the state here is exactly IDLE or RX.
-                radio = receiver.radio
-                if radio._state is RadioState.IDLE:
-                    elapsed = now - radio._state_since
-                    if elapsed > 0.0:
-                        meter = radio._meter
-                        meter._dur_idle += elapsed
-                        meter._breakdown.idle_j += meter._w_idle * elapsed
-                    radio._state_since = now
-                    radio._state = RadioState.RX
-                    radio._busy_until = rx_end
-                elif rx_end > radio._busy_until:
-                    radio._busy_until = rx_end
-            else:
-                receiver.radio.begin_receive(airtime)
+            # Inlined Radio.begin_receive.  Eligibility admits only
+            # awake, non-transmitting radios, and nothing between the
+            # scan and this walk changes radio state, so the state here
+            # is exactly IDLE or RX.
+            radio = receiver.radio
+            if radio._state is RadioState.IDLE:
+                elapsed = now - radio._state_since
+                if elapsed > 0.0:
+                    meter = radio._meter
+                    meter._dur_idle += elapsed
+                    meter._breakdown.idle_j += meter._w_idle * elapsed
+                radio._state_since = now
+                radio._state = RadioState.RX
+                radio._busy_until = rx_end
+            elif rx_end > radio._busy_until:
+                radio._busy_until = rx_end
             pending.append((receiver, rssi))
         if pending:
             self._sim.schedule(
                 airtime, self._deliver_frame, tx, pending, name="deliver"
             )
 
+    def _eligible_scan(
+        self, tx: Transmission, now: float
+    ) -> Tuple[List[_NodeEntry], List[float]]:
+        """Per-object eligibility scan, for channels with no world.
+
+        Unit-test channels over :class:`~repro.mobility.base.StationaryMobility`
+        or scripted mobility cannot mirror into a
+        :class:`~repro.sim.world.WorldState`; this walks their nodes
+        one by one with the same checks, in the same order, as
+        :meth:`_eligible_soa`.
+        """
+        stats = self.stats
+        eligible = []
+        distances = []
+        for receiver in self._nodes.values():
+            if receiver.node_id == tx.src:
+                continue
+            stats.frames_offered += 1
+            if not receiver.radio.is_awake:
+                stats.frames_missed_asleep += 1
+                continue
+            if receiver.radio.reception_impaired:
+                stats.frames_missed_brownout += 1
+                continue
+            if receiver.radio.is_transmitting:
+                stats.frames_missed_half_duplex += 1
+                continue
+            position = receiver.mobility.position(now)
+            eligible.append(receiver)
+            # Vec2.distance_to (math.hypot) — NOT a vectorized hypot:
+            # np.hypot and sqrt(dx*dx + dy*dy) are not bit-identical
+            # to it.
+            distances.append(max(position.distance_to(tx.src_position), 1.0))
+        return eligible, distances
+
     def _eligible_soa(
         self, tx: Transmission, now: float, world
     ) -> Tuple[List[_NodeEntry], List[float]]:
-        """SoA fast path of the eligibility scan in :meth:`_offer_batch`.
+        """The eligibility scan over the world's structure-of-arrays state.
 
-        Bit-identical to the scalar scan: rows ascend like the node-order
-        walk; the awake/transmitting masks are write-through mirrors of
-        the exact radio predicates; brownouts cannot occur (this path is
-        gated on no fault injector and no receive-fault gates); and the
-        world refreshes *every* node's position where the scalar loop
-        queries only eligible ones — invisible, because a trajectory's
-        leg draws by time ``t`` do not depend on who queries it when.
-        Distances still go through scalar ``math.hypot``, matching
+        Equivalent to :meth:`_eligible_scan` bit for bit: rows ascend
+        like the node-order walk; the awake/transmitting masks are
+        write-through mirrors of the exact radio predicates; each awake
+        row's brownout gate is consulted, before the half-duplex check,
+        exactly as the per-object walk consults it; and the world
+        refreshes *every* node's position where the walk queries only
+        eligible ones — invisible, because a trajectory's leg draws by
+        time ``t`` do not depend on who queries it when.  Distances
+        still go through scalar ``math.hypot``, matching
         ``Vec2.distance_to`` bit for bit.
         """
         entries = self._row_entries
@@ -453,63 +388,65 @@ class BroadcastChannel:
             entries = [self._nodes[row] for row in range(world.n)]
             self._row_entries = entries
         awake = world.awake
-        transmitting = world.transmitting
-        # The source is mid-begin_transmit: awake and transmitting, so it
-        # drops out of `awake & ~transmitting` with no explicit exclusion,
-        # and the counter arithmetic below accounts for it.
         stats = self.stats
         stats.frames_offered += world.n - 1
         stats.frames_missed_asleep += world.n - int(awake.sum())
-        stats.frames_missed_half_duplex += (
-            int((awake & transmitting).sum()) - 1
-        )
-        rows = np.flatnonzero(awake & ~transmitting).tolist()
+        transmitting = world.transmitting.tolist()
         xs, ys = world.positions_at(now)
+        src = tx.src
         src_x = tx.src_position.x
         src_y = tx.src_position.y
         hypot = math.hypot
-        eligible = [entries[row] for row in rows]
-        distances = [
-            max(hypot(xs[row] - src_x, ys[row] - src_y), 1.0)
-            for row in rows
-        ]
+        eligible = []
+        distances = []
+        for row in np.flatnonzero(awake).tolist():
+            if row == src:
+                continue
+            receiver = entries[row]
+            gate = receiver.radio._receive_fault
+            if gate is not None and gate(now):
+                stats.frames_missed_brownout += 1
+                continue
+            if transmitting[row]:
+                stats.frames_missed_half_duplex += 1
+                continue
+            eligible.append(receiver)
+            distances.append(max(hypot(xs[row] - src_x, ys[row] - src_y), 1.0))
         return eligible, distances
 
     def _deliver_frame(
         self, tx: Transmission, pending: List[Tuple[_NodeEntry, float]]
     ) -> None:
-        """Run every receiver's delivery for one frame, in node order.
+        """End one frame's receptions and deliver it, in node order.
 
-        The foreign transmissions overlapping the frame's airtime are the
-        same for every receiver, so they are collected once here instead
-        of rescanned per delivery.  Transmissions appended mid-loop by
-        delivery handlers start exactly at the frame end and so never
-        satisfy the strict overlap test — matching the scalar path, where
-        the per-receiver scan cannot see them either.
+        Every pending radio is released first (a radio whose busy window
+        a later overlapping frame extended keeps receiving; that frame's
+        own delivery releases it).  Energy billing depends only on
+        state-change *times*, which are all this instant, and no
+        delivery decision reads another receiver's radio state, so
+        releasing all before the first handler runs is unobservable.
+        Handlers that transmit in response cannot perturb the remaining
+        deliveries either: a frame starting at this instant never
+        overlaps the just-ended frame's half-open airtime.
 
-        Under coalesced delivery this event is also where receptions
-        *end*: every pending radio is released before the first handler
-        runs, mirroring the managed ordering (rx-end events carry
-        earlier sequence numbers than the delivery event, so they too
-        all fire first).  A radio whose busy window was extended by a
-        later overlapping frame keeps receiving — ``finish_receive``
-        checks the window — and that later frame's own delivery releases
-        it, exactly when the managed path's rescheduled rx-end would.
+        The foreign transmissions overlapping the frame's airtime are
+        the same for every receiver, so they are collected once here;
+        transmissions appended mid-loop by delivery handlers start
+        exactly at the frame end and never satisfy the overlap test.
         """
         now = self._sim.now
-        if self.coalesced:
-            for receiver, _ in pending:
-                # Inlined Radio.finish_receive: release the radio iff it
-                # is still in RX with its busy window over.
-                radio = receiver.radio
-                if radio._state is RadioState.RX and now >= radio._busy_until:
-                    elapsed = now - radio._state_since
-                    if elapsed > 0.0:
-                        meter = radio._meter
-                        meter._dur_rx += elapsed
-                        meter._breakdown.rx_j += meter._w_rx * elapsed
-                    radio._state_since = now
-                    radio._state = RadioState.IDLE
+        for receiver, _ in pending:
+            # Inlined Radio.finish_receive: release the radio iff it is
+            # still in RX with its busy window over.
+            radio = receiver.radio
+            if radio._state is RadioState.RX and now >= radio._busy_until:
+                elapsed = now - radio._state_since
+                if elapsed > 0.0:
+                    meter = radio._meter
+                    meter._dur_rx += elapsed
+                    meter._breakdown.rx_j += meter._w_rx * elapsed
+                radio._state_since = now
+                radio._state = RadioState.IDLE
         overlapping = [
             other
             for other in self._transmissions
@@ -517,131 +454,79 @@ class BroadcastChannel:
             and other.start < tx.end
             and other.end > tx.start
         ]
-        if self._faults is not None or self._trace.enabled("channel.rx"):
-            # Faults and rx tracing add per-delivery branches the fast
-            # loop below omits; route through the generic body.
-            deliver = self._deliver
-            for receiver, rssi in pending:
-                deliver(tx, receiver, rssi, overlapping)
-            return
-        # Inlined _deliver, one frame's receivers in node order: the same
-        # checks in the same order with the per-frame invariants (packet,
-        # size, the no-faults/no-trace branches) hoisted out of the loop.
-        stats = self.stats
-        trace = self._trace
-        packet = tx.packet
-        size_bytes = packet.size_bytes
-        delivered = 0
+        deliver = self._deliver
         for receiver, rssi in pending:
-            radio = receiver.radio
-            state = radio._state
-            if state is RadioState.SLEEP or state is RadioState.OFF:
-                # Slept mid-frame (coordination closed the window).
-                stats.frames_missed_asleep += 1
-                continue
-            gate = radio._receive_fault
-            if gate is not None and gate(now):
-                # Browned out mid-frame.
-                stats.frames_missed_brownout += 1
-                continue
-            if overlapping:
-                receiver_id = receiver.node_id
-                half_duplex = False
-                for other in overlapping:
-                    if other.src == receiver_id:
-                        half_duplex = True
-                        break
-                if half_duplex:
-                    stats.frames_missed_half_duplex += 1
-                    continue
-                interference_mw = self._foreign_power_mw(
-                    overlapping, receiver
-                )
-                if interference_mw > 0.0:
-                    sinr_db = rssi - mw_to_dbm(interference_mw)
-                    if sinr_db < receiver.receiver.capture_threshold_db:
-                        stats.frames_collided += 1
-                        trace.emit(
-                            now,
-                            "channel.collision",
-                            receiver_id,
-                            kind=packet.kind,
-                            uid=packet.uid,
-                        )
-                        continue
-            # Inlined EnergyMeter.charge_recv.
-            meter = radio._meter
-            cost = meter._recv_costs.get(size_bytes)
-            if cost is None:
-                cost = meter._model.recv_cost_j(size_bytes)
-                meter._recv_costs[size_bytes] = cost
-            meter._breakdown.packet_recv_j += cost
-            meter._packets_received += 1
-            delivered += 1
-            receiver.on_receive(
-                ReceivedPacket(
-                    packet=packet,
-                    rssi_dbm=rssi,
-                    receive_time=now,
-                    receiver=receiver.node_id,
-                )
-            )
-        stats.frames_delivered += delivered
+            deliver(tx, receiver, rssi, overlapping)
 
     def _deliver(
         self,
         tx: Transmission,
         receiver: _NodeEntry,
         rssi: float,
-        overlapping: Optional[List[Transmission]] = None,
+        overlapping: List[Transmission],
     ) -> None:
-        receiver_id = receiver.node_id
-        radio = receiver.radio
+        """One receiver's verdict on ``tx`` at the frame end.
+
+        The receiver must still be awake and not browned out, must not
+        have transmitted during the frame, and must survive capture
+        against ``overlapping``.  It is then charged for the packet; an
+        installed fault injector may corrupt the payload (dropped by the
+        CRC check if enabled) and skew the reported RSSI.
+        """
         stats = self.stats
-        now = self._sim.now
-        if not radio.is_awake:
+        radio = receiver.radio
+        state = radio._state
+        if state is RadioState.SLEEP or state is RadioState.OFF:
             # Slept mid-frame (coordination closed the window).
             stats.frames_missed_asleep += 1
             return
-        if radio.reception_impaired:
+        now = self._sim.now
+        gate = radio._receive_fault
+        if gate is not None and gate(now):
             # Browned out mid-frame.
             stats.frames_missed_brownout += 1
             return
-        if overlapping is None:
-            if self._transmitted_during(receiver_id, tx.start, tx.end):
-                stats.frames_missed_half_duplex += 1
-                return
-            interference_mw = self._interference_mw(tx, receiver)
-        else:
-            if any(other.src == receiver_id for other in overlapping):
-                stats.frames_missed_half_duplex += 1
-                return
-            interference_mw = self._foreign_power_mw(overlapping, receiver)
-        if interference_mw > 0.0:
-            sinr_db = rssi - mw_to_dbm(interference_mw)
-            if sinr_db < receiver.receiver.capture_threshold_db:
-                stats.frames_collided += 1
-                self._trace.emit(
-                    now,
-                    "channel.collision",
-                    receiver_id,
-                    kind=tx.packet.kind,
-                    uid=tx.packet.uid,
-                )
-                return
-        radio.meter.charge_recv(tx.packet.size_bytes)
         packet = tx.packet
-        if self._faults is not None:
-            damaged = self._faults.maybe_corrupt(now, receiver_id, packet)
+        receiver_id = receiver.node_id
+        if overlapping:
+            for other in overlapping:
+                if other.src == receiver_id:
+                    stats.frames_missed_half_duplex += 1
+                    return
+            interference_mw = self._foreign_power_mw(overlapping, receiver)
+            if interference_mw > 0.0:
+                sinr_db = rssi - mw_to_dbm(interference_mw)
+                if sinr_db < receiver.receiver.capture_threshold_db:
+                    stats.frames_collided += 1
+                    self._trace.emit(
+                        now,
+                        "channel.collision",
+                        receiver_id,
+                        kind=packet.kind,
+                        uid=packet.uid,
+                    )
+                    return
+        # Inlined EnergyMeter.charge_recv.
+        meter = radio._meter
+        size_bytes = packet.size_bytes
+        cost = meter._recv_costs.get(size_bytes)
+        if cost is None:
+            cost = meter._model.recv_cost_j(size_bytes)
+            meter._recv_costs[size_bytes] = cost
+        meter._breakdown.packet_recv_j += cost
+        meter._packets_received += 1
+        faults = self._faults
+        if faults is not None:
+            damaged = faults.maybe_corrupt(now, receiver_id, packet)
             if damaged is not None:
-                if self._faults.crc_check:
+                if faults.crc_check:
                     # The frame was received (and paid for) but fails its
                     # checksum; the link layer drops it silently.
                     stats.frames_crc_dropped += 1
                     return
                 packet = damaged
                 stats.frames_corrupted += 1
-            rssi = self._faults.reported_rssi(now, tx.src, rssi)
+            rssi = faults.reported_rssi(now, tx.src, rssi)
         stats.frames_delivered += 1
         trace = self._trace
         if trace.enabled("channel.rx"):
@@ -667,47 +552,21 @@ class BroadcastChannel:
     def _foreign_power_mw(
         self, overlapping: List[Transmission], receiver: _NodeEntry
     ) -> float:
-        """Summed mean power of the precomputed overlap set at the
-        receiver — the batched-path counterpart of
-        :meth:`_interference_mw`, with identical float-summation order."""
+        """Summed mean power, in milliwatts, of the overlapping frames at
+        the receiver (none of them its own: :meth:`_deliver` has already
+        ruled those half duplex).
+
+        Most deliveries see no overlapping frame, so the receiver
+        position (a mobility query) is fetched lazily on the first one.
+        """
         position = None
         total = 0.0
         for other in overlapping:
-            if other.src == receiver.node_id:
-                continue
             if position is None:
                 position = receiver.mobility.position(self._sim.now)
             distance = max(position.distance_to(other.src_position), 1.0)
             total += dbm_to_mw(self._path_loss.mean_rssi(distance))
         return total
-
-    def _interference_mw(
-        self, tx: Transmission, receiver: _NodeEntry
-    ) -> float:
-        """Summed mean power of foreign frames overlapping ``tx`` at the
-        receiver, in milliwatts."""
-        # Most deliveries have no overlapping foreign frame, so the
-        # receiver position (a mobility query) is fetched lazily on the
-        # first actual overlap.
-        position = None
-        total = 0.0
-        for other in self._transmissions:
-            if other is tx or other.src == receiver.node_id:
-                continue
-            if other.start < tx.end and other.end > tx.start:
-                if position is None:
-                    position = receiver.mobility.position(self._sim.now)
-                distance = max(position.distance_to(other.src_position), 1.0)
-                total += dbm_to_mw(self._path_loss.mean_rssi(distance))
-        return total
-
-    def _transmitted_during(
-        self, node_id: int, start: float, end: float
-    ) -> bool:
-        for tx in self._transmissions:
-            if tx.src == node_id and tx.start < end and tx.end > start:
-                return True
-        return False
 
     def _prune(self, now: float) -> None:
         """Drop transmissions that can no longer affect any decision.

@@ -38,7 +38,7 @@ class Radio:
     """One node's wireless interface power state.
 
     Args:
-        sim: the simulation engine (for the clock and TX/RX end events).
+        sim: the simulation engine (for the clock and TX end events).
         meter: the node's energy meter.
         initial_state: state at construction; defaults to IDLE (deployed
             and awake).
@@ -57,7 +57,7 @@ class Radio:
         self._busy_until = sim.now
         self._end_event: Optional[Event] = None
         self._receive_fault: Optional[Callable[[float], bool]] = None
-        # SoA mirror (the soa_state kernel); None when unbound.
+        # SoA mirror (see repro.sim.world); None when unbound.
         self._world = None
         self._world_row = 0
 
@@ -84,10 +84,6 @@ class Radio:
         :attr:`reception_impaired` at offer and delivery time).
         """
         self._receive_fault = gate
-        if self._world is not None:
-            # The SoA eligibility masks cannot express a per-receiver
-            # fault gate; flag the world so the channel stays scalar.
-            self._world.has_receive_faults = True
 
     def bind_world(self, world, row: int) -> None:
         """Mirror this radio's power state into a shared SoA block.
@@ -100,8 +96,6 @@ class Radio:
         self._world_row = row
         world.awake[row] = self.is_awake
         world.transmitting[row] = self._state is RadioState.TX
-        if self._receive_fault is not None:
-            world.has_receive_faults = True
 
     @property
     def reception_impaired(self) -> bool:
@@ -188,51 +182,22 @@ class Radio:
         self._enter(RadioState.TX)
         self._busy_until = self._sim.now + airtime_s
         self._end_event = self._sim.schedule(
-            airtime_s, self._end_busy, name="tx-end"
+            airtime_s, self._end_transmit, name="tx-end"
         )
 
     def begin_receive(self, airtime_s: float) -> None:
         """Enter RX for ``airtime_s`` seconds (extends an ongoing RX).
 
-        Half-duplex: receiving while transmitting is ignored — the channel
-        separately rules the frame undecodable for this node.
-        """
-        if not self.is_awake or self._state is RadioState.TX:
-            return
-        if airtime_s <= 0:
-            raise ValueError("airtime_s must be positive, got %r" % airtime_s)
-        end = self._sim.now + airtime_s
-        if self._state is RadioState.RX:
-            if end > self._busy_until:
-                self._busy_until = end
-                if self._end_event is not None:
-                    self._end_event.cancel()
-                self._end_event = self._sim.schedule(
-                    airtime_s, self._end_busy, name="rx-end"
-                )
-            return
-        self._enter(RadioState.RX)
-        self._busy_until = end
-        self._end_event = self._sim.schedule(
-            airtime_s, self._end_busy, name="rx-end"
-        )
-
-    def begin_receive_unmanaged(self, airtime_s: float) -> None:
-        """:meth:`begin_receive`, but without scheduling an rx-end event.
-
-        The coalesced-delivery kernel uses this: the channel guarantees
-        it will call :meth:`finish_receive` from the frame's single
-        delivery event (which fires exactly at the busy window's end),
-        so the per-receiver rx-end event — and the cancel/reschedule
-        traffic overlapping frames cause — is unnecessary.  State
-        transitions, busy-window extension, and energy billing are
-        identical to the managed path.
+        No end event is scheduled: the caller ends the reception with
+        :meth:`finish_receive` once the busy window is over (the channel
+        does so from each frame's single delivery event).  Half duplex:
+        receiving while transmitting, asleep or off is ignored — the
+        channel separately rules the frame undecodable for this node.
 
         The billing of :meth:`_enter` is inlined here (and in
-        :meth:`finish_receive`): these two run once per reception — the
-        densest call site in the simulation — and an IDLE<->RX flip
-        changes neither the awake nor the transmitting SoA mask, so the
-        generic transition path's mirror writes would be no-ops anyway.
+        :meth:`finish_receive`): an IDLE<->RX flip changes neither the
+        awake nor the transmitting SoA mask, so the generic transition
+        path's mirror writes would be no-ops anyway.
         """
         state = self._state
         if state is RadioState.RX:
@@ -263,7 +228,7 @@ class Radio:
         self._busy_until = now + airtime_s
 
     def finish_receive(self) -> None:
-        """End an unmanaged reception whose busy window has elapsed.
+        """End a reception whose busy window has elapsed.
 
         No-op unless the radio is in RX with its busy window over — a
         later overlapping frame may have extended the window (that
@@ -276,22 +241,16 @@ class Radio:
                 elapsed = now - self._state_since
                 if elapsed > 0.0:
                     # Inlined EnergyMeter.charge_state(RX, elapsed), as in
-                    # begin_receive_unmanaged.
+                    # begin_receive.
                     meter = self._meter
                     meter._dur_rx += elapsed
                     meter._breakdown.rx_j += meter._w_rx * elapsed
                 self._state_since = now
                 self._state = RadioState.IDLE
 
-    def _end_busy(self) -> None:
-        if self._sim.now < self._busy_until:
-            # A newer overlapping reception extended the busy window.
-            self._end_event = self._sim.schedule(
-                self._busy_until - self._sim.now, self._end_busy, name="rx-end"
-            )
-            return
+    def _end_transmit(self) -> None:
         self._end_event = None
-        if self._state in (RadioState.TX, RadioState.RX):
+        if self._state is RadioState.TX:
             self._enter(RadioState.IDLE)
 
     def finalize(self) -> None:

@@ -400,15 +400,17 @@ class LocalizationServer:
             self._server = None
         await self.core.stop()
 
-    async def drain(self) -> None:
+    async def drain(self) -> int:
         """Graceful shutdown: close the listener (existing connections
-        finish their in-flight requests), flush checkpoints, stop."""
+        finish their in-flight requests), flush checkpoints, stop.
+        Returns the checkpoints written."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.core.drain()
+        flushed = await self.core.drain()
         await self.core.stop()
+        return flushed
 
     async def serve_forever(self) -> None:
         await self.start()

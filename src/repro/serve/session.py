@@ -637,7 +637,7 @@ class CalibrationStore:
         )
         # LUT selection is per-table; tables are cached per LUT flag so
         # tenants with different flags never mutate each other's table.
-        table.set_lut(bool(lut), kernels.lut_entries)
+        table.set_lut(bool(lut))
         self._tables[key] = table
         return table
 

@@ -8,18 +8,6 @@ regardless of floating-point tie-breaking.
 The engine is intentionally callback-based rather than coroutine-based: the
 protocols in this reproduction (beaconing, MAC backoff, multicast refresh)
 are all timer-driven state machines, and callbacks keep the hot path cheap.
-
-Two queue backends share one firing order:
-
-- the default **binary heap** (``heapq`` over ``(time, seq, event)`` tuples),
-- an optional **slotted time wheel** (``wheel_slot_s=...``), which buckets
-  near-future events by time slot.  Bucket inserts are plain list appends;
-  a slot is heapified only once, when the clock reaches it.  Far-future
-  events (beyond :data:`WHEEL_HORIZON_SLOTS` slots) fall back to the heap,
-  and every pop merge-compares the active slot against the heap head by the
-  exact ``(time, seq)`` key — so the wheel fires the *identical* sequence
-  the heap would (a property test pins this).  The wheel is the
-  ``time_wheel`` kernel of :class:`~repro.kernels.KernelConfig`.
 """
 
 from __future__ import annotations
@@ -27,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -100,21 +88,11 @@ class Event:
         return "Event(t=%.6f, name=%r, %s)" % (self.time, self.name, state)
 
 
-#: How many slots ahead of the clock the wheel accepts an event; anything
-#: further out goes to the heap instead (periodic timers are near-future by
-#: nature, so the wheel captures them; rare far-future one-shots stay cheap
-#: in the heap and merge back in at pop time).
-WHEEL_HORIZON_SLOTS = 256
-
-
 class Simulator:
     """Deterministic discrete-event scheduler.
 
     Args:
         start_time: initial clock value in seconds.
-        wheel_slot_s: when given, enable the slotted time wheel with this
-            slot width (seconds).  Firing order is identical to the
-            default heap backend; only the queue data structure changes.
 
     Example:
         >>> sim = Simulator()
@@ -128,9 +106,7 @@ class Simulator:
         2.0
     """
 
-    def __init__(
-        self, start_time: float = 0.0, wheel_slot_s: Optional[float] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         # Heap entries are (time, seq, event) tuples rather than bare
         # events: heapq then compares tuples in C instead of calling
@@ -145,32 +121,11 @@ class Simulator:
         self._events_cancelled = 0
         self._max_queue_depth = 0
         self._pending = 0
-        self._entries = 0
-        if wheel_slot_s is not None and not wheel_slot_s > 0.0:
-            raise ValueError(
-                "wheel_slot_s must be positive, got %r" % wheel_slot_s
-            )
-        self._wheel_slot_s = wheel_slot_s
-        # Wheel state.  _active is the heapified bucket currently being
-        # drained; _buckets holds future slots as unsorted append-only
-        # lists; _slot_heap orders the pending slot indices.  Invariant:
-        # every event in _buckets[i] has time >= i * slot >= the end of
-        # the active slot, so draining _active before loading the next
-        # slot preserves global (time, seq) order.
-        self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
-        self._slot_heap: List[int] = []
-        self._active: List[Tuple[float, int, Event]] = []
-        self._active_idx: Optional[int] = None
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def wheel_enabled(self) -> bool:
-        """True when the slotted time wheel backs the event queue."""
-        return self._wheel_slot_s is not None
 
     @property
     def events_processed(self) -> int:
@@ -252,67 +207,11 @@ class Simulator:
         event = Event(float(time), next(self._seq), callback, args, name)
         event._owner = self
         self._pending += 1
-        entry = (event.time, event.seq, event)
-        if self._wheel_slot_s is not None:
-            self._wheel_insert(entry)
-        else:
-            heapq.heappush(self._queue, entry)
-        self._entries += 1
-        if self._entries > self._max_queue_depth:
-            self._max_queue_depth = self._entries
-        return event
-
-    def _wheel_insert(self, entry: Tuple[float, int, Event]) -> None:
-        slot_s = self._wheel_slot_s
-        idx = int(entry[0] / slot_s)
-        active_idx = self._active_idx
-        if active_idx is not None and idx <= active_idx:
-            # The event's slot is already being drained (or the clock sits
-            # inside it): it must compete with the active heap directly.
-            heapq.heappush(self._active, entry)
-            return
-        if entry[0] - self._now > WHEEL_HORIZON_SLOTS * slot_s:
-            heapq.heappush(self._queue, entry)
-            return
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [entry]
-            heapq.heappush(self._slot_heap, idx)
-        else:
-            bucket.append(entry)
-
-    def _load_slot(self) -> None:
-        """Promote the earliest pending bucket to the active heap.
-
-        Deferred while the main heap's head precedes everything the slot
-        could contain — the heap event must fire first, and loading early
-        would let later inserts bypass their buckets.
-        """
-        while self._slot_heap:
-            idx = self._slot_heap[0]
-            if self._queue and self._queue[0][0] < idx * self._wheel_slot_s:
-                return
-            heapq.heappop(self._slot_heap)
-            bucket = self._buckets.pop(idx)
-            heapq.heapify(bucket)
-            self._active = bucket
-            self._active_idx = idx
-            return
-
-    def _front(self) -> Optional[List[Tuple[float, int, Event]]]:
-        """The heap holding the globally earliest entry, or ``None``."""
-        active = self._active
-        if not active and self._slot_heap:
-            self._load_slot()
-            active = self._active
         queue = self._queue
-        if active and queue:
-            return active if active[0] < queue[0] else queue
-        if active:
-            return active
-        if queue:
-            return queue
-        return None
+        heapq.heappush(queue, (event.time, event.seq, event))
+        if len(queue) > self._max_queue_depth:
+            self._max_queue_depth = len(queue)
+        return event
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events in timestamp order.
@@ -334,22 +233,18 @@ class Simulator:
                 % (until, self._now)
             )
         self._running = True
+        queue = self._queue
         try:
-            while True:
-                source = self._front()
-                if source is None:
-                    break
-                entry = source[0]
+            while queue:
+                entry = queue[0]
                 event = entry[2]
                 if event._cancelled:
-                    heapq.heappop(source)
-                    self._entries -= 1
+                    heapq.heappop(queue)
                     self._events_cancelled += 1
                     continue
                 if until is not None and entry[0] > until:
                     break
-                heapq.heappop(source)
-                self._entries -= 1
+                heapq.heappop(queue)
                 self._pending -= 1
                 event._owner = None
                 self._now = entry[0]
@@ -366,12 +261,9 @@ class Simulator:
         Returns:
             True if an event was processed, False if the queue was empty.
         """
-        while True:
-            source = self._front()
-            if source is None:
-                return False
-            entry = heapq.heappop(source)
-            self._entries -= 1
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
             event = entry[2]
             if event._cancelled:
                 self._events_cancelled += 1
@@ -382,6 +274,7 @@ class Simulator:
             self._events_processed += 1
             event.callback(*event.args)
             return True
+        return False
 
     def clear(self) -> None:
         """Drop all pending events without running them.
@@ -392,20 +285,10 @@ class Simulator:
         semantics — nothing is added to :attr:`events_cancelled`, which
         only counts lazy discards at pop time.
         """
-        stores: List[List[Tuple[float, int, Event]]] = [
-            self._queue,
-            self._active,
-        ]
-        stores.extend(self._buckets.values())
-        for store in stores:
-            for _, _, event in store:
-                event._cancelled = True
+        for _, _, event in self._queue:
+            event._cancelled = True
         self._queue.clear()
-        self._active.clear()
-        self._buckets.clear()
-        self._slot_heap.clear()
         self._pending = 0
-        self._entries = 0
 
     def __repr__(self) -> str:
         return "Simulator(now=%.6f, pending=%d)" % (

@@ -13,8 +13,7 @@ any per-query object traffic:
 - :attr:`awake` / :attr:`transmitting` answer the channel's eligibility
   filter as boolean masks.
 
-Bit-exactness contract (the ``soa_state`` kernel of
-:class:`~repro.kernels.KernelConfig`):
+Bit-exactness contract (why reading the mirror changes no result):
 
 - Leg interpolation uses the elementwise float64 expression
   ``start + (dest - start) * ((t - depart) / (arrive - depart))`` — the
@@ -67,10 +66,6 @@ class WorldState:
         # Radio power-state mirror, written through by Radio._enter.
         self.awake = np.ones(n, dtype=bool)
         self.transmitting = np.zeros(n, dtype=bool)
-        #: Set when any bound radio arms a receive-fault gate; the
-        #: channel then keeps to the scalar eligibility path, which
-        #: consults the gate per receiver.
-        self.has_receive_faults = False
         # Cached position snapshot (plain-float lists, exact via tolist).
         self._pos_time: Optional[float] = None
         self._pos_x: List[float] = []

@@ -154,10 +154,8 @@ def collect_team_snapshot(team, result) -> TelemetrySnapshot:
     for key, value in result.energy.breakdown.as_dict().items():
         metrics["energy_%s" % key] = float(value)
 
-    # -- hot-path kernels --------------------------------------------------
-    # Only exported when the team ran with a constraint-field cache:
-    # kernels-off runs must stay byte-identical to pre-kernel results,
-    # snapshot included.
+    # -- constraint-field cache --------------------------------------------
+    # Only RF runs build one; odometry-only runs export no cache keys.
     cache = getattr(team, "constraint_cache", None)
     if cache is not None:
         for key, value in cache.counters().items():

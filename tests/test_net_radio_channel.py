@@ -88,6 +88,9 @@ class TestRadioStates:
         sim, radio = make_radio()
         radio.begin_receive(0.002)
         sim.schedule(0.001, radio.begin_receive, 0.002)
+        # At the first frame's end the extended window is still open.
+        sim.schedule(0.002, radio.finish_receive)
+        sim.schedule(0.003, radio.finish_receive)
         sim.run(until=0.0025)
         assert radio.is_receiving
         sim.run(until=0.004)
@@ -104,7 +107,9 @@ class TestRadioStates:
         radio.begin_receive(0.01)
         radio.sleep()
         assert radio.state is RadioState.SLEEP
-        sim.run(until=0.02)  # the stale end event must not wake it
+        # The frame's end must not wake it.
+        sim.schedule(0.01, radio.finish_receive)
+        sim.run(until=0.02)
         assert radio.state is RadioState.SLEEP
 
     def test_power_off(self):
@@ -152,26 +157,25 @@ def make_test_packet(src=0, size=16):
 
 
 class TestUnmanagedReceive:
-    """begin_receive_unmanaged/finish_receive: the coalesced-delivery
-    kernel's event-free RX window, billed identically to the managed
-    path but without scheduling an rx-end event."""
+    """begin_receive/finish_receive: an RX window no end event manages;
+    the channel ends it from the frame's single delivery event."""
 
     def test_enters_rx_without_scheduling_an_event(self):
         sim, radio = make_radio()
         before = sim.pending_count
-        radio.begin_receive_unmanaged(0.5)
+        radio.begin_receive(0.5)
         assert radio.state is RadioState.RX
         assert sim.pending_count == before
 
     def test_bills_idle_interval_on_entry(self):
         sim, radio = make_radio()
-        sim.schedule(10.0, radio.begin_receive_unmanaged, 0.5)
+        sim.schedule(10.0, radio.begin_receive, 0.5)
         sim.run()
         assert radio.meter.state_durations_s[RadioState.IDLE] == 10.0
 
     def test_finish_bills_rx_and_returns_to_idle(self):
         sim, radio = make_radio()
-        sim.schedule(10.0, radio.begin_receive_unmanaged, 0.5)
+        sim.schedule(10.0, radio.begin_receive, 0.5)
         sim.schedule(10.5, radio.finish_receive)
         sim.run()
         assert radio.state is RadioState.IDLE
@@ -179,10 +183,10 @@ class TestUnmanagedReceive:
 
     def test_finish_before_window_end_is_noop(self):
         sim, radio = make_radio()
-        radio.begin_receive_unmanaged(0.5)
+        radio.begin_receive(0.5)
         # An overlapping frame extended the window; its own delivery
         # will finish the reception.
-        radio.begin_receive_unmanaged(0.9)
+        radio.begin_receive(0.9)
         sim.schedule(0.5, radio.finish_receive)
         sim.run(until=0.5)
         assert radio.state is RadioState.RX
@@ -193,7 +197,7 @@ class TestUnmanagedReceive:
 
     def test_finish_after_sleep_is_noop(self):
         sim, radio = make_radio()
-        radio.begin_receive_unmanaged(0.5)
+        radio.begin_receive(0.5)
         radio.sleep()
         sim.schedule(0.5, radio.finish_receive)
         sim.run(until=0.5)
@@ -202,37 +206,35 @@ class TestUnmanagedReceive:
     def test_ignored_while_transmitting_or_asleep(self):
         sim, radio = make_radio()
         radio.begin_transmit(0.2)
-        radio.begin_receive_unmanaged(0.5)
+        radio.begin_receive(0.5)
         assert radio.state is RadioState.TX
         sim2, radio2 = make_radio()
         radio2.sleep()
-        radio2.begin_receive_unmanaged(0.5)
+        radio2.begin_receive(0.5)
         assert radio2.state is RadioState.SLEEP
 
     def test_non_positive_airtime_rejected(self):
         _, radio = make_radio()
         with pytest.raises(ValueError):
-            radio.begin_receive_unmanaged(0.0)
+            radio.begin_receive(0.0)
 
-    def test_billing_matches_managed_path(self):
-        """Same timeline billed through both paths -> identical joules."""
-        sim_a, managed = make_radio()
-        sim_a.schedule(3.0, managed.begin_receive, 0.5)
-        sim_a.run(until=4.0)
-        managed.finalize()
-        sim_b, unmanaged = make_radio()
-        sim_b.schedule(3.0, unmanaged.begin_receive_unmanaged, 0.5)
-        sim_b.schedule(3.5, unmanaged.finish_receive)
-        sim_b.run(until=4.0)
-        unmanaged.finalize()
+    def test_billing_matches_charge_state(self):
+        """The inlined billing books exactly what the meter's own
+        charge_state would for the same timeline."""
+        sim, radio = make_radio()
+        sim.schedule(3.0, radio.begin_receive, 0.5)
+        sim.schedule(3.5, radio.finish_receive)
+        sim.run(until=4.0)
+        radio.finalize()
+        reference = EnergyMeter(EnergyModel.wavelan_2mbps())
+        reference.charge_state(RadioState.IDLE, 3.0)
+        reference.charge_state(RadioState.RX, 0.5)
+        reference.charge_state(RadioState.IDLE, 0.5)
         assert (
-            managed.meter.breakdown.as_dict()
-            == unmanaged.meter.breakdown.as_dict()
+            radio.meter.breakdown.as_dict()
+            == reference.breakdown.as_dict()
         )
-        assert (
-            managed.meter.state_durations_s
-            == unmanaged.meter.state_durations_s
-        )
+        assert radio.meter.state_durations_s == reference.state_durations_s
 
 
 class TestBroadcastChannel:

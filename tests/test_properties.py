@@ -127,7 +127,7 @@ class TestPathLossProperties:
 
 
 class TestGeneratorStreamProperties:
-    """The RNG identities the batched-delivery kernel rests on: a PCG64
+    """The RNG identities the channel's batched RSSI draw rests on: a PCG64
     ``Generator`` consumes its stream identically whether values are
     drawn one at a time, in chunks, or in one batch (see
     :meth:`repro.net.phy.PathLossModel.sample_rssi_batch`)."""

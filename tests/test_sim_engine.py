@@ -204,13 +204,6 @@ class TestScheduleTimeGuards:
             sim.schedule(bad, lambda: None)
         assert sim.pending_count == 0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_wheel_backend_rejects_non_finite_too(self, bad):
-        sim = Simulator(wheel_slot_s=1.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(bad, lambda: None)
-        assert sim.pending_count == 0
-
 
 class TestPendingCountLiveCounter:
     """pending_count is a live O(1) counter, exact under cancel/fire/clear."""
@@ -260,18 +253,6 @@ class TestPendingCountLiveCounter:
         sim.schedule(3.0, lambda: None)
         assert sim.pending_count == 1
 
-    def test_counter_matches_on_wheel_backend(self):
-        sim = Simulator(wheel_slot_s=1.0)
-        events = [sim.schedule(float(i), lambda: None) for i in range(5)]
-        # One far beyond the wheel horizon (lands in the fallback heap).
-        far = sim.schedule(10_000.0, lambda: None)
-        assert sim.pending_count == 6
-        events[3].cancel()
-        far.cancel()
-        assert sim.pending_count == 4
-        sim.run()
-        assert sim.pending_count == 0
-
 
 class TestStepAndClearCounters:
     def test_step_across_cancelled_runs(self):
@@ -307,23 +288,61 @@ class TestStepAndClearCounters:
         sim.clear()
         assert sim.events_processed == 1
 
-    def test_clear_on_wheel_drops_buckets_and_far_heap(self):
-        sim = Simulator(wheel_slot_s=1.0)
-        near = sim.schedule(0.5, lambda: None)
-        later = sim.schedule(50.0, lambda: None)
-        far = sim.schedule(10_000.0, lambda: None)
-        sim.clear()
-        assert sim.pending_count == 0
-        assert near.cancelled and later.cancelled and far.cancelled
-        sim.run()
-        assert sim.events_processed == 0
+
+class _ReferenceScheduler:
+    """Linear-scan model of the engine's contract: fire the live entry
+    with the least (time, scheduling order), with lazy cancellation."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.pending_count = 0
+        self._entries = []
+        self._seq = 0
+
+    def schedule_at(self, time, callback, *args):
+        entry = _ReferenceEvent(self, (time, self._seq), callback, args)
+        self._seq += 1
+        self._entries.append(entry)
+        self.pending_count += 1
+        return entry
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def run(self):
+        while self._entries:
+            entry = min(self._entries, key=lambda e: e.key)
+            self._entries.remove(entry)
+            if entry.cancelled:
+                continue
+            entry.fired = True
+            self.pending_count -= 1
+            self.now = entry.key[0]
+            self.events_processed += 1
+            entry.callback(*entry.args)
 
 
-class TestWheelHeapEquivalence:
-    """The time wheel must fire the identical (time, seq) sequence the
-    heap fires, under randomized mixes of periodic timers, aperiodic
-    one-shots (including far-future ones beyond the wheel horizon),
-    same-timestamp ties, mid-callback scheduling, and cancellations."""
+class _ReferenceEvent:
+    def __init__(self, owner, key, callback, args):
+        self.owner = owner
+        self.key = key
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.fired = False
+
+    def cancel(self):
+        if not (self.cancelled or self.fired):
+            self.cancelled = True
+            self.owner.pending_count -= 1
+
+
+class TestFiringOrderAgainstReference:
+    """The heap must fire the identical (time, seq) sequence a naive
+    linear-scan scheduler fires, under randomized mixes of periodic
+    timers, aperiodic one-shots (including far-future ones), same-
+    timestamp ties, mid-callback scheduling, and cancellations."""
 
     @staticmethod
     def _scenario(seed):
@@ -334,7 +353,7 @@ class TestWheelHeapEquivalence:
             (float(rng.uniform(0.0, 400.0)), "one-%d" % i)
             for i in range(int(rng.integers(5, 25)))
         ]
-        # A clump of exact ties exercises FIFO ordering inside one slot.
+        # A clump of exact ties exercises FIFO ordering.
         tie_time = float(rng.uniform(0.0, 50.0))
         oneshots += [(tie_time, "tie-%d" % i) for i in range(3)]
         periodics = [
@@ -347,7 +366,7 @@ class TestWheelHeapEquivalence:
             for i in range(int(rng.integers(2, 6)))
         ]
         # chains: when `src` fires, schedule a follow-up `delta` later
-        # (tests inserts into the active slot and into future buckets).
+        # (inserts ahead of, among and behind the pending events).
         chains = {
             "one-%d" % int(rng.integers(0, 5)): float(rng.uniform(0.0, 30.0))
             for _ in range(3)
@@ -360,9 +379,8 @@ class TestWheelHeapEquivalence:
         return oneshots, periodics, chains, cancels
 
     @classmethod
-    def _run(cls, seed, wheel_slot_s):
+    def _run(cls, seed, sim):
         oneshots, periodics, chains, cancels = cls._scenario(seed)
-        sim = Simulator(wheel_slot_s=wheel_slot_s)
         log = []
         handles = {}
 
@@ -387,7 +405,7 @@ class TestWheelHeapEquivalence:
 
         for time, tag in oneshots:
             handles[tag] = sim.schedule_at(time, fire, tag)
-        # One event far beyond the wheel horizon (fallback-heap path).
+        # One event far beyond every other.
         handles["far"] = sim.schedule_at(9_999.0, fire, "far")
         for delay, period, fires, tag in periodics:
             handles[tag] = sim.schedule(delay, periodic, tag, period, fires)
@@ -396,9 +414,8 @@ class TestWheelHeapEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_firing_sequence_identical(self, seed):
-        heap_log, heap_n, heap_pending = self._run(seed, None)
-        for slot in (0.25, 1.0, 7.3):
-            wheel_log, wheel_n, wheel_pending = self._run(seed, slot)
-            assert wheel_log == heap_log
-            assert wheel_n == heap_n
-            assert wheel_pending == heap_pending == 0
+        heap_log, heap_n, heap_pending = self._run(seed, Simulator())
+        ref_log, ref_n, ref_pending = self._run(seed, _ReferenceScheduler())
+        assert heap_log == ref_log
+        assert heap_n == ref_n
+        assert heap_pending == ref_pending == 0
