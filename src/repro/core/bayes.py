@@ -93,9 +93,9 @@ class GridBayesFilter:
 
         Args:
             cache: a :class:`~repro.core.constraint_cache.ConstraintFieldCache`
-                (or anything with its ``bind_grid`` / ``distance_field`` /
-                ``constraint_field`` protocol).  The cached path is
-                bit-identical to the uncached one; see the cache module.
+                (or anything with its ``bind_grid`` / ``constraint_field``
+                protocol).  The cached path is bit-identical to the
+                uncached one; see the cache module.
         """
         cache.bind_grid(self.grid_signature)
         self._cache = cache
@@ -180,11 +180,7 @@ class GridBayesFilter:
         return distances
 
     def apply_beacon(
-        self,
-        beacon: Vec2,
-        rssi_dbm: float,
-        table: PdfTable,
-        anchor_id: Optional[int] = None,
+        self, beacon: Vec2, rssi_dbm: float, table: PdfTable
     ) -> None:
         """Incorporate one beacon: Equations (1) and (2).
 
@@ -198,8 +194,6 @@ class GridBayesFilter:
             beacon: the anchor's claimed position.
             rssi_dbm: measured signal strength.
             table: the calibrated PDF table.
-            anchor_id: the claiming anchor; only used as part of the
-                constraint-cache key when a cache is attached.
         """
         cache = self._cache
         if cache is None:
@@ -210,40 +204,9 @@ class GridBayesFilter:
                 rssi_dbm, distances, out=self._constraint_buf
             )
         else:
-            bin_key = table.bin_key_for(rssi_dbm)
             constraint = cache.constraint_field(
-                anchor_id, beacon.x, beacon.y, bin_key
+                self, beacon, table, table.bin_key_for(rssi_dbm)
             )
-            if constraint is None:
-                distances = cache.distance_field(beacon.x, beacon.y)
-                if distances is None:
-                    distances = cache.store_distance(
-                        beacon.x,
-                        beacon.y,
-                        self.compute_distance_field(beacon),
-                    )
-                if table.lut_enabled:
-                    # Share the LUT index field across bins: the indices
-                    # depend only on the distances and the LUT geometry,
-                    # and pdf_from_index runs the identical np.take the
-                    # direct evaluation would, so this is bit-identical
-                    # to pdf_for_key while skipping the clip/cast pass
-                    # for every bin after the first at this position.
-                    params = table.lut_params
-                    index = cache.index_field(beacon.x, beacon.y, params)
-                    if index is None:
-                        index = cache.store_index(
-                            beacon.x,
-                            beacon.y,
-                            table.lut_index_for(distances),
-                            params,
-                        )
-                    field = table.pdf_from_index(bin_key, index)
-                else:
-                    field = table.pdf_for_key(bin_key, distances)
-                constraint = cache.store_constraint(
-                    anchor_id, beacon.x, beacon.y, bin_key, field
-                )
         self._posterior *= constraint
         total = self._posterior.sum()
         if total <= 1e-300 or not np.isfinite(total):

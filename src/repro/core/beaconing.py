@@ -19,12 +19,11 @@ import numpy as np
 
 from repro.mobility.base import MobilityModel
 from repro.net.interface import NetworkInterface
-from repro.net.packet import Packet
+from repro.net.packet import BEACON_KIND, Packet
 from repro.sim.engine import Simulator
 from repro.util.geometry import Vec2
 from repro.util.validation import check_non_negative, check_positive
 
-BEACON_KIND = "beacon"
 #: x and y coordinates as two 8-byte doubles — "the location (x and y
 #: coordinates) of the sending robot" (§2.3); with the 40 header bytes this
 #: makes each beacon 56 bytes on the wire.

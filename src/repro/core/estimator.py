@@ -362,9 +362,7 @@ class PositionEstimator:
             self.beacons_gated += 1
             self._raise_suspicion(anchor_id, t)
             return
-        self._filter.apply_beacon(
-            beacon_position, rssi_dbm, self._table, anchor_id=anchor_id
-        )
+        self._filter.apply_beacon(beacon_position, rssi_dbm, self._table)
         self.beacons_heard += 1
         self._last_beacon_t = max(self._last_beacon_t, t)
         if self._anchor_expiry_s > 0.0 and anchor_id is not None:

@@ -22,8 +22,6 @@ benchmark quantifies the accuracy/runtime trade at the paper's scale.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.pdf_table import PdfTable
@@ -118,19 +116,9 @@ class ParticleFilter:
         return float(1.0 / np.square(self._weights).sum())
 
     def apply_beacon(
-        self,
-        beacon: Vec2,
-        rssi_dbm: float,
-        table: PdfTable,
-        anchor_id: Optional[int] = None,
+        self, beacon: Vec2, rssi_dbm: float, table: PdfTable
     ) -> None:
-        """Weight particles by the beacon's ranging likelihood (Eq. 1-2).
-
-        ``anchor_id`` is accepted for interface parity with the grid
-        filter's constraint-cache keying and is unused here: particle
-        positions are per-robot, so there is no cross-robot field to
-        share.
-        """
+        """Weight particles by the beacon's ranging likelihood (Eq. 1-2)."""
         distances = np.hypot(self._xs - beacon.x, self._ys - beacon.y)
         likelihood = table.pdf(rssi_dbm, distances)
         self._weights *= likelihood

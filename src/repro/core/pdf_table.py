@@ -305,19 +305,13 @@ class PdfTable:
             self._luts[key] = lut
         return lut
 
-    @property
-    def lut_params(self) -> Tuple[int, float]:
-        """The LUT geometry an index field depends on (see
-        :meth:`lut_index_for`); cached index fields are keyed on it."""
-        return (self._lut_entries, self._support_max_m)
-
     def lut_index_for(self, distances_m: np.ndarray) -> np.ndarray:
         """Nearest-LUT-node indices for a distance field.
 
-        The indices depend only on the distances and :attr:`lut_params` —
-        not on the RSSI bin — so a caller evaluating several bins at the
-        same beacon position (the constraint-field cache does, one per
-        heard RSSI) can compute them once and feed :meth:`pdf_from_index`
+        The indices depend only on the distances and the LUT geometry
+        (entry count and support) — not on the RSSI bin — so a caller evaluating several bins at the
+        same beacon position (the constraint-field memo does, one per
+        heard RSSI bin) can compute them once and feed :meth:`pdf_from_index`
         per bin, with bit-identical results to :meth:`pdf_for_key`.
         """
         d = np.asarray(distances_m, dtype=float)
@@ -338,8 +332,7 @@ class PdfTable:
         """Density over distance from a precomputed LUT index field.
 
         Only meaningful while the LUT kernel is enabled and ``index``
-        came from :meth:`lut_index_for` under the current
-        :attr:`lut_params`.
+        came from :meth:`lut_index_for` under the current LUT geometry.
         """
         if not self._lut_enabled:
             raise RuntimeError(

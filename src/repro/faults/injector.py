@@ -27,7 +27,7 @@ from repro.faults.models import (
     RadioCalibrationFault,
 )
 from repro.faults.spec import FaultPlan
-from repro.net.packet import Packet
+from repro.net.packet import BEACON_KIND, Packet
 from repro.net.radio import Radio
 from repro.sim.rng import RandomStreams
 
@@ -143,8 +143,6 @@ class FaultInjector:
         ``crc_ok`` is False on it — exactly what a real CRC over a
         damaged payload looks like.
         """
-        from repro.core.beaconing import BEACON_KIND  # circular at top level
-
         if not (
             self.plan.corruption.enabled
             and self.plan.targets(dst_id)

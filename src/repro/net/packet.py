@@ -17,6 +17,8 @@ from typing import Any, Optional
 IP_HEADER_BYTES = 20
 #: UDP header size in bytes, as counted by the paper (§2.3).
 UDP_HEADER_BYTES = 20
+#: ``Packet.kind`` of an anchor's position beacon.
+BEACON_KIND = "beacon"
 
 _packet_ids = itertools.count(1)
 

@@ -155,7 +155,7 @@ def render_report(
             % (_fmt(ch), _fmt(cm), _pct(ch, ch + cm)),
             "distance fields: hits %s, misses %s (hit rate %s)"
             % (_fmt(dh), _fmt(dm), _pct(dh, dh + dm)),
-            "evictions %s" % _fmt(g("kernel_cache_evictions")),
+            "positions dropped %s" % _fmt(g("kernel_cache_evictions")),
         ])
 
     if sweep is not None:
