@@ -96,6 +96,8 @@ class PositionEstimator:
             ``position_std_m`` / ``beacons_applied`` protocol (e.g. a
             :class:`~repro.core.particle.ParticleFilter`); defaults to the
             paper's :class:`~repro.core.bayes.GridBayesFilter`.
+            ``position_std_m`` must accept the mean ``estimate`` returned,
+            so a window close computes each moment once.
         beacon_gate_sigma: if > 0, reject beacons whose implied range
             (PDF-table mean for the measured RSSI) disagrees with the
             distance to the current estimate by more than this many
@@ -403,21 +405,21 @@ class PositionEstimator:
             self._suspicion_of(anchor_id, t) >= self.QUARANTINE_THRESHOLD
         )
 
-    def _suspect_residual_anchors(self, fix: Vec2) -> None:
+    def _suspect_residual_anchors(self, fix: Vec2, fix_std_m: float) -> None:
         """Raise suspicion for anchors inconsistent with a fresh fix.
 
         A successful fix averages the window's beacons, so an anchor
         whose RSSI-implied range still disagrees with it by several
         table sigmas is systematically wrong (drifted calibration,
         stale coordinates) rather than unlucky.  Only *confident* fixes
-        (posterior spread below ``RESIDUAL_MAX_FIX_STD_M``) may judge
-        anchors: when the posterior is wide the fix itself is the least
-        trustworthy quantity in the residual, and feeding it into
-        quarantine blames honest anchors for the robot's own confusion.
+        (posterior spread ``fix_std_m`` below ``RESIDUAL_MAX_FIX_STD_M``)
+        may judge anchors: when the posterior is wide the fix itself is
+        the least trustworthy quantity in the residual, and feeding it
+        into quarantine blames honest anchors for the robot's own
+        confusion.
         """
         if self._anchor_expiry_s <= 0.0 or not self._window_beacons:
             return
-        fix_std_m = self._filter.position_std_m()
         if fix_std_m > self.RESIDUAL_MAX_FIX_STD_M:
             self._window_beacons.clear()
             return
@@ -461,7 +463,13 @@ class PositionEstimator:
         self._window_open = False
         if self._filter is None:
             return
-        if self._watchdog and self._posterior_degenerate():
+        # The fix's moments are computed once here and handed to every
+        # consumer: the watchdog, the fix, the residual test and
+        # last_fix_std_m.
+        fix = None
+        if self._filter.beacons_applied >= self._min_beacons:
+            fix = self._filter.estimate()
+        if self._watchdog and self._posterior_degenerate(fix):
             # The round's evidence broke the posterior: reset to the
             # prior and keep the previous estimate rather than adopting
             # a confidently wrong fix.
@@ -470,14 +478,14 @@ class PositionEstimator:
             self.windows_without_fix += 1
             self._gate_armed = False
             return
-        if self._filter.beacons_applied < self._min_beacons:
+        if fix is None:
             self.windows_without_fix += 1
             self._gate_armed = False
             return
-        fix = self._filter.estimate()
+        fix_std_m = self._filter.position_std_m(fix)
         self._gate_armed = True
-        self._suspect_residual_anchors(fix)
-        self.last_fix_std_m = self._filter.position_std_m()
+        self._suspect_residual_anchors(fix, fix_std_m)
+        self.last_fix_std_m = fix_std_m
         self.fixes += 1
         if self._mode is LocalizationMode.RF_ONLY:
             self._estimate = fix
@@ -485,18 +493,16 @@ class PositionEstimator:
             self._apply_cocoa_fix(fix)
         self._last_fix = fix
 
-    def _posterior_degenerate(self) -> bool:
+    def _posterior_degenerate(self, fix: Optional[Vec2]) -> bool:
         """Watchdog check, filter-agnostic: a filter without an
         ``is_degenerate`` probe (e.g. the particle filter) only trips on
-        a non-finite point estimate."""
+        a non-finite point estimate.  ``fix`` is the window's posterior
+        mean, or ``None`` when too few beacons came for a fix."""
         probe = getattr(self._filter, "is_degenerate", None)
         if probe is not None and probe():
             return True
-        if self._filter.beacons_applied >= self._min_beacons:
-            estimate = self._filter.estimate()
-            return not (
-                math.isfinite(estimate.x) and math.isfinite(estimate.y)
-            )
+        if fix is not None:
+            return not (math.isfinite(fix.x) and math.isfinite(fix.y))
         return False
 
     # -- checkpointing --------------------------------------------------------

@@ -22,6 +22,8 @@ benchmark quantifies the accuracy/runtime trade at the paper's scale.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.pdf_table import PdfTable
@@ -161,9 +163,15 @@ class ParticleFilter:
         y_hat = float(np.dot(self._weights, self._ys))
         return Vec2(x_hat, y_hat)
 
-    def position_std_m(self) -> float:
-        """Scalar spread: sqrt of the weighted total variance."""
-        mean = self.estimate()
+    def position_std_m(self, mean: Optional[Vec2] = None) -> float:
+        """Scalar spread: sqrt of the weighted total variance.
+
+        Args:
+            mean: the weighted mean if the caller already has it (what
+                :meth:`estimate` returns); computed when omitted.
+        """
+        if mean is None:
+            mean = self.estimate()
         var = float(
             np.dot(self._weights, np.square(self._xs - mean.x))
             + np.dot(self._weights, np.square(self._ys - mean.y))

@@ -131,6 +131,13 @@ class FaultInjector:
             return rssi_dbm
         return self._calibration_for(src_id).reported_rssi(now, rssi_dbm)
 
+    def _corruptible(self, dst_id: int, packet: Packet) -> bool:
+        return (
+            self.plan.corruption.enabled
+            and self.plan.targets(dst_id)
+            and packet.kind == BEACON_KIND
+        )
+
     def maybe_corrupt(
         self, now: float, dst_id: int, packet: Packet
     ) -> Optional[Packet]:
@@ -143,16 +150,25 @@ class FaultInjector:
         ``crc_ok`` is False on it — exactly what a real CRC over a
         damaged payload looks like.
         """
-        if not (
-            self.plan.corruption.enabled
-            and self.plan.targets(dst_id)
-            and packet.kind == BEACON_KIND
-        ):
+        if not self._corruptible(dst_id, packet):
             return None
         damaged = self._corrupter_for(dst_id).maybe_corrupt(packet.payload)
         if damaged is None:
             return None
         return packet.damaged_copy(damaged)
+
+    def corrupts(self, now: float, dst_id: int, packet: Packet) -> bool:
+        """The verdict of :meth:`maybe_corrupt` without the damaged copy.
+
+        With ``crc_check`` on, the channel drops every damaged frame at
+        once, so it only needs to know whether the frame was damaged.
+        This makes the same draws from the receiver's ``fault-corrupt``
+        stream as :meth:`maybe_corrupt`, so either call leaves the stream
+        in the same state.
+        """
+        return self._corruptible(dst_id, packet) and self._corrupter_for(
+            dst_id
+        ).corrupts(packet.payload)
 
     # -- diagnostics --------------------------------------------------------
 

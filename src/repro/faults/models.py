@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import is_dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -155,11 +155,14 @@ class PayloadCorrupter:
         self._prob = corrupt_prob
         self._rng = rng
 
-    def maybe_corrupt(self, payload: object) -> Optional[object]:
-        """Return a damaged copy of ``payload``, or ``None`` to leave it.
+    def _draw_flip(self, payload: object) -> Optional[Tuple[str, int]]:
+        """One corruption decision's stream draws: the uniform, then for
+        a damaged payload the field index and the bit.
 
-        Only dataclass payloads with at least one float field can be
-        damaged (beacons and SYNCs are; opaque payloads pass through).
+        Returns the ``(field name, bit)`` to flip, or ``None`` to leave
+        the payload.  Only dataclass payloads with at least one float
+        field can be damaged (beacons and SYNCs are; opaque payloads
+        pass through).
         """
         if self._rng.random() >= self._prob:
             return None
@@ -176,5 +179,22 @@ class PayloadCorrupter:
             int(self._rng.integers(0, len(float_fields)))
         ]
         bit = int(self._rng.integers(_FLIP_BIT_LOW, _FLIP_BIT_HIGH + 1))
+        return field_name, bit
+
+    def corrupts(self, payload: object) -> bool:
+        """Would :meth:`maybe_corrupt` damage ``payload``?
+
+        Makes exactly the draws :meth:`maybe_corrupt` makes, so the
+        stream stays in step, but builds no damaged copy — for a
+        receiver that discards a damaged frame unread.
+        """
+        return self._draw_flip(payload) is not None
+
+    def maybe_corrupt(self, payload: object) -> Optional[object]:
+        """Return a damaged copy of ``payload``, or ``None`` to leave it."""
+        flip = self._draw_flip(payload)
+        if flip is None:
+            return None
+        field_name, bit = flip
         damaged = flip_float_bit(getattr(payload, field_name), bit)
         return replace(payload, **{field_name: damaged})

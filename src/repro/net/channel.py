@@ -517,15 +517,17 @@ class BroadcastChannel:
         meter._packets_received += 1
         faults = self._faults
         if faults is not None:
-            damaged = faults.maybe_corrupt(now, receiver_id, packet)
-            if damaged is not None:
-                if faults.crc_check:
+            if faults.crc_check:
+                if faults.corrupts(now, receiver_id, packet):
                     # The frame was received (and paid for) but fails its
                     # checksum; the link layer drops it silently.
                     stats.frames_crc_dropped += 1
                     return
-                packet = damaged
-                stats.frames_corrupted += 1
+            else:
+                damaged = faults.maybe_corrupt(now, receiver_id, packet)
+                if damaged is not None:
+                    packet = damaged
+                    stats.frames_corrupted += 1
             rssi = faults.reported_rssi(now, tx.src, rssi)
         stats.frames_delivered += 1
         trace = self._trace

@@ -62,9 +62,12 @@ class TestBeaconUpdates:
         estimate = filt.estimate()
         assert estimate.distance_to(beacon) < 5.0
         post = filt.posterior
-        dist = np.hypot(
-            filt._cell_x - beacon.x, filt._cell_y - beacon.y
+        ny, nx = filt.shape
+        cell_x, cell_y = np.meshgrid(
+            area.x_min + (np.arange(nx) + 0.5) * (area.width / nx),
+            area.y_min + (np.arange(ny) + 0.5) * (area.height / ny),
         )
+        dist = np.hypot(cell_x - beacon.x, cell_y - beacon.y)
         on_ring = np.abs(dist - expected_d) < 6.0
         assert float(post[on_ring].sum()) > 0.6
 
@@ -173,3 +176,118 @@ class TestEstimators:
         assert filt.entropy_bits() == pytest.approx(
             np.log2(100 * 100), rel=1e-6
         )
+
+
+class TestAxisGeometry:
+    """The filter keeps its cell centres as two broadcast axes.  On a
+    square area both axes are the same array, so a mix-up between them
+    would pass every square-area check; this grid is neither square nor
+    anchored at the origin."""
+
+    AREA = Rect(-30.0, 10.0, 170.0, 90.0)
+
+    def test_fields_match_meshgrid_formulas(self):
+        filt = GridBayesFilter(self.AREA, 2.0)
+        ny, nx = filt.shape
+        assert (ny, nx) == (40, 100)
+        area = self.AREA
+        cell_x, cell_y = np.meshgrid(
+            area.x_min + (np.arange(nx) + 0.5) * (area.width / nx),
+            area.y_min + (np.arange(ny) + 0.5) * (area.height / ny),
+        )
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            posterior = rng.random((ny, nx)) ** 4
+            posterior /= posterior.sum()
+            state = filt.snapshot_state()
+            state["posterior"] = posterior
+            filt.restore_state(state)
+
+            beacon = Vec2(
+                float(rng.uniform(-60.0, 200.0)),
+                float(rng.uniform(-20.0, 120.0)),
+            )
+            distances = np.subtract(cell_x, beacon.x)
+            np.square(distances, out=distances)
+            dy = np.subtract(cell_y, beacon.y)
+            np.square(dy, out=dy)
+            distances += dy
+            np.sqrt(distances, out=distances)
+            assert np.array_equal(
+                filt.compute_distance_field(beacon), distances
+            )
+            out = np.empty((ny, nx))
+            assert filt.compute_distance_field(beacon, out=out) is out
+            assert np.array_equal(out, distances)
+
+            x_hat = float((posterior * cell_x).sum())
+            y_hat = float((posterior * cell_y).sum())
+            assert filt.estimate() == Vec2(x_hat, y_hat)
+
+            dx = cell_x - x_hat
+            dy = cell_y - y_hat
+            cxx = float((posterior * dx * dx).sum())
+            cyy = float((posterior * dy * dy).sum())
+            cxy = float((posterior * dx * dy).sum())
+            covariance = np.array([[cxx, cxy], [cxy, cyy]])
+            assert np.array_equal(filt.covariance(), covariance)
+            assert np.array_equal(
+                filt.covariance(Vec2(x_hat, y_hat)), covariance
+            )
+            std = float(np.sqrt(max(cxx + cyy, 0.0)))
+            assert filt.position_std_m() == std
+            assert filt.position_std_m(Vec2(x_hat, y_hat)) == std
+
+            idx = np.unravel_index(int(np.argmax(posterior)), (ny, nx))
+            assert filt.mode() == Vec2(
+                float(cell_x[idx]), float(cell_y[idx])
+            )
+
+
+class TestLeastSquaresOracle:
+    """An estimator-independent oracle: with only near-regime Gaussian
+    beacons and no motion, each beacon's constraint is a Gaussian in
+    range, so the posterior's peak is the σ-weighted nonlinear
+    least-squares trilateration of the bins' mean ranges (the range-only
+    formulation behind DCL-Sparse, arXiv 2412.14793).  The grid's MAP
+    cell must land within one cell of it."""
+
+    NEAR_M = 40.0
+
+    @pytest.mark.parametrize("lut", [False, True])
+    def test_mode_matches_weighted_trilateration(self, area, pdf_table, lut):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        pdf_table.set_lut(lut)
+        model = PathLossModel()
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            true = rng.uniform(60.0, 140.0, size=2)
+            anchors, bins = [], []
+            while len(anchors) < int(rng.integers(4, 8)):
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                offset = rng.uniform(5.0, self.NEAR_M)
+                anchor = true + offset * np.array(
+                    [np.cos(angle), np.sin(angle)]
+                )
+                rssi = float(model.mean_rssi(offset)) + rng.normal(0.0, 2.0)
+                near = pdf_table.bin_for(rssi)
+                if not near.is_gaussian or near.mean_m > self.NEAR_M:
+                    continue
+                anchors.append((anchor, rssi))
+                bins.append(near)
+            filt = GridBayesFilter(area, 2.0)
+            for anchor, rssi in anchors:
+                filt.apply_beacon(Vec2(*anchor), rssi, pdf_table)
+
+            def residuals(p):
+                return [
+                    (np.hypot(*(p - anchor)) - near.mean_m)
+                    / max(near.std_m, 0.25)
+                    for (anchor, _), near in zip(anchors, bins)
+                ]
+
+            fit = least_squares(residuals, x0=true).x
+            mode = filt.mode()
+            cell = filt.resolution_m
+            assert abs(mode.x - fit[0]) <= cell
+            assert abs(mode.y - fit[1]) <= cell

@@ -233,3 +233,69 @@ class TestCocoaMode:
         est.on_window_close()  # zero beacons
         assert est.windows_without_fix == 1
         assert est.estimate == moved
+
+
+class TestWindowCloseMoments:
+    """A window close computes the fix's mean once and its spread once,
+    and hands both to every consumer (watchdog, fix, residual test,
+    ``last_fix_std_m``)."""
+
+    def defended_close(self, pdf_table, monkeypatch, position_filter=None):
+        est = PositionEstimator(
+            LocalizationMode.RF_ONLY,
+            AREA,
+            pdf_table=pdf_table,
+            position_filter=position_filter,
+            watchdog=True,
+            anchor_expiry_s=60.0,
+        )
+        calls = {"estimate": 0, "covariance": 0}
+        filt = est.filter
+
+        def spy(name):
+            original = getattr(filt, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(filt, name, counted)
+
+        spy("estimate")
+        if hasattr(filt, "covariance"):
+            spy("covariance")
+        model = PathLossModel()
+        true = Vec2(90.0, 110.0)
+        est.on_window_open()
+        for anchor_id, offset in enumerate(
+            [(-20, 0), (18, 6), (0, 25), (-8, -20), (12, -12)]
+        ):
+            anchor = Vec2(true.x + offset[0], true.y + offset[1])
+            rssi = float(model.mean_rssi(anchor.distance_to(true)))
+            est.on_beacon(anchor, rssi, anchor_id=anchor_id, t=1.0)
+        assert calls == {"estimate": 0, "covariance": 0}
+        est.on_window_close()
+        return est, calls
+
+    def test_grid_filter_moments_computed_once(self, pdf_table, monkeypatch):
+        est, calls = self.defended_close(pdf_table, monkeypatch)
+        assert est.fixes == 1
+        assert calls["estimate"] <= 1
+        assert calls["covariance"] <= 1
+        # The shared moments are the ones the filter reports on its own.
+        filt = est.filter
+        assert est.estimate == filt.estimate()
+        assert est.last_fix_std_m == filt.position_std_m()
+        # The residual test ran on that confident fix.
+        assert est.last_fix_std_m <= est.RESIDUAL_MAX_FIX_STD_M
+        assert est._window_beacons == []
+
+    def test_particle_filter_mean_computed_once(self, pdf_table, monkeypatch):
+        from repro.core.particle import ParticleFilter
+
+        filt = ParticleFilter(AREA, RandomStreams(9).get("pf"))
+        est, calls = self.defended_close(pdf_table, monkeypatch, filt)
+        assert est.fixes == 1
+        assert calls["estimate"] <= 1
+        assert est.estimate == filt.estimate()
+        assert est.last_fix_std_m == filt.position_std_m()

@@ -201,6 +201,54 @@ class TestFaultModels:
         # Probability 1 but nothing to damage: opaque payloads survive.
         assert PayloadCorrupter(1.0, rng).maybe_corrupt("raw") is None
 
+    def test_verdict_only_path_keeps_the_stream_in_step(self):
+        """``corrupts`` (what the CRC defense uses) makes the same draws
+        as ``maybe_corrupt``: same verdicts, same stream state after."""
+        from repro.core.beaconing import BeaconPayload
+        from repro.faults.injector import FaultInjector
+        from repro.sim.rng import RandomStreams
+
+        payload_rng = np.random.default_rng(11)
+        packets = []
+        for i in range(300):
+            payload = BeaconPayload(
+                anchor_id=i % 7,
+                x=float(payload_rng.uniform(0.0, 200.0)),
+                y=float(payload_rng.uniform(0.0, 200.0)),
+            )
+            # Non-beacon frames are never eligible and draw nothing.
+            kind = "beacon" if i % 5 else "sync"
+            packets.append(
+                Packet(src=i % 7, kind=kind, payload=payload,
+                       payload_bytes=24)
+            )
+        plan = FaultPlan(corruption=PayloadCorruptionSpec(corrupt_prob=0.35))
+        copying = FaultInjector(plan, RandomStreams(3))
+        verdict_only = FaultInjector(plan, RandomStreams(3), crc_check=True)
+        damaged = 0
+        for i, packet in enumerate(packets):
+            dst = i % 4
+            copy = copying.maybe_corrupt(float(i), dst, packet)
+            verdict = verdict_only.corrupts(float(i), dst, packet)
+            assert verdict == (copy is not None)
+            damaged += verdict
+        assert 0 < damaged < len(packets)
+        for dst in range(4):
+            assert (
+                copying._corrupter_for(dst)._rng.bit_generator.state
+                == verdict_only._corrupter_for(dst)._rng.bit_generator.state
+            )
+        # The same holds for the bare corrupter, opaque payloads included.
+        a = PayloadCorrupter(0.5, np.random.default_rng(8))
+        b = PayloadCorrupter(0.5, np.random.default_rng(8))
+        for packet in packets[:100] + [Packet(src=0, kind="beacon",
+                                              payload="raw",
+                                              payload_bytes=3)] * 20:
+            assert b.corrupts(packet.payload) == (
+                a.maybe_corrupt(packet.payload) is not None
+            )
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
 
 class TestPacketCrc:
     def test_fresh_packet_checks_out(self):
