@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import RequestTracer, TraceConfig
+from repro.serve.protocol import FixRequest, WindowRequest
 
 
 def run_cli(argv):
@@ -197,3 +200,112 @@ class TestResilienceCommand:
     def test_empty_intensity_list_rejected(self):
         code, output = run_cli(["resilience", "--intensities", ","])
         assert code == 2
+
+
+class _FakeClock:
+    """A hand-cranked relative clock: every duration is exact ticks."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+    def tick(self, dt):
+        self.now += dt
+
+
+@pytest.fixture
+def trace_file(tmp_path):
+    """Two requests recorded on a fake clock, dumped as trace JSONL with
+    plain ``json`` so the fixture does not depend on the writer."""
+    clock = _FakeClock()
+    tracer = RequestTracer(TraceConfig(mode="always"), clock=clock,
+                           id_entropy="cli")
+    fast = tracer.begin(FixRequest(tenant="acme", robot=1, rid=4,
+                                   trace="t-fast"))
+    clock.tick(0.001)
+    service = fast.dequeued()
+    clock.tick(0.002)
+    fast.close_span(service)
+    tracer.finish(fast, None)
+    slow = tracer.begin(WindowRequest(tenant="acme", robot=2, event="close",
+                                      rid=5, trace="t-slow"))
+    clock.tick(0.004)
+    service = slow.dequeued()
+    with slow.hop("estimator_ingest"):
+        clock.tick(0.030)
+    with slow.hop("checkpoint"):
+        clock.tick(0.006)
+    slow.close_span(service)
+    tracer.finish(slow, None)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(
+        json.dumps(record, sort_keys=True) + "\n"
+        for record in tracer.records()
+    ))
+    return path
+
+
+class TestTraceCommand:
+    def test_summarize(self, trace_file):
+        code, output = run_cli(["trace", "summarize", str(trace_file)])
+        assert code == 0
+        assert output == (
+            "8 spans across 2 traces\n"
+            "\n"
+            "hop               count  total ms  mean ms  p50 ms  p99 ms  share \n"
+            "----------------  -----  --------  -------  ------  ------  ------\n"
+            "request           2      43.00     21.500   21.500  39.630  100.0%\n"
+            "shard_service     2      38.00     19.000   19.000  35.660  88.4% \n"
+            "estimator_ingest  1      30.00     30.000   30.000  30.000  69.8% \n"
+            "checkpoint        1      6.00      6.000    6.000   6.000   14.0% \n"
+            "queue             2      5.00      2.500    2.500   3.970   11.6% \n"
+        )
+
+    def test_slowest(self, trace_file):
+        code, output = run_cli(["trace", "slowest", str(trace_file),
+                                "-n", "1"])
+        assert code == 0
+        assert output == (
+            " 1. t-slow  40.000 ms  op=window tenant=acme rid=5\n"
+            "      shard_service        36.000 ms\n"
+            "      estimator_ingest     30.000 ms\n"
+            "      checkpoint            6.000 ms\n"
+            "      queue                 4.000 ms\n"
+        )
+
+    def test_export(self, trace_file, tmp_path):
+        out_path = tmp_path / "trace.perfetto.json"
+        code, output = run_cli(["trace", "export", str(trace_file),
+                                "--out", str(out_path)])
+        assert code == 0
+        assert output == "wrote 8 events to %s\n" % out_path
+        document = json.loads(out_path.read_text())
+        complete = [event for event in document["traceEvents"]
+                    if event["ph"] == "X"]
+        assert sorted(
+            (event["name"], round(event["dur"], 3)) for event in complete
+        ) == [
+            ("checkpoint", 6000.0),
+            ("estimator_ingest", 30000.0),
+            ("queue", 1000.0),
+            ("queue", 4000.0),
+            ("request", 3000.0),
+            ("request", 40000.0),
+            ("shard_service", 2000.0),
+            ("shard_service", 36000.0),
+        ]
+
+    def test_not_json_exits_2(self, tmp_path):
+        path = tmp_path / "garbage.jsonl"
+        path.write_text("this is not json\n")
+        code, output = run_cli(["trace", "summarize", str(path)])
+        assert code == 2
+        assert "not trace JSONL" in output
+
+    def test_missing_file_exits_2(self, tmp_path):
+        code, output = run_cli(["trace", "summarize",
+                                str(tmp_path / "missing.jsonl")])
+        assert code == 2
+        assert "cannot read" in output
