@@ -239,9 +239,11 @@ async def run_bench(args: argparse.Namespace) -> Dict[str, object]:
         passes["baseline"], passes["durable"], passes["traced"]
     )
     if args.trace_out is not None:
-        from repro.obs import write_trace_jsonl
+        from repro.telemetry.export import write_jsonl
 
-        write_trace_jsonl(args.trace_out, traced[-1]["trace_records"])
+        await asyncio.to_thread(
+            write_jsonl, args.trace_out, traced[-1]["trace_records"]
+        )
 
     def rows(runs, key):
         return summarize([run[key] for run in runs])

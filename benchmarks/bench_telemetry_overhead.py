@@ -69,7 +69,7 @@ def test_fig6_run_overhead_disabled_vs_enabled(benchmark, report,
     baseline, baseline_s = _timed_run(config)
 
     def run_enabled():
-        return _timed_run(config, telemetry=Telemetry.enabled())
+        return _timed_run(config, telemetry=Telemetry())
 
     (rich, enabled_s) = benchmark.pedantic(
         run_enabled, rounds=1, iterations=1

@@ -759,7 +759,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         if args.smoke:
             code = await _serve_smoke(server, out)
             await server.drain()
-            _export_traces(core, args, out)
+            await asyncio.to_thread(_export_traces, core, args, out)
             return code
         # SIGINT and SIGTERM both end serving and trigger the drain,
         # whatever disposition the process inherited (a background job
@@ -776,7 +776,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             # Graceful drain: shed new work, flush checkpoints, stop.
             flushed = await server.drain()
             print("drained: %d checkpoint(s) flushed" % flushed, file=out)
-            _export_traces(core, args, out)
+            await asyncio.to_thread(_export_traces, core, args, out)
         return 0
 
     try:
@@ -793,11 +793,11 @@ def _export_traces(core, args, out) -> None:
     ops_out = getattr(args, "ops_out", None)
     if trace_out is None and perfetto_out is None and ops_out is None:
         return
-    from repro.obs import write_perfetto_json, write_trace_jsonl
+    from repro.telemetry.export import write_jsonl, write_perfetto_json
 
     records = core.tracer.records()
     if trace_out is not None:
-        count = write_trace_jsonl(trace_out, records)
+        count = write_jsonl(trace_out, records)
         print("trace: %d span%s -> %s"
               % (count, "" if count == 1 else "s", trace_out), file=out)
     if perfetto_out is not None:
@@ -806,18 +806,14 @@ def _export_traces(core, args, out) -> None:
               % (count, "" if count == 1 else "s", perfetto_out),
               file=out)
     if ops_out is not None:
-        count = core.ops.write_jsonl(ops_out)
+        count = write_jsonl(ops_out, core.ops.records())
         print("ops: %d event%s -> %s"
               % (count, "" if count == 1 else "s", ops_out), file=out)
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
-    from repro.obs import (
-        read_trace_jsonl,
-        render_slowest,
-        render_summary,
-        write_perfetto_json,
-    )
+    from repro.obs import render_slowest, render_summary
+    from repro.telemetry.export import read_trace_jsonl, write_perfetto_json
 
     try:
         records = read_trace_jsonl(args.path)

@@ -247,10 +247,10 @@ class Coordinator:
         self.windows_run += 1
         if self._tracer is not None:
             self.window_span = self._tracer.start_span(
-                "beacon_round",
                 self._sim.now,
+                "beacon_round",
                 node=self._interface.node_id,
-                window=self.windows_run,
+                attrs={"window": self.windows_run},
             )
         if self._on_window_open is not None:
             self._on_window_open()

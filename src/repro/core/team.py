@@ -173,7 +173,8 @@ class CoCoATeam:
         self.streams = RandomStreams(config.master_seed)
         self.sim = Simulator()
         self.channel = BroadcastChannel(
-            self.sim, config.path_loss, self.streams.get("phy")
+            self.sim, config.path_loss, self.streams.get("phy"),
+            trace=telemetry.tracer if telemetry is not None else None,
         )
         self.world = WorldState(config.n_robots)
         self.channel.attach_world(self.world)
@@ -322,8 +323,8 @@ class CoCoATeam:
                 "beacon_rx",
                 node=node.node_id,
                 parent=coordinator.window_span,
-                anchor=received.packet.src,
-                rssi=received.rssi_dbm,
+                attrs={"anchor": received.packet.src,
+                       "rssi": received.rssi_dbm},
             )
             node.handle_beacon(received)
 

@@ -68,8 +68,8 @@ BLOCKING_BUILTINS = frozenset({"open", "input"})
 #: writers).  Calling one from a coroutine blocks the loop exactly like
 #: stdlib file I/O; offload with ``asyncio.to_thread``.
 BLOCKING_INTERNAL = frozenset({
-    "repro.obs.export.write_trace_jsonl",
-    "repro.obs.export.write_perfetto_json",
+    "repro.telemetry.export.write_jsonl",
+    "repro.telemetry.export.write_perfetto_json",
 })
 
 #: Deliberate always-on-the-loop escape hatch: resolved origins here are

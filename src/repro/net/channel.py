@@ -30,7 +30,7 @@ from repro.net.packet import Packet, ReceivedPacket
 from repro.net.phy import PathLossModel, ReceiverModel
 from repro.net.radio import Radio
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
+from repro.telemetry.spans import SpanTracer
 from repro.util.geometry import Vec2
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
@@ -100,8 +100,9 @@ class BroadcastChannel:
         rng: random stream for RSSI noise.
         bitrate_bps: physical bitrate (paper: 2 Mbps).
         preamble_s: fixed per-frame preamble airtime.
-        trace: optional trace log (``channel.tx``, ``channel.rx`` and
-            ``channel.collision`` categories).
+        trace: optional sim tracer (the team's telemetry tracer, or
+            ``None``); records the ``channel.tx``, ``channel.rx`` and
+            ``channel.collision`` categories it has enabled.
     """
 
     def __init__(
@@ -111,7 +112,7 @@ class BroadcastChannel:
         rng: np.random.Generator,
         bitrate_bps: float = 2e6,
         preamble_s: float = PREAMBLE_S,
-        trace: Optional[TraceLog] = None,
+        trace: Optional[SpanTracer] = None,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError(
@@ -124,7 +125,7 @@ class BroadcastChannel:
         self._preamble_s = preamble_s
         self._nodes: Dict[int, _NodeEntry] = {}
         self._transmissions: List[Transmission] = []
-        self._trace = trace if trace is not None else TraceLog()
+        self._trace = trace
         self._faults = None
         self._world = None
         self._row_entries: Optional[List[_NodeEntry]] = None
@@ -248,9 +249,10 @@ class BroadcastChannel:
         entry.radio.meter.charge_send(packet.size_bytes)
         self.stats.frames_sent += 1
         self.stats.airtime_s += airtime
-        self._trace.emit(
-            now, "channel.tx", src_id, kind=packet.kind, uid=packet.uid
-        )
+        trace = self._trace
+        if trace is not None and trace.enabled("channel.tx"):
+            trace.event(now, "channel.tx", src_id,
+                        attrs={"kind": packet.kind, "uid": packet.uid})
 
         self._offer(tx, airtime)
         return airtime
@@ -498,13 +500,14 @@ class BroadcastChannel:
                 sinr_db = rssi - mw_to_dbm(interference_mw)
                 if sinr_db < receiver.receiver.capture_threshold_db:
                     stats.frames_collided += 1
-                    self._trace.emit(
-                        now,
-                        "channel.collision",
-                        receiver_id,
-                        kind=packet.kind,
-                        uid=packet.uid,
-                    )
+                    trace = self._trace
+                    if trace is not None and trace.enabled(
+                        "channel.collision"
+                    ):
+                        trace.event(
+                            now, "channel.collision", receiver_id,
+                            attrs={"kind": packet.kind, "uid": packet.uid},
+                        )
                     return
         # Inlined EnergyMeter.charge_recv.
         meter = radio._meter
@@ -531,16 +534,10 @@ class BroadcastChannel:
             rssi = faults.reported_rssi(now, tx.src, rssi)
         stats.frames_delivered += 1
         trace = self._trace
-        if trace.enabled("channel.rx"):
-            # The enabled check is hoisted out of ``emit`` so a disabled
-            # category skips the keyword-dict build on every delivery.
-            trace.emit(
-                now,
-                "channel.rx",
-                receiver_id,
-                kind=packet.kind,
-                uid=packet.uid,
-                rssi=rssi,
+        if trace is not None and trace.enabled("channel.rx"):
+            trace.event(
+                now, "channel.rx", receiver_id,
+                attrs={"kind": packet.kind, "uid": packet.uid, "rssi": rssi},
             )
         receiver.on_receive(
             ReceivedPacket(

@@ -1,39 +1,29 @@
 """repro.obs — wall-clock observability for the serving stack.
 
-Everything in this package lives **outside** the deterministic
-simulation core: it reads relative wall-clock timers (legal under
-REP002 outside the sim packages), mints trace ids, and records spans
-whose timestamps are real elapsed time — none of which may ever touch a
-science payload.  The serve layer threads an optional
-:class:`RequestTracer` through its request path exactly the way it
-threads a :class:`~repro.telemetry.registry.MetricsRegistry`: a no-op
-by construction when disabled, and proven byte-inert when enabled by
-the replay gate (``tests/test_serve_replay.py`` runs the 3-seed
+This package holds the code that reads the wall clock: it reads
+relative timers (legal under REP002 outside the sim packages), mints
+trace ids, and records ``wall``-clock spans — none of which may ever
+touch a science payload.  The span record, its bounded ring and the
+JSONL/Perfetto exporters are shared with the simulator's tracer and
+live in :mod:`repro.telemetry`; they read no clock.  The serve layer
+threads an optional :class:`RequestTracer` through its request path
+exactly the way it threads a
+:class:`~repro.telemetry.registry.MetricsRegistry`: a no-op by
+construction when disabled, and proven byte-inert when enabled by the
+replay gate (``tests/test_serve_replay.py`` runs the 3-seed
 service-vs-batch comparison with tracing off, always-on and sampled).
 
 Pieces:
 
-- :mod:`~repro.obs.trace` — trace ids, parent-linked wall-clock spans
-  (:class:`WallSpan`), per-request :class:`ActiveTrace` accumulation
-  and the head/tail-sampling :class:`RequestTracer`.
-- :mod:`~repro.obs.buffer` — the bounded :class:`SpanBuffer` finished
-  spans land in.
+- :mod:`~repro.obs.trace` — trace ids, per-request :class:`ActiveTrace`
+  span accumulation and the head/tail-sampling :class:`RequestTracer`.
 - :mod:`~repro.obs.oplog` — the structured ops event log
   (:class:`OpsLog`): supervisor restarts, evictions, rehydrations,
   each tagged with trace/rid/tenant correlation ids when known.
-- :mod:`~repro.obs.export` — trace JSONL round-trip plus the
-  Perfetto/Chrome ``trace_event`` JSON exporter.
 - :mod:`~repro.obs.summary` — per-hop latency attribution tables and
   the ``repro trace summarize`` / ``slowest`` views.
 """
 
-from repro.obs.buffer import SpanBuffer
-from repro.obs.export import (
-    perfetto_trace_events,
-    read_trace_jsonl,
-    write_perfetto_json,
-    write_trace_jsonl,
-)
 from repro.obs.oplog import OpsEvent, OpsLog
 from repro.obs.summary import (
     hop_table,
@@ -46,7 +36,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     RequestTracer,
     TraceConfig,
-    WallSpan,
 )
 
 __all__ = [
@@ -55,15 +44,9 @@ __all__ = [
     "OpsEvent",
     "OpsLog",
     "RequestTracer",
-    "SpanBuffer",
     "TraceConfig",
-    "WallSpan",
     "hop_table",
-    "perfetto_trace_events",
-    "read_trace_jsonl",
     "render_slowest",
     "render_summary",
     "slowest_traces",
-    "write_perfetto_json",
-    "write_trace_jsonl",
 ]

@@ -9,16 +9,18 @@ with whatever correlation ids are known at the emit site (``trace``,
 trace to the restart that explains it.
 
 Timestamps reuse the tracer's relative clock, putting ops events and
-spans on one timeline.  Like the span buffer, the log is bounded and
-loop-confined.
+spans on one timeline.  Events keep their own flat record shape but are
+stored in the same bounded, loop-confined
+:class:`~repro.telemetry.spans.Ring` as spans, and are dumped by the
+shared :func:`~repro.telemetry.export.write_jsonl`.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from repro.telemetry.spans import Ring
 
 __all__ = ["OpsEvent", "OpsLog"]
 
@@ -45,18 +47,15 @@ class OpsEvent:
 class OpsLog:
     """Bounded structured event log sharing the tracer's clock."""
 
-    __slots__ = ("_events", "_clock", "dropped")
+    __slots__ = ("ring", "_clock")
 
     def __init__(
         self,
         max_events: int = 10_000,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        self._events = deque(maxlen=max_events)
+        self.ring = Ring(max_events)
         self._clock = clock if clock is not None else time.perf_counter
-        self.dropped = 0
 
     def emit(self, kind: str, **fields: Any) -> OpsEvent:
         """Record one event; ``None``-valued fields are dropped so emit
@@ -66,33 +65,21 @@ class OpsLog:
             self._clock(),
             {key: value for key, value in fields.items() if value is not None},
         )
-        if len(self._events) == self._events.maxlen:
-            self.dropped += 1
-        self._events.append(event)
+        self.ring.append(event)
         return event
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.ring)
 
     def __iter__(self) -> Iterator[OpsEvent]:
-        return iter(self._events)
+        return iter(self.ring)
 
     def records(self) -> List[Dict[str, Any]]:
-        return [event.as_record() for event in self._events]
-
-    def write_jsonl(self, path) -> int:
-        """Append-free JSONL dump; returns the number of lines written."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+        return [event.as_record() for event in self.ring]
 
 
 class _NullOpsLog:
     """No-op ops log for cores constructed without observability."""
-
-    dropped = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
         return None
@@ -105,9 +92,6 @@ class _NullOpsLog:
 
     def records(self) -> List[Dict[str, Any]]:
         return []
-
-    def write_jsonl(self, path) -> int:
-        return 0
 
 
 #: Shared no-op instance (mirrors NULL_REGISTRY / NULL_TRACER).

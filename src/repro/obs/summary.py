@@ -11,7 +11,7 @@ trace`` CLI prints:
   *that* request?".
 
 Span records are the dicts produced by
-:meth:`~repro.obs.trace.WallSpan.as_record` (or read back from trace
+:meth:`~repro.telemetry.spans.Span.as_record` (or read back from trace
 JSONL) — this module never touches live tracer state.
 """
 

@@ -7,15 +7,18 @@ of the NDJSON protocol, and is echoed on the reply line so a client can
 correlate the retries of a request whose first reply was lost.
 
 Inside the server each traced request accumulates parent-linked
-:class:`WallSpan` records — ``request`` (the root, submit to reply),
-``queue`` (shard queue wait), ``shard_service`` (the worker's handling
-slot), ``estimator_ingest`` (applying a window's observations) and
-``checkpoint`` (the durability write) — giving queue-wait vs.
-service-time attribution per hop.  Timestamps come from an injectable
-*relative* clock (``time.perf_counter`` by default): REP002 bans
-absolute wall timestamps everywhere, and bans even relative timers in
-the sim packages, which is exactly why this module lives in
-``repro.obs`` and is threaded only through the serve layer.
+``wall``-clock :class:`~repro.telemetry.spans.Span` records —
+``request`` (the root, submit to reply), ``queue`` (shard queue wait),
+``shard_service`` (the worker's handling slot), ``estimator_ingest``
+(applying a window's observations) and ``checkpoint`` (the durability
+write) — giving queue-wait vs. service-time attribution per hop.
+Timestamps come from an injectable *relative* clock
+(``time.perf_counter`` by default): REP002 bans absolute wall
+timestamps everywhere, and bans even relative timers in the sim
+packages, which is exactly why the clock is read here, in
+``repro.obs``, and threaded only through the serve layer.  The span
+record and its ring are shared with the simulator's tracer and read no
+clock themselves.
 
 Sampling keeps the always-on cost bounded:
 
@@ -27,8 +30,8 @@ Sampling keeps the always-on cost bounded:
 - ``mode="off"`` makes every hook a cheap ``None`` check.
 
 The tracer is loop-confined like everything else in the serve stack
-(one asyncio loop owns it), so the span buffer needs no locks; see
-:class:`~repro.obs.buffer.SpanBuffer`.
+(one asyncio loop owns it), so its :class:`~repro.telemetry.spans.Ring`
+needs no locks.
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.buffer import SpanBuffer
 from repro.telemetry.registry import NULL_REGISTRY
+from repro.telemetry.spans import Ring, Span
 
 __all__ = [
     "TraceConfig",
-    "WallSpan",
     "ActiveTrace",
     "RequestTracer",
     "NULL_TRACER",
@@ -68,7 +70,7 @@ class TraceConfig:
         slow_ms: in ``sampled`` mode, also keep any request whose total
             latency reaches this many milliseconds (tail sampling);
             0 keeps everything.
-        max_spans: bounded span-buffer capacity (oldest evicted first).
+        max_spans: span-ring capacity (oldest evicted first).
     """
 
     mode: str = "sampled"
@@ -89,65 +91,15 @@ class TraceConfig:
             raise ValueError("max_spans must be >= 1")
 
 
-class WallSpan:
-    """One named wall-clock interval inside a trace.
-
-    ``start_s`` / ``end_s`` are offsets on the tracer's relative clock
-    (a shared process origin), so spans from one process compose into
-    one timeline; they are *not* absolute timestamps.
-    """
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name",
-                 "start_s", "end_s", "attrs")
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: int,
-        name: str,
-        start_s: float,
-        parent_id: Optional[int] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.end_s: Optional[float] = None
-        self.attrs = attrs if attrs is not None else {}
-
-    @property
-    def duration_s(self) -> float:
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
-
-    def as_record(self) -> Dict[str, Any]:
-        """JSON-serializable form (the trace-JSONL line)."""
-        return {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "attrs": self.attrs,
-        }
-
-    def __repr__(self) -> str:
-        return "WallSpan(%s#%d %s %.6fs)" % (
-            self.trace_id, self.span_id, self.name, self.duration_s,
-        )
-
-
 class ActiveTrace:
     """One in-flight request's span accumulation.
 
     Spans collect in a small private list first; only
     :meth:`RequestTracer.finish` — where the sampling decision is made
-    — moves them into the shared buffer.  A sampled-out request
+    — moves them into the tracer's ring.  A sampled-out request
     therefore costs a handful of small allocations and nothing else.
+    Span ids count from 1 within each trace; timestamps are offsets on
+    the injected relative clock, never absolute times.
     """
 
     __slots__ = ("trace_id", "keep_head", "root", "queue_span",
@@ -166,36 +118,36 @@ class ActiveTrace:
         self._clock = clock
         self.keep_head = keep_head
         self._ids = itertools.count(1)
-        self._spans: List[WallSpan] = []
+        self._spans: List[Span] = []
         attrs: Dict[str, Any] = {"op": op, "tenant": tenant}
         if rid is not None:
             attrs["rid"] = rid
         self.root = self._open("request", parent_id=None, attrs=attrs)
-        self.queue_span: Optional[WallSpan] = self._open(
+        self.queue_span: Optional[Span] = self._open(
             "queue", parent_id=self.root.span_id, attrs=None
         )
 
-    def _open(self, name, parent_id, attrs) -> WallSpan:
-        span = WallSpan(
-            self.trace_id, next(self._ids), name, self._clock(),
-            parent_id=parent_id, attrs=attrs,
+    def _open(self, name, parent_id, attrs) -> Span:
+        span = Span(
+            self.trace_id, next(self._ids), name, "wall", self._clock(),
+            parent_id, attrs,
         )
         self._spans.append(span)
         return span
 
     # -- hop recording -------------------------------------------------------
 
-    def open_span(self, name: str, **attrs: Any) -> WallSpan:
+    def open_span(self, name: str, **attrs: Any) -> Span:
         """Open a child span of the request root at *now*."""
         return self._open(name, parent_id=self.root.span_id,
                           attrs=attrs or None)
 
-    def close_span(self, span: Optional[WallSpan]) -> None:
+    def close_span(self, span: Optional[Span]) -> None:
         """Close ``span`` at *now* (no-op for ``None`` / already closed)."""
         if span is not None and span.end_s is None:
             span.end_s = self._clock()
 
-    def dequeued(self) -> Optional[WallSpan]:
+    def dequeued(self) -> Optional[Span]:
         """Mark the shard worker picking this request up: the queue span
         closes and the ``shard_service`` span opens.  Returns the
         service span (the worker closes it after handling)."""
@@ -205,11 +157,11 @@ class ActiveTrace:
     class _Hop:
         __slots__ = ("_trace", "_span")
 
-        def __init__(self, trace: "ActiveTrace", span: WallSpan) -> None:
+        def __init__(self, trace: "ActiveTrace", span: Span) -> None:
             self._trace = trace
             self._span = span
 
-        def __enter__(self) -> WallSpan:
+        def __enter__(self) -> Span:
             return self._span
 
         def __exit__(self, *exc_info) -> None:
@@ -233,7 +185,7 @@ class ActiveTrace:
         return self.root.end_s - self.root.start_s
 
     @property
-    def spans(self) -> List[WallSpan]:
+    def spans(self) -> List[Span]:
         return self._spans
 
 
@@ -264,7 +216,7 @@ class RequestTracer:
         self._id_prefix = id_entropy
         self._ids = itertools.count(1)
         self._head_countdown = 0
-        self.buffer = SpanBuffer(max_spans=self.config.max_spans)
+        self.ring = Ring(self.config.max_spans)
 
     @property
     def enabled(self) -> bool:
@@ -318,19 +270,19 @@ class RequestTracer:
         if slow and not active.keep_head:
             self._registry.counter("obs_traces_tail_kept").inc()
         self._registry.counter("obs_traces_recorded").inc()
-        self.buffer.extend(active.spans)
+        self.ring.extend(active.spans)
 
     # -- draining ------------------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
         """Every buffered span as a JSON-serializable record."""
-        return [span.as_record() for span in self.buffer]
+        return [span.as_record() for span in self.ring]
 
     def spans_for(self, trace_id: str) -> List[Dict[str, Any]]:
         """The buffered spans of one trace (forensics: chaos divergence)."""
         return [
-            span.as_record() for span in self.buffer
-            if span.trace_id == trace_id
+            span.as_record() for span in self.ring
+            if span.trace == trace_id
         ]
 
 
@@ -339,7 +291,6 @@ class _NullTracer:
 
     enabled = False
     config = TraceConfig(mode="off")
-    buffer = SpanBuffer(max_spans=1)
 
     def mint(self) -> str:  # pragma: no cover - never sensible when off
         return "off"

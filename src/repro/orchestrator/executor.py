@@ -55,7 +55,7 @@ class SweepExecutionError(RuntimeError):
 
 def _job_telemetry(job: SweepJob) -> Optional[Telemetry]:
     """The job's rich-instrumentation handle, if it asked for one."""
-    return Telemetry.enabled() if getattr(job, "telemetry", False) else None
+    return Telemetry() if getattr(job, "telemetry", False) else None
 
 
 def _record_cpu(result: TeamResult, cpu_s: float) -> None:

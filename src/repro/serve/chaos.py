@@ -573,10 +573,10 @@ async def run_chaos(
             _dump_chaos_log, chaos_log_path, schedule, journal, report
         )
     if trace_log_path is not None:
-        from repro.obs.export import write_trace_jsonl
+        from repro.telemetry.export import write_jsonl
 
         await asyncio.to_thread(
-            write_trace_jsonl, trace_log_path, core.tracer.records()
+            write_jsonl, trace_log_path, core.tracer.records()
         )
     return report
 

@@ -10,15 +10,16 @@ This package replaces the GloMoSim substrate the paper runs on.  It provides:
   periods, SYNC periods and metric sampling,
 - :class:`~repro.sim.rng.RandomStreams` — named, independently seeded random
   streams so that e.g. mobility noise and RF shadowing are decoupled and
-  every run is exactly reproducible from one master seed,
-- :class:`~repro.sim.trace.TraceLog` — structured event tracing for tests and
-  debugging.
+  every run is exactly reproducible from one master seed.
+
+Tracing is not part of the kernel: simulation spans and the channel's
+``channel.*`` events go to :class:`~repro.telemetry.spans.SpanTracer`,
+stamped with the engine's clock by the caller.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -26,6 +27,4 @@ __all__ = [
     "SimulationError",
     "PeriodicTimer",
     "RandomStreams",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -1,21 +1,18 @@
-"""Unified telemetry: metrics registry, span tracing, run reports.
+"""Unified telemetry: metrics registry, spans, exporters, run reports.
 
 The package sits below every instrumented layer (sim, net, core, energy,
 multicast, orchestrator) and imports none of them — subsystems hand it
 plain values and duck-typed stats objects.
 """
 
-from repro.telemetry.collect import (
-    DEFAULT_MAX_SPANS,
-    Telemetry,
-    collect_team_snapshot,
-)
+from repro.telemetry.collect import Telemetry, collect_team_snapshot
 from repro.telemetry.export import (
-    append_jsonl,
+    perfetto_trace_events,
     prometheus_text,
     read_jsonl,
-    span_records,
+    read_trace_jsonl,
     write_jsonl,
+    write_perfetto_json,
 )
 from repro.telemetry.registry import (
     COUNT_EDGES,
@@ -37,7 +34,7 @@ from repro.telemetry.snapshot import (
     TelemetrySnapshot,
     merge_snapshots,
 )
-from repro.telemetry.spans import Span, SpanTracer
+from repro.telemetry.spans import DEFAULT_MAX_SPANS, Ring, Span, SpanTracer
 
 __all__ = [
     "Telemetry",
@@ -54,16 +51,18 @@ __all__ = [
     "DURATION_EDGES_S",
     "DISTANCE_EDGES_M",
     "COUNT_EDGES",
+    "Ring",
     "Span",
     "SpanTracer",
     "TelemetrySnapshot",
     "merge_snapshots",
     "MAX_METRICS",
     "LAST_METRICS",
-    "append_jsonl",
     "write_jsonl",
     "read_jsonl",
+    "read_trace_jsonl",
     "prometheus_text",
-    "span_records",
+    "perfetto_trace_events",
+    "write_perfetto_json",
     "render_report",
 ]

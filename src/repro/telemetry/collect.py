@@ -24,7 +24,7 @@ so the telemetry package sits below every instrumented layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.snapshot import TelemetrySnapshot
@@ -32,24 +32,15 @@ from repro.telemetry.spans import SpanTracer
 
 __all__ = ["Telemetry", "collect_team_snapshot"]
 
-#: Default ring-buffer size for rich-mode tracers: large enough for the
-#: paper's longest scenario, bounded so soak runs cannot exhaust memory.
-DEFAULT_MAX_SPANS = 200_000
-
 
 @dataclass
 class Telemetry:
-    """The opt-in rich instrumentation handle for one run."""
+    """The opt-in rich instrumentation handle for one run: a fresh
+    registry and a bounded sim tracer, which the team also hands to the
+    channel for its ``channel.*`` events."""
 
     registry: MetricsRegistry = dataclass_field(default_factory=MetricsRegistry)
-    tracer: SpanTracer = dataclass_field(
-        default_factory=lambda: SpanTracer(max_records=DEFAULT_MAX_SPANS)
-    )
-
-    @classmethod
-    def enabled(cls, max_spans: Optional[int] = DEFAULT_MAX_SPANS) -> "Telemetry":
-        """A fresh registry + bounded tracer pair."""
-        return cls(MetricsRegistry(), SpanTracer(max_records=max_spans))
+    tracer: SpanTracer = dataclass_field(default_factory=SpanTracer)
 
 
 def _channel_metrics(stats) -> Dict[str, float]:
@@ -172,6 +163,6 @@ def collect_team_snapshot(team, result) -> TelemetrySnapshot:
             len(telemetry.tracer)
         )
         snapshot.metrics["trace_spans_dropped"] = float(
-            telemetry.tracer.dropped_count
+            telemetry.tracer.ring.dropped
         )
     return snapshot

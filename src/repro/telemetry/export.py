@@ -1,12 +1,17 @@
-"""Telemetry exporters: JSONL event stream and Prometheus-style text.
+"""Exporters: one JSONL writer, Prometheus text and Perfetto JSON.
 
-Three output shapes cover the consumers we have:
-
-- :func:`write_jsonl` / :func:`append_jsonl` — a line-per-record stream
-  (job snapshots, sweep summaries, span dumps) that tooling can tail,
-  grep and ``jq``.  Keys are sorted so diffs are stable.
+- :func:`write_jsonl` — the one line-per-record writer: sweep telemetry
+  (job snapshots and the sweep summary), trace dumps and the serve ops
+  log.  Keys are sorted so diffs are stable.  Two readers take it back:
+  :func:`read_jsonl` skips corrupt lines (a half-written tail must not
+  take ``repro report`` down); :func:`read_trace_jsonl` raises on them
+  (``repro trace`` says the file is not trace JSONL).
 - :func:`prometheus_text` — the ``# TYPE``-annotated exposition format,
   for scraping a dump into existing dashboards.
+- :func:`perfetto_trace_events` / :func:`write_perfetto_json` — span
+  records (:meth:`~repro.telemetry.spans.Span.as_record`) of either
+  clock as a Chrome/Perfetto ``trace_event`` document, loadable in
+  ``ui.perfetto.dev``.
 - the human-readable run report lives in
   :mod:`repro.telemetry.report` (it needs rendering policy, not just
   serialization).
@@ -16,48 +21,39 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 from repro.telemetry.registry import Histogram, MetricsRegistry
 from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.telemetry.spans import SpanTracer
 
 __all__ = [
-    "append_jsonl",
     "write_jsonl",
     "read_jsonl",
+    "read_trace_jsonl",
     "prometheus_text",
-    "span_records",
+    "perfetto_trace_events",
+    "write_perfetto_json",
 ]
 
 _INVALID_PROM_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _dump(record: Mapping) -> str:
-    return json.dumps(record, sort_keys=True, default=str)
-
-
-def append_jsonl(handle: IO[str], records: Iterable[Mapping]) -> int:
-    """Write ``records`` as JSON lines to an open handle; returns the
-    record count."""
-    n = 0
-    for record in records:
-        handle.write(_dump(record) + "\n")
-        n += 1
-    return n
-
-
-def write_jsonl(path: str, records: Iterable[Mapping], mode: str = "w") -> int:
-    """Write (or with ``mode='a'`` append) JSON lines to ``path``."""
-    with open(path, mode) as handle:
-        return append_jsonl(handle, records)
+def write_jsonl(path, records: Iterable[Mapping], mode: str = "w") -> int:
+    """Write (or with ``mode='a'`` append) records as JSON lines to
+    ``path``; returns the line count."""
+    count = 0
+    with open(path, mode, encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+            count += 1
+    return count
 
 
 def read_jsonl(path: str) -> List[dict]:
     """Parse a JSONL file, skipping blank/corrupt lines (best effort —
     a half-written tail line must not take the report down with it)."""
     out: List[dict] = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for raw in handle:
             raw = raw.strip()
             if not raw:
@@ -69,6 +65,18 @@ def read_jsonl(path: str) -> List[dict]:
             if isinstance(record, dict):
                 out.append(record)
     return out
+
+
+def read_trace_jsonl(path) -> List[Dict[str, Any]]:
+    """Read span records back (blank lines tolerated; a corrupt line
+    raises ``ValueError``)."""
+    records: List[Dict[str, Any]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    return records
 
 
 def _prom_name(name: str, prefix: str) -> str:
@@ -130,11 +138,62 @@ def prometheus_text(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def span_records(
-    tracer: SpanTracer, name: Optional[str] = None
-) -> List[dict]:
-    """Spans as JSONL-ready records (optionally filtered by span name)."""
-    return [
-        dict(span.as_record(), record="span")
-        for span in tracer.records(name)
+def perfetto_trace_events(
+    records: Iterable[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """Span records → a Chrome/Perfetto ``trace_event`` document.
+
+    Each closed span becomes one complete event (``"ph": "X"``, times in
+    microseconds of its own clock) whose category is its ``clock`` tag.
+    Each trace key gets its own ``tid`` track: one per request for wall
+    spans, one per robot for sim spans.  Open spans (truncated by ring
+    eviction) are skipped.
+    """
+    events: List[Dict[str, Any]] = []
+    tids: Dict[Any, int] = {}
+    for record in records:
+        end_s = record.get("end_s")
+        if end_s is None:
+            continue
+        clock = record.get("clock", "wall")
+        key = record["trace"]
+        tid = tids.setdefault((clock, key), len(tids) + 1)
+        start_us = record["start_s"] * 1e6
+        args = dict(record.get("attrs") or {})
+        args["trace"] = key
+        args["span"] = record["span"]
+        if record.get("parent") is not None:
+            args["parent"] = record["parent"]
+        events.append({
+            "name": record["name"],
+            "ph": "X",
+            "ts": start_us,
+            "dur": max(0.0, end_s * 1e6 - start_us),
+            "pid": 1,
+            "tid": tid,
+            "cat": clock,
+            "args": args,
+        })
+    # Metadata events label each track.
+    metadata = [
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 1,
+            "tid": tid,
+            "args": {"name": "%s %s" % (
+                "node" if clock == "sim" else "trace", key
+            )},
+        }
+        for (clock, key), tid in tids.items()
     ]
+    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+
+
+def write_perfetto_json(path, records: Iterable[Dict[str, Any]]) -> int:
+    """Write the Perfetto document; returns the non-metadata event count."""
+    document = perfetto_trace_events(records)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, sort_keys=True)
+        handle.write("\n")
+    return sum(1 for event in document["traceEvents"] if event["ph"] == "X")

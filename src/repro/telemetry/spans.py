@@ -1,149 +1,193 @@
-"""Parent-linked spans over simulation time.
+"""One span record and one bounded ring, for both clocks.
 
-:class:`SpanTracer` generalizes the original flat
-:class:`~repro.sim.trace.TraceRecord` stream into *spans*: named
-intervals of simulation time with parent links, so a beacon round can own
-its per-node receive events, which in turn annotate the Bayes update that
-consumed them.  A point event is simply a span whose end equals its
-start.
+A :class:`Span` is a named interval with a parent link.  Its ``clock``
+tag says which time-line it lives on:
 
-The tracer is deliberately passive: recording a span allocates one small
-object and appends to a deque — it never schedules events, never reads
-RNG, and its timestamps are the *simulation* clock values the caller
-passes in, so enabling tracing cannot perturb a run (the determinism
-regression test holds this line).
+- ``"sim"`` — simulation seconds.  :class:`SpanTracer` records these:
+  beacon rounds, the receive events hanging off them and the channel's
+  ``channel.*`` events, keyed by node.
+- ``"wall"`` — relative wall-clock seconds.  :mod:`repro.obs` records
+  these for serve requests, keyed by trace id.
 
-Memory is bounded: construct with ``max_records`` to keep a ring buffer
-of the most recent records and count the evicted ones in
-:attr:`SpanTracer.dropped_count` — a week-long soak with tracing enabled
-degrades to a sliding window instead of exhausting RAM.
+This module never reads a clock: every timestamp is passed in by the
+caller.  Sim callers pass the engine's time and :mod:`repro.obs` passes
+its ``perf_counter`` reading, so REP002/ASY005 hold by where the clock
+is read, not by separate span types.  Recording never schedules events
+or draws randomness, so tracing a run cannot change it.
+
+Every store is a :class:`Ring`: a ``deque(maxlen)`` plus a count of the
+records it evicted, so a long run or a long-lived service keeps the
+most recent window instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["DEFAULT_MAX_SPANS", "Ring", "Span", "SpanTracer"]
+
+#: Default sim-tracer capacity: large enough for the paper's longest
+#: scenario, bounded so soak runs cannot exhaust memory.
+DEFAULT_MAX_SPANS = 200_000
 
 
 class Span:
-    """One named interval (or point event) on the simulation time-line."""
+    """One named interval (or point event) on the ``sim`` or ``wall``
+    time-line.  ``trace`` groups spans into one track: the node id for
+    sim spans, the request's trace id for wall spans."""
 
-    __slots__ = ("span_id", "parent_id", "name", "node", "start", "end", "attrs")
+    __slots__ = ("trace", "span_id", "parent_id", "name", "clock",
+                 "start_s", "end_s", "attrs")
 
     def __init__(
         self,
+        trace: Any,
         span_id: int,
         name: str,
-        start: float,
-        node: Optional[int] = None,
+        clock: str,
+        start_s: float,
         parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
+        self.trace = trace
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
-        self.node = node
-        self.start = start
-        self.end: Optional[float] = None
+        self.clock = clock
+        self.start_s = start_s
+        self.end_s: Optional[float] = None
         self.attrs = attrs if attrs is not None else {}
 
     @property
-    def closed(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration_s(self) -> float:
-        """Simulation-time length (0.0 for point events / open spans)."""
-        if self.end is None:
+        """Length on the span's clock (0.0 for point events and open
+        spans)."""
+        if self.end_s is None:
             return 0.0
-        return self.end - self.start
+        return self.end_s - self.start_s
 
     def as_record(self) -> Dict[str, Any]:
-        """JSON-serializable form (sorted keys are the exporter's job)."""
+        """The JSON-serializable trace-JSONL line."""
         return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
+            "trace": self.trace,
+            "span": self.span_id,
+            "parent": self.parent_id,
             "name": self.name,
-            "node": self.node,
-            "start": self.start,
-            "end": self.end,
+            "clock": self.clock,
+            "start_s": self.start_s,
+            "end_s": self.end_s,
             "attrs": self.attrs,
         }
 
     def __repr__(self) -> str:
-        return "Span(#%d %s node=%s t=[%.3f, %s])" % (
-            self.span_id,
-            self.name,
-            self.node,
-            self.start,
-            "%.3f" % self.end if self.end is not None else "open",
+        return "Span(%s %s#%d %s [%.6f, %s])" % (
+            self.clock, self.trace, self.span_id, self.name, self.start_s,
+            "open" if self.end_s is None else "%.6f" % self.end_s,
         )
+
+
+class Ring:
+    """Bounded FIFO: the oldest record is evicted first and counted in
+    :attr:`dropped`.  Eviction can split a trace (its earliest spans go
+    first); readers treat a trace without its root as truncated.
+
+    Every writer is confined to one thread (the simulation loop or the
+    serve event loop), so the ring needs no lock."""
+
+    __slots__ = ("_items", "dropped")
+
+    def __init__(self, maxlen: int) -> None:
+        if maxlen is None or maxlen < 1:
+            raise ValueError("ring capacity must be >= 1, got %r" % maxlen)
+        self._items: deque = deque(maxlen=maxlen)
+        self.dropped = 0
+
+    @property
+    def maxlen(self) -> int:
+        return self._items.maxlen
+
+    def append(self, item: Any) -> None:
+        items = self._items
+        if len(items) == items.maxlen:
+            self.dropped += 1
+        items.append(item)
+
+    def extend(self, items: Iterable[Any]) -> None:
+        for item in items:
+            self.append(item)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items)
 
 
 class SpanTracer:
-    """Collects :class:`Span` records, optionally in a bounded ring.
+    """Records ``sim`` spans into a :class:`Ring`.
 
     Args:
-        max_records: if given, keep only the most recent ``max_records``
-            spans; evictions bump :attr:`dropped_count`.  ``None`` keeps
-            everything (tests, short runs).
+        max_records: ring capacity; evictions count in ``ring.dropped``.
+        categories: point-event categories enabled from the start.  Hot
+            paths that emit per frame (the channel's ``channel.*``
+            events) check :meth:`enabled` before building a record, so a
+            disabled category costs one set lookup.
     """
 
-    def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(
-                "max_records must be >= 1 or None, got %r" % max_records
-            )
-        self.max_records = max_records
-        self._records: Deque[Span] = deque(maxlen=max_records)
+    def __init__(
+        self,
+        max_records: int = DEFAULT_MAX_SPANS,
+        categories: Iterable[str] = (),
+    ) -> None:
+        self.ring = Ring(max_records)
         self._ids = itertools.count(1)
-        self.dropped_count = 0
+        self._enabled = set(categories)
 
-    def _append(self, span: Span) -> Span:
-        if (
-            self.max_records is not None
-            and len(self._records) == self.max_records
-        ):
-            self.dropped_count += 1
-        self._records.append(span)
-        return span
+    # -- category filter -----------------------------------------------------
+
+    def enable(self, category: str) -> None:
+        self._enabled.add(category)
+
+    def disable(self, category: str) -> None:
+        self._enabled.discard(category)
+
+    def enabled(self, category: str) -> bool:
+        return category in self._enabled
+
+    # -- recording -----------------------------------------------------------
 
     def start_span(
         self,
-        name: str,
         t: float,
+        name: str,
         node: Optional[int] = None,
         parent: Optional[Span] = None,
-        **attrs: Any,
+        attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Open a span at simulation time ``t``; close it with
-        :meth:`end_span`."""
-        return self._append(
-            Span(
-                next(self._ids),
-                name,
-                float(t),
-                node=node,
-                parent_id=parent.span_id if parent is not None else None,
-                attrs=attrs or None,
-            )
+        :meth:`end_span`.  ``attrs`` is a dict, so its keys may be any
+        name, ``node`` and ``parent`` included."""
+        span = Span(
+            node, next(self._ids), name, "sim", float(t),
+            parent.span_id if parent is not None else None, attrs,
         )
+        self.ring.append(span)
+        return span
 
     def end_span(self, span: Span, t: float) -> None:
         """Close ``span`` at simulation time ``t``.
 
         Raises:
-            ValueError: if ``t`` precedes the span's start (spans live on
-                a monotonic simulation clock).
+            ValueError: if ``t`` precedes the span's start (the
+                simulation clock is monotonic).
         """
-        if t < span.start:
+        if t < span.start_s:
             raise ValueError(
                 "span %r cannot end at t=%r before its start" % (span, t)
             )
-        span.end = float(t)
+        span.end_s = float(t)
 
     def event(
         self,
@@ -151,56 +195,26 @@ class SpanTracer:
         name: str,
         node: Optional[int] = None,
         parent: Optional[Span] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Record a point event (a zero-duration, already-closed span)."""
-        return self.record_event(t, name, node=node, parent=parent,
-                                 attrs=attrs or None)
-
-    def record_event(
-        self,
-        t: float,
-        name: str,
-        node: Optional[int] = None,
-        parent: Optional[Span] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
-        """Point-event variant taking attrs as a dict — for facades whose
-        attribute keys may collide with this signature's parameter names."""
-        span = self._append(
-            Span(
-                next(self._ids),
-                name,
-                float(t),
-                node=node,
-                parent_id=parent.span_id if parent is not None else None,
-                attrs=attrs,
-            )
-        )
-        span.end = span.start
+        """Record a point event: a span closed at its own start."""
+        span = self.start_span(t, name, node, parent, attrs)
+        span.end_s = span.start_s
         return span
 
-    # -- introspection -------------------------------------------------------
+    # -- reading -------------------------------------------------------------
 
     def records(self, name: Optional[str] = None) -> List[Span]:
-        """Recorded spans in order, optionally filtered by name."""
+        """Recorded spans in order, optionally only those named ``name``."""
         if name is None:
-            return list(self._records)
-        return [s for s in self._records if s.name == name]
+            return list(self.ring)
+        return [span for span in self.ring if span.name == name]
 
     def count(self, name: str) -> int:
-        return sum(1 for s in self._records if s.name == name)
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` (parent-link navigation)."""
-        return [s for s in self._records if s.parent_id == span.span_id]
-
-    def clear(self) -> None:
-        """Drop all records (the drop counter keeps its tally)."""
-        self._records.clear()
+        return sum(1 for span in self.ring if span.name == name)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ring)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._records)
+        return iter(self.ring)

@@ -12,14 +12,14 @@ from repro.net.packet import Packet
 from repro.net.phy import PathLossModel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceLog
+from repro.telemetry.spans import SpanTracer
 from repro.util.geometry import Vec2
 
 
 def traced_network(categories):
     sim = Simulator()
     streams = RandomStreams(2)
-    trace = TraceLog(categories)
+    trace = SpanTracer(categories=categories)
     channel = BroadcastChannel(
         sim, PathLossModel(), streams.get("phy"), trace=trace
     )
@@ -49,8 +49,8 @@ class TestChannelTracing:
         assert trace.count("channel.tx") == 1
         assert trace.count("channel.rx") == 2
         rx = trace.records("channel.rx")[0]
-        assert rx.details["kind"] == "test"
-        assert "rssi" in rx.details
+        assert rx.attrs["kind"] == "test"
+        assert "rssi" in rx.attrs
 
     def test_collision_traced(self):
         sim, channel, interfaces, trace = traced_network(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import asyncio
 import gc
+import importlib
 import io
 import json
 import textwrap
@@ -82,12 +83,28 @@ class TestAsy001BlockingInCoroutine:
 
     def test_known_internal_disk_writer_fires(self):
         snippet = """\
-            from repro.obs.export import write_trace_jsonl
+            from repro.telemetry.export import write_jsonl
 
             async def drain(tracer):
-                write_trace_jsonl("out.jsonl", tracer.records())
+                write_jsonl("out.jsonl", tracer.records())
             """
         assert codes(snippet, SERVE_PATH) == ["ASY001"]
+
+    @pytest.mark.parametrize("origin", sorted(asyncrules.BLOCKING_INTERNAL))
+    def test_every_listed_disk_writer_fires(self, origin):
+        module, name = origin.rsplit(".", 1)
+        snippet = """\
+            from %s import %s
+
+            async def drain(tracer):
+                %s("out", tracer.records())
+            """ % (module, name, name)
+        assert codes(snippet, SERVE_PATH) == ["ASY001"]
+
+    @pytest.mark.parametrize("origin", sorted(asyncrules.BLOCKING_INTERNAL))
+    def test_every_listed_disk_writer_exists(self, origin):
+        module, name = origin.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module), name))
 
     def test_sync_context_is_silent(self):
         snippet = """\

@@ -13,20 +13,22 @@ from repro.obs import (
     NULL_TRACER,
     OpsLog,
     RequestTracer,
-    SpanBuffer,
     TraceConfig,
     hop_table,
-    perfetto_trace_events,
-    read_trace_jsonl,
     render_slowest,
     render_summary,
     slowest_traces,
-    write_perfetto_json,
-    write_trace_jsonl,
 )
 from repro.obs.oplog import NULL_OPS_LOG
 from repro.serve.protocol import FixRequest, WindowRequest
+from repro.telemetry.export import (
+    perfetto_trace_events,
+    read_trace_jsonl,
+    write_jsonl,
+    write_perfetto_json,
+)
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.spans import Ring
 
 
 class FakeClock:
@@ -202,20 +204,15 @@ class TestSampling:
 
 class TestSpanBuffer:
     def test_bounded_with_drop_accounting(self):
-        buffer = SpanBuffer(max_spans=3)
-        for item in range(5):
-            buffer.append(item)
-        assert len(buffer) == 3
-        assert list(buffer) == [2, 3, 4]
-        assert buffer.dropped == 2
-        assert buffer.max_spans == 3
-
-    def test_extend_and_clear(self):
-        buffer = SpanBuffer(max_spans=10)
-        buffer.extend([1, 2, 3])
-        assert buffer.snapshot() == [1, 2, 3]
-        buffer.clear()
-        assert len(buffer) == 0
+        ring = Ring(3)
+        ring.append(0)
+        ring.extend([1, 2, 3, 4])
+        assert len(ring) == 3
+        assert list(ring) == [2, 3, 4]
+        assert ring.dropped == 2
+        assert ring.maxlen == 3
+        with pytest.raises(ValueError):
+            Ring(0)
 
     def test_tracer_buffer_evicts_oldest(self):
         tracer = make_tracer(max_spans=4)
@@ -228,6 +225,7 @@ class TestSpanBuffer:
         kept = {record["trace"] for record in tracer.records()}
         assert first.trace_id not in kept
         assert {second.trace_id, third.trace_id} <= kept
+        assert tracer.ring.dropped == 2
 
 
 class TestOpsLog:
@@ -248,12 +246,13 @@ class TestOpsLog:
         for index in range(6):
             ops.emit("tick", index=index)
         assert [record["index"] for record in ops.records()] == [3, 4, 5]
+        assert ops.ring.dropped == 3
 
     def test_write_jsonl(self, tmp_path):
         ops = OpsLog(clock=FakeClock())
         ops.emit("tick", index=1)
         path = tmp_path / "ops.jsonl"
-        assert ops.write_jsonl(path) == 1
+        assert write_jsonl(path, ops.records()) == 1
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "tick"
 
@@ -290,8 +289,9 @@ class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
         records = recorded_spans()
         path = tmp_path / "trace.jsonl"
-        assert write_trace_jsonl(path, records) == len(records)
+        assert write_jsonl(path, records) == len(records)
         assert read_trace_jsonl(path) == records
+        assert {record["clock"] for record in records} == {"wall"}
 
     def test_perfetto_document_shape(self):
         document = perfetto_trace_events(recorded_spans())
@@ -299,13 +299,15 @@ class TestExport:
         complete = [event for event in events if event["ph"] == "X"]
         metadata = [event for event in events if event["ph"] == "M"]
         assert complete and metadata
-        # One tid track per trace, process named via metadata.
-        assert {event["args"]["name"] for event in metadata
-                if event["name"] == "process_name"} == {"repro.serve"}
+        # One tid track per trace, labelled via metadata.
+        assert {event["args"]["name"] for event in metadata} == {
+            "trace t-fast", "trace t-slow",
+        }
         tids = {event["tid"] for event in complete}
         assert len(tids) == 2
         for event in complete:
             assert event["dur"] >= 0.0
+            assert event["cat"] == "wall"
             assert event["args"]["trace"] in ("t-fast", "t-slow")
 
     def test_perfetto_skips_open_spans(self):

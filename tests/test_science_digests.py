@@ -159,7 +159,7 @@ def run_case(preset, seed, lut, observed=False):
     team = CoCoATeam(
         config,
         kernels=KernelConfig(lut_pdf=LUT_MODES[lut]),
-        telemetry=Telemetry.enabled() if observed else None,
+        telemetry=Telemetry() if observed else None,
     )
     if observed:
         team.channel._trace.enable("channel.rx")

@@ -1,11 +1,12 @@
-"""Unit tests for PeriodicTimer, RandomStreams and TraceLog."""
+"""Unit tests for PeriodicTimer, RandomStreams and the sim tracer's
+category filter."""
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog
+from repro.telemetry.spans import SpanTracer
 
 
 class TestPeriodicTimer:
@@ -149,45 +150,50 @@ class TestRandomStreams:
 
 
 class TestTraceLog:
+    """The sim tracer's category filter: per-frame emit sites (the
+    channel's ``channel.*`` events) record only enabled categories."""
+
+    @staticmethod
+    def emit(tracer, t, category, node=None, **details):
+        # The guard every channel emit site runs before building attrs.
+        if tracer.enabled(category):
+            tracer.event(t, category, node, attrs=details)
+
     def test_disabled_category_not_recorded(self):
-        log = TraceLog()
-        log.emit(1.0, "x", 1, foo="bar")
-        assert len(log) == 0
+        tracer = SpanTracer()
+        self.emit(tracer, 1.0, "x", 1, foo="bar")
+        assert not tracer.enabled("x")
+        assert len(tracer) == 0
 
     def test_enabled_category_recorded(self):
-        log = TraceLog(["x"])
-        log.emit(1.0, "x", 1, foo="bar")
-        assert log.count("x") == 1
-        record = log.records("x")[0]
-        assert record.time == 1.0
-        assert record.node == 1
-        assert record.details == {"foo": "bar"}
+        tracer = SpanTracer(categories=["x"])
+        self.emit(tracer, 1.0, "x", 1, foo="bar")
+        assert tracer.count("x") == 1
+        span = tracer.records("x")[0]
+        assert span.clock == "sim"
+        assert span.start_s == span.end_s == 1.0
+        assert span.trace == 1
+        assert span.attrs == {"foo": "bar"}
 
     def test_enable_disable(self):
-        log = TraceLog()
-        log.enable("y")
-        assert log.enabled("y")
-        log.emit(0.0, "y")
-        log.disable("y")
-        log.emit(1.0, "y")
-        assert log.count("y") == 1
+        tracer = SpanTracer()
+        tracer.enable("y")
+        assert tracer.enabled("y")
+        self.emit(tracer, 0.0, "y")
+        tracer.disable("y")
+        assert not tracer.enabled("y")
+        self.emit(tracer, 1.0, "y")
+        assert tracer.count("y") == 1
 
     def test_records_filtering(self):
-        log = TraceLog(["a", "b"])
-        log.emit(0.0, "a")
-        log.emit(1.0, "b")
-        assert len(log.records()) == 2
-        assert len(log.records("a")) == 1
-
-    def test_clear_keeps_categories(self):
-        log = TraceLog(["a"])
-        log.emit(0.0, "a")
-        log.clear()
-        assert len(log) == 0
-        assert log.enabled("a")
+        tracer = SpanTracer(categories=["a", "b"])
+        self.emit(tracer, 0.0, "a")
+        self.emit(tracer, 1.0, "b")
+        assert len(tracer.records()) == 2
+        assert len(tracer.records("a")) == 1
 
     def test_iteration(self):
-        log = TraceLog(["a"])
-        log.emit(0.0, "a")
-        log.emit(1.0, "a")
-        assert [r.time for r in log] == [0.0, 1.0]
+        tracer = SpanTracer(categories=["a"])
+        self.emit(tracer, 0.0, "a")
+        self.emit(tracer, 1.0, "a")
+        assert [span.start_s for span in tracer] == [0.0, 1.0]

@@ -20,9 +20,9 @@ from repro.experiments.runner import run_scenario
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.executor import run_sweep
 from repro.orchestrator.jobs import seed_jobs
-from repro.sim.trace import TraceLog
 from repro.telemetry import (
     COUNT_EDGES,
+    DEFAULT_MAX_SPANS,
     NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
@@ -33,10 +33,11 @@ from repro.telemetry import (
     merge_snapshots,
     prometheus_text,
     read_jsonl,
+    read_trace_jsonl,
     render_report,
     set_global_registry,
-    span_records,
     write_jsonl,
+    write_perfetto_json,
 )
 from repro.util.geometry import Rect
 
@@ -140,55 +141,48 @@ class TestInstruments:
 class TestSpanTracer:
     def test_span_lifecycle_and_duration(self):
         tracer = SpanTracer()
-        span = tracer.start_span("window", 10.0, node=3, index=1)
-        assert not span.closed
+        span = tracer.start_span(10.0, "window", node=3, attrs={"index": 1})
+        assert span.end_s is None
         assert span.duration_s == 0.0
         tracer.end_span(span, 13.0)
-        assert span.closed
         assert span.duration_s == pytest.approx(3.0)
         assert span.attrs == {"index": 1}
+        assert (span.clock, span.trace) == ("sim", 3)
 
     def test_end_before_start_rejected(self):
         tracer = SpanTracer()
-        span = tracer.start_span("w", 10.0)
+        span = tracer.start_span(10.0, "w")
         with pytest.raises(ValueError):
             tracer.end_span(span, 9.0)
 
     def test_parent_links_and_children(self):
         tracer = SpanTracer()
-        parent = tracer.start_span("beacon_round", 0.0, node=1)
+        parent = tracer.start_span(0.0, "beacon_round", node=1)
         child = tracer.event(1.0, "beacon_rx", node=2, parent=parent)
         other = tracer.event(2.0, "beacon_rx", node=3)
         assert child.parent_id == parent.span_id
         assert other.parent_id is None
-        assert tracer.children_of(parent) == [child]
+        assert child.as_record()["parent"] == parent.as_record()["span"]
 
     def test_point_events_are_closed_spans(self):
         tracer = SpanTracer()
-        span = tracer.event(5.0, "tick", node=None, rssi=-70)
-        assert span.closed
-        assert span.start == span.end == 5.0
+        span = tracer.event(5.0, "tick", node=None, attrs={"rssi": -70})
+        assert span.start_s == span.end_s == 5.0
+        assert span.duration_s == 0.0
         assert span.attrs == {"rssi": -70}
 
     def test_ring_buffer_drops_oldest(self):
         tracer = SpanTracer(max_records=3)
         for t in range(5):
-            tracer.event(float(t), "e", seq=t)
+            tracer.event(float(t), "e", attrs={"seq": t})
         assert len(tracer) == 3
-        assert tracer.dropped_count == 2
+        assert tracer.ring.dropped == 2
         assert [s.attrs["seq"] for s in tracer] == [2, 3, 4]
 
     def test_invalid_max_records_rejected(self):
-        with pytest.raises(ValueError):
-            SpanTracer(max_records=0)
-
-    def test_clear_keeps_drop_tally(self):
-        tracer = SpanTracer(max_records=1)
-        tracer.event(0.0, "a")
-        tracer.event(1.0, "b")
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.dropped_count == 1
+        for bad in (0, None):
+            with pytest.raises(ValueError):
+                SpanTracer(max_records=bad)
 
     def test_records_filter_and_count(self):
         tracer = SpanTracer()
@@ -196,49 +190,53 @@ class TestSpanTracer:
         tracer.event(1.0, "b")
         tracer.event(2.0, "a")
         assert tracer.count("a") == 2
-        assert [s.start for s in tracer.records("a")] == [0.0, 2.0]
+        assert [s.start_s for s in tracer.records("a")] == [0.0, 2.0]
+
+    def test_bounded_by_default(self):
+        tracer = SpanTracer()
+        assert tracer.ring.maxlen == DEFAULT_MAX_SPANS
+        assert Telemetry().tracer.ring.maxlen == DEFAULT_MAX_SPANS
 
 
 class TestTraceLogFacade:
+    """What the channel's private trace log did, on the shared tracer."""
+
     def test_only_enabled_categories_recorded(self):
-        log = TraceLog(categories=("mac",))
-        log.emit(1.0, "mac", node=2, kind="send")
-        log.emit(2.0, "phy", node=2)
-        assert len(log) == 1
-        record = log.records()[0]
-        assert record.time == 1.0
-        assert record.category == "mac"
-        assert record.node == 2
-        assert record.details == {"kind": "send"}
+        tracer = SpanTracer(categories=("mac",))
+        for t, category in ((1.0, "mac"), (2.0, "phy")):
+            if tracer.enabled(category):
+                tracer.event(t, category, node=2, attrs={"kind": "send"})
+        assert len(tracer) == 1
+        span = tracer.records()[0]
+        assert (span.start_s, span.name, span.trace) == (1.0, "mac", 2)
+        assert span.attrs == {"kind": "send"}
 
     def test_detail_keys_may_shadow_parameter_names(self):
-        # "node"/"parent" inside details must not collide with the
-        # tracer's own record_event parameters.
-        log = TraceLog(categories=("route",))
-        log.emit(1.0, "route", node=1, parent=7)
-        assert log.records()[0].details == {"parent": 7}
+        # "node"/"parent" inside attrs must not collide with the
+        # tracer's own parameters.
+        tracer = SpanTracer()
+        span = tracer.event(1.0, "route", node=1,
+                            attrs={"parent": 7, "node": 9})
+        assert span.attrs == {"parent": 7, "node": 9}
+        assert (span.trace, span.parent_id) == (1, None)
 
     def test_ring_buffer_mode(self):
-        log = TraceLog(categories=("e",), max_records=2)
+        tracer = SpanTracer(max_records=2, categories=("e",))
         for t in range(4):
-            log.emit(float(t), "e")
-        assert log.max_records == 2
-        assert len(log) == 2
-        assert log.dropped_count == 2
-        assert [r.time for r in log] == [2.0, 3.0]
-
-    def test_unbounded_by_default(self):
-        log = TraceLog(categories=("e",))
-        assert log.max_records is None
-        for t in range(100):
-            log.emit(float(t), "e")
-        assert log.dropped_count == 0
-        assert log.count("e") == 100
+            tracer.event(float(t), "e")
+        assert tracer.ring.maxlen == 2
+        assert len(tracer) == 2
+        assert tracer.ring.dropped == 2
+        assert [s.start_s for s in tracer] == [2.0, 3.0]
 
     def test_spans_visible_through_tracer_property(self):
-        log = TraceLog(categories=("sync",))
-        log.emit(3.0, "sync", node=4)
-        assert [s.name for s in log.tracer] == ["sync"]
+        # Category events and spans share one ring: a point event lands
+        # next to the beacon round it happened in.
+        tracer = SpanTracer(categories=("sync",))
+        round_span = tracer.start_span(0.0, "beacon_round", node=4)
+        tracer.event(3.0, "sync", node=4)
+        tracer.end_span(round_span, 5.0)
+        assert [s.name for s in tracer] == ["beacon_round", "sync"]
 
 
 class TestSnapshot:
@@ -310,13 +308,13 @@ class TestExporters:
 
     def test_span_records_are_json_serializable(self):
         tracer = SpanTracer()
-        parent = tracer.start_span("round", 1.0, node=1)
+        parent = tracer.start_span(1.0, "round", node=1)
         tracer.end_span(parent, 2.0)
         tracer.event(1.5, "rx", node=2, parent=parent)
-        records = span_records(tracer)
+        records = [span.as_record() for span in tracer]
         assert len(records) == 2
-        assert all(r["record"] == "span" for r in records)
-        assert records[1]["parent_id"] == records[0]["span_id"]
+        assert all(r["clock"] == "sim" for r in records)
+        assert records[1]["parent"] == records[0]["span"]
         json.dumps(records)
 
 
@@ -371,7 +369,7 @@ class TestRunSnapshots:
         assert "trace_spans_recorded" not in snapshot.metrics
 
     def test_rich_snapshot_adds_registry_and_spans(self):
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry()
         result = run_scenario(tiny_config(), telemetry=telemetry)
         snapshot = result.telemetry
         assert snapshot.get("trace_spans_recorded") > 0
@@ -379,12 +377,54 @@ class TestRunSnapshots:
         assert snapshot.get("estimator_beacons_per_window_count") > 0
         rounds = telemetry.tracer.records("beacon_round")
         assert rounds
-        assert all(s.closed for s in rounds[:-1])
+        assert all(s.end_s is not None for s in rounds[:-1])
         # Receive events hang off their window span.
         rx = telemetry.tracer.records("beacon_rx")
         assert rx
         parent_ids = {s.span_id for s in rounds}
         assert all(s.parent_id in parent_ids for s in rx)
+
+
+class TestSimSpanExport:
+    """Sim spans go through the exporters serve traces use."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        telemetry = Telemetry(tracer=SpanTracer(categories=("channel.rx",)))
+        run_scenario(tiny_config(), telemetry=telemetry)
+        assert telemetry.tracer.count("channel.rx") > 0
+        return [span.as_record() for span in telemetry.tracer]
+
+    def test_beacon_rx_hangs_off_its_nodes_round(self, records):
+        rounds = {r["span"]: r for r in records if r["name"] == "beacon_round"}
+        rx = [r for r in records if r["name"] == "beacon_rx"]
+        assert rx
+        for record in rx:
+            parent = rounds[record["parent"]]
+            assert parent["trace"] == record["trace"]
+
+    def test_perfetto_has_one_sim_track_per_node(self, records, tmp_path):
+        path = tmp_path / "sim.perfetto.json"
+        count = write_perfetto_json(path, records)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        events = document["traceEvents"]
+        complete = [e for e in events if e["ph"] == "X"]
+        assert count == len(complete) == len(records) > 0
+        assert {e["cat"] for e in complete} == {"sim"}
+        nodes = {r["trace"] for r in records}
+        assert len(nodes) > 1
+        tracks = {e["tid"]: e["args"]["name"] for e in events
+                  if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert sorted(tracks.values()) == sorted(
+            "node %s" % node for node in nodes
+        )
+        for event in complete:
+            assert tracks[event["tid"]] == "node %s" % event["args"]["trace"]
+
+    def test_jsonl_round_trip_is_exact(self, records, tmp_path):
+        path = tmp_path / "sim.jsonl"
+        assert write_jsonl(path, records) == len(records)
+        assert read_trace_jsonl(path) == records
 
 
 class TestBitIdenticalRegression:
@@ -399,7 +439,7 @@ class TestBitIdenticalRegression:
 
     def test_single_run_bit_identical(self):
         plain = run_scenario(tiny_config())
-        rich = run_scenario(tiny_config(), telemetry=Telemetry.enabled())
+        rich = run_scenario(tiny_config(), telemetry=Telemetry())
         assert plain.errors.tobytes() == rich.errors.tobytes()
         assert plain.times.tolist() == rich.times.tolist()
         assert plain.total_energy_j() == rich.total_energy_j()
