@@ -759,7 +759,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         if args.smoke:
             code = await _serve_smoke(server, out)
             await server.drain()
-            await asyncio.to_thread(_export_traces, core, args, out)
+            await _export_traces(core, args, out)
             return code
         # SIGINT and SIGTERM both end serving and trigger the drain,
         # whatever disposition the process inherited (a background job
@@ -776,7 +776,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             # Graceful drain: shed new work, flush checkpoints, stop.
             flushed = await server.drain()
             print("drained: %d checkpoint(s) flushed" % flushed, file=out)
-            await asyncio.to_thread(_export_traces, core, args, out)
+            await _export_traces(core, args, out)
         return 0
 
     try:
@@ -786,8 +786,14 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         return 0
 
 
-def _export_traces(core, args, out) -> None:
-    """Write the core's recorded spans/ops to the paths the flags named."""
+async def _export_traces(core, args, out) -> None:
+    """Write the core's recorded spans/ops to the paths the flags named.
+
+    The records are copied on the loop, which is the only writer of the
+    tracer and the ops log; only the file writes go to a worker thread.
+    """
+    import asyncio
+
     trace_out = getattr(args, "trace_out", None)
     perfetto_out = getattr(args, "trace_perfetto", None)
     ops_out = getattr(args, "ops_out", None)
@@ -797,16 +803,20 @@ def _export_traces(core, args, out) -> None:
 
     records = core.tracer.records()
     if trace_out is not None:
-        count = write_jsonl(trace_out, records)
+        count = await asyncio.to_thread(write_jsonl, trace_out, records)
         print("trace: %d span%s -> %s"
               % (count, "" if count == 1 else "s", trace_out), file=out)
     if perfetto_out is not None:
-        count = write_perfetto_json(perfetto_out, records)
+        count = await asyncio.to_thread(
+            write_perfetto_json, perfetto_out, records
+        )
         print("trace: %d event%s -> %s (Perfetto)"
               % (count, "" if count == 1 else "s", perfetto_out),
               file=out)
     if ops_out is not None:
-        count = write_jsonl(ops_out, core.ops.records())
+        count = await asyncio.to_thread(
+            write_jsonl, ops_out, core.ops.records()
+        )
         print("ops: %d event%s -> %s"
               % (count, "" if count == 1 else "s", ops_out), file=out)
 

@@ -155,6 +155,7 @@ def perfetto_trace_events(
         end_s = record.get("end_s")
         if end_s is None:
             continue
+        # Recordings made before spans carried a clock tag are serve's.
         clock = record.get("clock", "wall")
         key = record["trace"]
         tid = tids.setdefault((clock, key), len(tids) + 1)

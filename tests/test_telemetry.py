@@ -199,7 +199,7 @@ class TestSpanTracer:
 
 
 class TestTraceLogFacade:
-    """What the channel's private trace log did, on the shared tracer."""
+    """The filter, attrs and ring the channel's emit sites rely on."""
 
     def test_only_enabled_categories_recorded(self):
         tracer = SpanTracer(categories=("mac",))
