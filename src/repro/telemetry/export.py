@@ -146,8 +146,8 @@ def perfetto_trace_events(
     Each closed span becomes one complete event (``"ph": "X"``, times in
     microseconds of its own clock) whose category is its ``clock`` tag.
     Each trace key gets its own ``tid`` track: one per request for wall
-    spans, one per robot for sim spans.  Open spans (truncated by ring
-    eviction) are skipped.
+    spans, one per robot for sim spans.  Spans still open when recorded
+    are skipped.
     """
     events: List[Dict[str, Any]] = []
     tids: Dict[Any, int] = {}
