@@ -14,12 +14,14 @@ The position estimate is the posterior mean — Equation (3)'s expectation —
 and, per the paper, is only trusted once at least three beacons have been
 incorporated.
 
-All operations are vectorized numpy.  Measured on a 2-CPU Xeon VM with
-numpy 2.4, one update of a 100×100 grid costs about 80 µs when the filter
-evaluates its own constraint through the PDF table's lookup tables
-(about 180 µs on the exact path), and about 23 µs when a team's shared
-constraint-field memo supplies it: what is left is the multiply, sum and
-divide over the grid.
+All operations are vectorized numpy.  Every constraint comes from a
+:class:`~repro.core.constraint_cache.ConstraintFieldCache`: a team or a
+serve session shares one across its robots, and a bare filter makes its
+own, so the filter's only grid-sized state is its posterior.  Measured
+on a 2-CPU Xeon VM with numpy 2.4, one update of a 100×100 grid costs
+about 23 µs when the memo already holds the field (the multiply, sum and
+divide over the grid), and about 120 µs when the memo evaluates it
+through the PDF table's lookup tables (about 170 µs on the exact path).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.constraint_cache import ConstraintFieldCache
 from repro.core.pdf_table import PdfTable
 from repro.util.geometry import Rect, Vec2
 from repro.util.validation import check_positive
@@ -62,10 +65,7 @@ class GridBayesFilter:
         self._posterior = np.full((ny, nx), 1.0 / (nx * ny))
         self._beacons_applied = 0
         self._annihilations = 0
-        # Scratch buffers reused by apply_beacon's uncached path.
-        self._dist_buf = np.empty((ny, nx))
-        self._constraint_buf = np.empty((ny, nx))
-        self._cache = None
+        self._cache = ConstraintFieldCache()
 
     @property
     def area(self) -> Rect:
@@ -101,11 +101,12 @@ class GridBayesFilter:
     def attach_constraint_cache(self, cache) -> None:
         """Share beacon fields with other filters on an identical grid.
 
+        Replaces the filter's private memo.
+
         Args:
             cache: a :class:`~repro.core.constraint_cache.ConstraintFieldCache`
                 (or anything with its ``bind_grid`` / ``constraint_field``
-                protocol).  The cached path is bit-identical to the
-                uncached one; see the cache module.
+                protocol).
         """
         cache.bind_grid(self.grid_signature)
         self._cache = cache
@@ -169,22 +170,18 @@ class GridBayesFilter:
         self._beacons_applied = int(state["beacons_applied"])
         self._annihilations = int(state["annihilations"])
 
-    def compute_distance_field(
-        self, beacon: Vec2, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def compute_distance_field(self, beacon: Vec2) -> np.ndarray:
         """Cell-center distances to ``beacon`` (Equation 1's geometry).
 
         Squares the two axis offsets, then one broadcast add and one
         sqrt: two grid-sized passes.  Each cell gets
-        ``sqrt((x - bx)**2 + (y - by)**2)`` with the same operands in the
-        same order whether the output lands in a scratch buffer or a
-        cacheable fresh array.
+        ``sqrt((x - bx)**2 + (y - by)**2)``.
         """
         dx = np.subtract(self._x_axis, beacon.x)
         np.square(dx, out=dx)
         dy = np.subtract(self._y_axis, beacon.y)
         np.square(dy, out=dy)
-        distances = np.add(dx, dy, out=out)
+        distances = np.add(dx, dy)
         np.sqrt(distances, out=distances)
         return distances
 
@@ -204,18 +201,9 @@ class GridBayesFilter:
             rssi_dbm: measured signal strength.
             table: the calibrated PDF table.
         """
-        cache = self._cache
-        if cache is None:
-            distances = self.compute_distance_field(
-                beacon, out=self._dist_buf
-            )
-            constraint = table.pdf(
-                rssi_dbm, distances, out=self._constraint_buf
-            )
-        else:
-            constraint = cache.constraint_field(
-                self, beacon, table, table.bin_key_for(rssi_dbm)
-            )
+        constraint = self._cache.constraint_field(
+            self, beacon, table, table.bin_key_for(rssi_dbm)
+        )
         self._posterior *= constraint
         total = self._posterior.sum()
         if total <= 1e-300 or not np.isfinite(total):

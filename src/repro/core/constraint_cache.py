@@ -1,18 +1,22 @@
 """Shared constraint fields: one grid evaluation per beacon frame.
 
-Every unknown robot in a team runs a :class:`~repro.core.bayes.GridBayesFilter`
-on the *same* grid (same deployment area, same resolution), and every
-robot that hears a given beacon frame evaluates the same two fields over
-that grid: the distance from each cell to the beacon's claimed origin,
-and — for robots whose RSSI snapped to the same PDF-table bin — the very
-same constraint density.  A frame is heard by a few dozen robots, and
-they apply it back to back, one per delivery.
+Every unknown robot in a team — or in one serve tenant's session — runs
+a :class:`~repro.core.bayes.GridBayesFilter` on the *same* grid (same
+deployment area, same resolution), and every robot that hears a given
+beacon frame evaluates the same two fields over that grid: the distance
+from each cell to the beacon's claimed origin, and — for robots whose
+RSSI snapped to the same PDF-table bin — the very same constraint
+density.  A frame is heard by a few dozen robots, and they apply it back
+to back, one per delivery (in serve, one per window close).
 
 :class:`ConstraintFieldCache` shares those fields between the hearers of
-one frame.  It is a **one-position memo**: it holds the distance field
-and LUT index field of the current claimed beacon position plus one
-constraint field per RSSI bin heard there.  A lookup at any other
-position drops all of it and starts fresh.  A claimed position repeats
+one frame, and it is the filter's only source of constraint fields: a
+team and a serve session each attach one to all their robots, and a
+filter built on its own makes a private one.  It is a **one-position
+memo**: it holds the distance field and LUT index field of the current
+claimed beacon position plus one constraint field per RSSI bin heard
+there.  A lookup at any other position drops all of it and starts
+fresh.  A claimed position repeats
 across frames only when its advertiser stands still or re-advertises an
 unchanged estimate (a promoted robot in :mod:`repro.ext.promotion` does
 the latter between fixes).  The fig7-cocoa and rf-dense-faults benchmark
@@ -22,8 +26,9 @@ fields a team-wide LRU reused.  A longer-lived store kept cold arrays
 alive for that.
 
 The memo is **bit-identical** by construction: a field is the
-float-for-float output of the numpy operation sequence it replaces, and
-only an exact ``(x, y)`` match reuses it.  ``-0.0`` and ``0.0`` compare
+float-for-float output of Equation (1) evaluated afresh
+(``table.pdf(rssi, grid.compute_distance_field(beacon))``), and only an
+exact ``(x, y)`` match reuses it.  ``-0.0`` and ``0.0`` compare
 equal and may share an entry; the distance computation squares the
 coordinate difference, which drops the sign, so both give the same bits.
 The fields are read-only (the filter multiplies them into its posterior),
@@ -42,7 +47,7 @@ __all__ = ["ConstraintFieldCache"]
 
 
 class ConstraintFieldCache:
-    """Per-team memo of the current beacon position's fields."""
+    """Team- or session-wide memo of the current beacon position's fields."""
 
     def __init__(self) -> None:
         self._signature: Optional[str] = None

@@ -116,11 +116,13 @@ class PositionEstimator:
         watchdog: enable the posterior-health watchdog — a degenerate
             filter (see ``is_degenerate`` on the filter) is reset to the
             prior at window close instead of producing a junk fix.
-        constraint_cache: optional team-shared
+        constraint_cache: optional team- or session-shared
             :class:`~repro.core.constraint_cache.ConstraintFieldCache`.
             Attached to the position filter when the filter supports it
             (the grid filter does; the particle filter, whose particles
-            are per-robot, ignores it).  Bit-identical either way.
+            are per-robot, ignores it).  Without one a grid filter uses
+            its own private memo; the fields are bit-identical either
+            way.
         anchor_expiry_s: if > 0, keep a per-anchor suspicion score that
             decays with this time constant; anchors above the quarantine
             threshold are ignored until their suspicion expires

@@ -19,15 +19,17 @@ coordinates — the quantitative version of the paper's claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
 from repro.experiments.runner import SharedCalibration
 from repro.util.geometry import Vec2
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ def _snapshot_study(
     est_coords: Dict[int, Vec2],
     pairs: Sequence[Tuple[int, int]],
 ) -> Tuple[int, int, List[float], List[float]]:
+    import networkx as nx
+
     delivered_true = delivered_est = 0
     stretch_true: List[float] = []
     stretch_est: List[float] = []
@@ -144,6 +148,8 @@ def run_georouting_study(
     """
     if config is None:
         config = CoCoAConfig(duration_s=max(snapshot_times) + 30.0)
+    import networkx as nx
+
     from repro.multicast.mesh import connectivity_graph
 
     calibration = SharedCalibration()

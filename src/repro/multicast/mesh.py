@@ -3,16 +3,19 @@
 These helpers build :mod:`networkx` graphs from simulation state.  They are
 *analysis* tools — protocols never read them — used by tests (is the mesh
 connected from the source to every member?) and by the MRMM-vs-ODMRP
-ablation benchmark (mesh size, path lengths, redundancy).
+ablation benchmark (mesh size, path lengths, redundancy).  networkx is
+loaded on first use, so importing :mod:`repro.multicast` (every simulator
+and serve process does) does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Set
 
 from repro.util.geometry import Vec2
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def connectivity_graph(
@@ -32,6 +35,8 @@ def connectivity_graph(
         raise ValueError(
             "link_range_m must be positive, got %r" % link_range_m
         )
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(positions)
     ids = sorted(positions)
@@ -68,5 +73,7 @@ def mesh_reaches_all_members(
     """True if every member is reachable from the source in the mesh graph."""
     if source not in graph:
         return False
+    import networkx as nx
+
     reachable = nx.node_connected_component(graph, source)
     return all(member in reachable for member in members)

@@ -35,6 +35,8 @@ and checkpoints every session before :meth:`ServiceCore.stop`.
 from __future__ import annotations
 
 import asyncio
+import resource
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -351,6 +353,12 @@ class ServiceCore:
         self.registry.gauge("serve_robots_active").set(robots)
         self.registry.gauge("serve_robots_active_peak").set_max(robots)
         self.registry.gauge("serve_shards").set(len(self.shards))
+        # ru_maxrss is KiB on Linux and bytes on macOS; reading it is a
+        # syscall, not file I/O, so the scrape stays loop-safe.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform != "darwin":
+            peak *= 1024
+        self.registry.gauge("serve_process_peak_rss_bytes").set(peak)
 
     def stats(self) -> Dict[str, float]:
         """Flat service counters (CLI summaries, tests)."""

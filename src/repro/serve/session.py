@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.calibration import build_pdf_table
 from repro.core.config import LocalizationMode
+from repro.core.constraint_cache import ConstraintFieldCache
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
 from repro.kernels import resolve_kernels
@@ -157,6 +158,9 @@ class TenantSession:
         self._registry = registry
         self._checkpoints = checkpoints
         self._area = Rect.square(hello.area_side_m)
+        #: One memo for every lane: robots that close back to back on a
+        #: beacon at the same claimed position share its fields.
+        self.constraint_cache = ConstraintFieldCache()
         self._lanes: Dict[int, _RobotLane] = {}
         #: robot -> its record in the last snapshot; lanes untouched
         #: since then reuse it, so a checkpoint costs one estimator
@@ -197,6 +201,7 @@ class TenantSession:
                 pdf_table=self._table,
                 grid_resolution_m=self.hello.grid_resolution_m,
                 min_beacons_for_fix=self.hello.min_beacons_for_fix,
+                constraint_cache=self.constraint_cache,
             )
             lane = self._lanes[robot] = _RobotLane(estimator)
             robots = self._registry.gauge("serve_robots_active")

@@ -216,9 +216,6 @@ class TestAxisGeometry:
             assert np.array_equal(
                 filt.compute_distance_field(beacon), distances
             )
-            out = np.empty((ny, nx))
-            assert filt.compute_distance_field(beacon, out=out) is out
-            assert np.array_equal(out, distances)
 
             x_hat = float((posterior * cell_x).sum())
             y_hat = float((posterior * cell_y).sum())

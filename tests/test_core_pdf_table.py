@@ -80,15 +80,6 @@ class TestDistanceDistribution:
         val = dist.pdf(np.array([250.0]))[0]
         assert val == pytest.approx(UNIFORM_FLOOR_WEIGHT / 180.0, rel=1e-6)
 
-    def test_out_buffer_reused(self):
-        dist = DistanceDistribution.gaussian(20.0, 3.0, 180.0)
-        xs = np.linspace(0, 180, 50)
-        buf = np.empty(50)
-        result = dist.pdf(xs, out=buf)
-        assert result is buf
-        expected = dist.pdf(xs)
-        np.testing.assert_allclose(result, expected)
-
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             DistanceDistribution.from_samples(np.array([]), 180.0)

@@ -448,19 +448,25 @@ class TestConstraintFieldCache:
         ]
         for lut in (False, True):
             pdf_table.set_lut(lut)
-            plain = GridBayesFilter(area, 2.0)
+            bare = GridBayesFilter(area, 2.0)
             cached = [GridBayesFilter(area, 2.0) for _ in range(2)]
             cache = ConstraintFieldCache()
             for filt in cached:
                 filt.attach_constraint_cache(cache)
+            # Reference: Equations (1)-(2) evaluated afresh per beacon.
+            reference = np.full(bare.shape, 1.0 / bare.posterior.size)
             for _ in range(2):  # the second round revisits every position
                 for beacon, rssi in beacons:
-                    plain.apply_beacon(beacon, rssi, pdf_table)
-                    for filt in cached:
+                    constraint = pdf_table.pdf(
+                        rssi, bare.compute_distance_field(beacon)
+                    )
+                    reference *= constraint
+                    reference /= reference.sum()
+                    for filt in cached + [bare]:
                         filt.apply_beacon(beacon, rssi, pdf_table)
             assert cache.hits > 0
-            for filt in cached:
-                assert filt.posterior.tobytes() == plain.posterior.tobytes()
+            for filt in cached + [bare]:
+                assert filt.posterior.tobytes() == reference.tobytes()
 
     def test_team_run_holds_one_position(self, calibration):
         team, _ = run_tiny(1, KERNELS_ON, calibration)

@@ -10,9 +10,12 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 import repro.experiments  # noqa: F401  (breaks the orchestrator import cycle)
+from repro.core.config import LocalizationMode
+from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
 from repro.orchestrator.cache import ResultCache
 from repro.serve import (
@@ -41,6 +44,7 @@ from repro.serve.protocol import (
     parse_response,
 )
 from repro.serve.session import CalibrationStore
+from repro.util.geometry import Rect
 
 
 BEACONS = [
@@ -165,6 +169,61 @@ def test_session_sorts_by_source_seq(pdf_table):
     )
     assert in_order["x_hex"] == reversed_order["x_hex"]
     assert in_order["y_hex"] == reversed_order["y_hex"]
+
+
+@pytest.mark.parametrize("lut", [False, True])
+def test_session_lanes_share_one_field_memo(pdf_table, lut):
+    pdf_table.set_lut(lut)
+    session = _session(pdf_table)
+    memo = session.constraint_cache
+    hello = session.hello
+    bare = [
+        PositionEstimator(
+            mode=LocalizationMode.RF_ONLY,
+            area=Rect.square(hello.area_side_m),
+            pdf_table=pdf_table,
+            grid_resolution_m=hello.grid_resolution_m,
+            min_beacons_for_fix=hello.min_beacons_for_fix,
+        )
+        for _ in range(3)
+    ]
+    n = len(BEACONS)
+    for _window in range(2):
+        for robot, reference in enumerate(bare):
+            # Robot r hears the beacons rotated right by r, so its first
+            # beacon (lowest seq) is the one robot r - 1 closed on last.
+            beacons = BEACONS[n - robot:] + BEACONS[:n - robot]
+            assert session.handle(WindowRequest(
+                tenant="t", robot=robot, event="open"
+            )).ok
+            reference.on_window_open()
+            for seq, (x, y, rssi) in enumerate(beacons):
+                assert session.handle(ObserveRequest(
+                    tenant="t", robot=robot, seq=seq, x=x, y=y,
+                    rssi_dbm=rssi,
+                )).ok
+                reference.ingest_observation(
+                    BeaconObservation(x=x, y=y, rssi_dbm=rssi)
+                )
+            hits = memo.hits
+            close = session.handle(WindowRequest(
+                tenant="t", robot=robot, event="close"
+            )).payload
+            reference.on_window_close()
+            if robot > 0:
+                assert memo.hits == hits + 1
+            assert close["fixed"]
+            assert close["x_hex"] == reference.estimate.x.hex()
+            assert close["y_hex"] == reference.estimate.y.hex()
+    for lane in session._lanes.values():
+        grid = lane.estimator.filter
+        assert grid._cache is memo
+        held = [
+            value for value in vars(grid).values()
+            if isinstance(value, np.ndarray)
+            and value.size == grid.posterior.size
+        ]
+        assert len(held) == 1 and held[0] is grid._posterior
 
 
 def test_session_acknowledges_out_of_window_observations(pdf_table):
@@ -508,6 +567,11 @@ def test_metrics_endpoint_serves_prometheus_text():
         scrape = await _http_get(server.port, b"/metrics")
         assert b"200 OK" in scrape
         assert b"repro_serve_requests_total" in scrape
+        peak = [
+            line for line in scrape.decode().splitlines()
+            if line.startswith("repro_serve_process_peak_rss_bytes ")
+        ]
+        assert len(peak) == 1 and float(peak[0].split()[1]) > 0
         missing = await _http_get(server.port, b"/nope")
         assert b"404" in missing
         await server.stop()
