@@ -54,11 +54,6 @@ class ResilientRoutingTeam(RoutingTeam):
 
         ResilientTeam.kill(self, node_id)
 
-    def _sample_metrics(self, count):
-        from repro.ext.failures import ResilientTeam
-
-        ResilientTeam._sample_metrics(self, count)
-
     @property
     def _failover_enabled(self):
         return True

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional
 from repro.core.bayes import GridBayesFilter
 from repro.core.config import LocalizationMode
 from repro.core.pdf_table import PdfTable
-from repro.mobility.dead_reckoning import DeadReckoning
+from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
 from repro.mobility.odometry import OdometrySensor
 from repro.util.geometry import Rect, Vec2, normalize_angle
 
@@ -78,7 +78,9 @@ class PositionEstimator:
         area: deployment rectangle (grid support).
         pdf_table: the calibrated PDF Table (unused in ODOMETRY_ONLY).
         odometry: the robot's odometry sensor (None in RF_ONLY — that
-            baseline deliberately ignores odometry).
+            baseline deliberately ignores odometry).  A one-row sensor
+            for a standalone estimator, which :meth:`tick` advances; or
+            a team's block, whose owner advances it.
         grid_resolution_m: Bayesian grid cell size.
         min_beacons_for_fix: beacons required before a fix is trusted
             (paper: 3).
@@ -123,6 +125,12 @@ class PositionEstimator:
             are per-robot, ignores it).  Without one a grid filter uses
             its own private memo; the fields are bit-identical either
             way.
+        reckoner: this robot's row of a team's
+            :class:`~repro.mobility.dead_reckoning.DeadReckoning` block,
+            which the team advances together with ``odometry`` (the
+            same rows).  The estimator places the row at its start pose.
+            Without one, an odometry-carrying estimator integrates into
+            a reckoner of its own.
         anchor_expiry_s: if > 0, keep a per-anchor suspicion score that
             decays with this time constant; anchors above the quarantine
             threshold are ignored until their suspicion expires
@@ -164,6 +172,7 @@ class PositionEstimator:
         watchdog: bool = False,
         anchor_expiry_s: float = 0.0,
         constraint_cache=None,
+        reckoner: Optional[ReckonerRow] = None,
     ) -> None:
         self._mode = mode
         self._area = area
@@ -209,9 +218,17 @@ class PositionEstimator:
                 )
                 if attach is not None:
                     attach(constraint_cache)
-        self._dead_reckoner: Optional[DeadReckoning] = None
+        # In the odometry modes the reckoner row IS the estimate (see
+        # the estimate property); _estimate serves RF_ONLY alone.
+        self._dead_reckoner: Optional[ReckonerRow] = None
+        self._owns_motion = False
         if odometry is not None and mode is not LocalizationMode.RF_ONLY:
-            self._dead_reckoner = DeadReckoning(start, initial_heading)
+            if reckoner is None:
+                reckoner = DeadReckoning(start, initial_heading).row(0)
+                self._owns_motion = True
+            else:
+                reckoner.reset(start, initial_heading)
+            self._dead_reckoner = reckoner
         self._last_fix: Optional[Vec2] = None
         self._gate_armed = False
         self._window_open = False
@@ -244,6 +261,8 @@ class PositionEstimator:
     @property
     def estimate(self) -> Vec2:
         """The robot's current position estimate."""
+        if self._dead_reckoner is not None:
+            return self._dead_reckoner.position
         return self._estimate
 
     @property
@@ -259,14 +278,19 @@ class PositionEstimator:
         """Advance odometry by one integration step (called every second).
 
         The odometer runs continuously — robots keep moving and measuring
-        while their *radio* sleeps.
+        while their *radio* sleeps.  An estimator on a team's reckoner
+        block is advanced by the team, all rows at once.
+
+        Raises:
+            RuntimeError: the estimator's reckoner row belongs to a team.
         """
-        if self._odometry is None or self._dead_reckoner is None:
+        if self._dead_reckoner is None:
             return
-        reading = self._odometry.read(t)
-        position = self._dead_reckoner.advance(reading)
-        if self._mode is not LocalizationMode.RF_ONLY:
-            self._estimate = position
+        if not self._owns_motion:
+            raise RuntimeError(
+                "this estimator's odometry is advanced by its team"
+            )
+        self._dead_reckoner.block.advance(self._odometry.read(t))
 
     # -- ingestion surface ----------------------------------------------------
     #
@@ -386,7 +410,7 @@ class PositionEstimator:
         ):
             return False
         implied = self._table.bin_for(rssi_dbm)
-        separation = self._estimate.distance_to(beacon_position)
+        separation = self.estimate.distance_to(beacon_position)
         tolerance = (
             self._gate_sigma * max(implied.std_m, 1.0)
             + (self.last_fix_std_m or 0.0)
@@ -538,9 +562,10 @@ class PositionEstimator:
         reckoner_state = None
         if self._dead_reckoner is not None:
             reckoner_state = self._dead_reckoner.snapshot_state()
-        return {
+        estimate = self.estimate
+        state = {
             "mode": self._mode.value,
-            "estimate": (self._estimate.x, self._estimate.y),
+            "estimate": (estimate.x, estimate.y),
             "last_fix": (
                 None if self._last_fix is None
                 else (self._last_fix.x, self._last_fix.y)
@@ -564,6 +589,11 @@ class PositionEstimator:
             "filter": filter_state,
             "dead_reckoner": reckoner_state,
         }
+        if self._dead_reckoner is not None:
+            state["odometer"] = self._odometry.row_state(
+                self._dead_reckoner.index
+            )
+        return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`snapshot` mapping (bit-exact resume).
@@ -582,9 +612,15 @@ class PositionEstimator:
                 raise ValueError("snapshot carries no filter state")
             self._filter.restore_state(state["filter"])
         if self._dead_reckoner is not None:
-            if state.get("dead_reckoner") is None:
-                raise ValueError("snapshot carries no dead-reckoner state")
+            if (
+                state.get("dead_reckoner") is None
+                or state.get("odometer") is None
+            ):
+                raise ValueError("snapshot carries no odometry state")
             self._dead_reckoner.restore_state(state["dead_reckoner"])
+            self._odometry.restore_row(
+                self._dead_reckoner.index, state["odometer"]
+            )
         x, y = state["estimate"]
         self._estimate = Vec2(x, y)
         last_fix = state["last_fix"]
@@ -624,7 +660,5 @@ class PositionEstimator:
                 reckoner.reset(
                     fix, normalize_angle(reckoner.heading + correction)
                 )
-                self._estimate = fix
                 return
         reckoner.reset(fix)
-        self._estimate = fix

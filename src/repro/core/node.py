@@ -11,7 +11,6 @@ MRMM mesh and the SYNC messages.
 from __future__ import annotations
 
 import enum
-import math
 from typing import Optional
 
 from repro.core.beaconing import AnchorBeaconer, BeaconPayload
@@ -86,20 +85,6 @@ class RobotNode:
     def localization_error(self, t: float) -> float:
         """Distance between true and estimated position at time ``t``."""
         return self.true_position(t).distance_to(self.estimated_position(t))
-
-    def localization_error_from(self, true_x: float, true_y: float) -> float:
-        """:meth:`localization_error` with the true position supplied.
-
-        The team's bulk metric sampler computes every node's true
-        position in one vectorized pass (the team's
-        :class:`~repro.sim.world.WorldState`) and hands the coordinates
-        in.  Requires an estimator — the sampler
-        only measures estimator nodes.  ``math.hypot`` here is exactly
-        what ``Vec2.distance_to`` computes, so the value is bit-identical
-        to the scalar query.
-        """
-        estimate = self.estimator.estimate
-        return math.hypot(true_x - estimate.x, true_y - estimate.y)
 
     def handle_beacon(self, received: ReceivedPacket) -> None:
         """Feed a received beacon to the estimator (unknown robots)."""

@@ -11,6 +11,7 @@ counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -38,6 +39,7 @@ from repro.energy.report import TeamEnergyReport, aggregate_meters
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.kernels import KernelConfig, resolve_kernels
+from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
 from repro.multicast.lifetime import kinematics_of
@@ -53,6 +55,7 @@ from repro.sim.world import WorldState
 from repro.telemetry.collect import Telemetry, collect_team_snapshot
 from repro.telemetry.registry import COUNT_EDGES, DISTANCE_EDGES_M
 from repro.telemetry.snapshot import TelemetrySnapshot
+from repro.util.geometry import Vec2
 
 
 @dataclass
@@ -208,7 +211,15 @@ class CoCoATeam:
             self.constraint_cache = ConstraintFieldCache()
         self.nodes: List[RobotNode] = []
         self._sync_seq = 0
+        #: The team's odometers and dead reckoners, one row per measured
+        #: robot (None in RF_ONLY, which ignores odometry).
+        self.odometry: Optional[OdometrySensor] = None
+        self.reckoner: Optional[DeadReckoning] = None
         self._build_team()
+        self._measured = [self.nodes[i] for i in self._row_of]
+        self._measured_rows = np.array(list(self._row_of), dtype=np.intp)
+        #: Measured rows whose robot died (see :meth:`_retire`).
+        self._dead_rows: List[int] = []
         self._sample_times: List[float] = []
         self._sample_errors: List[List[float]] = []
 
@@ -224,8 +235,8 @@ class CoCoATeam:
         config = self.config
         rf_active = self._needs_rf()
         sync_robot_id = 0 if rf_active else None
+        mobilities = []
         for node_id in range(config.n_robots):
-            is_anchor = node_id < config.n_anchors
             mobility = WaypointMobility(
                 config.area,
                 self.streams.spawn("mobility", node_id),
@@ -233,6 +244,30 @@ class CoCoATeam:
                 v_max=config.v_max,
                 rest_time_max=config.rest_time_max_s,
             )
+            mobility.bind_world(self.world, node_id)
+            mobilities.append(mobility)
+        measured_ids = [
+            node_id
+            for node_id in range(config.n_robots)
+            if self._is_measured(node_id, node_id < config.n_anchors)
+        ]
+        if config.localization_mode is not LocalizationMode.RF_ONLY:
+            self.odometry = OdometrySensor.over_world(
+                self.world,
+                measured_ids,
+                [self.streams.spawn("odometry", i) for i in measured_ids],
+                noise=config.odometry_noise,
+            )
+            self.reckoner = DeadReckoning(
+                Vec2(0.0, 0.0), rows=len(measured_ids)
+            )
+        #: Measured node id -> its row in the odometry block and in
+        #: every error sample.
+        self._row_of = {
+            node_id: row for row, node_id in enumerate(measured_ids)
+        }
+        for node_id, mobility in enumerate(mobilities):
+            is_anchor = node_id < config.n_anchors
             interface = NetworkInterface(
                 self.sim,
                 node_id,
@@ -242,7 +277,6 @@ class CoCoATeam:
                 self.streams.spawn("mac", node_id),
                 receiver=config.receiver,
             )
-            mobility.bind_world(self.world, node_id)
             interface.radio.bind_world(self.world, node_id)
             clock = DriftingClock.random(
                 self.streams.spawn("clock", node_id), config.clock_drift_rate
@@ -266,9 +300,10 @@ class CoCoATeam:
                     window_s=config.transmit_window_s,
                     slam_error_std_m=config.slam_error_std_m,
                 )
-            measured = self._is_measured(node_id, is_anchor)
-            if measured:
-                estimator = self._build_estimator(node_id, mobility)
+            if node_id in self._row_of:
+                estimator = self._build_estimator(
+                    node_id, mobility, self._row_of[node_id]
+                )
             role = (
                 RobotRole.ANCHOR
                 if is_anchor and rf_active
@@ -368,17 +403,12 @@ class CoCoATeam:
         )
 
     def _build_estimator(
-        self, node_id: int, mobility: WaypointMobility
+        self, node_id: int, mobility: WaypointMobility, row: int
     ) -> PositionEstimator:
+        """The estimator of a measured robot, on ``row`` of the team's
+        odometry block."""
         config = self.config
         mode = config.localization_mode
-        odometry = None
-        if mode is not LocalizationMode.RF_ONLY:
-            odometry = OdometrySensor(
-                mobility,
-                self.streams.spawn("odometry", node_id),
-                noise=config.odometry_noise,
-            )
         initial_position = None
         initial_heading = 0.0
         if mode is LocalizationMode.ODOMETRY_ONLY:
@@ -402,7 +432,10 @@ class CoCoATeam:
             mode=mode,
             area=config.area,
             pdf_table=self.pdf_table,
-            odometry=odometry,
+            odometry=self.odometry,
+            reckoner=(
+                self.reckoner.row(row) if self.reckoner is not None else None
+            ),
             grid_resolution_m=config.grid_resolution_m,
             min_beacons_for_fix=config.min_beacons_for_fix,
             initial_position=initial_position,
@@ -518,27 +551,45 @@ class CoCoATeam:
 
     # -- execution ------------------------------------------------------------
 
-    def _measured_nodes(self) -> List[RobotNode]:
-        return [n for n in self.nodes if n.estimator is not None]
+    def _retire(self, node_id: int) -> None:
+        """A robot died: from now on its error samples read NaN and its
+        odometer stops (no more noise draws).  Non-measured ids are
+        ignored."""
+        row = self._row_of.get(node_id)
+        if row is None:
+            return
+        self._dead_rows.append(row)
+        if self.odometry is not None:
+            self.odometry.retire(row)
 
     def _sample_metrics(self, _count: int) -> None:
+        """One array pass per sample: every measured robot's odometer
+        and dead reckoner advance together, then every error is taken
+        against the world's true positions (scalar ``math.hypot``, the
+        distance ``Vec2.distance_to`` computes)."""
         t = self.sim.now
-        # Advance every estimator first (each draws only from its own
-        # streams, so the order against the position pass is free), then
-        # evaluate all true positions in one vectorized pass.
-        measured = self._measured_nodes()
-        for node in measured:
-            node.estimator.advance_to(t)
-        xs, ys = self.world.positions_at(t)
-        self._sample_times.append(t)
-        self._sample_errors.append(
-            [
-                node.localization_error_from(
-                    xs[node.node_id], ys[node.node_id]
-                )
-                for node in measured
-            ]
+        if self.reckoner is not None:
+            self.reckoner.advance(self.odometry.read(t))
+            true_x, true_y = self.odometry.true_positions
+            est_x, est_y = self.reckoner.xs, self.reckoner.ys
+        else:
+            x, y, _ = self.world.poses_at(t)
+            rows = self._measured_rows
+            true_x, true_y = x[rows], y[rows]
+            estimates = [node.estimator.estimate for node in self._measured]
+            est_x = np.array([p.x for p in estimates])
+            est_y = np.array([p.y for p in estimates])
+        errors = list(
+            map(
+                math.hypot,
+                (true_x - est_x).tolist(),
+                (true_y - est_y).tolist(),
+            )
         )
+        for row in self._dead_rows:
+            errors[row] = math.nan
+        self._sample_times.append(t)
+        self._sample_errors.append(errors)
 
     def run(self) -> TeamResult:
         """Execute the scenario and collect the results."""
@@ -558,7 +609,7 @@ class CoCoATeam:
             node.interface.finalize()
 
         meters = [node.interface.meter for node in self.nodes]
-        measured = self._measured_nodes()
+        measured = self._measured
         mc_stats = MulticastStats()
         syncs = 0
         for node in self.nodes:

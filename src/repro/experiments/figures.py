@@ -171,7 +171,8 @@ def run_fig5(
     t = 0.0
     while t < horizon:
         t = min(t + 1.0, horizon)
-        est = reckoner.advance(sensor.read(t))
+        reckoner.advance(sensor.read(t))
+        est = reckoner.position
         true = mobility.position(t)
         true_path.append(true)
         est_path.append(est)

@@ -24,7 +24,7 @@ the team degrades:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.config import CoCoAConfig
 from repro.core.coordinator import Coordinator, SyncPayload
@@ -249,19 +249,7 @@ class ResilientTeam(CoCoATeam):
         node.interface.radio.power_off()
         if node.coordinator is not None:
             node.coordinator.stop()
-
-    def _sample_metrics(self, count: int) -> None:
-        """Like the base sampler, but dead robots record NaN."""
-        t = self.sim.now
-        row: List[float] = []
-        for node in self._measured_nodes():
-            if node.node_id in self.dead:
-                row.append(float("nan"))
-                continue
-            node.estimator.tick(t)
-            row.append(node.localization_error(t))
-        self._sample_times.append(t)
-        self._sample_errors.append(row)
+        self._retire(node_id)
 
     def run(self):
         for time_s, node_id in self.schedule.failures:

@@ -13,10 +13,14 @@ This package implements the paper's movement and odometry models (§3):
 - :class:`~repro.mobility.dead_reckoning.DeadReckoning` — integrates odometry
   increments from an initial pose, reproducing the accumulating error of
   Figures 4 and 5.
+
+Both work on a block of robots, one row each, in one array pass per
+sample; a lone robot is a block of one row, and a robot's estimator
+holds a :class:`~repro.mobility.dead_reckoning.ReckonerRow` view.
 """
 
 from repro.mobility.base import MobilityModel, Pose, ScriptedMobility, StationaryMobility
-from repro.mobility.dead_reckoning import DeadReckoning
+from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
 from repro.mobility.odometry import OdometryNoise, OdometryReading, OdometrySensor
 from repro.mobility.waypoint import Leg, WaypointMobility
 
@@ -31,4 +35,5 @@ __all__ = [
     "OdometryNoise",
     "OdometryReading",
     "DeadReckoning",
+    "ReckonerRow",
 ]

@@ -5,56 +5,88 @@ between-beacon position maintenance inside CoCoA (§2.3): the robot adds each
 measured displacement, along its estimated heading, to its current position
 estimate.  Because both displacement and angular measurement errors
 accumulate, the estimate drifts without bound — Figure 4's central result.
+
+:class:`DeadReckoning` integrates a block of robots, one row each, in one
+array pass per :class:`~repro.mobility.odometry.OdometryReading`; a lone
+robot is a block of one row.  Each robot's estimator holds a
+:class:`ReckonerRow` view of its row.  The update is the scalar one,
+element for element: ``x + d·cos(h)``, ``y + d·sin(h)`` and the
+normalized heading sum, with ``np.cos``/``np.sin`` in place of
+``math.cos``/``math.sin`` (the pinned science digests check that they
+agree on the machine at hand).
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.mobility.odometry import OdometryReading
-from repro.util.geometry import Vec2, normalize_angle
+from repro.util.geometry import Vec2, normalize_angle, normalize_angles
 
 
 class DeadReckoning:
-    """Integrates :class:`OdometryReading` increments from an initial pose.
+    """Integrates :class:`OdometryReading` increments from initial poses.
 
     The estimate is *not* clamped to the deployment area: a drifting
     dead-reckoned position can legitimately leave the map, and clamping
     would understate the error the paper measures.
 
     Args:
-        position: initial position estimate.
-        heading: initial heading estimate in radians.
+        position: initial position estimate of every row.
+        heading: initial heading estimate of every row, in radians.
+        rows: number of robots in the block.
+
+    The :attr:`position`, :attr:`heading`, :attr:`distance_integrated`
+    and :attr:`updates` properties and :meth:`reset` address the first
+    row, the only one of a one-robot reckoner; :meth:`row` views any row.
     """
 
-    def __init__(self, position: Vec2, heading: float = 0.0) -> None:
-        self._position = position
-        self._heading = normalize_angle(heading)
-        self._distance_integrated = 0.0
-        self._updates = 0
+    def __init__(
+        self, position: Vec2, heading: float = 0.0, rows: int = 1
+    ) -> None:
+        self._x = np.full(rows, position.x, dtype=float)
+        self._y = np.full(rows, position.y, dtype=float)
+        self._heading = np.full(rows, normalize_angle(heading), dtype=float)
+        self._distance_integrated = np.zeros(rows)
+        self._updates = np.zeros(rows, dtype=np.int64)
+        self._first = ReckonerRow(self, 0)
+
+    def row(self, index: int) -> "ReckonerRow":
+        """A view of one robot's row."""
+        return ReckonerRow(self, index)
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Every row's x estimate (the block's own array: do not write)."""
+        return self._x
+
+    @property
+    def ys(self) -> np.ndarray:
+        """Every row's y estimate (the block's own array: do not write)."""
+        return self._y
 
     @property
     def position(self) -> Vec2:
         """Current position estimate."""
-        return self._position
+        return self._first.position
 
     @property
     def heading(self) -> float:
         """Current heading estimate (radians, normalized)."""
-        return self._heading
+        return self._first.heading
 
     @property
     def distance_integrated(self) -> float:
         """Total absolute measured distance integrated so far."""
-        return self._distance_integrated
+        return self._first.distance_integrated
 
     @property
     def updates(self) -> int:
         """Number of increments applied since the last reset."""
-        return self._updates
+        return self._first.updates
 
-    def advance(self, reading: OdometryReading) -> Vec2:
-        """Apply one odometry increment and return the new estimate.
+    def advance(self, reading: OdometryReading) -> None:
+        """Apply one odometry increment to every row.
 
         The displacement is applied along the heading held *before* the
         increment's turn, then the heading change — matching a
@@ -63,38 +95,52 @@ class DeadReckoning:
         the true path exactly whenever turns coincide with sample
         boundaries.
         """
-        # Component-wise form of ``position + Vec2.from_polar(d, heading)``
-        # — identical float operations without the intermediate vector.
-        position = self._position
         heading = self._heading
         distance = reading.distance
-        self._position = Vec2(
-            position.x + distance * math.cos(heading),
-            position.y + distance * math.sin(heading),
-        )
-        self._heading = normalize_angle(
-            heading + reading.heading_change
-        )
-        self._distance_integrated += abs(reading.distance)
+        self._x += distance * np.cos(heading)
+        self._y += distance * np.sin(heading)
+        self._heading = normalize_angles(heading + reading.heading_change)
+        self._distance_integrated += np.abs(distance)
         self._updates += 1
-        return self._position
 
-    def snapshot_state(self) -> dict:
-        """The reckoner's pose and odometer totals as a picklable mapping."""
-        return {
-            "x": self._position.x,
-            "y": self._position.y,
-            "heading": self._heading,
-            "distance_integrated": self._distance_integrated,
-            "updates": self._updates,
-        }
+    def reset(self, position: Vec2, heading: float = None) -> None:
+        """Re-anchor the first row (see :meth:`ReckonerRow.reset`)."""
+        self._first.reset(position, heading)
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` mapping (bit-exact resume)."""
-        self._position = Vec2(state["x"], state["y"])
-        self._heading = state["heading"]
-        self._distance_integrated = state["distance_integrated"]
-        self._updates = int(state["updates"])
+
+class ReckonerRow:
+    """One robot's row of a :class:`DeadReckoning` block.
+
+    Reads and writes go straight to the block's arrays, so the view is
+    always current after the block advances.
+    """
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: DeadReckoning, index: int) -> None:
+        self.block = block
+        self.index = index
+
+    @property
+    def position(self) -> Vec2:
+        """Current position estimate."""
+        i = self.index
+        return Vec2(float(self.block._x[i]), float(self.block._y[i]))
+
+    @property
+    def heading(self) -> float:
+        """Current heading estimate (radians, normalized)."""
+        return float(self.block._heading[self.index])
+
+    @property
+    def distance_integrated(self) -> float:
+        """Total absolute measured distance integrated so far."""
+        return float(self.block._distance_integrated[self.index])
+
+    @property
+    def updates(self) -> int:
+        """Number of increments applied since the last reset."""
+        return int(self.block._updates[self.index])
 
     def reset(self, position: Vec2, heading: float = None) -> None:
         """Re-anchor the estimate, e.g. after an RF localization fix.
@@ -104,7 +150,28 @@ class DeadReckoning:
             heading: new heading estimate; if omitted the current heading
                 estimate is kept (an RF fix gives position, not orientation).
         """
-        self._position = position
+        block, i = self.block, self.index
+        block._x[i] = position.x
+        block._y[i] = position.y
         if heading is not None:
-            self._heading = normalize_angle(heading)
-        self._updates = 0
+            block._heading[i] = normalize_angle(heading)
+        block._updates[i] = 0
+
+    def snapshot_state(self) -> dict:
+        """The row's pose and odometer totals as a picklable mapping."""
+        return {
+            "x": self.position.x,
+            "y": self.position.y,
+            "heading": self.heading,
+            "distance_integrated": self.distance_integrated,
+            "updates": self.updates,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Adopt a :meth:`snapshot_state` mapping (bit-exact resume)."""
+        block, i = self.block, self.index
+        block._x[i] = state["x"]
+        block._y[i] = state["y"]
+        block._heading[i] = state["heading"]
+        block._distance_integrated[i] = state["distance_integrated"]
+        block._updates[i] = int(state["updates"])

@@ -22,17 +22,37 @@ dead-reckoning drift must stay small enough for a single-digit-metre time
 average (Figure 7).  The default rate (1.5°/√s of motion) was calibrated
 against exactly those two constraints; see DESIGN.md §5 and
 EXPERIMENTS.md for the paper-vs-measured comparison.
+
+One :class:`OdometrySensor` reads a block of robots, one row each, in
+one array pass per sample: a lone robot is a block of one row, and a
+team's measured robots are one block whose true poses come from the
+team's :class:`~repro.sim.world.WorldState`.  Every row keeps its own
+noise stream, read ahead in blocks of ``NOISE_BLOCK`` standard normals
+through a cursor.  A block draw of ``standard_normal`` yields the values
+successive scalar draws would, and ``σ · z`` is the value
+``rng.normal(0, σ)`` returns, so a row draws exactly what a per-robot
+sensor drawing ``normal(0, σ)`` on demand would: the conditional draws
+(moving, turning past the threshold, drift while moving) are masked
+reads at the row's cursor, in that order.  The true distance stays on
+scalar ``math.hypot`` (``numpy.hypot`` is not bit-identical to it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.mobility.base import MobilityModel
-from repro.util.geometry import normalize_angle
+from repro.util.geometry import normalize_angles
+
+#: Standard normals each row reads ahead from its noise stream.
+NOISE_BLOCK = 256
+
+#: True poses of a block's rows at a time: x, y and heading arrays.
+PoseSource = Callable[[float], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -92,20 +112,21 @@ class OdometryNoise:
 
 @dataclass(frozen=True)
 class OdometryReading:
-    """One odometry increment between consecutive sample times.
+    """One odometry increment per row between consecutive sample times.
 
     Attributes:
         t_from: start of the interval.
         t_to: end of the interval.
-        distance: measured distance travelled (metres, noisy, can be
-            slightly negative for tiny motions under heavy noise).
-        heading_change: measured change in heading (radians, noisy).
+        distance: measured distance travelled per row (metres, noisy,
+            can be slightly negative for tiny motions under heavy noise).
+        heading_change: measured change in heading per row (radians,
+            noisy).  Either field may be a scalar applied to every row.
     """
 
     t_from: float
     t_to: float
-    distance: float
-    heading_change: float
+    distance: np.ndarray
+    heading_change: np.ndarray
 
     @property
     def dt(self) -> float:
@@ -113,7 +134,10 @@ class OdometryReading:
 
 
 class OdometrySensor:
-    """Produces noisy odometry increments from a true trajectory.
+    """Produces noisy odometry increments for a block of robots.
+
+    The constructor builds a block of one row that follows one mobility
+    model; :meth:`over_world` builds one row per robot of a world.
 
     Args:
         mobility: the robot's true mobility model.
@@ -129,20 +153,70 @@ class OdometrySensor:
         noise: OdometryNoise = OdometryNoise(),
         start_time: float = 0.0,
     ) -> None:
-        self._mobility = mobility
-        self._rng = rng
+        def pose_of(t: float):
+            pose = mobility.pose(t)
+            return (
+                np.array([pose.position.x]),
+                np.array([pose.position.y]),
+                np.array([pose.heading]),
+            )
+
+        self._setup(pose_of, [rng], noise, start_time)
+
+    @classmethod
+    def over_world(
+        cls,
+        world,
+        rows: Sequence[int],
+        rngs: Sequence[np.random.Generator],
+        noise: OdometryNoise = OdometryNoise(),
+        start_time: float = 0.0,
+    ) -> "OdometrySensor":
+        """One row per listed world row, true poses read from ``world``.
+
+        Args:
+            world: the :class:`~repro.sim.world.WorldState` whose rows
+                carry the robots' trajectories.
+            rows: the world rows to read, in block-row order.
+            rngs: one noise stream per listed row.
+        """
+        index = np.asarray(rows, dtype=np.intp)
+
+        def pose_of(t: float):
+            x, y, heading = world.poses_at(t)
+            return x[index], y[index], heading[index]
+
+        sensor = cls.__new__(cls)
+        sensor._setup(pose_of, list(rngs), noise, start_time)
+        return sensor
+
+    def _setup(
+        self,
+        pose_of: PoseSource,
+        rngs: Sequence[np.random.Generator],
+        noise: OdometryNoise,
+        start_time: float,
+    ) -> None:
+        self._pose_of = pose_of
+        self._rngs = rngs
         self._noise = noise
-        # Hoisted noise parameters: read() runs once per metric sample
-        # per robot and the frozen-dataclass attribute walks showed up
-        # in its profile.
         self._disp_std = noise.displacement_std_per_s
         self._ang_std = noise.angular_std_rad
         self._turn_thresh = noise.turn_threshold_rad
         self._drift_std = noise.heading_drift_std_rad_per_sqrt_s
+        self._noisy = (
+            self._disp_std > 0.0 or self._ang_std > 0.0 or self._drift_std > 0.0
+        )
+        n = len(rngs)
+        self._rows = np.arange(n)
+        # A cursor at NOISE_BLOCK means "nothing read ahead": a row first
+        # draws from its stream on the first noisy read.
+        self._buffer = np.zeros((n, NOISE_BLOCK))
+        self._cursor = np.full(n, NOISE_BLOCK, dtype=np.intp)
+        self._active = np.ones(n, dtype=bool)
+        self._retired = False
         self._last_time = start_time
-        pose = mobility.pose(start_time)
-        self._last_position = pose.position
-        self._last_heading = pose.heading
+        self._last_x, self._last_y, self._last_heading = pose_of(start_time)
 
     @property
     def noise(self) -> OdometryNoise:
@@ -152,8 +226,23 @@ class OdometrySensor:
     def last_sample_time(self) -> float:
         return self._last_time
 
+    @property
+    def true_positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's true x and y at :attr:`last_sample_time` (the
+        sensor's own arrays: do not write)."""
+        return self._last_x, self._last_y
+
+    def retire(self, row: int) -> None:
+        """Stop ``row``'s odometer for good (its robot died).
+
+        The row draws no more noise and reads zero increments, so its
+        dead-reckoned estimate stays where it was.
+        """
+        self._active[row] = False
+        self._retired = True
+
     def read(self, t: float) -> OdometryReading:
-        """Sample the odometer, returning the increment since the last read.
+        """Sample every row's odometer: the increments since the last read.
 
         Raises:
             ValueError: if ``t`` is not after the previous sample time.
@@ -163,33 +252,129 @@ class OdometrySensor:
                 "odometry must be read at strictly increasing times: "
                 "%r <= %r" % (t, self._last_time)
             )
-        pose = self._mobility.pose(t)
+        x, y, heading = self._pose_of(t)
         dt = t - self._last_time
-        # Inlined Vec2.distance_to (same hypot, same operand order).
-        position = pose.position
-        last = self._last_position
-        true_distance = math.hypot(position.x - last.x, position.y - last.y)
-        true_turn = normalize_angle(pose.heading - self._last_heading)
-
-        distance = true_distance
-        if self._disp_std > 0.0 and true_distance > 0.0:
-            # The σ = 0.1 m/s spec scales with elapsed motion time.
-            distance += float(
-                self._rng.normal(0.0, self._disp_std * dt)
+        dx = (x - self._last_x).tolist()
+        dy = (y - self._last_y).tolist()
+        distance = np.array(list(map(math.hypot, dx, dy)))
+        heading_change = normalize_angles(heading - self._last_heading)
+        moving = distance > 0.0
+        turning = np.abs(heading_change) > self._turn_thresh
+        if self._retired:
+            moving &= self._active
+            turning &= self._active
+        if self._noisy:
+            distance, heading_change = self._add_noise(
+                dt, distance, heading_change, moving, turning
             )
-        heading_change = true_turn
-        if self._ang_std > 0.0 and abs(true_turn) > self._turn_thresh:
-            heading_change += float(
-                self._rng.normal(0.0, self._ang_std)
-            )
-        if self._drift_std > 0.0 and true_distance > 0.0:
-            # Gyro/encoder drift: a random walk whose variance grows with
-            # motion time, hence σ ∝ √dt per increment.
-            heading_change += float(
-                self._rng.normal(0.0, self._drift_std * math.sqrt(dt))
-            )
-
+        if self._retired:
+            distance = np.where(self._active, distance, 0.0)
+            heading_change = np.where(self._active, heading_change, 0.0)
         self._last_time = t
-        self._last_position = position
-        self._last_heading = pose.heading
+        self._last_x = x
+        self._last_y = y
+        self._last_heading = heading
         return OdometryReading(t - dt, t, distance, heading_change)
+
+    def _add_noise(
+        self,
+        dt: float,
+        distance: np.ndarray,
+        heading_change: np.ndarray,
+        moving: np.ndarray,
+        turning: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The three error components, each drawn only where it applies.
+
+        Per row the draws come in the scalar model's order: displacement
+        while moving (σ scales with elapsed motion time), the turn error
+        past the encoder threshold, then the heading random walk while
+        moving (variance grows with motion time, hence σ ∝ √dt).
+        """
+        cursor = self._cursor
+        # A step draws at most three values per row: top up every live
+        # row that has fewer left before any is read.
+        low = cursor > NOISE_BLOCK - 3
+        if self._retired:
+            low &= self._active
+        if np.count_nonzero(low):
+            for row in np.flatnonzero(low).tolist():
+                self._refill(row)
+        rows = self._rows
+        buffer = self._buffer
+        if self._disp_std > 0.0:
+            z = buffer[rows, cursor]
+            distance = np.where(
+                moving, distance + (self._disp_std * dt) * z, distance
+            )
+            cursor = cursor + moving
+        if self._ang_std > 0.0:
+            z = buffer[rows, cursor]
+            heading_change = np.where(
+                turning, heading_change + self._ang_std * z, heading_change
+            )
+            cursor = cursor + turning
+        if self._drift_std > 0.0:
+            z = buffer[rows, cursor]
+            heading_change = np.where(
+                moving,
+                heading_change + (self._drift_std * math.sqrt(dt)) * z,
+                heading_change,
+            )
+            cursor = cursor + moving
+        self._cursor = cursor
+        return distance, heading_change
+
+    def _refill(self, row: int) -> None:
+        """Shift ``row``'s unread values to the front and draw the rest."""
+        cursor = int(self._cursor[row])
+        unread = NOISE_BLOCK - cursor
+        block = self._buffer[row]
+        block[:unread] = block[cursor:NOISE_BLOCK]
+        block[unread:NOISE_BLOCK] = self._rngs[row].standard_normal(cursor)
+        self._cursor[row] = 0
+
+    # -- checkpointing ------------------------------------------------------
+
+    def row_state(self, row: int) -> Dict[str, object]:
+        """``row``'s odometer state as a picklable mapping.
+
+        The last sample time and true pose, the noise stream's state and
+        the values read ahead but not yet used: enough for
+        :meth:`restore_row` on a freshly built sensor to continue the
+        row bit for bit.
+        """
+        return {
+            "t": self._last_time,
+            "x": float(self._last_x[row]),
+            "y": float(self._last_y[row]),
+            "heading": float(self._last_heading[row]),
+            "stream": self._rngs[row].bit_generator.state,
+            "unread": self._buffer[
+                row, int(self._cursor[row]):NOISE_BLOCK
+            ].tolist(),
+        }
+
+    def restore_row(self, row: int, state: Dict[str, object]) -> None:
+        """Adopt a :meth:`row_state` mapping for ``row``.
+
+        Rows of one block share their sample time, so a block of several
+        rows only takes a row saved at its own last sample time.
+
+        Raises:
+            ValueError: the saved time differs from a wider block's.
+        """
+        if len(self._rngs) > 1 and state["t"] != self._last_time:
+            raise ValueError(
+                "row saved at t=%r, block is at t=%r"
+                % (state["t"], self._last_time)
+            )
+        self._last_time = state["t"]
+        self._last_x[row] = state["x"]
+        self._last_y[row] = state["y"]
+        self._last_heading[row] = state["heading"]
+        self._rngs[row].bit_generator.state = state["stream"]
+        unread = state["unread"]
+        cursor = NOISE_BLOCK - len(unread)
+        self._buffer[row, cursor:NOISE_BLOCK] = unread
+        self._cursor[row] = cursor

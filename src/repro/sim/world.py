@@ -9,7 +9,8 @@ of their state; they *write through* to the mirror on every transition
 any per-query object traffic:
 
 - :meth:`positions_at` interpolates the whole team's positions in one
-  vectorized pass, and
+  vectorized pass (:meth:`poses_at` hands out the same pass as arrays,
+  with every node's heading),
 - :attr:`awake` / :attr:`transmitting` answer the channel's eligibility
   filter as boolean masks.
 
@@ -19,8 +20,11 @@ Bit-exactness contract (why reading the mirror changes no result):
   ``start + (dest - start) * ((t - depart) / (arrive - depart))`` — the
   *same* IEEE-754 operations :meth:`~repro.mobility.waypoint.Leg.position_at`
   performs scalar-wise, so every coordinate matches bit for bit (a
-  property test pins this).  Clamp masks reproduce the scalar
-  ``t <= depart`` / ``t >= arrive`` branches exactly.
+  property test pins this).  The per-leg differences ``dest - start``
+  and ``arrive - depart`` are taken once, in :meth:`set_leg`; a float
+  difference is the same whenever it is computed.  Clamp masks
+  reproduce the scalar ``t <= depart`` / ``t >= arrive`` branches
+  exactly.
 - Stale rows (legs expired at the query time) are advanced through the
   owning mobility's own ``current_leg``, in ascending node order, so each
   node's RNG stream consumes exactly the draws its trajectory dictates.
@@ -28,6 +32,9 @@ Bit-exactness contract (why reading the mirror changes no result):
   has by time ``t`` is determined by the trajectory alone — not by who
   queried when — so advancing rows here instead of lazily is invisible
   to the science payload.
+- The heading mirror is ``math.atan2`` of the leg's end-point
+  differences, the operands :attr:`~repro.mobility.waypoint.Leg.heading`
+  uses, so it equals the pose heading of every row at the query time.
 - Anything downstream that needs a *distance* still computes it with
   scalar ``math.hypot`` (``numpy.hypot`` is not bit-identical to it).
 """
@@ -63,13 +70,22 @@ class WorldState:
         self._depart = np.zeros(n)
         self._arrive = np.full(n, math.inf)
         self._rest_until = np.full(n, math.inf)
+        self._delta_x = np.zeros(n)
+        self._delta_y = np.zeros(n)
+        self._span = np.full(n, math.inf)
+        self._heading = np.zeros(n)
+        # Earliest rest_until over all rows (None: recompute), so a
+        # refresh with no expired leg skips the stale-row scan.
+        self._next_expiry: Optional[float] = math.inf
         # Radio power-state mirror, written through by Radio._enter.
         self.awake = np.ones(n, dtype=bool)
         self.transmitting = np.zeros(n, dtype=bool)
-        # Cached position snapshot (plain-float lists, exact via tolist).
+        # Cached position snapshot: arrays, plus the plain-float lists
+        # (exact via tolist) made on first demand.
         self._pos_time: Optional[float] = None
-        self._pos_x: List[float] = []
-        self._pos_y: List[float] = []
+        self._x = np.zeros(n)
+        self._y = np.zeros(n)
+        self._pos_lists: Optional[Tuple[List[float], List[float]]] = None
 
     def bind_mobility(self, row: int, mobility: object) -> None:
         """Attach the mobility model that owns ``row``'s trajectory."""
@@ -94,6 +110,11 @@ class WorldState:
         self._depart[row] = depart_time
         self._arrive[row] = arrive_time
         self._rest_until[row] = rest_until
+        self._delta_x[row] = dest_x - start_x
+        self._delta_y[row] = dest_y - start_y
+        self._span[row] = arrive_time - depart_time
+        self._heading[row] = math.atan2(dest_y - start_y, dest_x - start_x)
+        self._next_expiry = None
         self._pos_time = None
 
     def positions_at(self, t: float) -> Tuple[Sequence[float], Sequence[float]]:
@@ -107,30 +128,51 @@ class WorldState:
         """
         if t != self._pos_time:
             self._refresh(t)
-        return self._pos_x, self._pos_y
+        if self._pos_lists is None:
+            self._pos_lists = (self._x.tolist(), self._y.tolist())
+        return self._pos_lists
+
+    def poses_at(
+        self, t: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`positions_at` as arrays, plus every node's heading.
+
+        Same rules and same cached pass as :meth:`positions_at`.  The
+        arrays belong to the world: read them before the next query and
+        do not write to them.
+        """
+        if t != self._pos_time:
+            self._refresh(t)
+        return self._x, self._y, self._heading
 
     def _refresh(self, t: float) -> None:
-        stale = np.flatnonzero(self._rest_until <= t)
-        for row in stale.tolist():
-            # current_leg advances the trajectory and writes the new leg
-            # back through set_leg.
-            self._mobility[row].current_leg(t)
+        if self._next_expiry is None:
+            self._next_expiry = float(self._rest_until.min())
+        if t >= self._next_expiry:
+            stale = np.flatnonzero(self._rest_until <= t)
+            for row in stale.tolist():
+                # current_leg advances the trajectory and writes the new
+                # leg back through set_leg.
+                self._mobility[row].current_leg(t)
         depart = self._depart
         arrive = self._arrive
         start_x = self._start_x
         start_y = self._start_y
-        frac = (t - depart) / (arrive - depart)
-        x = start_x + (self._dest_x - start_x) * frac
-        y = start_y + (self._dest_y - start_y) * frac
+        frac = (t - depart) / self._span
+        x = start_x + self._delta_x * frac
+        y = start_y + self._delta_y * frac
         # Reproduce Leg.position_at's clamp branches exactly: at or past
         # arrival the position IS dest; at or before departure it IS
         # start (no interpolation arithmetic involved).
         arrived = t >= arrive
+        if np.count_nonzero(arrived):
+            np.copyto(x, self._dest_x, where=arrived)
+            np.copyto(y, self._dest_y, where=arrived)
         waiting = t <= depart
-        np.copyto(x, self._dest_x, where=arrived)
-        np.copyto(y, self._dest_y, where=arrived)
-        np.copyto(x, start_x, where=waiting)
-        np.copyto(y, start_y, where=waiting)
-        self._pos_x = x.tolist()
-        self._pos_y = y.tolist()
+        if np.count_nonzero(waiting):
+            np.copyto(x, start_x, where=waiting)
+            np.copyto(y, start_y, where=waiting)
+        self._x = x
+        self._y = y
+        self._pos_lists = None
         self._pos_time = t

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -206,6 +208,23 @@ def normalize_angle(angle: float) -> float:
     elif angle > math.pi:
         angle -= TWO_PI
     return angle
+
+
+def normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """:func:`normalize_angle` over an array, element for element.
+
+    ``np.fmod`` is exact like ``math.fmod``, and each branch adds or
+    subtracts the same ``TWO_PI``, so every element equals the scalar
+    result bit for bit.
+    """
+    angles = np.fmod(angles, TWO_PI)
+    low = angles <= -math.pi
+    high = angles > math.pi
+    if np.count_nonzero(low):
+        angles[low] += TWO_PI
+    if np.count_nonzero(high):
+        angles[high] -= TWO_PI
+    return angles
 
 
 def wrap_angle_deg(angle_deg: float) -> float:

@@ -7,10 +7,11 @@ import pytest
 
 from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.dead_reckoning import DeadReckoning
-from repro.mobility.odometry import OdometryNoise, OdometrySensor
+from repro.mobility.odometry import NOISE_BLOCK, OdometryNoise, OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
 from repro.sim.rng import RandomStreams
-from repro.util.geometry import Rect, Vec2
+from repro.sim.world import WorldState
+from repro.util.geometry import Rect, Vec2, normalize_angle
 
 
 @pytest.fixture()
@@ -179,3 +180,208 @@ class TestDeadReckoning:
         reckoner = DeadReckoning(Vec2(0, 0), 3.0)
         reckoner.advance(OdometryReading(0.0, 1.0, 1.0, 3.0))
         assert -math.pi < reckoner.heading <= math.pi
+
+
+class ScalarOdometer:
+    """The per-robot scalar odometer the array code replaced, kept as the
+    reference: one mobility model, one stream, ``rng.normal`` on demand."""
+
+    def __init__(self, mobility, rng, noise):
+        self.mobility = mobility
+        self.rng = rng
+        self.noise = noise
+        self.draws = 0
+        self.still_steps = 0
+        self.small_turns = 0
+        self.turns = 0
+        pose = mobility.pose(0.0)
+        self.last_time = 0.0
+        self.last_position = pose.position
+        self.last_heading = pose.heading
+
+    def normal(self, sigma):
+        self.draws += 1
+        return float(self.rng.normal(0.0, sigma))
+
+    def read(self, t):
+        noise = self.noise
+        pose = self.mobility.pose(t)
+        dt = t - self.last_time
+        position = pose.position
+        last = self.last_position
+        true_distance = math.hypot(position.x - last.x, position.y - last.y)
+        true_turn = normalize_angle(pose.heading - self.last_heading)
+        distance = true_distance
+        if noise.displacement_std_per_s > 0.0 and true_distance > 0.0:
+            distance += self.normal(noise.displacement_std_per_s * dt)
+        heading_change = true_turn
+        if noise.angular_std_rad > 0.0 and abs(true_turn) > (
+            noise.turn_threshold_rad
+        ):
+            heading_change += self.normal(noise.angular_std_rad)
+        if noise.heading_drift_std_rad_per_sqrt_s > 0.0 and true_distance > 0.0:
+            heading_change += self.normal(
+                noise.heading_drift_std_rad_per_sqrt_s * math.sqrt(dt)
+            )
+        self.still_steps += true_distance == 0.0
+        if abs(true_turn) > noise.turn_threshold_rad:
+            self.turns += 1
+        elif true_turn != 0.0:
+            self.small_turns += 1
+        self.last_time = t
+        self.last_position = position
+        self.last_heading = pose.heading
+        return distance, heading_change
+
+
+class ScalarReckoner:
+    """The scalar dead-reckoning update, kept as the reference."""
+
+    def __init__(self, position, heading):
+        self.x = position.x
+        self.y = position.y
+        self.heading = normalize_angle(heading)
+        self.distance_integrated = 0.0
+
+    def advance(self, distance, heading_change):
+        self.x = self.x + distance * math.cos(self.heading)
+        self.y = self.y + distance * math.sin(self.heading)
+        self.heading = normalize_angle(self.heading + heading_change)
+        self.distance_integrated += abs(distance)
+
+
+#: Turns below a 90° threshold go unmeasured: waypoint legs then give
+#: both turn branches, not only the large-turn one.
+COARSE_ENCODER = OdometryNoise(turn_threshold_rad=math.radians(90.0))
+
+
+class TestArrayOdometerOracle:
+    """The array odometer and reckoner against the scalar reference:
+    identical doubles, step for step, over 1,000 steps."""
+
+    STEPS = 1000
+
+    @staticmethod
+    def times():
+        # Uneven sample spacing, so σ·dt and σ·√dt vary.
+        t = 0.0
+        for k in range(TestArrayOdometerOracle.STEPS):
+            t += 0.5 + 0.5 * (k % 3)
+            yield t
+
+    def mobilities(self, n, seed, rest):
+        streams = RandomStreams(seed)
+        return [
+            WaypointMobility(
+                Rect.square(150.0),
+                streams.spawn("mobility", i),
+                v_max=2.0,
+                rest_time_max=rest,
+            )
+            for i in range(n)
+        ]
+
+    def check(self, n, noise, rest, seed=3):
+        world = WorldState(n)
+        for row, mobility in enumerate(self.mobilities(n, seed, rest)):
+            mobility.bind_world(world, row)
+        streams = RandomStreams(seed)
+        if n == 1:
+            mobility = self.mobilities(1, seed, rest)[0]
+            sensor = OdometrySensor(
+                mobility, streams.spawn("odometry", 0), noise=noise
+            )
+        else:
+            sensor = OdometrySensor.over_world(
+                world,
+                list(range(n)),
+                [streams.spawn("odometry", i) for i in range(n)],
+                noise=noise,
+            )
+        ref_mobilities = self.mobilities(n, seed, rest)
+        ref_streams = RandomStreams(seed)
+        odometers = [
+            ScalarOdometer(m, ref_streams.spawn("odometry", i), noise)
+            for i, m in enumerate(ref_mobilities)
+        ]
+        starts = [m.pose(0.0) for m in ref_mobilities]
+        reckoners = [ScalarReckoner(p.position, p.heading) for p in starts]
+        block = DeadReckoning(Vec2(0.0, 0.0), rows=n)
+        rows = [block.row(i) for i in range(n)]
+        for row, pose in zip(rows, starts):
+            row.reset(pose.position, pose.heading)
+        for t in self.times():
+            reading = sensor.read(t)
+            block.advance(reading)
+            for i, (odometer, reckoner) in enumerate(
+                zip(odometers, reckoners)
+            ):
+                distance, heading_change = odometer.read(t)
+                assert reading.distance[i] == distance
+                assert reading.heading_change[i] == heading_change
+                reckoner.advance(distance, heading_change)
+                row = rows[i]
+                assert row.position.x == reckoner.x
+                assert row.position.y == reckoner.y
+                assert row.heading == reckoner.heading
+                assert row.distance_integrated == reckoner.distance_integrated
+        return odometers
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_paper_noise_with_rests(self, n):
+        odometers = self.check(n, OdometryNoise(), rest=20.0)
+        assert all(o.still_steps > 0 for o in odometers)
+        assert all(o.turns > 0 for o in odometers)
+        # Every row refilled its read-ahead block at least three times.
+        assert min(o.draws for o in odometers) > 3 * NOISE_BLOCK
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_turns_below_threshold_draw_nothing(self, n):
+        odometers = self.check(n, COARSE_ENCODER, rest=5.0)
+        assert sum(o.small_turns for o in odometers) > 0
+        assert sum(o.turns for o in odometers) > 0
+        assert min(o.draws for o in odometers) > 3 * NOISE_BLOCK
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_noiseless(self, n):
+        odometers = self.check(n, OdometryNoise.noiseless(), rest=10.0)
+        assert all(o.draws == 0 for o in odometers)
+
+
+class TestOdometerRowCheckpoint:
+    def test_restored_row_continues_bit_for_bit(self):
+        def build():
+            streams = RandomStreams(5)
+            mobility = WaypointMobility(
+                Rect.square(150.0), streams.get("mob"), v_max=2.0
+            )
+            return OdometrySensor(mobility, streams.get("odo"))
+
+        reference = build()
+        paused = build()
+        for t in range(1, 101):
+            reference.read(float(t))
+            paused.read(float(t))
+        resumed = build()
+        resumed.restore_row(0, paused.row_state(0))
+        # 300 steps draw ~600 values: the row refills its block twice.
+        for t in range(101, 401):
+            a = reference.read(float(t))
+            b = resumed.read(float(t))
+            assert a.distance.tobytes() == b.distance.tobytes()
+            assert a.heading_change.tobytes() == b.heading_change.tobytes()
+
+    def test_wider_block_rejects_a_row_from_another_time(self):
+        world = WorldState(2)
+        streams = RandomStreams(2)
+        for row in range(2):
+            WaypointMobility(
+                Rect.square(100.0), streams.spawn("mob", row)
+            ).bind_world(world, row)
+        sensor = OdometrySensor.over_world(
+            world, [0, 1], [streams.spawn("odo", r) for r in range(2)]
+        )
+        state = sensor.row_state(1)
+        sensor.read(1.0)
+        with pytest.raises(ValueError):
+            sensor.restore_row(1, state)
