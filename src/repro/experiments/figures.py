@@ -163,6 +163,7 @@ def run_fig5(
     sensor = OdometrySensor(mobility, rng, noise=noise)
     pose0 = mobility.pose(0.0)
     reckoner = DeadReckoning(pose0.position, pose0.heading)
+    estimate = reckoner.row(0)
 
     true_path: List[Vec2] = [pose0.position]
     est_path: List[Vec2] = [pose0.position]
@@ -172,7 +173,7 @@ def run_fig5(
     while t < horizon:
         t = min(t + 1.0, horizon)
         reckoner.advance(sensor.read(t))
-        est = reckoner.position
+        est = estimate.position
         true = mobility.position(t)
         true_path.append(true)
         est_path.append(est)

@@ -36,9 +36,7 @@ class DeadReckoning:
         heading: initial heading estimate of every row, in radians.
         rows: number of robots in the block.
 
-    The :attr:`position`, :attr:`heading`, :attr:`distance_integrated`
-    and :attr:`updates` properties and :meth:`reset` address the first
-    row, the only one of a one-robot reckoner; :meth:`row` views any row.
+    :meth:`row` gives one robot's view (its pose, totals and reset).
     """
 
     def __init__(
@@ -49,7 +47,6 @@ class DeadReckoning:
         self._heading = np.full(rows, normalize_angle(heading), dtype=float)
         self._distance_integrated = np.zeros(rows)
         self._updates = np.zeros(rows, dtype=np.int64)
-        self._first = ReckonerRow(self, 0)
 
     def row(self, index: int) -> "ReckonerRow":
         """A view of one robot's row."""
@@ -64,26 +61,6 @@ class DeadReckoning:
     def ys(self) -> np.ndarray:
         """Every row's y estimate (the block's own array: do not write)."""
         return self._y
-
-    @property
-    def position(self) -> Vec2:
-        """Current position estimate."""
-        return self._first.position
-
-    @property
-    def heading(self) -> float:
-        """Current heading estimate (radians, normalized)."""
-        return self._first.heading
-
-    @property
-    def distance_integrated(self) -> float:
-        """Total absolute measured distance integrated so far."""
-        return self._first.distance_integrated
-
-    @property
-    def updates(self) -> int:
-        """Number of increments applied since the last reset."""
-        return self._first.updates
 
     def advance(self, reading: OdometryReading) -> None:
         """Apply one odometry increment to every row.
@@ -102,10 +79,6 @@ class DeadReckoning:
         self._heading = normalize_angles(heading + reading.heading_change)
         self._distance_integrated += np.abs(distance)
         self._updates += 1
-
-    def reset(self, position: Vec2, heading: float = None) -> None:
-        """Re-anchor the first row (see :meth:`ReckonerRow.reset`)."""
-        self._first.reset(position, heading)
 
 
 class ReckonerRow:

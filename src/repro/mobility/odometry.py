@@ -204,17 +204,19 @@ class OdometrySensor:
         self._ang_std = noise.angular_std_rad
         self._turn_thresh = noise.turn_threshold_rad
         self._drift_std = noise.heading_drift_std_rad_per_sqrt_s
-        self._noisy = (
-            self._disp_std > 0.0 or self._ang_std > 0.0 or self._drift_std > 0.0
+        # The most values one step draws per row: one per noisy component.
+        self._max_draws = (
+            (self._disp_std > 0.0) + (self._ang_std > 0.0)
+            + (self._drift_std > 0.0)
         )
         n = len(rngs)
         self._rows = np.arange(n)
         # A cursor at NOISE_BLOCK means "nothing read ahead": a row first
-        # draws from its stream on the first noisy read.
+        # draws from its stream on the first noisy read (never, for the
+        # noiseless model).
         self._buffer = np.zeros((n, NOISE_BLOCK))
         self._cursor = np.full(n, NOISE_BLOCK, dtype=np.intp)
         self._active = np.ones(n, dtype=bool)
-        self._retired = False
         self._last_time = start_time
         self._last_x, self._last_y, self._last_heading = pose_of(start_time)
 
@@ -239,7 +241,9 @@ class OdometrySensor:
         dead-reckoned estimate stays where it was.
         """
         self._active[row] = False
-        self._retired = True
+        # A dead row's cursor never moves again; parked at 0 it keeps
+        # every gather in bounds and never asks for a refill.
+        self._cursor[row] = 0
 
     def read(self, t: float) -> OdometryReading:
         """Sample every row's odometer: the increments since the last read.
@@ -258,18 +262,14 @@ class OdometrySensor:
         dy = (y - self._last_y).tolist()
         distance = np.array(list(map(math.hypot, dx, dy)))
         heading_change = normalize_angles(heading - self._last_heading)
-        moving = distance > 0.0
-        turning = np.abs(heading_change) > self._turn_thresh
-        if self._retired:
-            moving &= self._active
-            turning &= self._active
-        if self._noisy:
-            distance, heading_change = self._add_noise(
-                dt, distance, heading_change, moving, turning
-            )
-        if self._retired:
-            distance = np.where(self._active, distance, 0.0)
-            heading_change = np.where(self._active, heading_change, 0.0)
+        active = self._active
+        moving = (distance > 0.0) & active
+        turning = (np.abs(heading_change) > self._turn_thresh) & active
+        distance, heading_change = self._add_noise(
+            dt, distance, heading_change, moving, turning
+        )
+        distance = np.where(active, distance, 0.0)
+        heading_change = np.where(active, heading_change, 0.0)
         self._last_time = t
         self._last_x = x
         self._last_y = y
@@ -292,14 +292,11 @@ class OdometrySensor:
         moving (variance grows with motion time, hence σ ∝ √dt).
         """
         cursor = self._cursor
-        # A step draws at most three values per row: top up every live
-        # row that has fewer left before any is read.
-        low = cursor > NOISE_BLOCK - 3
-        if self._retired:
-            low &= self._active
-        if np.count_nonzero(low):
-            for row in np.flatnonzero(low).tolist():
-                self._refill(row)
+        # Top up every row with fewer values left than one step can draw
+        # before any is read.
+        low = cursor > NOISE_BLOCK - self._max_draws
+        for row in np.flatnonzero(low).tolist():
+            self._refill(row)
         rows = self._rows
         buffer = self._buffer
         if self._disp_std > 0.0:

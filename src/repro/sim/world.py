@@ -20,11 +20,8 @@ Bit-exactness contract (why reading the mirror changes no result):
   ``start + (dest - start) * ((t - depart) / (arrive - depart))`` — the
   *same* IEEE-754 operations :meth:`~repro.mobility.waypoint.Leg.position_at`
   performs scalar-wise, so every coordinate matches bit for bit (a
-  property test pins this).  The per-leg differences ``dest - start``
-  and ``arrive - depart`` are taken once, in :meth:`set_leg`; a float
-  difference is the same whenever it is computed.  Clamp masks
-  reproduce the scalar ``t <= depart`` / ``t >= arrive`` branches
-  exactly.
+  property test pins this).  Clamp masks reproduce the scalar
+  ``t <= depart`` / ``t >= arrive`` branches exactly.
 - Stale rows (legs expired at the query time) are advanced through the
   owning mobility's own ``current_leg``, in ascending node order, so each
   node's RNG stream consumes exactly the draws its trajectory dictates.
@@ -70,13 +67,7 @@ class WorldState:
         self._depart = np.zeros(n)
         self._arrive = np.full(n, math.inf)
         self._rest_until = np.full(n, math.inf)
-        self._delta_x = np.zeros(n)
-        self._delta_y = np.zeros(n)
-        self._span = np.full(n, math.inf)
         self._heading = np.zeros(n)
-        # Earliest rest_until over all rows (None: recompute), so a
-        # refresh with no expired leg skips the stale-row scan.
-        self._next_expiry: Optional[float] = math.inf
         # Radio power-state mirror, written through by Radio._enter.
         self.awake = np.ones(n, dtype=bool)
         self.transmitting = np.zeros(n, dtype=bool)
@@ -110,11 +101,7 @@ class WorldState:
         self._depart[row] = depart_time
         self._arrive[row] = arrive_time
         self._rest_until[row] = rest_until
-        self._delta_x[row] = dest_x - start_x
-        self._delta_y[row] = dest_y - start_y
-        self._span[row] = arrive_time - depart_time
         self._heading[row] = math.atan2(dest_y - start_y, dest_x - start_x)
-        self._next_expiry = None
         self._pos_time = None
 
     def positions_at(self, t: float) -> Tuple[Sequence[float], Sequence[float]]:
@@ -146,32 +133,27 @@ class WorldState:
         return self._x, self._y, self._heading
 
     def _refresh(self, t: float) -> None:
-        if self._next_expiry is None:
-            self._next_expiry = float(self._rest_until.min())
-        if t >= self._next_expiry:
-            stale = np.flatnonzero(self._rest_until <= t)
-            for row in stale.tolist():
-                # current_leg advances the trajectory and writes the new
-                # leg back through set_leg.
-                self._mobility[row].current_leg(t)
+        stale = np.flatnonzero(self._rest_until <= t)
+        for row in stale.tolist():
+            # current_leg advances the trajectory and writes the new leg
+            # back through set_leg.
+            self._mobility[row].current_leg(t)
         depart = self._depart
         arrive = self._arrive
         start_x = self._start_x
         start_y = self._start_y
-        frac = (t - depart) / self._span
-        x = start_x + self._delta_x * frac
-        y = start_y + self._delta_y * frac
+        frac = (t - depart) / (arrive - depart)
+        x = start_x + (self._dest_x - start_x) * frac
+        y = start_y + (self._dest_y - start_y) * frac
         # Reproduce Leg.position_at's clamp branches exactly: at or past
         # arrival the position IS dest; at or before departure it IS
         # start (no interpolation arithmetic involved).
         arrived = t >= arrive
-        if np.count_nonzero(arrived):
-            np.copyto(x, self._dest_x, where=arrived)
-            np.copyto(y, self._dest_y, where=arrived)
         waiting = t <= depart
-        if np.count_nonzero(waiting):
-            np.copyto(x, start_x, where=waiting)
-            np.copyto(y, start_y, where=waiting)
+        np.copyto(x, self._dest_x, where=arrived)
+        np.copyto(y, self._dest_y, where=arrived)
+        np.copyto(x, start_x, where=waiting)
+        np.copyto(y, start_y, where=waiting)
         self._x = x
         self._y = y
         self._pos_lists = None

@@ -220,10 +220,8 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
     angles = np.fmod(angles, TWO_PI)
     low = angles <= -math.pi
     high = angles > math.pi
-    if np.count_nonzero(low):
-        angles[low] += TWO_PI
-    if np.count_nonzero(high):
-        angles[high] -= TWO_PI
+    angles[low] += TWO_PI
+    angles[high] -= TWO_PI
     return angles
 
 

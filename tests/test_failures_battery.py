@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.config import CoCoAConfig
+from dataclasses import replace
+
+from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.energy.battery import Battery, project_lifetime
 from repro.ext.failures import FailureSchedule, ResilientTeam, SyncFailover
+from repro.mobility.odometry import NOISE_BLOCK
 
 
 def small_config(**overrides):
@@ -138,6 +141,50 @@ class TestFailureInjection:
         result = team.run()
         assert len(team.dead) == 4
         assert np.isfinite(result.time_average_error())
+
+    @pytest.mark.parametrize("mode", ["cocoa", "odometry_only"])
+    def test_measured_robot_killed_at_start(self, mode, pdf_table):
+        config = replace(
+            small_config(duration_s=60.0),
+            localization_mode=LocalizationMode(mode),
+        )
+        team = ResilientTeam(
+            config,
+            FailureSchedule.of((0.0, 10)),
+            failover=False,
+            pdf_table=pdf_table,
+        )
+        result = team.run()
+        row = result.measured_ids.index(10)
+        assert np.isnan(result.errors[row]).all()
+        assert np.isfinite(np.delete(result.errors, row, axis=0)).all()
+
+    def test_kill_with_noise_block_used_up(self, pdf_table):
+        """A robot dies right after a sample that read its odometer's
+        last read-ahead noise value: later samples still run."""
+        cursors = []
+
+        class Recording(ResilientTeam):
+            def kill(self, node_id):
+                row = self._row_of[node_id]
+                cursors.append(int(self.odometry._cursor[row]))
+                super().kill(node_id)
+
+        # With seed 5, node 6's sample at 381 s ends on the block's last
+        # value.
+        team = Recording(
+            small_config(duration_s=390.0, master_seed=5),
+            FailureSchedule.of((381.5, 6)),
+            failover=False,
+            pdf_table=pdf_table,
+        )
+        result = team.run()
+        assert cursors == [NOISE_BLOCK]
+        errors = result.errors[result.measured_ids.index(6)]
+        dead = result.times > 381.5
+        assert np.isnan(errors[dead]).all()
+        assert np.isfinite(errors[~dead]).all()
+        assert dead.sum() == 9
 
 
 class TestSyncFailover:

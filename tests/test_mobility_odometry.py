@@ -124,10 +124,11 @@ class TestDeadReckoning:
             [Vec2(0, 0), Vec2(50, 0), Vec2(50, 50), Vec2(0, 50)], speed=1.0
         )
         sensor = OdometrySensor(mob, rng, noise=OdometryNoise.noiseless())
-        reckoner = DeadReckoning(Vec2(0, 0), mob.heading(0.0))
+        block = DeadReckoning(Vec2(0, 0), mob.heading(0.0))
+        reckoner = block.row(0)
         horizon = int(mob.travel_time)
         for t in range(1, horizon + 1):
-            reckoner.advance(sensor.read(float(t)))
+            block.advance(sensor.read(float(t)))
         assert reckoner.position.distance_to(
             mob.position(float(horizon))
         ) == pytest.approx(0.0, abs=1e-6)
@@ -140,9 +141,10 @@ class TestDeadReckoning:
             streams = RandomStreams(robot)
             mob = WaypointMobility(area, streams.get("mob"), v_max=2.0)
             sensor = OdometrySensor(mob, streams.get("odo"))
-            reckoner = DeadReckoning(mob.position(0.0), mob.heading(0.0))
+            block = DeadReckoning(mob.position(0.0), mob.heading(0.0))
+            reckoner = block.row(0)
             for t in range(1, 1201):
-                reckoner.advance(sensor.read(float(t)))
+                block.advance(sensor.read(float(t)))
                 if t == 120:
                     errors_early.append(
                         reckoner.position.distance_to(mob.position(float(t)))
@@ -153,13 +155,15 @@ class TestDeadReckoning:
         assert np.mean(errors_late) > 3.0 * np.mean(errors_early)
 
     def test_reset_reanchors_position(self):
-        reckoner = DeadReckoning(Vec2(0, 0), 0.0)
+        block = DeadReckoning(Vec2(0, 0), 0.0)
+        reckoner = block.row(0)
         reckoner.reset(Vec2(10, 10))
         assert reckoner.position == Vec2(10, 10)
         assert reckoner.updates == 0
 
     def test_reset_keeps_heading_unless_given(self):
-        reckoner = DeadReckoning(Vec2(0, 0), 1.0)
+        block = DeadReckoning(Vec2(0, 0), 1.0)
+        reckoner = block.row(0)
         reckoner.reset(Vec2(5, 5))
         assert reckoner.heading == pytest.approx(1.0)
         reckoner.reset(Vec2(5, 5), heading=2.0)
@@ -168,17 +172,19 @@ class TestDeadReckoning:
     def test_distance_integrated_accumulates(self, rng):
         mob = ScriptedMobility([Vec2(0, 0), Vec2(100, 0)], speed=1.0)
         sensor = OdometrySensor(mob, rng, noise=OdometryNoise.noiseless())
-        reckoner = DeadReckoning(Vec2(0, 0), 0.0)
+        block = DeadReckoning(Vec2(0, 0), 0.0)
+        reckoner = block.row(0)
         for t in range(1, 11):
-            reckoner.advance(sensor.read(float(t)))
+            block.advance(sensor.read(float(t)))
         assert reckoner.distance_integrated == pytest.approx(10.0)
         assert reckoner.updates == 10
 
     def test_heading_normalized(self, rng):
         from repro.mobility.odometry import OdometryReading
 
-        reckoner = DeadReckoning(Vec2(0, 0), 3.0)
-        reckoner.advance(OdometryReading(0.0, 1.0, 1.0, 3.0))
+        block = DeadReckoning(Vec2(0, 0), 3.0)
+        reckoner = block.row(0)
+        block.advance(OdometryReading(0.0, 1.0, 1.0, 3.0))
         assert -math.pi < reckoner.heading <= math.pi
 
 

@@ -257,11 +257,12 @@ class TestDeadReckoningProperties:
         )
     )
     def test_position_displacement_bounded_by_distance(self, increments):
-        reckoner = DeadReckoning(Vec2(0, 0), 0.0)
+        block = DeadReckoning(Vec2(0, 0), 0.0)
+        reckoner = block.row(0)
         start = reckoner.position
         total = 0.0
         for i, (dist, turn) in enumerate(increments):
-            reckoner.advance(
+            block.advance(
                 OdometryReading(float(i), float(i + 1), dist, turn)
             )
             total += dist
