@@ -51,7 +51,6 @@ from repro.net.packet import ReceivedPacket
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
-from repro.sim.world import WorldState
 from repro.telemetry.collect import Telemetry, collect_team_snapshot
 from repro.telemetry.registry import COUNT_EDGES, DISTANCE_EDGES_M
 from repro.telemetry.snapshot import TelemetrySnapshot
@@ -179,8 +178,6 @@ class CoCoATeam:
             self.sim, config.path_loss, self.streams.get("phy"),
             trace=telemetry.tracer if telemetry is not None else None,
         )
-        self.world = WorldState(config.n_robots)
-        self.channel.attach_world(self.world)
         plan = faults if faults is not None else config.faults
         self.fault_plan = plan
         self.faults: Optional[FaultInjector] = None
@@ -236,6 +233,7 @@ class CoCoATeam:
         rf_active = self._needs_rf()
         sync_robot_id = 0 if rf_active else None
         mobilities = []
+        interfaces = []
         for node_id in range(config.n_robots):
             mobility = WaypointMobility(
                 config.area,
@@ -244,8 +242,19 @@ class CoCoATeam:
                 v_max=config.v_max,
                 rest_time_max=config.rest_time_max_s,
             )
-            mobility.bind_world(self.world, node_id)
             mobilities.append(mobility)
+            # Registration adds the node's row to the channel's world.
+            interfaces.append(
+                NetworkInterface(
+                    self.sim,
+                    node_id,
+                    mobility,
+                    self.channel,
+                    config.energy_model,
+                    self.streams.spawn("mac", node_id),
+                    receiver=config.receiver,
+                )
+            )
         measured_ids = [
             node_id
             for node_id in range(config.n_robots)
@@ -253,7 +262,7 @@ class CoCoATeam:
         ]
         if config.localization_mode is not LocalizationMode.RF_ONLY:
             self.odometry = OdometrySensor.over_world(
-                self.world,
+                self.channel.world,
                 measured_ids,
                 [self.streams.spawn("odometry", i) for i in measured_ids],
                 noise=config.odometry_noise,
@@ -266,18 +275,10 @@ class CoCoATeam:
         self._row_of = {
             node_id: row for row, node_id in enumerate(measured_ids)
         }
-        for node_id, mobility in enumerate(mobilities):
+        for node_id, (mobility, interface) in enumerate(
+            zip(mobilities, interfaces)
+        ):
             is_anchor = node_id < config.n_anchors
-            interface = NetworkInterface(
-                self.sim,
-                node_id,
-                mobility,
-                self.channel,
-                config.energy_model,
-                self.streams.spawn("mac", node_id),
-                receiver=config.receiver,
-            )
-            interface.radio.bind_world(self.world, node_id)
             clock = DriftingClock.random(
                 self.streams.spawn("clock", node_id), config.clock_drift_rate
             )
@@ -573,7 +574,7 @@ class CoCoATeam:
             true_x, true_y = self.odometry.true_positions
             est_x, est_y = self.reckoner.xs, self.reckoner.ys
         else:
-            x, y, _ = self.world.poses_at(t)
+            x, y, _ = self.channel.world.poses_at(t)
             rows = self._measured_rows
             true_x, true_y = x[rows], y[rows]
             estimates = [node.estimator.estimate for node in self._measured]

@@ -16,13 +16,14 @@ This package implements the paper's movement and odometry models (§3):
 
 Both work on a block of robots, one row each, in one array pass per
 sample; a lone robot is a block of one row, and a robot's estimator
-holds a :class:`~repro.mobility.dead_reckoning.ReckonerRow` view.
+holds a :class:`~repro.mobility.dead_reckoning.ReckonerRow` view.  True
+poses come from a :class:`~repro.sim.world.WorldState`, one row per robot.
 """
 
-from repro.mobility.base import MobilityModel, Pose, ScriptedMobility, StationaryMobility
+from repro.mobility.base import Leg, MobilityModel, Pose, ScriptedMobility, StationaryMobility
 from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
 from repro.mobility.odometry import OdometryNoise, OdometryReading, OdometrySensor
-from repro.mobility.waypoint import Leg, WaypointMobility
+from repro.mobility.waypoint import WaypointMobility
 
 __all__ = [
     "Pose",

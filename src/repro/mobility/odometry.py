@@ -24,9 +24,10 @@ against exactly those two constraints; see DESIGN.md §5 and
 EXPERIMENTS.md for the paper-vs-measured comparison.
 
 One :class:`OdometrySensor` reads a block of robots, one row each, in
-one array pass per sample: a lone robot is a block of one row, and a
-team's measured robots are one block whose true poses come from the
-team's :class:`~repro.sim.world.WorldState`.  Every row keeps its own
+one array pass per sample.  True poses come only from a
+:class:`~repro.sim.world.WorldState`: a team's measured robots are one
+block over its channel's world, and a lone robot is a block of one row
+over a world of its own.  Every row keeps its own
 noise stream, read ahead in blocks of ``NOISE_BLOCK`` standard normals
 through a cursor.  A block draw of ``standard_normal`` yields the values
 successive scalar draws would, and ``σ · z`` is the value
@@ -41,18 +42,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.mobility.base import MobilityModel
+from repro.sim.world import WorldState
 from repro.util.geometry import normalize_angles
 
 #: Standard normals each row reads ahead from its noise stream.
 NOISE_BLOCK = 256
-
-#: True poses of a block's rows at a time: x, y and heading arrays.
-PoseSource = Callable[[float], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,12 @@ class OdometrySensor:
     """Produces noisy odometry increments for a block of robots.
 
     The constructor builds a block of one row that follows one mobility
-    model; :meth:`over_world` builds one row per robot of a world.
+    model, bound to a one-row world of its own; :meth:`over_world` builds
+    one row per robot of an existing world.
 
     Args:
-        mobility: the robot's true mobility model.
+        mobility: the robot's true mobility model (not yet bound to a
+            world).
         rng: this robot's odometry noise stream.
         noise: error model parameters.
         start_time: time of the first (implicit) sample.
@@ -153,15 +154,9 @@ class OdometrySensor:
         noise: OdometryNoise = OdometryNoise(),
         start_time: float = 0.0,
     ) -> None:
-        def pose_of(t: float):
-            pose = mobility.pose(t)
-            return (
-                np.array([pose.position.x]),
-                np.array([pose.position.y]),
-                np.array([pose.heading]),
-            )
-
-        self._setup(pose_of, [rng], noise, start_time)
+        world = WorldState()
+        mobility.bind_world(world, 0)
+        self._setup(world, [0], [rng], noise, start_time)
 
     @classmethod
     def over_world(
@@ -180,24 +175,20 @@ class OdometrySensor:
             rows: the world rows to read, in block-row order.
             rngs: one noise stream per listed row.
         """
-        index = np.asarray(rows, dtype=np.intp)
-
-        def pose_of(t: float):
-            x, y, heading = world.poses_at(t)
-            return x[index], y[index], heading[index]
-
         sensor = cls.__new__(cls)
-        sensor._setup(pose_of, list(rngs), noise, start_time)
+        sensor._setup(world, rows, list(rngs), noise, start_time)
         return sensor
 
     def _setup(
         self,
-        pose_of: PoseSource,
+        world: WorldState,
+        rows: Sequence[int],
         rngs: Sequence[np.random.Generator],
         noise: OdometryNoise,
         start_time: float,
     ) -> None:
-        self._pose_of = pose_of
+        self._world = world
+        self._index = np.asarray(rows, dtype=np.intp)
         self._rngs = rngs
         self._noise = noise
         self._disp_std = noise.displacement_std_per_s
@@ -218,7 +209,17 @@ class OdometrySensor:
         self._cursor = np.full(n, NOISE_BLOCK, dtype=np.intp)
         self._active = np.ones(n, dtype=bool)
         self._last_time = start_time
-        self._last_x, self._last_y, self._last_heading = pose_of(start_time)
+        self._last_x, self._last_y, self._last_heading = self._true_poses(
+            start_time
+        )
+
+    def _true_poses(
+        self, t: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's true x, y and heading at ``t``, from the world."""
+        x, y, heading = self._world.poses_at(t)
+        index = self._index
+        return x[index], y[index], heading[index]
 
     @property
     def noise(self) -> OdometryNoise:
@@ -256,7 +257,7 @@ class OdometrySensor:
                 "odometry must be read at strictly increasing times: "
                 "%r <= %r" % (t, self._last_time)
             )
-        x, y, heading = self._pose_of(t)
+        x, y, heading = self._true_poses(t)
         dt = t - self._last_time
         dx = (x - self._last_x).tolist()
         dy = (y - self._last_y).tolist()

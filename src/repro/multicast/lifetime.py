@@ -49,9 +49,9 @@ class Kinematics:
 def kinematics_of(mobility, t: float) -> Kinematics:
     """Extract a robot's self-knowledge from its mobility model.
 
-    Works for any :class:`~repro.mobility.base.MobilityModel`; models
-    without waypoint structure (e.g. stationary nodes) report a zero
-    velocity and an unbounded rest, i.e. "not going anywhere".
+    Every :class:`~repro.mobility.base.MobilityModel` answers from its
+    current leg; a stationary node reports a zero velocity and an
+    unbounded rest, i.e. "not going anywhere".
     """
     pose = mobility.pose(t)
     velocity = (
@@ -59,16 +59,11 @@ def kinematics_of(mobility, t: float) -> Kinematics:
         if pose.speed > 0.0
         else Vec2.zero()
     )
-    time_to_waypoint = 0.0
-    rest_remaining = float("inf")
-    if hasattr(mobility, "time_to_waypoint"):
-        time_to_waypoint = mobility.time_to_waypoint(t)
-        rest_remaining = mobility.rest_remaining(t)
     return Kinematics(
         position=pose.position,
         velocity=velocity,
-        time_to_waypoint=time_to_waypoint,
-        rest_remaining=rest_remaining,
+        time_to_waypoint=mobility.time_to_waypoint(t),
+        rest_remaining=mobility.rest_remaining(t),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.net.packet import Packet, ReceivedPacket
 from repro.net.phy import PathLossModel, ReceiverModel
 from repro.net.radio import Radio
 from repro.sim.engine import Simulator
+from repro.sim.world import WorldState
 from repro.telemetry.spans import SpanTracer
 from repro.util.geometry import Vec2
 from repro.util.units import dbm_to_mw, mw_to_dbm
@@ -94,6 +95,10 @@ class ChannelStats:
 class BroadcastChannel:
     """The wireless medium shared by all robots.
 
+    The channel owns the :class:`~repro.sim.world.WorldState` its nodes
+    are mirrored into (:attr:`world`): registering node ``i`` adds row
+    ``i`` and binds the node's mobility model and radio to it.
+
     Args:
         sim: simulation engine.
         path_loss: the channel's signal model.
@@ -123,24 +128,13 @@ class BroadcastChannel:
         self._rng = rng
         self._bitrate = bitrate_bps
         self._preamble_s = preamble_s
-        self._nodes: Dict[int, _NodeEntry] = {}
+        #: Registered nodes; node ``i`` is entry ``i`` and world row ``i``.
+        self._nodes: List[_NodeEntry] = []
         self._transmissions: List[Transmission] = []
         self._trace = trace
         self._faults = None
-        self._world = None
-        self._row_entries: Optional[List[_NodeEntry]] = None
+        self.world = WorldState()
         self.stats = ChannelStats()
-
-    def attach_world(self, world) -> None:
-        """Use a :class:`~repro.sim.world.WorldState` for bulk eligibility.
-
-        The world's rows must cover exactly the node ids registered on
-        this channel (the team binds node ``i`` to row ``i``), with every
-        mobility model and radio bound to it — otherwise the masks would
-        disagree with the per-object state.
-        """
-        self._world = world
-        self._row_entries = None
 
     def install_faults(self, injector) -> None:
         """Attach a :class:`~repro.faults.injector.FaultInjector`.
@@ -159,7 +153,7 @@ class BroadcastChannel:
 
     @property
     def node_ids(self) -> List[int]:
-        return sorted(self._nodes)
+        return list(range(len(self._nodes)))
 
     def register(
         self,
@@ -169,17 +163,27 @@ class BroadcastChannel:
         receiver: ReceiverModel,
         on_receive: ReceiveCallback,
     ) -> None:
-        """Attach a node to the medium.
+        """Attach a node to the medium, as row ``node_id`` of :attr:`world`.
+
+        Nodes register in id order: ``node_id`` must be the number of
+        nodes registered so far.
 
         Raises:
-            ValueError: if the node id is already registered.
+            ValueError: if the node id is already registered or out of
+                order, or if the mobility model or radio is already bound
+                to a world.
         """
-        if node_id in self._nodes:
-            raise ValueError("node %d already registered" % node_id)
+        if node_id != len(self._nodes):
+            raise ValueError(
+                "cannot register node %r: nodes register in id order and "
+                "the next id is %d" % (node_id, len(self._nodes))
+            )
+        mobility.bind_world(self.world, node_id)
+        radio.bind_world(self.world, node_id)
         cs_dist = self._path_loss.distance_for_mean_rssi(
             receiver.carrier_sense_dbm
         )
-        self._nodes[node_id] = _NodeEntry(
+        self._nodes.append(_NodeEntry(
             node_id,
             mobility,
             radio,
@@ -187,8 +191,7 @@ class BroadcastChannel:
             on_receive,
             cs_dist_lo=cs_dist * (1.0 - 1e-9),
             cs_dist_hi=cs_dist * (1.0 + 1e-9),
-        )
-        self._row_entries = None
+        ))
 
     def airtime_s(self, size_bytes: int) -> float:
         """Airtime of a frame: preamble plus payload serialization."""
@@ -261,7 +264,8 @@ class BroadcastChannel:
         """Offer ``tx`` to every other node and start the receptions.
 
         Per receiver, in node order, the medium applies the eligibility
-        filters (asleep, browned out, half duplex), one RSSI draw from
+        filters (asleep, browned out, half duplex; :meth:`_eligible`
+        runs them over the world's arrays), one RSSI draw from
         the channel stream, the fault verdict and the decode threshold.
         The filters never depend on the draw, the draws never depend on
         the filters' side effects (the counters), and fault draws come
@@ -276,11 +280,7 @@ class BroadcastChannel:
         the end of the airtime, releases them all.
         """
         now = self._sim.now
-        world = self._world
-        if world is not None:
-            eligible, distances = self._eligible_soa(tx, now, world)
-        else:
-            eligible, distances = self._eligible_scan(tx, now)
+        eligible, distances = self._eligible(tx, now)
         if not eligible:
             return
         rssi_batch = self._path_loss.sample_rssi_batch(
@@ -334,61 +334,26 @@ class BroadcastChannel:
                 airtime, self._deliver_frame, tx, pending, name="deliver"
             )
 
-    def _eligible_scan(
+    def _eligible(
         self, tx: Transmission, now: float
     ) -> Tuple[List[_NodeEntry], List[float]]:
-        """Per-object eligibility scan, for channels with no world.
+        """The receivers of ``tx`` that pass the eligibility filters, in
+        node order, with their distances to the source.
 
-        Unit-test channels over :class:`~repro.mobility.base.StationaryMobility`
-        or scripted mobility cannot mirror into a
-        :class:`~repro.sim.world.WorldState`; this walks their nodes
-        one by one with the same checks, in the same order, as
-        :meth:`_eligible_soa`.
+        One pass over the world's structure-of-arrays state.  Every
+        other node is offered the frame; per receiver the filters run in
+        a fixed order — asleep (the ``awake`` mask, a write-through
+        mirror of the radio state), browned out (the radio's reception
+        fault gate, consulted for awake rows only), then half duplex
+        (the ``transmitting`` mask) — and each miss counts once.  The
+        world refreshes *every* node's position, eligible or not —
+        invisible, because a trajectory's leg draws by time ``t`` do not
+        depend on who queries it when.  Distances go through scalar
+        ``math.hypot``, matching ``Vec2.distance_to`` bit for bit
+        (``np.hypot`` and ``sqrt(dx*dx + dy*dy)`` are not).
         """
-        stats = self.stats
-        eligible = []
-        distances = []
-        for receiver in self._nodes.values():
-            if receiver.node_id == tx.src:
-                continue
-            stats.frames_offered += 1
-            if not receiver.radio.is_awake:
-                stats.frames_missed_asleep += 1
-                continue
-            if receiver.radio.reception_impaired:
-                stats.frames_missed_brownout += 1
-                continue
-            if receiver.radio.is_transmitting:
-                stats.frames_missed_half_duplex += 1
-                continue
-            position = receiver.mobility.position(now)
-            eligible.append(receiver)
-            # Vec2.distance_to (math.hypot) — NOT a vectorized hypot:
-            # np.hypot and sqrt(dx*dx + dy*dy) are not bit-identical
-            # to it.
-            distances.append(max(position.distance_to(tx.src_position), 1.0))
-        return eligible, distances
-
-    def _eligible_soa(
-        self, tx: Transmission, now: float, world
-    ) -> Tuple[List[_NodeEntry], List[float]]:
-        """The eligibility scan over the world's structure-of-arrays state.
-
-        Equivalent to :meth:`_eligible_scan` bit for bit: rows ascend
-        like the node-order walk; the awake/transmitting masks are
-        write-through mirrors of the exact radio predicates; each awake
-        row's brownout gate is consulted, before the half-duplex check,
-        exactly as the per-object walk consults it; and the world
-        refreshes *every* node's position where the walk queries only
-        eligible ones — invisible, because a trajectory's leg draws by
-        time ``t`` do not depend on who queries it when.  Distances
-        still go through scalar ``math.hypot``, matching
-        ``Vec2.distance_to`` bit for bit.
-        """
-        entries = self._row_entries
-        if entries is None:
-            entries = [self._nodes[row] for row in range(world.n)]
-            self._row_entries = entries
+        entries = self._nodes
+        world = self.world
         awake = world.awake
         stats = self.stats
         stats.frames_offered += world.n - 1

@@ -80,8 +80,8 @@ class Radio:
         ``gate(now)`` returning True means the receive chain is deaf at
         that instant.  The node is not told: it keeps its schedule, keeps
         transmitting, and keeps paying energy for whatever state it is
-        in — only decoding is suppressed (by the channel, which checks
-        :attr:`reception_impaired` at offer and delivery time).
+        in — only decoding is suppressed (by the channel, which consults
+        the gate at offer and delivery time).
         """
         self._receive_fault = gate
 
@@ -91,18 +91,17 @@ class Radio:
         After binding, every state transition updates the world's
         ``awake``/``transmitting`` masks so the channel can filter
         receivers in bulk.
+
+        Raises:
+            ValueError: if the radio is already bound to a world (the
+                first world's masks would silently go stale).
         """
+        if self._world is not None:
+            raise ValueError("radio is already bound to a world")
         self._world = world
         self._world_row = row
         world.awake[row] = self.is_awake
         world.transmitting[row] = self._state is RadioState.TX
-
-    @property
-    def reception_impaired(self) -> bool:
-        """True while an injected fault keeps the receiver deaf."""
-        return self._receive_fault is not None and self._receive_fault(
-            self._sim.now
-        )
 
     @property
     def is_transmitting(self) -> bool:

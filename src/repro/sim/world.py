@@ -1,12 +1,14 @@
 """Structure-of-arrays world state shared by mobility, radio, and channel.
 
 :class:`WorldState` mirrors the per-node state the hot loops read most —
-the active trajectory leg of every :class:`~repro.mobility.waypoint.WaypointMobility`
-and the power state of every :class:`~repro.net.radio.Radio` — into flat
-NumPy blocks indexed by node id.  The per-node objects remain the owners
-of their state; they *write through* to the mirror on every transition
-(leg advancement, radio state change), so readers get bulk views without
-any per-query object traffic:
+the active :class:`~repro.mobility.base.Leg` of every mobility model
+(waypoint, scripted or stationary) and the power state of every
+:class:`~repro.net.radio.Radio` — into flat NumPy blocks indexed by node
+id.  Every :class:`~repro.net.channel.BroadcastChannel` owns one and adds
+a row per registered node.  The per-node objects remain the owners of
+their state; they *write through* to the mirror on every transition (leg
+advancement, radio state change), so readers get bulk views without any
+per-query object traffic:
 
 - :meth:`positions_at` interpolates the whole team's positions in one
   vectorized pass (:meth:`poses_at` hands out the same pass as arrays,
@@ -18,10 +20,13 @@ Bit-exactness contract (why reading the mirror changes no result):
 
 - Leg interpolation uses the elementwise float64 expression
   ``start + (dest - start) * ((t - depart) / (arrive - depart))`` — the
-  *same* IEEE-754 operations :meth:`~repro.mobility.waypoint.Leg.position_at`
+  *same* IEEE-754 operations :meth:`~repro.mobility.base.Leg.position_at`
   performs scalar-wise, so every coordinate matches bit for bit (a
-  property test pins this).  Clamp masks reproduce the scalar
-  ``t <= depart`` / ``t >= arrive`` branches exactly.
+  property test pins this).  The travel time ``arrive - depart`` is
+  stored per leg; a leg that takes no time (a robot resting in place)
+  stores an infinite one, so no row ever divides by zero.  Clamp masks
+  reproduce the scalar ``t <= depart`` / ``t >= arrive`` branches
+  exactly.
 - Stale rows (legs expired at the query time) are advanced through the
   owning mobility's own ``current_leg``, in ascending node order, so each
   node's RNG stream consumes exactly the draws its trajectory dictates.
@@ -29,9 +34,8 @@ Bit-exactness contract (why reading the mirror changes no result):
   has by time ``t`` is determined by the trajectory alone — not by who
   queried when — so advancing rows here instead of lazily is invisible
   to the science payload.
-- The heading mirror is ``math.atan2`` of the leg's end-point
-  differences, the operands :attr:`~repro.mobility.waypoint.Leg.heading`
-  uses, so it equals the pose heading of every row at the query time.
+- The heading mirror is each leg's own :attr:`~repro.mobility.base.Leg.heading`,
+  so it equals the pose heading of every row at the query time.
 - Anything downstream that needs a *distance* still computes it with
   scalar ``math.hypot`` (``numpy.hypot`` is not bit-identical to it).
 """
@@ -43,65 +47,83 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: The per-row arrays, each with the value a new row starts with: the
+#: active leg (written through by its mobility model), then the radio
+#: power state (written through by ``Radio._enter``).
+_ROW_ARRAYS = {
+    "_start_x": 0.0, "_start_y": 0.0, "_dest_x": 0.0, "_dest_y": 0.0,
+    "_depart": 0.0, "_arrive": 0.0, "_span": 0.0, "_rest_until": 0.0,
+    "_heading": 0.0, "awake": True, "transmitting": False,
+}
+
 
 class WorldState:
     """Shared SoA mirror of per-node kinematic and radio state.
 
-    Rows are node ids: the team wires node ``i`` to row ``i``.  All
+    Rows are node ids, added in order by :meth:`bind_mobility`.  All
     arrays are owned by this object; writers go through :meth:`set_leg`
     and the radio's bound setters so the cached position snapshot can be
     invalidated.
     """
 
-    def __init__(self, n_nodes: int) -> None:
-        n = int(n_nodes)
-        if n < 1:
-            raise ValueError("n_nodes must be >= 1, got %r" % n_nodes)
-        self.n = n
-        self._mobility: List[Optional[object]] = [None] * n
-        # Active-leg parameters, written through by WaypointMobility.
-        self._start_x = np.zeros(n)
-        self._start_y = np.zeros(n)
-        self._dest_x = np.zeros(n)
-        self._dest_y = np.zeros(n)
-        self._depart = np.zeros(n)
-        self._arrive = np.full(n, math.inf)
-        self._rest_until = np.full(n, math.inf)
-        self._heading = np.zeros(n)
-        # Radio power-state mirror, written through by Radio._enter.
-        self.awake = np.ones(n, dtype=bool)
-        self.transmitting = np.zeros(n, dtype=bool)
+    def __init__(self) -> None:
+        self.n = 0
+        self._mobility: List[object] = []
+        # Every per-row array is a view of the first n rows of a buffer
+        # that doubles when full, so adding a row is no reallocation.
+        self._buffers = {
+            name: np.full(0, fill) for name, fill in _ROW_ARRAYS.items()
+        }
+        self._expose()
         # Cached position snapshot: arrays, plus the plain-float lists
         # (exact via tolist) made on first demand.
         self._pos_time: Optional[float] = None
-        self._x = np.zeros(n)
-        self._y = np.zeros(n)
+        self._x = np.zeros(0)
+        self._y = np.zeros(0)
         self._pos_lists: Optional[Tuple[List[float], List[float]]] = None
 
     def bind_mobility(self, row: int, mobility: object) -> None:
-        """Attach the mobility model that owns ``row``'s trajectory."""
-        self._mobility[row] = mobility
+        """Add ``row``, whose trajectory ``mobility`` owns.
 
-    def set_leg(
-        self,
-        row: int,
-        start_x: float,
-        start_y: float,
-        dest_x: float,
-        dest_y: float,
-        depart_time: float,
-        arrive_time: float,
-        rest_until: float,
-    ) -> None:
+        The row starts awake and not transmitting; the owner writes its
+        active leg through :meth:`set_leg` next.
+
+        Raises:
+            ValueError: if ``row`` is not the next row in order.
+        """
+        if row != self.n:
+            raise ValueError(
+                "world rows are added in order: the next is %d, got %r"
+                % (self.n, row)
+            )
+        if row == len(self._buffers["awake"]):
+            for name, fill in _ROW_ARRAYS.items():
+                grown = np.full(2 * row + 1, fill)
+                grown[:row] = self._buffers[name]
+                self._buffers[name] = grown
+        self._mobility.append(mobility)
+        self.n += 1
+        self._expose()
+        self._pos_time = None
+
+    def _expose(self) -> None:
+        for name, buffer in self._buffers.items():
+            setattr(self, name, buffer[: self.n])
+
+    def set_leg(self, row: int, leg) -> None:
         """Write a node's newly active leg through to the mirror."""
-        self._start_x[row] = start_x
-        self._start_y[row] = start_y
-        self._dest_x[row] = dest_x
-        self._dest_y[row] = dest_y
-        self._depart[row] = depart_time
-        self._arrive[row] = arrive_time
-        self._rest_until[row] = rest_until
-        self._heading[row] = math.atan2(dest_y - start_y, dest_x - start_x)
+        start = leg.start
+        dest = leg.dest
+        self._start_x[row] = start.x
+        self._start_y[row] = start.y
+        self._dest_x[row] = dest.x
+        self._dest_y[row] = dest.y
+        self._depart[row] = leg.depart_time
+        self._arrive[row] = leg.arrive_time
+        span = leg.arrive_time - leg.depart_time
+        self._span[row] = span if span > 0.0 else math.inf
+        self._rest_until[row] = leg.rest_until
+        self._heading[row] = leg.heading
         self._pos_time = None
 
     def positions_at(self, t: float) -> Tuple[Sequence[float], Sequence[float]]:
@@ -142,7 +164,7 @@ class WorldState:
         arrive = self._arrive
         start_x = self._start_x
         start_y = self._start_y
-        frac = (t - depart) / (arrive - depart)
+        frac = (t - depart) / self._span
         x = start_x + (self._dest_x - start_x) * frac
         y = start_y + (self._dest_y - start_y) * frac
         # Reproduce Leg.position_at's clamp branches exactly: at or past

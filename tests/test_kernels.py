@@ -30,7 +30,7 @@ from repro.kernels import (
     set_default_kernels,
     use_kernels,
 )
-from repro.mobility.base import StationaryMobility
+from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
 from repro.net.channel import BroadcastChannel
 from repro.net.packet import Packet
@@ -531,32 +531,52 @@ class TestTeamKernelWiring:
 
 
 class TestWorldStateSoA:
+    @staticmethod
+    def every_kind_of_model():
+        route = [Vec2(5.0, 5.0), Vec2(60.0, 12.0), Vec2(30.0, 70.0)]
+        return [
+            WaypointMobility(
+                Rect.square(80.0), np.random.default_rng(100 + i),
+                rest_time_max=4.0 * (i % 3),
+            )
+            for i in range(6)
+        ] + [
+            StationaryMobility(Vec2(12.5, 40.0)),
+            StationaryMobility(Vec2(3.0, 9.0), heading=1.0),
+            ScriptedMobility(route, speed=1.3),
+            ScriptedMobility(route, speed=0.7, loop=True),
+            ScriptedMobility(route, speed=2.0, start_time=17.5),
+            ScriptedMobility(route, speed=1.1, start_time=40.0, loop=True),
+        ]
+
     def test_positions_bitwise_match_scalar_legs(self):
-        """The SoA interpolation reproduces Leg.position_at bit for bit."""
+        """The SoA rows of every kind of model (waypoint, stationary,
+        scripted: looping, delayed) read back as the model's own legs
+        and pose(), bit for bit."""
         from repro.sim.world import WorldState
 
-        area = Rect.square(80.0)
-        n = 6
-        world = WorldState(n)
-        mirrored = [
-            WaypointMobility(area, np.random.default_rng(100 + i))
-            for i in range(n)
-        ]
-        reference = [
-            WaypointMobility(area, np.random.default_rng(100 + i))
-            for i in range(n)
-        ]
-        for row, mobility in enumerate(mirrored):
+        world = WorldState()
+        for row, mobility in enumerate(self.every_kind_of_model()):
             mobility.bind_world(world, row)
+        reference = self.every_kind_of_model()
         rng = np.random.default_rng(7)
         t = 0.0
-        for _ in range(200):
-            t += float(rng.uniform(0.0, 3.0))
-            xs, ys = world.positions_at(t)
-            for row, ref in enumerate(reference):
-                want = ref.current_leg(t).position_at(t)
-                assert xs[row] == want.x
-                assert ys[row] == want.y
+        # Any 0/0 or x/0 in the interpolation would raise here.
+        with np.errstate(all="raise"):
+            for _ in range(200):
+                t += float(rng.choice([0.0, rng.uniform(0.0, 8.0)]))
+                xs, ys = world.positions_at(t)
+                _, _, headings = world.poses_at(t)
+                for row, ref in enumerate(reference):
+                    want = ref.current_leg(t).position_at(t)
+                    assert xs[row] == want.x
+                    assert ys[row] == want.y
+                    pose = ref.pose(t)
+                    assert (pose.position.x, pose.position.y) == (want.x, want.y)
+                    assert headings[row] == pose.heading
+        # The times ran past a delayed start and into a loop's second lap.
+        assert t > 40.0
+        assert len(reference[9]._legs) > 3
 
 
 class TestBitIdenticalGate:

@@ -288,7 +288,7 @@ class TestArrayOdometerOracle:
         ]
 
     def check(self, n, noise, rest, seed=3):
-        world = WorldState(n)
+        world = WorldState()
         for row, mobility in enumerate(self.mobilities(n, seed, rest)):
             mobility.bind_world(world, row)
         streams = RandomStreams(seed)
@@ -378,7 +378,7 @@ class TestOdometerRowCheckpoint:
             assert a.heading_change.tobytes() == b.heading_change.tobytes()
 
     def test_wider_block_rejects_a_row_from_another_time(self):
-        world = WorldState(2)
+        world = WorldState()
         streams = RandomStreams(2)
         for row in range(2):
             WaypointMobility(

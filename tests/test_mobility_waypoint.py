@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from repro.mobility.base import Pose, ScriptedMobility, StationaryMobility
+from repro.mobility.base import ScriptedMobility, StationaryMobility
+from repro.mobility.odometry import OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
 from repro.sim.rng import RandomStreams
+from repro.sim.world import WorldState
 from repro.util.geometry import Rect, Vec2
 
 
@@ -84,6 +86,31 @@ class TestScriptedMobility:
         )
         assert mob.position(3.0) == Vec2(0, 0)
         assert mob.position(7.0).x == pytest.approx(2.0)
+
+
+class TestWorldBinding:
+    def test_second_world_rejected(self, area, rng):
+        mob = WaypointMobility(area, rng)
+        first = WorldState()
+        mob.bind_world(first, 0)
+        with pytest.raises(ValueError):
+            mob.bind_world(WorldState(), 0)
+        # The first world still follows the trajectory.
+        xs, ys = first.positions_at(250.0)
+        assert (xs[0], ys[0]) == (mob.position(250.0).x, mob.position(250.0).y)
+
+    def test_odometer_of_a_bound_robot_rejected(self):
+        mob = ScriptedMobility([Vec2(0, 0), Vec2(10, 0)], speed=1.0)
+        mob.bind_world(WorldState(), 0)
+        with pytest.raises(ValueError):
+            OdometrySensor(mob, RandomStreams(1).get("odo"))
+
+    def test_rows_are_added_in_order(self):
+        world = WorldState()
+        with pytest.raises(ValueError):
+            StationaryMobility(Vec2(1, 1)).bind_world(world, 1)
+        StationaryMobility(Vec2(1, 1)).bind_world(world, 0)
+        assert world.n == 1
 
 
 class TestWaypointMobility:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.mobility.base import StationaryMobility
+from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
 from repro.multicast.flooding import CopyCounter, DuplicateCache
 from repro.multicast.lifetime import (
@@ -89,6 +89,23 @@ class TestKinematicsOf:
         pose = mob.pose(0.0)
         assert k.velocity.norm() == pytest.approx(pose.speed)
         assert k.time_to_waypoint == pytest.approx(mob.time_to_waypoint(0.0))
+
+    def test_scripted_reports_time_to_each_waypoint(self):
+        mob = ScriptedMobility(
+            [Vec2(0, 0), Vec2(10, 0), Vec2(10, 10)], speed=2.0
+        )
+        k = kinematics_of(mob, 1.0)
+        assert k.velocity == Vec2(2.0, 0.0)
+        assert k.time_to_waypoint == 4.0
+        assert k.rest_remaining == 0.0
+        k = kinematics_of(mob, 6.0)
+        assert k.time_to_waypoint == 4.0
+        # Past the last waypoint the robot rests for good.
+        k = kinematics_of(mob, 12.0)
+        assert k.position == Vec2(10, 10)
+        assert k.velocity == Vec2.zero()
+        assert k.time_to_waypoint == 0.0
+        assert k.rest_remaining == math.inf
 
     def test_prediction_horizon_combines_travel_and_rest(self):
         k = kin(0, 0, tta=30.0, rest=20.0)

@@ -280,6 +280,28 @@ class TestBroadcastChannel:
         assert inbox == []
         assert channel.stats.frames_missed_asleep == 1
 
+    def test_offer_filters_count_each_miss_once(self):
+        # Node 0 transmits to three neighbours in range: one asleep, one
+        # browned out, one already on the air.  Each filter counts its
+        # own miss, and no frame is left to deliver.
+        sim, channel, interfaces, inbox = build_network(
+            [Vec2(0, 0), Vec2(10, 0), Vec2(0, 10), Vec2(10, 10)]
+        )
+        interfaces[1].radio.sleep()
+        interfaces[2].radio.set_receive_fault(lambda now: True)
+        interfaces[3].radio.begin_transmit(0.01)
+        channel.transmit(0, make_test_packet(src=0))
+        stats = channel.stats
+        assert stats.frames_sent == 1
+        assert stats.frames_offered == 3
+        assert stats.frames_missed_asleep == 1
+        assert stats.frames_missed_brownout == 1
+        assert stats.frames_missed_half_duplex == 1
+        assert stats.frames_below_sensitivity == 0
+        sim.run(until=1.0)
+        assert inbox == []
+        assert stats.frames_delivered == 0
+
     def test_node_sleeping_mid_frame_misses_it(self):
         sim, channel, interfaces, inbox = build_network(
             [Vec2(0, 0), Vec2(10, 0)]
@@ -353,6 +375,55 @@ class TestBroadcastChannel:
         sim, channel, interfaces, _ = build_network([Vec2(0, 0)])
         with pytest.raises(ValueError):
             channel.register(
+                0,
+                StationaryMobility(Vec2(1, 1)),
+                interfaces[0].radio,
+                ReceiverModel(),
+                lambda rp: None,
+            )
+
+    def test_out_of_order_registration_rejected(self):
+        sim, channel, interfaces, _ = build_network([Vec2(0, 0)])
+        with pytest.raises(ValueError):
+            channel.register(
+                2,
+                StationaryMobility(Vec2(1, 1)),
+                make_radio(sim)[1],
+                ReceiverModel(),
+                lambda rp: None,
+            )
+
+    def test_registration_adds_world_rows(self):
+        sim, channel, interfaces, _ = build_network(
+            [Vec2(0, 0), Vec2(10, 0), Vec2(0, 7)]
+        )
+        assert channel.world.n == 3
+        xs, ys = channel.world.positions_at(0.0)
+        assert (xs, ys) == ([0.0, 10.0, 0.0], [0.0, 0.0, 7.0])
+        interfaces[1].sleep()
+        assert channel.world.awake.tolist() == [True, False, True]
+
+    def test_mobility_of_another_channel_rejected(self):
+        sim, channel, interfaces, _ = build_network([Vec2(0, 0)])
+        other = BroadcastChannel(
+            sim, PathLossModel(), RandomStreams(2).get("phy")
+        )
+        with pytest.raises(ValueError):
+            other.register(
+                0,
+                channel._nodes[0].mobility,
+                make_radio(sim)[1],
+                ReceiverModel(),
+                lambda rp: None,
+            )
+
+    def test_radio_binds_to_one_world(self):
+        sim, channel, interfaces, _ = build_network([Vec2(0, 0)])
+        other = BroadcastChannel(
+            sim, PathLossModel(), RandomStreams(2).get("phy")
+        )
+        with pytest.raises(ValueError):
+            other.register(
                 0,
                 StationaryMobility(Vec2(1, 1)),
                 interfaces[0].radio,
