@@ -21,7 +21,7 @@ own, so the filter's only grid-sized state is its posterior.  Measured
 on a 2-CPU Xeon VM with numpy 2.4, one update of a 100×100 grid costs
 about 23 µs when the memo already holds the field (the multiply, sum and
 divide over the grid), and about 120 µs when the memo evaluates it
-through the PDF table's lookup tables (about 170 µs on the exact path).
+through the PDF table's lookup tables.
 """
 
 from __future__ import annotations

@@ -106,18 +106,14 @@ class ConstraintFieldCache:
             self.hits += 1
             return field
         self.misses += 1
-        distances = self.distance_field(grid, beacon)
-        if table.lut_enabled:
-            # The LUT index field depends only on the distances and the
-            # LUT geometry, not the bin, and pdf_from_index gathers the
-            # same LUT entries pdf_for_key would, so every bin after the
-            # first at this position skips the clip/cast pass.
-            field = table.pdf_from_index(
-                bin_key, self.index_field(table, distances)
-            )
-        else:
-            field = table.pdf_for_key(bin_key, distances)
-        return self.store_constraint(bin_key, field)
+        # The LUT index field depends only on the distances and the LUT
+        # geometry, not the bin, and pdf_from_index gathers the same LUT
+        # entries pdf_for_key would, so every bin after the first at
+        # this position skips the clip/cast pass.
+        index = self.index_field(table, self.distance_field(grid, beacon))
+        return self.store_constraint(
+            bin_key, table.pdf_from_index(bin_key, index)
+        )
 
     def _move_to(self, beacon, table) -> None:
         if self._distances is not None:

@@ -17,7 +17,7 @@ outlier beacon can never zero out the Bayesian posterior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ import numpy as np
 #: the filter robust against outlier measurements.
 UNIFORM_FLOOR_WEIGHT = 0.02
 
-#: LUT resolution: nodes over twice the table support.
+#: LUT resolution: nodes over twice the table support, per RSSI bin.
 LUT_ENTRIES = 16384
 
 
@@ -154,6 +154,11 @@ class PdfTable:
     table's edges clamp to the first/last bin — a beacon is never discarded
     for having an RSSI the calibration did not cover (it just gets the
     closest, widest evidence available).
+
+    Densities are read from a per-bin lookup table of
+    :data:`LUT_ENTRIES` nodes sampled from the bin's
+    :meth:`DistanceDistribution.pdf`; that method stays the reference
+    the LUT is tested against.
     """
 
     def __init__(
@@ -170,44 +175,13 @@ class PdfTable:
         self._bins = dict(bins)
         self._keys = np.array(sorted(self._bins), dtype=int)
         self._support_max_m = float(support_max_m)
-        # LUT kernel state (see repro.kernels): disabled by default so
-        # direct PdfTable users always get the exact densities; the team
-        # switches it on per its KernelConfig.  LUTs build lazily, one
-        # per *queried* bin, by sampling the bin's exact pdf() (uniform
-        # floor included) on a dense grid over twice the support — grid
-        # cells can sit up to the area diagonal away from a beacon, and
+        # Densities come from per-bin LUTs, built lazily, one per
+        # *queried* bin, by sampling the bin's pdf() (uniform floor
+        # included) on a dense grid over twice the support — grid cells
+        # can sit up to the area diagonal away from a beacon, and
         # anything beyond the domain clamps to the last node, which is
-        # floor-level density just like the exact evaluation.
-        self._lut_enabled = False
-        self._lut_entries = LUT_ENTRIES
+        # floor-level density just like DistanceDistribution.pdf.
         self._luts: Dict[int, np.ndarray] = {}
-
-    def set_lut(self, enabled: bool, entries: Optional[int] = None) -> None:
-        """Switch LUT-based density evaluation on or off.
-
-        Args:
-            enabled: route :meth:`pdf` / :meth:`pdf_for_key` through the
-                per-bin lookup tables (tolerance-identical) instead of
-                the exact per-call evaluation (bit-identical reference).
-            entries: LUT resolution; changing it drops any cached LUTs.
-
-        Raises:
-            ValueError: if ``entries`` is below 2.
-        """
-        if entries is not None:
-            if entries < 2:
-                raise ValueError(
-                    "LUT entries must be >= 2, got %r" % entries
-                )
-            if int(entries) != self._lut_entries:
-                self._lut_entries = int(entries)
-                self._luts.clear()
-        self._lut_enabled = bool(enabled)
-
-    @property
-    def lut_enabled(self) -> bool:
-        """True when densities come from the lookup tables."""
-        return self._lut_enabled
 
     def __getstate__(self):
         # Keep pickles (process-pool workers, the orchestrator's result
@@ -256,24 +230,20 @@ class PdfTable:
     def pdf_for_key(self, key: int, distances_m: np.ndarray) -> np.ndarray:
         """Density over distance for an already-resolved bin key.
 
-        With the LUT kernel off this is the exact evaluation; with it on,
-        each distance snaps to the nearest LUT node (one gather instead
-        of a grid-sized ``exp``).  Nearest-node quantization
-        bounds the relative density error by roughly
+        Each distance snaps to the nearest node of the bin's LUT (one
+        gather instead of a grid-sized ``exp``).  Nearest-node
+        quantization bounds the relative density error against
+        :meth:`DistanceDistribution.pdf` by roughly
         ``0.5 * step * |d - mean| / sigma^2`` for Gaussian bins, which at
-        the default resolution stays far inside the 0.1 % figure-metric
+        :data:`LUT_ENTRIES` stays far inside the 0.1 % figure-metric
         tolerance the regression suite pins.
         """
-        if not self._lut_enabled:
-            return self._bins[key].pdf(distances_m)
         return self.pdf_from_index(key, self.lut_index_for(distances_m))
 
     def _lut_for(self, key: int) -> np.ndarray:
         lut = self._luts.get(key)
         if lut is None:
-            nodes = np.linspace(
-                0.0, 2.0 * self._support_max_m, self._lut_entries
-            )
+            nodes = np.linspace(0.0, 2.0 * self._support_max_m, LUT_ENTRIES)
             lut = np.asarray(self._bins[key].pdf(nodes), dtype=float)
             lut.flags.writeable = False
             self._luts[key] = lut
@@ -283,30 +253,24 @@ class PdfTable:
         """Nearest-LUT-node indices for a distance field.
 
         The indices depend only on the distances and the LUT geometry
-        (entry count and support) — not on the RSSI bin — so a caller evaluating several bins at the
-        same beacon position (the constraint-field memo does, one per
-        heard RSSI bin) can compute them once and feed :meth:`pdf_from_index`
-        per bin, with bit-identical results to :meth:`pdf_for_key`.
+        (entry count and support) — not on the RSSI bin — so a caller
+        evaluating several bins at the same beacon position (the
+        constraint-field memo does, one per heard RSSI bin) can compute
+        them once and feed :meth:`pdf_from_index` per bin, with
+        bit-identical results to :meth:`pdf_for_key`.
         """
         d = np.asarray(distances_m, dtype=float)
-        inv_step = (self._lut_entries - 1) / (2.0 * self._support_max_m)
+        inv_step = (LUT_ENTRIES - 1) / (2.0 * self._support_max_m)
         # Clip before the integer cast (same reasoning as the histogram
         # path: corrupted coordinates can be astronomically far away).
-        scaled = np.clip(
-            d * inv_step + 0.5, 0.0, float(self._lut_entries - 1)
-        )
+        scaled = np.clip(d * inv_step + 0.5, 0.0, float(LUT_ENTRIES - 1))
         return scaled.astype(np.intp)
 
     def pdf_from_index(self, key: int, index: np.ndarray) -> np.ndarray:
         """Density over distance from a precomputed LUT index field.
 
-        Only meaningful while the LUT kernel is enabled and ``index``
-        came from :meth:`lut_index_for` under the current LUT geometry.
+        ``index`` must come from :meth:`lut_index_for` on this table.
         """
-        if not self._lut_enabled:
-            raise RuntimeError(
-                "pdf_from_index requires the LUT kernel to be enabled"
-            )
         # Fancy indexing gathers the same elements as np.take (the
         # indices are in range by construction) a shade faster.
         return self._lut_for(key)[index]

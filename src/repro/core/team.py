@@ -38,7 +38,6 @@ from repro.core.pdf_table import PdfTable
 from repro.energy.report import TeamEnergyReport, aggregate_meters
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultPlan
-from repro.kernels import KernelConfig, resolve_kernels
 from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
@@ -142,6 +141,8 @@ class CoCoATeam:
         pdf_table: optionally reuse an already calibrated PDF Table (the
             calibration is a property of the hardware, not the scenario,
             so parameter sweeps share it — and save the calibration cost).
+            The team never mutates it: its per-bin LUTs are derived data,
+            so one table serves any number of runs.
         faults: optional :class:`~repro.faults.spec.FaultPlan` overriding
             ``config.faults`` (the config field is what sweeps and the
             result cache see; the argument is an escape hatch for direct
@@ -152,13 +153,6 @@ class CoCoATeam:
             histograms.  Deliberately *not* part of the config: telemetry
             never changes simulation behaviour, so it must not change
             cache fingerprints either.
-        kernels: optional :class:`~repro.kernels.KernelConfig` selecting
-            LUT or exact densities.  Defaults through
-            :func:`~repro.kernels.default_kernels` (process override,
-            then the ``REPRO_KERNELS`` environment variable, then LUT
-            on).  Like telemetry, it is
-            not part of the config: the LUT stays within figure
-            tolerance, so it must not change cache fingerprints.
     """
 
     def __init__(
@@ -167,11 +161,9 @@ class CoCoATeam:
         pdf_table: Optional[PdfTable] = None,
         faults: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
-        kernels: Optional[KernelConfig] = None,
     ) -> None:
         self.config = config
         self.telemetry = telemetry
-        self.kernels = resolve_kernels(kernels)
         self.streams = RandomStreams(config.master_seed)
         self.sim = Simulator()
         self.channel = BroadcastChannel(
@@ -197,12 +189,6 @@ class CoCoATeam:
             )
             pdf_table = calibration.table
         self.pdf_table = pdf_table
-        if self.pdf_table is not None:
-            # Per-run LUT selection.  Tables are shared across runs via
-            # SharedCalibration, so this must be (and is) idempotent:
-            # flipping the flag keeps any already-built LUT arrays
-            # around for the next LUT run.
-            self.pdf_table.set_lut(self.kernels.lut_pdf)
         self.constraint_cache: Optional[ConstraintFieldCache] = None
         if self._needs_rf():
             self.constraint_cache = ConstraintFieldCache()

@@ -13,7 +13,7 @@ those categories plus on/off transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.energy.model import EnergyModel, RadioState

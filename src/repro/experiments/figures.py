@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.calibration import build_pdf_table
-from repro.core.config import CoCoAConfig, LocalizationMode, MulticastProtocol
+from repro.core.config import LocalizationMode, MulticastProtocol
 from repro.core.team import CoCoATeam
-from repro.experiments.metrics import ErrorSummary, cdf_points, summarize_errors
+from repro.experiments.metrics import cdf_points, summarize_errors
 from repro.experiments.presets import (
     fig4_config,
     fig6_config,

@@ -19,11 +19,10 @@ therefore a direct end-to-end measurement of CoCoA coordinate quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CoCoAConfig
-from repro.core.coordinator import Coordinator
 from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
 from repro.net.interface import NetworkInterface

@@ -20,8 +20,8 @@ its intended next hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Set
 
 import numpy as np
 

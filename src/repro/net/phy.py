@@ -125,8 +125,11 @@ class PathLossModel:
             Sampled RSSI in dBm with the same shape as the input.
         """
         if isinstance(distance_m, (float, int)):
-            # Scalar fast path: the channel offers every frame to every
-            # receiver one at a time, so this runs once per offered frame.
+            # Scalar path for one-off draws (the calibration example's
+            # spot checks, and the tests that hold sample_rssi_batch to
+            # sequential scalar draws); the channel draws a frame's
+            # receivers at once through sample_rssi_batch, and
+            # calibration and Fig. 1 pass arrays.
             # Draws and arithmetic replicate the array path bit for bit:
             # scalar Generator draws consume the stream exactly like
             # size-(1,) draws, and scalar np.log10/np ops match the array

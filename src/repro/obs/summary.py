@@ -17,7 +17,7 @@ JSONL) — this module never touches live tracer state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 __all__ = [
     "hop_table",

@@ -418,7 +418,6 @@ class _ChaosDriver:
             area_side_m=log.area_side_m,
             grid_resolution_m=log.grid_resolution_m,
             min_beacons_for_fix=log.min_beacons_for_fix,
-            lut=log.lut,
             resume=resume,
         ))
         response = ensure_ok(await self._send(hello_request))

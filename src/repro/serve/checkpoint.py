@@ -48,20 +48,19 @@ def checkpoint_fingerprint(hello: HelloRequest) -> str:
     """The checkpoint address (= resume token) of a session identity.
 
     Derived from the tenant name plus everything that shapes the
-    estimator pipeline (geometry, calibration identity, LUT flag) —
+    estimator pipeline (geometry, calibration identity) —
     exact ``float.hex`` encoding, so two geometries that differ in the
     last bit get distinct addresses.  Prefixed so checkpoint payloads
     can never collide with TeamResult or calibration entries inside the
     shared orchestrator cache.
     """
-    token = "checkpoint|tenant=%s|seed=%d|samples=%d|area=%s|grid=%s|min=%d|lut=%r" % (
+    token = "checkpoint|tenant=%s|seed=%d|samples=%d|area=%s|grid=%s|min=%d" % (
         hello.tenant,
         hello.calibration_seed,
         hello.calibration_samples,
         float(hello.area_side_m).hex(),
         float(hello.grid_resolution_m).hex(),
         hello.min_beacons_for_fix,
-        hello.lut,
     )
     return "ckpt-" + hashlib.sha256(token.encode("utf-8")).hexdigest()
 

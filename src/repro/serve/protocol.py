@@ -41,6 +41,7 @@ server's telemetry registry); see :mod:`repro.serve.server`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Union
 
@@ -76,8 +77,8 @@ class ProtocolError(ValueError):
 class HelloRequest:
     """Open (or re-attach to) a tenant session.
 
-    The calibration identity (seed, sample count, LUT flag) plus the
-    grid geometry fully determine the estimator pipeline, so a replayed
+    The calibration identity (seed, sample count) plus the grid
+    geometry fully determine the estimator pipeline, so a replayed
     observation log carrying the recording run's values reproduces its
     fixes bit for bit.
     """
@@ -88,7 +89,6 @@ class HelloRequest:
     area_side_m: float = 200.0
     grid_resolution_m: float = 2.0
     min_beacons_for_fix: int = 3
-    lut: Optional[bool] = None
     resume: Optional[str] = None
     rid: Optional[int] = None
     trace: Optional[str] = None
@@ -305,12 +305,21 @@ def _validate(request: Request) -> None:
     if isinstance(request, (FixRequest, ConfidenceRequest)):
         _check_int("robot", request.robot)
     if isinstance(request, HelloRequest):
-        if request.calibration_samples < 1:
-            raise ProtocolError("calibration_samples must be >= 1")
-        if request.area_side_m <= 0 or request.grid_resolution_m <= 0:
-            raise ProtocolError("area/grid dimensions must be positive")
-        if request.min_beacons_for_fix < 1:
-            raise ProtocolError("min_beacons_for_fix must be >= 1")
+        _check_int("calibration_seed", request.calibration_seed)
+        _check_int("calibration_samples", request.calibration_samples, 1)
+        _check_int("min_beacons_for_fix", request.min_beacons_for_fix, 1)
+        for name in ("area_side_m", "grid_resolution_m"):
+            value = getattr(request, name)
+            # The checkpoint address hashes float(value), so an integer
+            # too large for a float is as unusable as inf or NaN.
+            try:
+                valid = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                valid = False
+            if not valid or value <= 0:
+                raise ProtocolError(
+                    "%s must be a finite positive number" % name
+                )
         if request.resume is not None and (
             not isinstance(request.resume, str)
             or not request.resume
@@ -321,9 +330,9 @@ def _validate(request: Request) -> None:
             )
 
 
-def _check_int(name: str, value: Any) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ProtocolError("%s must be a non-negative integer" % name)
+def _check_int(name: str, value: Any, minimum: int = 0) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ProtocolError("%s must be an integer >= %d" % (name, minimum))
 
 
 def encode_request(request: Request) -> str:

@@ -29,7 +29,6 @@ from typing import Any, Dict, List
 
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.team import CoCoATeam
-from repro.kernels import resolve_kernels
 from repro.serve.client import ensure_ok
 
 __all__ = [
@@ -49,8 +48,6 @@ class ReplayLog:
             calibration RNG stream, so the service rebuilds the same
             PDF table).
         calibration_samples: calibration Monte-Carlo sample count.
-        lut: the recording run's LUT-kernel flag (density evaluation
-            must match bit for bit).
         area_side_m: deployment square side.
         grid_resolution_m: Bayesian grid cell size.
         min_beacons_for_fix: fix threshold.
@@ -62,7 +59,6 @@ class ReplayLog:
 
     calibration_seed: int
     calibration_samples: int
-    lut: bool
     area_side_m: float
     grid_resolution_m: float
     min_beacons_for_fix: int
@@ -83,7 +79,6 @@ class ReplayLog:
             "kind": "header",
             "calibration_seed": self.calibration_seed,
             "calibration_samples": self.calibration_samples,
-            "lut": self.lut,
             "area_side_m": self.area_side_m,
             "grid_resolution_m": self.grid_resolution_m,
             "min_beacons_for_fix": self.min_beacons_for_fix,
@@ -105,7 +100,6 @@ class ReplayLog:
         log = cls(
             calibration_seed=header["calibration_seed"],
             calibration_samples=header["calibration_samples"],
-            lut=header["lut"],
             area_side_m=header["area_side_m"],
             grid_resolution_m=header["grid_resolution_m"],
             min_beacons_for_fix=header["min_beacons_for_fix"],
@@ -114,9 +108,7 @@ class ReplayLog:
         return log
 
 
-def record_replay_log(
-    config: CoCoAConfig, kernels=None
-) -> "tuple[ReplayLog, Any]":
+def record_replay_log(config: CoCoAConfig) -> "tuple[ReplayLog, Any]":
     """Run a batch scenario and capture its beacon traffic and fixes.
 
     The tap records exactly what the coordinator fed each estimator —
@@ -127,7 +119,6 @@ def record_replay_log(
     Args:
         config: the scenario to record (RF-capable; the interesting
             estimators are the RF/CoCoA ones).
-        kernels: optional kernel override, forwarded to the team.
 
     Returns:
         ``(log, result)`` — the replayable log and the batch
@@ -137,12 +128,10 @@ def record_replay_log(
         raise ValueError("replay recording requires a square area")
     if config.localization_mode is LocalizationMode.ODOMETRY_ONLY:
         raise ValueError("nothing to record without RF beacons")
-    resolved = resolve_kernels(kernels)
-    team = CoCoATeam(config, kernels=kernels)
+    team = CoCoATeam(config)
     log = ReplayLog(
         calibration_seed=config.master_seed,
         calibration_samples=config.calibration_samples,
-        lut=bool(resolved.lut_pdf),
         area_side_m=config.area.width,
         grid_resolution_m=config.grid_resolution_m,
         min_beacons_for_fix=config.min_beacons_for_fix,
@@ -245,7 +234,6 @@ async def replay_log(
         area_side_m=log.area_side_m,
         grid_resolution_m=log.grid_resolution_m,
         min_beacons_for_fix=log.min_beacons_for_fix,
-        lut=log.lut,
     ))
     fixes: List[Dict[str, Any]] = []
     pending: Dict[int, List[Dict[str, Any]]] = {}

@@ -15,7 +15,7 @@ Determinism contract (regression-tested in ``tests/test_serve_replay.py``):
   the batch simulation used;
 - the estimator is built with every graceful-degradation defense off
   (matching :class:`~repro.core.config.DefenseConfig` defaults) and the
-  same grid geometry / PDF table / LUT setting as the recording run;
+  same grid geometry and PDF table as the recording run;
 - observations arriving while no window is open are acknowledged but
   never applied: in the batch path such beacons land in a filter that
   the next window-open resets before any fix reads it, so dropping
@@ -54,7 +54,6 @@ from repro.core.config import LocalizationMode
 from repro.core.constraint_cache import ConstraintFieldCache
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
-from repro.kernels import resolve_kernels
 from repro.net.phy import PathLossModel, ReceiverModel
 from repro.serve.checkpoint import SessionCheckpoint, checkpoint_fingerprint
 from repro.serve.protocol import (
@@ -479,7 +478,6 @@ class TenantSession:
                 "area_side_m": hello.area_side_m,
                 "grid_resolution_m": hello.grid_resolution_m,
                 "min_beacons_for_fix": hello.min_beacons_for_fix,
-                "lut": hello.lut,
             },
             lanes=lanes,
             counters={
@@ -611,7 +609,7 @@ def calibration_fingerprint(
 class CalibrationStore:
     """Shares calibrated PDF tables across tenants and processes.
 
-    Lookup order: in-process dict (keyed by seed/samples/LUT flag) →
+    Lookup order: in-process dict (keyed by seed and sample count) →
     the orchestrator's content-addressed cache (when given) → a fresh
     :func:`~repro.core.calibration.build_pdf_table` run, whose result
     is pushed back into both layers.
@@ -626,23 +624,16 @@ class CalibrationStore:
     def __init__(self, warm_store=None, registry=NULL_REGISTRY) -> None:
         self._warm_store = warm_store
         self._registry = registry
-        self._tables: Dict[Tuple[int, int, bool], PdfTable] = {}
+        self._tables: Dict[Tuple[int, int], PdfTable] = {}
 
     def table_for(self, hello: HelloRequest) -> PdfTable:
         """The (possibly cached) table for a hello's calibration identity."""
-        kernels = resolve_kernels(None)
-        lut = hello.lut if hello.lut is not None else kernels.lut_pdf
-        key = (hello.calibration_seed, hello.calibration_samples, bool(lut))
+        key = (hello.calibration_seed, hello.calibration_samples)
         table = self._tables.get(key)
         if table is not None:
             self._registry.counter("serve_warmstart_hits").inc()
             return table
-        table = self._warm_table(
-            hello.calibration_seed, hello.calibration_samples
-        )
-        # LUT selection is per-table; tables are cached per LUT flag so
-        # tenants with different flags never mutate each other's table.
-        table.set_lut(bool(lut))
+        table = self._warm_table(*key)
         self._tables[key] = table
         return table
 

@@ -53,30 +53,17 @@ def default_path_loss():
     return PathLossModel()
 
 
-#: Session-scoped tables that tests (or teams built from them) may have
-#: switched to LUT mode; reset to the exact path after every test.
-_session_tables = []
-
-
 @pytest.fixture(scope="session")
 def pdf_table(default_path_loss):
-    """A session-wide calibrated PDF Table (60k samples: fast, adequate)."""
+    """A session-wide calibrated PDF Table (60k samples: fast, adequate).
+
+    Sharing it is safe: a table holds no per-run state (its lazily built
+    LUTs are derived data), so no test can leave it changed for the next.
+    """
     streams = RandomStreams(1234)
-    table = build_pdf_table(
+    return build_pdf_table(
         default_path_loss, streams.get("calibration"), n_samples=60_000
     ).table
-    _session_tables.append(table)
-    return table
-
-
-@pytest.fixture(autouse=True)
-def _reset_session_table_luts():
-    """Keep tests order-independent: a CoCoATeam run with the LUT kernel
-    on flips the shared table's LUT state, so restore the exact path
-    after each test."""
-    yield
-    for table in _session_tables:
-        table.set_lut(False)
 
 
 @pytest.fixture()

@@ -251,10 +251,8 @@ class TestLeastSquaresOracle:
 
     NEAR_M = 40.0
 
-    @pytest.mark.parametrize("lut", [False, True])
-    def test_mode_matches_weighted_trilateration(self, area, pdf_table, lut):
+    def test_mode_matches_weighted_trilateration(self, area, pdf_table):
         least_squares = pytest.importorskip("scipy.optimize").least_squares
-        pdf_table.set_lut(lut)
         model = PathLossModel()
         rng = np.random.default_rng(17)
         for _ in range(8):

@@ -9,7 +9,7 @@ from repro.core.pdf_table import (
     DistanceDistribution,
     PdfTable,
 )
-from repro.net.phy import PathLossModel, ReceiverModel
+from repro.net.phy import ReceiverModel
 from repro.sim.rng import RandomStreams
 
 

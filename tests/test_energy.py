@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy.meter import EnergyBreakdown, EnergyMeter
+from repro.energy.meter import EnergyMeter
 from repro.energy.model import EnergyModel, RadioState
 from repro.energy.report import aggregate_meters
 

@@ -2,11 +2,12 @@
 
 Byte stability of whole runs is pinned absolutely by the golden digests
 in ``test_science_digests.py``.  This module holds the gate the digests
-cannot express — with the LUT kernel on, per-figure metrics must stay
-within 0.1 % relative of the exact evaluation — and unit tests for the
-pieces the fast path is built from: kernel selection, the batched RSSI
+cannot express — per-figure metrics from the LUT densities must stay
+within 0.1 % relative of runs that evaluate
+:meth:`~repro.core.pdf_table.DistanceDistribution.pdf` afresh — and unit
+tests for the pieces the fast path is built from: the batched RSSI
 sampler's draw-for-draw stream equivalence, the carrier-sense distance
-band, LUT state handling, the shared constraint-field cache, the pose
+band, the LUT densities, the shared constraint-field cache, the pose
 memo and the structure-of-arrays positions.
 """
 
@@ -17,19 +18,11 @@ from repro.analysis.seeds import run_seed_sweep
 from repro.core.bayes import GridBayesFilter
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.constraint_cache import ConstraintFieldCache
+from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
 from repro.energy.meter import EnergyMeter
 from repro.energy.model import EnergyModel
 from repro.experiments.runner import SharedCalibration
-from repro.kernels import (
-    KERNELS_OFF,
-    KERNELS_ON,
-    KERNELS_ENV_VAR,
-    default_kernels,
-    resolve_kernels,
-    set_default_kernels,
-    use_kernels,
-)
 from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
 from repro.net.channel import BroadcastChannel
@@ -60,69 +53,36 @@ def calibration():
     return SharedCalibration()
 
 
-def run_tiny(seed, kernels, calibration):
+def run_tiny(seed, calibration):
     config = tiny_config(master_seed=seed)
-    team = CoCoATeam(
-        config, pdf_table=calibration.table_for(config), kernels=kernels
-    )
+    team = CoCoATeam(config, pdf_table=calibration.table_for(config))
     return team, team.run()
 
 
-@pytest.fixture(autouse=True)
-def _clean_kernel_default():
-    set_default_kernels(None)
-    yield
-    set_default_kernels(None)
+class ExactPdfTable(PdfTable):
+    """Equation 1 evaluated afresh on every call: the reference the LUT
+    densities are held to.  Its "index field" is the distance field
+    itself, so the constraint-field memo runs unchanged on top of it."""
+
+    def lut_index_for(self, distances_m):
+        return np.asarray(distances_m, dtype=float)
+
+    def pdf_from_index(self, key, index):
+        return self._bins[key].pdf(index)
+
+    def pdf_for_key(self, key, distances_m):
+        return self._bins[key].pdf(distances_m)
 
 
-class TestKernelResolution:
-    def test_default_is_everything_on(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert default_kernels() == KERNELS_ON
+class ExactCalibration:
+    """A :class:`SharedCalibration` stand-in serving exact tables."""
 
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "off")
-        assert default_kernels() == KERNELS_OFF
+    def __init__(self, shared):
+        self.shared = shared
 
-    @pytest.mark.parametrize("value", [" On ", ""])
-    def test_env_on_ignores_case_and_blanks(self, monkeypatch, value):
-        monkeypatch.setenv(KERNELS_ENV_VAR, value)
-        assert default_kernels() == KERNELS_ON
-
-    @pytest.mark.parametrize("value", ["sideways", "bitexact"])
-    def test_env_unknown_value_rejected(self, monkeypatch, value):
-        # A leftover selection from an older release must not silently
-        # pick a mode: the error names the accepted values.
-        monkeypatch.setenv(KERNELS_ENV_VAR, value)
-        with pytest.raises(ValueError, match="'on' or 'off'"):
-            default_kernels()
-
-    def test_process_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "off")
-        with use_kernels(KERNELS_ON):
-            assert default_kernels() == KERNELS_ON
-        assert default_kernels() == KERNELS_OFF
-
-    def test_use_kernels_restores_previous_override(self):
-        set_default_kernels(KERNELS_OFF)
-        with use_kernels(KERNELS_ON):
-            assert default_kernels() == KERNELS_ON
-        assert default_kernels() == KERNELS_OFF
-
-    def test_resolve_prefers_explicit(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "off")
-        assert resolve_kernels(KERNELS_ON) == KERNELS_ON
-        assert resolve_kernels(None) == KERNELS_OFF
-
-    def test_validation(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "off")
-        assert default_kernels() == KERNELS_OFF
-        # Explicit selections skip the environment entirely, so a bad
-        # value only fails the runs that would have read it.
-        monkeypatch.setenv(KERNELS_ENV_VAR, "bogus")
-        assert resolve_kernels(KERNELS_ON) == KERNELS_ON
-        with pytest.raises(ValueError):
-            resolve_kernels(None)
+    def table_for(self, config):
+        table = self.shared.table_for(config)
+        return ExactPdfTable(dict(table.items()), table.support_max_m)
 
 
 class TestRngStreamEquivalence:
@@ -268,26 +228,12 @@ class TestCarrierSenseBand:
 
 
 class TestPdfTableLut:
-    @pytest.fixture(autouse=True)
-    def _restore_lut(self, pdf_table):
-        yield
-        pdf_table.set_lut(False)
-
-    def test_disabled_by_default(self, pdf_table):
-        assert not pdf_table.lut_enabled
-
-    def test_entries_validated(self, pdf_table):
-        with pytest.raises(ValueError):
-            pdf_table.set_lut(True, entries=1)
-
     def test_lut_density_within_tolerance(self, pdf_table):
         lo, hi = pdf_table.rssi_range
         distances = np.linspace(0.0, 1.5 * pdf_table.support_max_m, 4001)
         for rssi in np.linspace(lo, hi, 7):
             key = pdf_table.bin_key_for(float(rssi))
-            pdf_table.set_lut(False)
-            exact = pdf_table.pdf_for_key(key, distances).copy()
-            pdf_table.set_lut(True, 16384)
+            exact = pdf_table.bin_for(float(rssi)).pdf(distances)
             lut = pdf_table.pdf_for_key(key, distances)
             # The 0.1 % contract is on figure metrics (pinned by the
             # sweep-tolerance gate in TestBitIdenticalGate); field-level
@@ -301,33 +247,17 @@ class TestPdfTableLut:
             assert l1 < 0.02
             assert float(np.max(np.abs(lut - exact) / exact)) < 0.25
 
-    def test_pickle_drops_luts_but_keeps_the_switch(self, pdf_table):
+    def test_pickle_drops_luts(self, pdf_table):
         import pickle
 
         lo, hi = pdf_table.rssi_range
         distances = np.linspace(0.0, 50.0, 100)
-        pdf_table.set_lut(True, 4096)
         key = pdf_table.bin_key_for((lo + hi) / 2.0)
         expected = pdf_table.pdf_for_key(key, distances).copy()
         clone = pickle.loads(pickle.dumps(pdf_table))
-        assert clone.lut_enabled
         assert not clone._luts  # derived data is rebuilt, not shipped
         assert clone.pdf_for_key(key, distances).tobytes() == (
             expected.tobytes()
-        )
-
-    def test_changing_entries_rebuilds(self, pdf_table):
-        lo, _ = pdf_table.rssi_range
-        distances = np.linspace(0.0, 50.0, 100)
-        pdf_table.set_lut(True, 1024)
-        key = pdf_table.bin_key_for(float(lo))
-        coarse = pdf_table.pdf_for_key(key, distances).copy()
-        pdf_table.set_lut(True, 16384)
-        fine = pdf_table.pdf_for_key(key, distances)
-        pdf_table.set_lut(False)
-        exact = pdf_table.pdf_for_key(key, distances)
-        assert np.max(np.abs(fine - exact)) <= np.max(
-            np.abs(coarse - exact)
         )
 
 
@@ -372,10 +302,10 @@ class TestConstraintFieldCache:
         assert other is not field
         assert (cache.hits, cache.misses) == (1, 2)
         assert (cache.distance_hits, cache.distance_misses) == (1, 1)
-        assert len(cache) == 3  # distance field + two constraints
+        # Distance field, LUT index field and two constraints.
+        assert len(cache) == 4
 
     def test_new_position_drops_memo(self, pdf_table):
-        pdf_table.set_lut(True)
         grid = GridBayesFilter(Rect.square(60.0), 2.0)
         cache = ConstraintFieldCache()
         key = pdf_table.bin_key_for(-60.0)
@@ -393,7 +323,6 @@ class TestConstraintFieldCache:
         assert cache.hits == 0
 
     def test_direct_field_calls_follow_their_arguments(self, pdf_table):
-        pdf_table.set_lut(True)
         grid = GridBayesFilter(Rect.square(60.0), 2.0)
         cache = ConstraintFieldCache()
         key = pdf_table.bin_key_for(-60.0)
@@ -446,30 +375,28 @@ class TestConstraintFieldCache:
             (Vec2(-0.0, 30.0), mid),  # shares the 0.0 entry
             (Vec2(-0.0, 30.0), hi),
         ]
-        for lut in (False, True):
-            pdf_table.set_lut(lut)
-            bare = GridBayesFilter(area, 2.0)
-            cached = [GridBayesFilter(area, 2.0) for _ in range(2)]
-            cache = ConstraintFieldCache()
-            for filt in cached:
-                filt.attach_constraint_cache(cache)
-            # Reference: Equations (1)-(2) evaluated afresh per beacon.
-            reference = np.full(bare.shape, 1.0 / bare.posterior.size)
-            for _ in range(2):  # the second round revisits every position
-                for beacon, rssi in beacons:
-                    constraint = pdf_table.pdf(
-                        rssi, bare.compute_distance_field(beacon)
-                    )
-                    reference *= constraint
-                    reference /= reference.sum()
-                    for filt in cached + [bare]:
-                        filt.apply_beacon(beacon, rssi, pdf_table)
-            assert cache.hits > 0
-            for filt in cached + [bare]:
-                assert filt.posterior.tobytes() == reference.tobytes()
+        bare = GridBayesFilter(area, 2.0)
+        cached = [GridBayesFilter(area, 2.0) for _ in range(2)]
+        cache = ConstraintFieldCache()
+        for filt in cached:
+            filt.attach_constraint_cache(cache)
+        # Reference: Equations (1)-(2) evaluated afresh per beacon.
+        reference = np.full(bare.shape, 1.0 / bare.posterior.size)
+        for _ in range(2):  # the second round revisits every position
+            for beacon, rssi in beacons:
+                constraint = pdf_table.pdf(
+                    rssi, bare.compute_distance_field(beacon)
+                )
+                reference *= constraint
+                reference /= reference.sum()
+                for filt in cached + [bare]:
+                    filt.apply_beacon(beacon, rssi, pdf_table)
+        assert cache.hits > 0
+        for filt in cached + [bare]:
+            assert filt.posterior.tobytes() == reference.tobytes()
 
     def test_team_run_holds_one_position(self, calibration):
-        team, _ = run_tiny(1, KERNELS_ON, calibration)
+        team, _ = run_tiny(1, calibration)
         cache = team.constraint_cache
         counters = cache.counters()
         assert counters["kernel_cache_constraint_hits"] > 0
@@ -501,13 +428,8 @@ class TestPoseMemo:
 
 
 class TestTeamKernelWiring:
-    def test_kernels_off_leaves_scalar_paths(self, calibration):
-        team, _ = run_tiny(1, KERNELS_OFF, calibration)
-        assert not team.pdf_table.lut_enabled
-
     def test_kernels_on_wires_everything(self, calibration):
-        team, result = run_tiny(1, KERNELS_ON, calibration)
-        assert team.pdf_table.lut_enabled
+        team, result = run_tiny(1, calibration)
         assert team.constraint_cache is not None
         counters = team.constraint_cache.counters()
         assert counters["kernel_cache_constraint_hits"] > 0
@@ -584,28 +506,27 @@ class TestBitIdenticalGate:
 
     SEEDS = (1, 2, 3)
 
-    def test_sweep_byte_equal_serial_and_pool(self, calibration, monkeypatch):
+    def test_sweep_byte_equal_serial_and_pool(self, calibration):
         config = tiny_config()
-        with use_kernels(KERNELS_OFF):
-            serial = run_seed_sweep(
-                config, seeds=self.SEEDS, calibration=calibration
-            )
-        # Pool workers resolve kernels from the inherited environment.
-        monkeypatch.setenv(KERNELS_ENV_VAR, "off")
+        serial = run_seed_sweep(
+            config, seeds=self.SEEDS, calibration=calibration
+        )
         pool = run_seed_sweep(config, seeds=self.SEEDS, jobs=2)
         assert pool.error_time_averages_m == serial.error_time_averages_m
         assert pool.energy_totals_j == serial.energy_totals_j
 
     def test_lut_kernel_within_figure_tolerance(self, calibration):
         config = tiny_config()
-        with use_kernels(KERNELS_OFF):
-            exact = run_seed_sweep(
-                config, seeds=self.SEEDS, calibration=calibration
-            )
-        with use_kernels(KERNELS_ON):
-            lut = run_seed_sweep(
-                config, seeds=self.SEEDS, calibration=calibration
-            )
+        exact = run_seed_sweep(
+            config, seeds=self.SEEDS,
+            calibration=ExactCalibration(calibration),
+        )
+        lut = run_seed_sweep(
+            config, seeds=self.SEEDS, calibration=calibration
+        )
+        # The two runs must take different density paths, or the bound
+        # below compares a path with itself.
+        assert lut.error_time_averages_m != exact.error_time_averages_m
         assert lut.energy_totals_j == exact.energy_totals_j
         relative = abs(lut.error_ci.mean - exact.error_ci.mean) / (
             exact.error_ci.mean

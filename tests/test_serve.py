@@ -92,7 +92,7 @@ def _run_window(session, robot=0, order=None):
 
 def test_protocol_request_round_trip():
     requests = [
-        _hello("alpha", calibration_seed=7, lut=True),
+        _hello("alpha", calibration_seed=7),
         WindowRequest(tenant="alpha", robot=3, event="open", t=12.5),
         ObserveRequest(tenant="alpha", robot=3, seq=2, x=1.25, y=-4.5,
                        rssi_dbm=-63.5, anchor_id=9, t=12.75),
@@ -124,6 +124,24 @@ def test_protocol_floats_survive_the_wire_exactly():
     '{"op": "observe", "tenant": "t", "robot": true, "seq": 0, '
     '"x": 1, "y": 2, "rssi_dbm": -60}',                      # bool robot
     '{"op": "hello", "tenant": "t", "calibration_samples": 0}',
+    # Mistyped or out-of-range hello fields.
+    '{"op": "hello", "tenant": "t", "min_beacons_for_fix": "3"}',
+    '{"op": "hello", "tenant": "t", "calibration_samples": "120000"}',
+    '{"op": "hello", "tenant": "t", "area_side_m": "200"}',
+    '{"op": "hello", "tenant": "t", "grid_resolution_m": "2"}',
+    '{"op": "hello", "tenant": "t", "calibration_seed": "s"}',
+    '{"op": "hello", "tenant": "t", "calibration_seed": -3}',
+    '{"op": "hello", "tenant": "t", "calibration_samples": 2.5}',
+    '{"op": "hello", "tenant": "t", "calibration_samples": true}',
+    '{"op": "hello", "tenant": "t", "area_side_m": NaN}',
+    '{"op": "hello", "tenant": "t", "grid_resolution_m": Infinity}',
+    '{"op": "hello", "tenant": "t", "grid_resolution_m": false}',
+    # No float holds it, and the checkpoint address hashes float(value).
+    pytest.param(
+        '{"op": "hello", "tenant": "t", "area_side_m": 1%s}' % ("0" * 400),
+        id="hello-area_side_m-10**400",
+    ),
+    '{"op": "hello", "tenant": "t", "lut": true}',   # no such field
 ])
 def test_protocol_rejects_bad_lines(line):
     with pytest.raises(ProtocolError):
@@ -171,9 +189,7 @@ def test_session_sorts_by_source_seq(pdf_table):
     assert in_order["y_hex"] == reversed_order["y_hex"]
 
 
-@pytest.mark.parametrize("lut", [False, True])
-def test_session_lanes_share_one_field_memo(pdf_table, lut):
-    pdf_table.set_lut(lut)
+def test_session_lanes_share_one_field_memo(pdf_table):
     session = _session(pdf_table)
     memo = session.constraint_cache
     hello = session.hello
@@ -535,11 +551,17 @@ def test_tcp_bad_line_keeps_connection_usable():
             "127.0.0.1", server.port
         )
         writer.write(b"this is not json\n")
+        # A well-formed line with a mistyped field is refused the same
+        # way, never by dropping the connection.
+        writer.write(b'{"op": "hello", "tenant": "a", '
+                     b'"min_beacons_for_fix": "3"}\n')
         writer.write(b'{"op": "ping"}\n')
         await writer.drain()
         first = parse_response(await reader.readline())
+        typed = parse_response(await reader.readline())
         second = parse_response(await reader.readline())
         assert not first.ok and first.error == "bad_request"
+        assert not typed.ok and typed.error == "bad_request"
         assert second.ok and second.payload["pong"]
         writer.close()
         await writer.wait_closed()

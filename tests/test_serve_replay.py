@@ -116,7 +116,7 @@ def test_replay_log_jsonl_round_trip(recorded_logs, tmp_path):
     log.dump_jsonl(path)
     restored = ReplayLog.load_jsonl(path)
     assert restored.calibration_seed == log.calibration_seed
-    assert restored.lut == log.lut
+    assert restored.calibration_samples == log.calibration_samples
     assert restored.events == log.events
     # A log that went through disk still passes the gate.
     replayed = _replay(restored, "disk")
