@@ -7,17 +7,20 @@ a single bit of a result -- an RNG draw taken in a different order, a
 float sum regrouped, an event fired out of turn -- fails here, whatever
 code path produced it.
 
-Each (preset, seed) cell is pinned once.  A further case turns on rich
-telemetry and ``channel.rx`` tracing, which must observe a run without
-changing it.
+Each (preset, seed) cell is pinned once, in two tables: ``GOLDEN`` hashes
+the science payload, which carries each node's total joules only;
+``ENERGY_GOLDEN`` hashes the energy split behind those totals
+(per-cause joules, per-state seconds, packet and transition counts).  A
+further case turns on rich telemetry and ``channel.rx`` tracing, which
+must observe a run without changing it.
 
-Regenerate the table (only when a science change is intended) with::
+Regenerate both tables (only when a science change is intended) with::
 
     PYTHONPATH=src python -m tests.test_science_digests
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -94,6 +97,49 @@ GOLDEN = {
         "306dec5cf625fb78faa69d301379ae4b8c6c76c28011cbd09cafe55a3119d95a",
 }
 
+#: (preset, seed) -> SHA-256 of the energy split (see energy_digest).
+#: Equal rows are expected: the localization mode and the defenses do
+#: not touch the radio, and an odometry-only run's radio timeline does
+#: not depend on the seed.
+ENERGY_GOLDEN = {
+    ("cocoa", 1):
+        "dd97c076893f51b3371308c7059bd589de62cacd004527225cec7347b78f771f",
+    ("cocoa", 2):
+        "2783f0d70384dfda0dfae48acae6acffbeadec353ffbca5203aae7e7acd33747",
+    ("cocoa", 3):
+        "dd94e96c3b4c8aaec7247e0826120ab39e98d56cfd50c292668193d307ace483",
+    ("faults_defended", 1):
+        "8913bb5946c08646cd62b67ded882bffa1ec21e96a46c6ed9fa03a6e3c5783e5",
+    ("faults_defended", 2):
+        "35202630ceb314bed496956b828d2fecc912f3128977f7b57d02dda6177642e1",
+    ("faults_defended", 3):
+        "d140e0837784bbe147fc91032e4e1bcf710182542f010c7f1ebacec93f701bff",
+    ("faults_undefended", 1):
+        "8913bb5946c08646cd62b67ded882bffa1ec21e96a46c6ed9fa03a6e3c5783e5",
+    ("faults_undefended", 2):
+        "35202630ceb314bed496956b828d2fecc912f3128977f7b57d02dda6177642e1",
+    ("faults_undefended", 3):
+        "d140e0837784bbe147fc91032e4e1bcf710182542f010c7f1ebacec93f701bff",
+    ("no_coordination", 1):
+        "e3b3c8813859a61b1bba45c893d61220fdb322961bfa5a94c5cf0524e85dd75c",
+    ("no_coordination", 2):
+        "e5b1f225a73fa1be8ff9a5d0077ea6911d9d5b493c517d0be4870d593ee5bdf3",
+    ("no_coordination", 3):
+        "67270769197a55d900b6db0f82add33f0886753dbd12802b9b3a8c78ec5eae08",
+    ("odometry_only", 1):
+        "3f3acf38e85adce75f40fbc8adc5763f538f88704f24ce71051ad70f6e585d55",
+    ("odometry_only", 2):
+        "3f3acf38e85adce75f40fbc8adc5763f538f88704f24ce71051ad70f6e585d55",
+    ("odometry_only", 3):
+        "3f3acf38e85adce75f40fbc8adc5763f538f88704f24ce71051ad70f6e585d55",
+    ("rf_only", 1):
+        "dd97c076893f51b3371308c7059bd589de62cacd004527225cec7347b78f771f",
+    ("rf_only", 2):
+        "2783f0d70384dfda0dfae48acae6acffbeadec353ffbca5203aae7e7acd33747",
+    ("rf_only", 3):
+        "dd94e96c3b4c8aaec7247e0826120ab39e98d56cfd50c292668193d307ace483",
+}
+
 
 def science_payload(result):
     """Everything a figure can read from a run, in byte-comparable form."""
@@ -114,6 +160,23 @@ def science_digest(result):
     ).hexdigest()
 
 
+def energy_digest(result):
+    """Hash every breakdown field and every ``radio_*`` telemetry metric,
+    each as ``float.hex``, so a regrouped sum shows even where the
+    totals agree."""
+    breakdown = result.energy.breakdown
+    items = [(f.name, getattr(breakdown, f.name)) for f in fields(breakdown)]
+    items += sorted(
+        (name, value)
+        for name, value in result.telemetry.metrics.items()
+        if name.startswith("radio_")
+    )
+    text = ";".join(
+        "%s=%s" % (name, float(value).hex()) for name, value in items
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_case(preset, seed, observed=False):
     config = replace(TINY, master_seed=seed, **PRESETS[preset])
     team = CoCoATeam(config, telemetry=Telemetry() if observed else None)
@@ -127,6 +190,7 @@ def run_case(preset, seed, observed=False):
 def test_digest_matches_golden(preset, seed):
     _, result = run_case(preset, seed)
     assert science_digest(result) == GOLDEN[(preset, seed)]
+    assert energy_digest(result) == ENERGY_GOLDEN[(preset, seed)]
 
 
 @pytest.mark.parametrize("preset", ["cocoa", "faults_defended"])
@@ -152,12 +216,16 @@ def test_cases_exercise_every_delivery_branch():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for preset in sorted(PRESETS):
-        for seed in SEEDS:
-            _, result = run_case(preset, seed)
-            print(
-                '    ("%s", %d):\n        "%s",'
-                % (preset, seed, science_digest(result))
-            )
-    print("}")
+    results = {
+        (preset, seed): run_case(preset, seed)[1]
+        for preset in sorted(PRESETS)
+        for seed in SEEDS
+    }
+    for table, digest in (
+        ("GOLDEN", science_digest), ("ENERGY_GOLDEN", energy_digest)
+    ):
+        print("%s = {" % table)
+        for (preset, seed), result in results.items():
+            print('    ("%s", %d):\n        "%s",'
+                  % (preset, seed, digest(result)))
+        print("}")
