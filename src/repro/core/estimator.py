@@ -542,14 +542,22 @@ class PositionEstimator:
     # state (mode, grid geometry, PDF table, gate/defense knobs) is
     # deliberately NOT captured: the restoring side must rebuild an
     # identically-configured estimator first, and the filter's geometry
-    # guard refuses a mismatch instead of silently resampling.
+    # guard refuses a mismatch instead of silently resampling.  Only
+    # estimators without odometry take snapshots: serve is RF-only, and
+    # nothing else pauses an estimator.  The mapping keeps its
+    # ``"dead_reckoner": None`` entry so serve's checkpoints are unchanged.
 
     def snapshot(self) -> Dict[str, object]:
         """The estimator's evolving state as a picklable mapping.
 
         Raises:
-            ValueError: the position filter does not support snapshots.
+            ValueError: the position filter does not support snapshots,
+                or the estimator carries odometry (a dead reckoner).
         """
+        if self._dead_reckoner is not None:
+            raise ValueError(
+                "an estimator with a dead reckoner does not support snapshots"
+            )
         filter_state = None
         if self._filter is not None:
             probe = getattr(self._filter, "snapshot_state", None)
@@ -559,11 +567,8 @@ class PositionEstimator:
                     % type(self._filter).__name__
                 )
             filter_state = probe()
-        reckoner_state = None
-        if self._dead_reckoner is not None:
-            reckoner_state = self._dead_reckoner.snapshot_state()
         estimate = self.estimate
-        state = {
+        return {
             "mode": self._mode.value,
             "estimate": (estimate.x, estimate.y),
             "last_fix": (
@@ -587,13 +592,8 @@ class PositionEstimator:
                 for anchor_id, position, rssi_dbm in self._window_beacons
             ],
             "filter": filter_state,
-            "dead_reckoner": reckoner_state,
+            "dead_reckoner": None,
         }
-        if self._dead_reckoner is not None:
-            state["odometer"] = self._odometry.row_state(
-                self._dead_reckoner.index
-            )
-        return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`snapshot` mapping (bit-exact resume).
@@ -611,16 +611,6 @@ class PositionEstimator:
             if state.get("filter") is None:
                 raise ValueError("snapshot carries no filter state")
             self._filter.restore_state(state["filter"])
-        if self._dead_reckoner is not None:
-            if (
-                state.get("dead_reckoner") is None
-                or state.get("odometer") is None
-            ):
-                raise ValueError("snapshot carries no odometry state")
-            self._dead_reckoner.restore_state(state["dead_reckoner"])
-            self._odometry.restore_row(
-                self._dead_reckoner.index, state["odometer"]
-            )
         x, y = state["estimate"]
         self._estimate = Vec2(x, y)
         last_fix = state["last_fix"]

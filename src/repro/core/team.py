@@ -300,6 +300,7 @@ class CoCoATeam:
             if rf_active:
                 coordinator = self._build_coordinator(
                     node_id,
+                    mobility,
                     clock,
                     interface,
                     beaconer,
@@ -438,6 +439,7 @@ class CoCoATeam:
     def _build_coordinator(
         self,
         node_id: int,
+        mobility: WaypointMobility,
         clock: DriftingClock,
         interface: NetworkInterface,
         beaconer: Optional[AnchorBeaconer],

@@ -142,34 +142,41 @@ class EnergyMeter:
     def charge_state(self, state: RadioState, duration_s: float) -> None:
         """Charge baseline power for spending ``duration_s`` in ``state``.
 
-        Branch order follows billing frequency: receive/idle intervals
-        alternate on every reception, so those two states take the bulk
-        of the calls.
+        IDLE and RX bill through :meth:`charge_idle` and
+        :meth:`charge_rx`, which the radio also calls directly on every
+        reception (no state dispatch on that path).
         """
         if duration_s < 0:
             raise ValueError(
                 "duration_s must be non-negative, got %r" % duration_s
             )
-        breakdown = self._breakdown
         if state is RadioState.IDLE:
-            self._dur_idle += duration_s
-            breakdown.idle_j += self._w_idle * duration_s
+            self.charge_idle(duration_s)
         elif state is RadioState.RX:
-            self._dur_rx += duration_s
-            breakdown.rx_j += self._w_rx * duration_s
+            self.charge_rx(duration_s)
         elif state is RadioState.TX:
             self._dur_tx += duration_s
-            breakdown.tx_j += self._w_tx * duration_s
+            self._breakdown.tx_j += self._w_tx * duration_s
         elif state is RadioState.SLEEP:
             self._dur_sleep += duration_s
-            breakdown.sleep_j += self._w_sleep * duration_s
+            self._breakdown.sleep_j += self._w_sleep * duration_s
         else:
             self._dur_off += duration_s
             energy_j = self._w_off * duration_s
             # OFF draws nothing by default; if a nonzero off power is
             # configured it is folded into idle for reporting purposes.
             if energy_j > 0.0:
-                breakdown.idle_j += energy_j
+                self._breakdown.idle_j += energy_j
+
+    def charge_idle(self, duration_s: float) -> None:
+        """Charge ``duration_s`` (non-negative, not checked) of IDLE power."""
+        self._dur_idle += duration_s
+        self._breakdown.idle_j += self._w_idle * duration_s
+
+    def charge_rx(self, duration_s: float) -> None:
+        """Charge ``duration_s`` (non-negative, not checked) of RX power."""
+        self._dur_rx += duration_s
+        self._breakdown.rx_j += self._w_rx * duration_s
 
     def charge_send(self, size_bytes: int) -> None:
         """Charge the per-packet broadcast-send cost."""

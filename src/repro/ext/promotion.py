@@ -28,6 +28,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.estimator import PositionEstimator
 from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
+from repro.mobility.waypoint import WaypointMobility
 from repro.multicast.odmrp import OdmrpNode
 from repro.net.interface import NetworkInterface
 
@@ -79,6 +80,7 @@ class PromotionTeam(CoCoATeam):
     def _build_coordinator(
         self,
         node_id: int,
+        mobility: WaypointMobility,
         clock: DriftingClock,
         interface: NetworkInterface,
         beaconer: Optional[AnchorBeaconer],
@@ -87,18 +89,18 @@ class PromotionTeam(CoCoATeam):
         is_sync: bool,
     ) -> Coordinator:
         coordinator = super()._build_coordinator(
-            node_id, clock, interface, beaconer, estimator, multicast, is_sync
+            node_id, mobility, clock, interface, beaconer, estimator,
+            multicast, is_sync,
         )
         if estimator is None:
             return coordinator
         # Give this unknown a beaconer that advertises its own estimate,
         # plus a window-start hook that fires it only when the latest fix
         # clears the confidence gate.
-        node_mobility = self.channel._nodes[node_id].mobility
         promoted = AnchorBeaconer(
             self.sim,
             interface,
-            node_mobility,
+            mobility,
             self.streams.spawn("promotion", node_id),
             k=self.promotion.k,
             window_s=self.config.transmit_window_s,

@@ -93,7 +93,7 @@ class FaultInjector:
             self.plan.brownout, self._streams.spawn("fault-brownout", node_id)
         )
         self._brownouts[node_id] = generator
-        radio.set_receive_fault(generator.is_deaf)
+        radio.receive_fault = generator.is_deaf
 
     # -- channel hooks ------------------------------------------------------
 

@@ -129,22 +129,3 @@ class ReckonerRow:
         if heading is not None:
             block._heading[i] = normalize_angle(heading)
         block._updates[i] = 0
-
-    def snapshot_state(self) -> dict:
-        """The row's pose and odometer totals as a picklable mapping."""
-        return {
-            "x": self.position.x,
-            "y": self.position.y,
-            "heading": self.heading,
-            "distance_integrated": self.distance_integrated,
-            "updates": self.updates,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` mapping (bit-exact resume)."""
-        block, i = self.block, self.index
-        block._x[i] = state["x"]
-        block._y[i] = state["y"]
-        block._heading[i] = state["heading"]
-        block._distance_integrated[i] = state["distance_integrated"]
-        block._updates[i] = int(state["updates"])

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -331,48 +331,3 @@ class OdometrySensor:
         block[:unread] = block[cursor:NOISE_BLOCK]
         block[unread:NOISE_BLOCK] = self._rngs[row].standard_normal(cursor)
         self._cursor[row] = 0
-
-    # -- checkpointing ------------------------------------------------------
-
-    def row_state(self, row: int) -> Dict[str, object]:
-        """``row``'s odometer state as a picklable mapping.
-
-        The last sample time and true pose, the noise stream's state and
-        the values read ahead but not yet used: enough for
-        :meth:`restore_row` on a freshly built sensor to continue the
-        row bit for bit.
-        """
-        return {
-            "t": self._last_time,
-            "x": float(self._last_x[row]),
-            "y": float(self._last_y[row]),
-            "heading": float(self._last_heading[row]),
-            "stream": self._rngs[row].bit_generator.state,
-            "unread": self._buffer[
-                row, int(self._cursor[row]):NOISE_BLOCK
-            ].tolist(),
-        }
-
-    def restore_row(self, row: int, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`row_state` mapping for ``row``.
-
-        Rows of one block share their sample time, so a block of several
-        rows only takes a row saved at its own last sample time.
-
-        Raises:
-            ValueError: the saved time differs from a wider block's.
-        """
-        if len(self._rngs) > 1 and state["t"] != self._last_time:
-            raise ValueError(
-                "row saved at t=%r, block is at t=%r"
-                % (state["t"], self._last_time)
-            )
-        self._last_time = state["t"]
-        self._last_x[row] = state["x"]
-        self._last_y[row] = state["y"]
-        self._last_heading[row] = state["heading"]
-        self._rngs[row].bit_generator.state = state["stream"]
-        unread = state["unread"]
-        cursor = NOISE_BLOCK - len(unread)
-        self._buffer[row, cursor:NOISE_BLOCK] = unread
-        self._cursor[row] = cursor

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.energy.model import RadioState
 from repro.mobility.base import MobilityModel
 from repro.net.packet import Packet, ReceivedPacket
 from repro.net.phy import PathLossModel, ReceiverModel
@@ -275,9 +274,13 @@ class BroadcastChannel:
         the scalar draw order exactly), and the survivors are then
         walked for the fault/decode step, still in node order.
 
-        Decoding receivers enter RX with no per-receiver rx-end event:
-        the frame's single delivery event (:meth:`_deliver_frame`), at
-        the end of the airtime, releases them all.
+        Each decoding receiver enters RX through
+        :meth:`Radio.begin_receive <repro.net.radio.Radio.begin_receive>`
+        (eligibility admits only IDLE or RX radios, and nothing between
+        the scan and this walk changes radio state).  There is no
+        per-receiver rx-end event: the frame's single delivery event
+        (:meth:`_deliver_frame`), at the end of the airtime, releases
+        them all.
         """
         now = self._sim.now
         eligible, distances = self._eligible(tx, now)
@@ -288,12 +291,6 @@ class BroadcastChannel:
         )
         faults = self._faults
         stats = self.stats
-        if airtime <= 0:
-            # Hoisted from Radio.begin_receive (whose body is inlined in
-            # the survivor loop below): one check per frame instead of
-            # one per receiver.
-            raise ValueError("airtime_s must be positive, got %r" % airtime)
-        rx_end = now + airtime
         pending: List[Tuple[_NodeEntry, float]] = []
         for receiver, sampled in zip(eligible, rssi_batch):
             rssi = float(sampled)
@@ -312,22 +309,7 @@ class BroadcastChannel:
             if effective_rssi < receiver.receiver.sensitivity_dbm:
                 stats.frames_below_sensitivity += 1
                 continue
-            # Inlined Radio.begin_receive.  Eligibility admits only
-            # awake, non-transmitting radios, and nothing between the
-            # scan and this walk changes radio state, so the state here
-            # is exactly IDLE or RX.
-            radio = receiver.radio
-            if radio._state is RadioState.IDLE:
-                elapsed = now - radio._state_since
-                if elapsed > 0.0:
-                    meter = radio._meter
-                    meter._dur_idle += elapsed
-                    meter._breakdown.idle_j += meter._w_idle * elapsed
-                radio._state_since = now
-                radio._state = RadioState.RX
-                radio._busy_until = rx_end
-            elif rx_end > radio._busy_until:
-                radio._busy_until = rx_end
+            receiver.radio.begin_receive(airtime)
             pending.append((receiver, rssi))
         if pending:
             self._sim.schedule(
@@ -370,7 +352,7 @@ class BroadcastChannel:
             if row == src:
                 continue
             receiver = entries[row]
-            gate = receiver.radio._receive_fault
+            gate = receiver.radio.receive_fault
             if gate is not None and gate(now):
                 stats.frames_missed_brownout += 1
                 continue
@@ -386,12 +368,14 @@ class BroadcastChannel:
     ) -> None:
         """End one frame's receptions and deliver it, in node order.
 
-        Every pending radio is released first (a radio whose busy window
-        a later overlapping frame extended keeps receiving; that frame's
-        own delivery releases it).  Energy billing depends only on
-        state-change *times*, which are all this instant, and no
-        delivery decision reads another receiver's radio state, so
-        releasing all before the first handler runs is unobservable.
+        Every pending radio is released first through
+        :meth:`Radio.finish_receive <repro.net.radio.Radio.finish_receive>`
+        (a radio whose busy window a later overlapping frame extended
+        keeps receiving; that frame's own delivery releases it).  Energy
+        billing depends only on state-change *times*, which are all this
+        instant, and no delivery decision reads another receiver's radio
+        state, so releasing all before the first handler runs is
+        unobservable.
         Handlers that transmit in response cannot perturb the remaining
         deliveries either: a frame starting at this instant never
         overlaps the just-ended frame's half-open airtime.
@@ -401,19 +385,8 @@ class BroadcastChannel:
         transmissions appended mid-loop by delivery handlers start
         exactly at the frame end and never satisfy the overlap test.
         """
-        now = self._sim.now
         for receiver, _ in pending:
-            # Inlined Radio.finish_receive: release the radio iff it is
-            # still in RX with its busy window over.
-            radio = receiver.radio
-            if radio._state is RadioState.RX and now >= radio._busy_until:
-                elapsed = now - radio._state_since
-                if elapsed > 0.0:
-                    meter = radio._meter
-                    meter._dur_rx += elapsed
-                    meter._breakdown.rx_j += meter._w_rx * elapsed
-                radio._state_since = now
-                radio._state = RadioState.IDLE
+            receiver.radio.finish_receive()
         overlapping = [
             other
             for other in self._transmissions
@@ -436,19 +409,19 @@ class BroadcastChannel:
 
         The receiver must still be awake and not browned out, must not
         have transmitted during the frame, and must survive capture
-        against ``overlapping``.  It is then charged for the packet; an
+        against ``overlapping``.  Its meter is then charged for the
+        packet (:meth:`~repro.energy.meter.EnergyMeter.charge_recv`); an
         installed fault injector may corrupt the payload (dropped by the
         CRC check if enabled) and skew the reported RSSI.
         """
         stats = self.stats
         radio = receiver.radio
-        state = radio._state
-        if state is RadioState.SLEEP or state is RadioState.OFF:
+        if not radio.is_awake:
             # Slept mid-frame (coordination closed the window).
             stats.frames_missed_asleep += 1
             return
         now = self._sim.now
-        gate = radio._receive_fault
+        gate = radio.receive_fault
         if gate is not None and gate(now):
             # Browned out mid-frame.
             stats.frames_missed_brownout += 1
@@ -474,15 +447,7 @@ class BroadcastChannel:
                             attrs={"kind": packet.kind, "uid": packet.uid},
                         )
                     return
-        # Inlined EnergyMeter.charge_recv.
-        meter = radio._meter
-        size_bytes = packet.size_bytes
-        cost = meter._recv_costs.get(size_bytes)
-        if cost is None:
-            cost = meter._model.recv_cost_j(size_bytes)
-            meter._recv_costs[size_bytes] = cost
-        meter._breakdown.packet_recv_j += cost
-        meter._packets_received += 1
+        radio.meter.charge_recv(packet.size_bytes)
         faults = self._faults
         if faults is not None:
             if faults.crc_check:

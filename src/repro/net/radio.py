@@ -33,6 +33,12 @@ class RadioError(RuntimeError):
 #: constant so the hot awake checks don't rebuild the tuple per call.
 _AWAKE_STATES = (RadioState.IDLE, RadioState.TX, RadioState.RX)
 
+#: The two states the per-reception methods test, as module aliases: on
+#: Python 3.11 each ``RadioState.X`` lookup is a descriptor call costing
+#: about as much as the rest of :meth:`Radio.finish_receive`.
+_IDLE = RadioState.IDLE
+_RX = RadioState.RX
+
 
 class Radio:
     """One node's wireless interface power state.
@@ -42,6 +48,15 @@ class Radio:
         meter: the node's energy meter.
         initial_state: state at construction; defaults to IDLE (deployed
             and awake).
+
+    Attributes:
+        receive_fault: the reception-fault gate (brownout injection), or
+            ``None``.  ``receive_fault(now)`` returning True means the
+            receive chain is deaf at that instant.  The node is not told:
+            it keeps its schedule, keeps transmitting, and keeps paying
+            energy for whatever state it is in — only decoding is
+            suppressed (by the channel, which consults the gate at offer
+            and delivery time).
     """
 
     def __init__(
@@ -56,7 +71,7 @@ class Radio:
         self._state_since = sim.now
         self._busy_until = sim.now
         self._end_event: Optional[Event] = None
-        self._receive_fault: Optional[Callable[[float], bool]] = None
+        self.receive_fault: Optional[Callable[[float], bool]] = None
         # SoA mirror (see repro.sim.world); None when unbound.
         self._world = None
         self._world_row = 0
@@ -73,17 +88,6 @@ class Radio:
     def is_awake(self) -> bool:
         """True when the radio can participate in communication."""
         return self._state in _AWAKE_STATES
-
-    def set_receive_fault(self, gate: Callable[[float], bool]) -> None:
-        """Install a reception-fault gate (brownout injection).
-
-        ``gate(now)`` returning True means the receive chain is deaf at
-        that instant.  The node is not told: it keeps its schedule, keeps
-        transmitting, and keeps paying energy for whatever state it is
-        in — only decoding is suppressed (by the channel, which consults
-        the gate at offer and delivery time).
-        """
-        self._receive_fault = gate
 
     def bind_world(self, world, row: int) -> None:
         """Mirror this radio's power state into a shared SoA block.
@@ -193,38 +197,28 @@ class Radio:
         receiving while transmitting, asleep or off is ignored — the
         channel separately rules the frame undecodable for this node.
 
-        The billing of :meth:`_enter` is inlined here (and in
-        :meth:`finish_receive`): an IDLE<->RX flip changes neither the
-        awake nor the transmitting SoA mask, so the generic transition
-        path's mirror writes would be no-ops anyway.
+        An IDLE<->RX flip changes neither the awake nor the transmitting
+        SoA mask, so both receive methods skip :meth:`_enter`'s mirror
+        writes and bill the elapsed interval straight to the meter.
         """
         state = self._state
-        if state is RadioState.RX:
-            if airtime_s <= 0:
-                raise ValueError(
-                    "airtime_s must be positive, got %r" % airtime_s
-                )
-            end = self._sim.now + airtime_s
-            if end > self._busy_until:
-                self._busy_until = end
-            return
-        if state is not RadioState.IDLE:
+        if state is not _IDLE and state is not _RX:
             # TX (half duplex), SLEEP, or OFF: not receiving.
             return
         if airtime_s <= 0:
             raise ValueError("airtime_s must be positive, got %r" % airtime_s)
         now = self._sim.now
+        end = now + airtime_s
+        if state is _RX:
+            if end > self._busy_until:
+                self._busy_until = end
+            return
         elapsed = now - self._state_since
         if elapsed > 0.0:
-            # Inlined EnergyMeter.charge_state(IDLE, elapsed): the exact
-            # accumulation the meter performs, minus the call per
-            # reception.
-            meter = self._meter
-            meter._dur_idle += elapsed
-            meter._breakdown.idle_j += meter._w_idle * elapsed
+            self._meter.charge_idle(elapsed)
         self._state_since = now
-        self._state = RadioState.RX
-        self._busy_until = now + airtime_s
+        self._state = _RX
+        self._busy_until = end
 
     def finish_receive(self) -> None:
         """End a reception whose busy window has elapsed.
@@ -234,18 +228,14 @@ class Radio:
         frame's delivery will finish it), or the node may have slept or
         started transmitting in the meantime.
         """
-        if self._state is RadioState.RX:
+        if self._state is _RX:
             now = self._sim.now
             if now >= self._busy_until:
                 elapsed = now - self._state_since
                 if elapsed > 0.0:
-                    # Inlined EnergyMeter.charge_state(RX, elapsed), as in
-                    # begin_receive.
-                    meter = self._meter
-                    meter._dur_rx += elapsed
-                    meter._breakdown.rx_j += meter._w_rx * elapsed
+                    self._meter.charge_rx(elapsed)
                 self._state_since = now
-                self._state = RadioState.IDLE
+                self._state = _IDLE
 
     def _end_transmit(self) -> None:
         self._end_event = None

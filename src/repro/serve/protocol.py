@@ -269,6 +269,12 @@ def parse_request(data: Union[str, bytes, Dict[str, Any]]) -> Request:
 #: Maximum accepted length of a wire ``trace`` id (characters).
 MAX_TRACE_CHARS = 128
 
+#: Upper bounds on what one hello may make the server allocate: the
+#: calibration draws ``calibration_samples`` values per array, and the
+#: posterior holds ``round(area_side_m / grid_resolution_m) ** 2`` cells.
+MAX_CALIBRATION_SAMPLES = 1_000_000
+MAX_GRID_CELLS = 250_000
+
 
 def _validate(request: Request) -> None:
     if request.trace is not None and (
@@ -307,6 +313,10 @@ def _validate(request: Request) -> None:
     if isinstance(request, HelloRequest):
         _check_int("calibration_seed", request.calibration_seed)
         _check_int("calibration_samples", request.calibration_samples, 1)
+        if request.calibration_samples > MAX_CALIBRATION_SAMPLES:
+            raise ProtocolError(
+                "calibration_samples must be <= %d" % MAX_CALIBRATION_SAMPLES
+            )
         _check_int("min_beacons_for_fix", request.min_beacons_for_fix, 1)
         for name in ("area_side_m", "grid_resolution_m"):
             value = getattr(request, name)
@@ -320,6 +330,17 @@ def _validate(request: Request) -> None:
                 raise ProtocolError(
                     "%s must be a finite positive number" % name
                 )
+        # The same per-side cell count GridBayesFilter rounds to; the
+        # ratio of two finite floats can still overflow to inf.
+        per_side = request.area_side_m / request.grid_resolution_m
+        if (
+            math.isinf(per_side)
+            or max(1, round(per_side)) ** 2 > MAX_GRID_CELLS
+        ):
+            raise ProtocolError(
+                "area_side_m / grid_resolution_m must give a grid of "
+                "<= %d cells" % MAX_GRID_CELLS
+            )
         if request.resume is not None and (
             not isinstance(request.resume, str)
             or not request.resume

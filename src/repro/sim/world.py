@@ -49,7 +49,9 @@ import numpy as np
 
 #: The per-row arrays, each with the value a new row starts with: the
 #: active leg (written through by its mobility model), then the radio
-#: power state (written through by ``Radio._enter``).
+#: power state (written through by ``Radio._enter`` on every transition
+#: that flips a mask; the IDLE<->RX flips of ``begin_receive`` and
+#: ``finish_receive`` flip neither, so they skip the write).
 _ROW_ARRAYS = {
     "_start_x": 0.0, "_start_y": 0.0, "_dest_x": 0.0, "_dest_y": 0.0,
     "_depart": 0.0, "_arrive": 0.0, "_span": 0.0, "_rest_until": 0.0,

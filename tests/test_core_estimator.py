@@ -8,7 +8,6 @@ from repro.core.config import LocalizationMode
 from repro.core.estimator import PositionEstimator
 from repro.mobility.base import ScriptedMobility
 from repro.mobility.odometry import OdometryNoise, OdometrySensor
-from repro.mobility.waypoint import WaypointMobility
 from repro.net.phy import PathLossModel
 from repro.sim.rng import RandomStreams
 from repro.util.geometry import Rect, Vec2
@@ -224,42 +223,10 @@ class TestCocoaMode:
         error = est.estimate.distance_to(mobility.position(t))
         assert error < 10.0
 
-    def test_snapshot_restore_continues_bit_for_bit(self, pdf_table):
-        """A restored COCOA estimator carries on from the snapshot's
-        odometer: same stream position, read-ahead values and last true
-        pose, so its estimates equal a never-paused run's to the bit,
-        across the odometer's read-ahead refills."""
-
-        def build():
-            mobility = WaypointMobility(
-                AREA, RandomStreams(4).get("mob"), v_max=2.0
-            )
-            return mobility, self.make(
-                pdf_table, mobility, noise=OdometryNoise(), seed=4
-            )
-
-        def run(est, mobility, start, stop):
-            trace = []
-            for t in range(start, stop):
-                if t % 20 == 0:
-                    self.fix_at(est, mobility.position(float(t)))
-                est.tick(float(t + 1))
-                trace.append((est.estimate.x.hex(), est.estimate.y.hex()))
-            return trace
-
-        mobility, reference = build()
-        expected = run(reference, mobility, 0, 400)
-        mobility, paused = build()
-        before = run(paused, mobility, 0, 70)
-        state = paused.snapshot()
-        assert "odometer" in state
-        mobility, resumed = build()
-        resumed.restore(state)
-        # 330 more steps draw ~660 values per stream: the odometer's
-        # read-ahead block refills at least twice after the restore.
-        after = run(resumed, mobility, 70, 400)
-        assert before + after == expected
-        assert resumed.fixes == reference.fixes
+    def test_snapshot_refuses_a_dead_reckoner(self, pdf_table):
+        est = self.make(pdf_table, straight_mobility())
+        with pytest.raises(ValueError, match="dead reckoner"):
+            est.snapshot()
 
     def test_rf_only_snapshot_has_no_odometer(self, pdf_table):
         est = PositionEstimator(

@@ -352,42 +352,3 @@ class TestArrayOdometerOracle:
     def test_noiseless(self, n):
         odometers = self.check(n, OdometryNoise.noiseless(), rest=10.0)
         assert all(o.draws == 0 for o in odometers)
-
-
-class TestOdometerRowCheckpoint:
-    def test_restored_row_continues_bit_for_bit(self):
-        def build():
-            streams = RandomStreams(5)
-            mobility = WaypointMobility(
-                Rect.square(150.0), streams.get("mob"), v_max=2.0
-            )
-            return OdometrySensor(mobility, streams.get("odo"))
-
-        reference = build()
-        paused = build()
-        for t in range(1, 101):
-            reference.read(float(t))
-            paused.read(float(t))
-        resumed = build()
-        resumed.restore_row(0, paused.row_state(0))
-        # 300 steps draw ~600 values: the row refills its block twice.
-        for t in range(101, 401):
-            a = reference.read(float(t))
-            b = resumed.read(float(t))
-            assert a.distance.tobytes() == b.distance.tobytes()
-            assert a.heading_change.tobytes() == b.heading_change.tobytes()
-
-    def test_wider_block_rejects_a_row_from_another_time(self):
-        world = WorldState()
-        streams = RandomStreams(2)
-        for row in range(2):
-            WaypointMobility(
-                Rect.square(100.0), streams.spawn("mob", row)
-            ).bind_world(world, row)
-        sensor = OdometrySensor.over_world(
-            world, [0, 1], [streams.spawn("odo", r) for r in range(2)]
-        )
-        state = sensor.row_state(1)
-        sensor.read(1.0)
-        with pytest.raises(ValueError):
-            sensor.restore_row(1, state)

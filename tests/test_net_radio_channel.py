@@ -288,7 +288,7 @@ class TestBroadcastChannel:
             [Vec2(0, 0), Vec2(10, 0), Vec2(0, 10), Vec2(10, 10)]
         )
         interfaces[1].radio.sleep()
-        interfaces[2].radio.set_receive_fault(lambda now: True)
+        interfaces[2].radio.receive_fault = lambda now: True
         interfaces[3].radio.begin_transmit(0.01)
         channel.transmit(0, make_test_packet(src=0))
         stats = channel.stats

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from repro.serve import (
     shard_index_for,
 )
 from repro.serve.protocol import (
+    MAX_CALIBRATION_SAMPLES,
+    MAX_GRID_CELLS,
     FixRequest,
     HelloRequest,
     ObserveRequest,
@@ -114,6 +117,13 @@ def test_protocol_floats_survive_the_wire_exactly():
     assert decoded.rssi_dbm.hex() == request.rssi_dbm.hex()
 
 
+#: A trillion calibration samples, and a 10^10 x 10^10-cell grid.
+OVERSIZED_HELLOS = (
+    '{"op":"hello","tenant":"a","calibration_samples":1000000000000}',
+    '{"op":"hello","tenant":"a","area_side_m":1e7,"grid_resolution_m":0.001}',
+)
+
+
 @pytest.mark.parametrize("line", [
     "not json",
     '{"op": "warp"}',
@@ -142,10 +152,31 @@ def test_protocol_floats_survive_the_wire_exactly():
         id="hello-area_side_m-10**400",
     ),
     '{"op": "hello", "tenant": "t", "lut": true}',   # no such field
+    # Hellos that would ask the server for unbounded memory.
+    *OVERSIZED_HELLOS,
+    '{"op": "hello", "tenant": "t", "calibration_samples": %d}'
+    % (MAX_CALIBRATION_SAMPLES + 1),
+    '{"op": "hello", "tenant": "t", "area_side_m": %d, '
+    '"grid_resolution_m": 1}' % (math.isqrt(MAX_GRID_CELLS) + 1),
+    '{"op": "hello", "tenant": "t", "area_side_m": 1e308, '
+    '"grid_resolution_m": 1e-300}',                          # ratio -> inf
 ])
 def test_protocol_rejects_bad_lines(line):
     with pytest.raises(ProtocolError):
         parse_request(line)
+
+
+@pytest.mark.parametrize("fields", [
+    {},                     # defaults: 120,000 samples, a 100 x 100 grid
+    {"area_side_m": 200.0, "grid_resolution_m": 1.0},   # 200 x 200
+    {"calibration_samples": 2000, "area_side_m": 80.0},
+    {"calibration_samples": MAX_CALIBRATION_SAMPLES},
+    {"area_side_m": float(math.isqrt(MAX_GRID_CELLS)),  # exactly the cap
+     "grid_resolution_m": 1.0},
+])
+def test_protocol_accepts_hello_sizes_in_use(fields):
+    hello = HelloRequest(tenant="t", **fields)
+    assert parse_request(encode_request(hello)) == hello
 
 
 def test_protocol_rejects_oversized_line():
@@ -555,14 +586,16 @@ def test_tcp_bad_line_keeps_connection_usable():
         # way, never by dropping the connection.
         writer.write(b'{"op": "hello", "tenant": "a", '
                      b'"min_beacons_for_fix": "3"}\n')
+        # So is a hello that would make the server allocate without bound.
+        for line in OVERSIZED_HELLOS:
+            writer.write(line.encode() + b"\n")
         writer.write(b'{"op": "ping"}\n')
         await writer.drain()
-        first = parse_response(await reader.readline())
-        typed = parse_response(await reader.readline())
-        second = parse_response(await reader.readline())
-        assert not first.ok and first.error == "bad_request"
-        assert not typed.ok and typed.error == "bad_request"
-        assert second.ok and second.payload["pong"]
+        for _ in range(2 + len(OVERSIZED_HELLOS)):
+            refused = parse_response(await reader.readline())
+            assert not refused.ok and refused.error == "bad_request"
+        pong = parse_response(await reader.readline())
+        assert pong.ok and pong.payload["pong"]
         writer.close()
         await writer.wait_closed()
         await server.stop()
