@@ -15,12 +15,15 @@ Two claims are benchmarked on a Figure-6-sized scenario:
 
 import time
 
-from conftest import scaled
+import pytest
 
 from repro.core.config import CoCoAConfig
 from repro.experiments.runner import run_scenario
 from repro.telemetry import NULL_REGISTRY, Telemetry
 from repro.util.geometry import Rect
+
+#: Simulated seconds of the fig6-sized scenario pair.
+DURATION_S = 300.0
 
 
 def _fig6_config(duration_s: float) -> CoCoAConfig:
@@ -32,6 +35,19 @@ def _fig6_config(duration_s: float) -> CoCoAConfig:
         duration_s=duration_s,
         calibration_samples=20_000,
     )
+
+
+@pytest.fixture()
+def report(capsys):
+    """Print a benchmark's table straight to the terminal (uncaptured)."""
+
+    def _report(title: str, lines) -> None:
+        with capsys.disabled():
+            print("\n" + "=" * 72 + "\n" + title + "\n" + "=" * 72)
+            for line in lines:
+                print(line)
+
+    return _report
 
 
 def _timed_run(config, telemetry=None):
@@ -60,11 +76,9 @@ def test_null_registry_per_call_cost(benchmark, report):
     assert per_call_ns < 2_000  # generous: sub-2us even on busy CI
 
 
-def test_fig6_run_overhead_disabled_vs_enabled(benchmark, report,
-                                               calibration):
-    duration = scaled(300.0, full=1800.0)
-    config = _fig6_config(duration)
-    run_scenario(config, calibration)  # warm the calibration cache
+def test_fig6_run_overhead_disabled_vs_enabled(benchmark, report):
+    config = _fig6_config(DURATION_S)
+    run_scenario(config)  # warm the calibration cache the timed runs share
 
     baseline, baseline_s = _timed_run(config)
 

@@ -7,6 +7,7 @@ Usage (installed package):
     python -m repro figure fig9 --duration 600 --jobs 4 --cache
     python -m repro sweep --num-seeds 8 --jobs 4 --duration 600
     python -m repro resilience --duration 600 --jobs 4
+    python -m repro ledger check --jobs 2
     python -m repro report --cache-dir .repro_cache
     python -m repro calibrate
     python -m repro lint src tests --json
@@ -317,6 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("path", help="trace JSONL file")
     export.add_argument("--out", required=True,
                         help="Perfetto JSON output path")
+
+    ledger = sub.add_parser(
+        "ledger",
+        help="re-measure every number EXPERIMENTS.md quotes against the "
+             "committed science ledger",
+    )
+    ledger.add_argument(
+        "action", choices=["check", "update"],
+        help="check: re-simulate and fail on any value outside its band "
+             "or any false claim; update: rewrite science_ledger.json and "
+             "EXPERIMENTS.md's generated blocks",
+    )
+    ledger.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for independent runs")
 
     calibrate = sub.add_parser(
         "calibrate", help="run the offline calibration and print the table"
@@ -1039,6 +1054,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_chaos(args, out)
     if args.command == "trace":
         return cmd_trace(args, out)
+    if args.command == "ledger":
+        from repro.experiments import ledger
+
+        action = ledger.check if args.action == "check" else ledger.update
+        return action(jobs=args.jobs, out=out)
     if args.command == "calibrate":
         return cmd_calibrate(args, out)
     parser.error("unknown command %r" % args.command)

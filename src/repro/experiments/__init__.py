@@ -2,14 +2,17 @@
 
 Each ``run_fig*`` function in :mod:`repro.experiments.figures` regenerates
 the data behind one of the paper's evaluation figures and returns it as
-plain dictionaries/arrays; the benchmark suite under ``benchmarks/`` prints
-them as the rows/series the paper plots, and ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+plain dictionaries/arrays; :mod:`repro.experiments.resilience` sweeps the
+headline scenario across fault intensities.  :mod:`repro.experiments.ledger`
+runs all of them at the paper's shape, keeps every number
+``EXPERIMENTS.md`` quotes in the committed ``science_ledger.json`` with a
+tolerance band, and regenerates the document's tables from it
+(``python -m repro ledger check|update``).
 
-Figures can be run at reduced scale (shorter simulated time, fewer seeds)
-for quick regression checks; the benchmarks default to a scale that runs in
-seconds and honour the ``REPRO_FULL=1`` environment variable for
-full-fidelity 30-minute runs.
+The package namespace re-exports only modules that do not import the
+sweep orchestrator: :mod:`repro.orchestrator.executor` imports
+:mod:`repro.experiments.runner`, so re-exporting a sweep runner here
+would close an import cycle.
 """
 
 from repro.experiments.metrics import (
@@ -25,17 +28,9 @@ from repro.experiments.presets import (
     fig10_config,
     headline_config,
 )
-from repro.experiments.resilience import (
-    DEFENDED_DEFAULTS,
-    example_fault_plan,
-    run_resilience_sweep,
-)
 from repro.experiments.runner import SharedCalibration, run_scenario
 
 __all__ = [
-    "DEFENDED_DEFAULTS",
-    "example_fault_plan",
-    "run_resilience_sweep",
     "ErrorSummary",
     "summarize_errors",
     "cdf_points",

@@ -1,8 +1,10 @@
 """Regeneration of every evaluation figure in the paper.
 
 Each ``run_fig*`` function reproduces the data behind one figure and
-returns plain Python/numpy structures.  The benchmarks print them; tests
-assert their shapes (who wins, where the knees fall).
+returns plain Python/numpy structures.  ``repro figure`` prints them, and
+the science ledger (:mod:`repro.experiments.ledger`) records their values
+at the paper's shape and asserts their shapes (who wins, where the knees
+fall).
 
 The multi-point runners (Figures 4, 6, 7, 9, 10 and the MRMM ablation)
 declare their scenario runs as :class:`~repro.orchestrator.jobs.SweepJob`

@@ -330,6 +330,12 @@ def _validate(request: Request) -> None:
                 raise ProtocolError(
                     "%s must be a finite positive number" % name
                 )
+        # GridBayesFilter refuses a cell wider than the area; a side
+        # exactly one cell wide is a valid 1 x 1 grid.
+        if request.grid_resolution_m > request.area_side_m:
+            raise ProtocolError(
+                "grid_resolution_m must not exceed area_side_m"
+            )
         # The same per-side cell count GridBayesFilter rounds to; the
         # ratio of two finite floats can still overflow to inf.
         per_side = request.area_side_m / request.grid_resolution_m

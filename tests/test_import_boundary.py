@@ -1,4 +1,5 @@
-"""networkx stays off the import path of every run and serve process.
+"""Import boundaries: networkx stays off every run and serve process,
+and the orchestrator imports cleanly on its own.
 
 Only analysis helpers (mesh connectivity checks, geographic routing
 studies) use networkx, and they load it on first use (their own tests
@@ -37,3 +38,18 @@ def test_run_and_serve_imports_do_not_load_networkx():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
+
+#: Packages that must import on their own: ``repro.orchestrator``'s
+#: executor imports ``repro.experiments.runner``, whose package must not
+#: import the executor back while it is half initialized.
+STANDALONE = ("repro.orchestrator", "repro.orchestrator.cache")
+
+
+def test_orchestrator_imports_first_in_a_fresh_interpreter():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name in STANDALONE:
+        result = subprocess.run(
+            [sys.executable, "-c", "import %s" % name],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, (name, result.stderr)

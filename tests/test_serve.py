@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-import repro.experiments  # noqa: F401  (breaks the orchestrator import cycle)
 from repro.core.config import LocalizationMode
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
@@ -123,6 +122,11 @@ OVERSIZED_HELLOS = (
     '{"op":"hello","tenant":"a","area_side_m":1e7,"grid_resolution_m":0.001}',
 )
 
+#: A grid cell wider than the deployment area: GridBayesFilter refuses it.
+UNFITTING_GRID_HELLO = (
+    '{"op":"hello","tenant":"a","area_side_m":10,"grid_resolution_m":11}'
+)
+
 
 @pytest.mark.parametrize("line", [
     "not json",
@@ -160,6 +164,7 @@ OVERSIZED_HELLOS = (
     '"grid_resolution_m": 1}' % (math.isqrt(MAX_GRID_CELLS) + 1),
     '{"op": "hello", "tenant": "t", "area_side_m": 1e308, '
     '"grid_resolution_m": 1e-300}',                          # ratio -> inf
+    UNFITTING_GRID_HELLO,
 ])
 def test_protocol_rejects_bad_lines(line):
     with pytest.raises(ProtocolError):
@@ -173,6 +178,7 @@ def test_protocol_rejects_bad_lines(line):
     {"calibration_samples": MAX_CALIBRATION_SAMPLES},
     {"area_side_m": float(math.isqrt(MAX_GRID_CELLS)),  # exactly the cap
      "grid_resolution_m": 1.0},
+    {"area_side_m": 10.0, "grid_resolution_m": 10.0},   # one 1 x 1 cell
 ])
 def test_protocol_accepts_hello_sizes_in_use(fields):
     hello = HelloRequest(tenant="t", **fields)
@@ -589,9 +595,11 @@ def test_tcp_bad_line_keeps_connection_usable():
         # So is a hello that would make the server allocate without bound.
         for line in OVERSIZED_HELLOS:
             writer.write(line.encode() + b"\n")
+        # And a hello whose grid cell is wider than its area.
+        writer.write(UNFITTING_GRID_HELLO.encode() + b"\n")
         writer.write(b'{"op": "ping"}\n')
         await writer.drain()
-        for _ in range(2 + len(OVERSIZED_HELLOS)):
+        for _ in range(3 + len(OVERSIZED_HELLOS)):
             refused = parse_response(await reader.readline())
             assert not refused.ok and refused.error == "bad_request"
         pong = parse_response(await reader.readline())

@@ -20,7 +20,6 @@ import asyncio
 
 import pytest
 
-import repro.experiments  # noqa: F401  (breaks the orchestrator import cycle)
 from repro.orchestrator.cache import ResultCache
 from repro.serve import (
     CheckpointStore,
