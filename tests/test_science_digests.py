@@ -14,7 +14,13 @@ the science payload, which carries each node's total joules only;
 further case turns on rich telemetry and ``channel.rx`` tracing, which
 must observe a run without changing it.
 
-Regenerate both tables (only when a science change is intended) with::
+``CALIBRATION_GOLDEN`` pins the offline calibration phase on its own:
+every fitted bin of a few PDF-Table builds, and the channel's array
+RSSI draws that Fig. 1 reads directly.  A table passed into a team never
+shows in a science payload, so a regrouped fit would otherwise only
+surface as a moved figure.
+
+Regenerate the tables (only when a science change is intended) with::
 
     PYTHONPATH=src python -m tests.test_science_digests
 """
@@ -22,11 +28,15 @@ Regenerate both tables (only when a science change is intended) with::
 import hashlib
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from repro.core.calibration import build_pdf_table
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.team import CoCoATeam
 from repro.experiments.resilience import DEFENDED_DEFAULTS, example_fault_plan
+from repro.net.phy import PathLossModel, ReceiverModel
+from repro.sim.rng import RandomStreams
 from repro.telemetry.collect import Telemetry
 from repro.util.geometry import Rect
 
@@ -140,6 +150,38 @@ ENERGY_GOLDEN = {
         "dd94e96c3b4c8aaec7247e0826120ab39e98d56cfd50c292668193d307ace483",
 }
 
+#: Calibration case -> (master seed, ``build_pdf_table`` keyword
+#: arguments).  The ``campaign`` cases are the default 120,000-sample
+#: build every scenario without a passed-in table runs; ``hello`` is the
+#: 2,000-sample serve hello the tests and ``repro serve --smoke`` send;
+#: ``narrow`` moves the support and the bin floor off their defaults.
+CALIBRATION_CASES = {
+    "campaign-1": (1, dict(n_samples=120_000)),
+    "campaign-2": (2, dict(n_samples=120_000)),
+    "campaign-3": (3, dict(n_samples=120_000)),
+    "hello-1": (1, dict(n_samples=2000)),
+    "narrow-4": (
+        4, dict(n_samples=30_000, max_distance_m=150.0, min_samples_per_bin=10)
+    ),
+}
+
+#: Calibration case -> SHA-256 (see calibration_digest and
+#: sample_rssi_digest; ``sample_rssi`` is the channel draw case).
+CALIBRATION_GOLDEN = {
+    "campaign-1":
+        "4ebe7a19920d00ed50e6bd29f92ac2e19fb9e5f814d706a2f54405cd21dddbad",
+    "campaign-2":
+        "0ba6e32cddbc6e5908822febe57cc936558d0be8e47e4abffd30cb71d61019f5",
+    "campaign-3":
+        "578fd4fc775f6e9ebe6d246a687687b87e544d8a554559d6647c9e8cde86b6e6",
+    "hello-1":
+        "ec4e0fee2f8e28931b6cc89b2ae9251ccef20a9247125bed66d054a2341e13cb",
+    "narrow-4":
+        "6be1ea10354daf61be2909329e4a9c5c5b17d613d32154e56ef792f758ee153b",
+    "sample_rssi":
+        "2a7f258601d56c33c792bd820e477f59961fbb10061c4082a37d278ab824a73e",
+}
+
 
 def science_payload(result):
     """Everything a figure can read from a run, in byte-comparable form."""
@@ -175,6 +217,61 @@ def energy_digest(result):
         "%s=%s" % (name, float(value).hex()) for name, value in items
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def calibration_digest(result):
+    """Hash every fitted bin (key, kind, mean, std, sample count and, for
+    histogram bins, edges and densities, floats as ``float.hex``) plus
+    the campaign's counters."""
+    parts = []
+    for key, dist in result.table.items():
+        parts.append("%d:%s:%s:%s:%d:%s:%s" % (
+            key,
+            "g" if dist.is_gaussian else "h",
+            float(dist.mean_m).hex(),
+            float(dist.std_m).hex(),
+            dist.n_samples,
+            ",".join(float(x).hex() for x in dist.hist_edges),
+            ",".join(float(x).hex() for x in dist.hist_density),
+        ))
+    parts.append("decodable=%d;gaussian=%d;histogram=%d" % (
+        result.n_samples_decodable,
+        result.n_gaussian_bins,
+        result.n_histogram_bins,
+    ))
+    return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()
+
+
+def run_calibration_case(case):
+    seed, kwargs = CALIBRATION_CASES[case]
+    return build_pdf_table(
+        PathLossModel(),
+        RandomStreams(seed).get("calibration"),
+        receiver=ReceiverModel(),
+        **kwargs
+    )
+
+
+def sample_rssi_digest():
+    """Hash ``PathLossModel.sample_rssi``'s array draws on a fixed 2-D
+    distance array spanning both regimes, plus the stream's next draw
+    (so a changed draw count shows even where the values agree)."""
+    rng = RandomStreams(5).get("calibration")
+    distances = np.linspace(0.5, 180.0, 6000).reshape(60, 100)
+    rssi = PathLossModel().sample_rssi(distances, rng)
+    assert rssi.shape == distances.shape
+    text = ",".join(float(x).hex() for x in rssi.ravel())
+    text += ";next=%s" % float(rng.random()).hex()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def calibration_golden():
+    table = {
+        case: calibration_digest(run_calibration_case(case))
+        for case in CALIBRATION_CASES
+    }
+    table["sample_rssi"] = sample_rssi_digest()
+    return table
 
 
 def run_case(preset, seed, observed=False):
@@ -215,6 +312,16 @@ def test_cases_exercise_every_delivery_branch():
     assert undefended.channel_stats.frames_corrupted > 0
 
 
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_calibration_matches_golden(case):
+    result = run_calibration_case(case)
+    assert calibration_digest(result) == CALIBRATION_GOLDEN[case]
+
+
+def test_sample_rssi_matches_golden():
+    assert sample_rssi_digest() == CALIBRATION_GOLDEN["sample_rssi"]
+
+
 if __name__ == "__main__":
     results = {
         (preset, seed): run_case(preset, seed)[1]
@@ -229,3 +336,7 @@ if __name__ == "__main__":
             print('    ("%s", %d):\n        "%s",'
                   % (preset, seed, digest(result)))
         print("}")
+    print("CALIBRATION_GOLDEN = {")
+    for case, digest in calibration_golden().items():
+        print('    "%s":\n        "%s",' % (case, digest))
+    print("}")
