@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable shard-worker supervision (a dead "
                             "worker stays dead)")
     serve.add_argument("--smoke", action="store_true",
-                       help="start, run a 2-tenant round trip plus "
-                            "/metrics, /healthz and /readyz scrapes "
-                            "against itself, then exit")
+                       help="start, run a 2-tenant round trip, a "
+                            "hello too small to calibrate (must get "
+                            "bad_request) and /metrics, /healthz and "
+                            "/readyz scrapes against itself, then exit")
     serve.add_argument("--trace-mode",
                        choices=["off", "sampled", "always"],
                        default="sampled",
@@ -952,7 +953,8 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
 
 
 async def _serve_smoke(server, out) -> int:
-    """Two-tenant round trip plus a metrics scrape against ourselves."""
+    """Two-tenant round trip, an undersized-hello refusal and the HTTP
+    scrapes, against ourselves."""
     import asyncio
 
     from repro.serve import ServeClient
@@ -980,6 +982,21 @@ async def _serve_smoke(server, out) -> int:
             print("smoke: %s fix at (%.2f, %.2f)"
                   % (tenant, close.payload["x"], close.payload["y"]),
                   file=out)
+    # A hello too small to calibrate is the client's fault, and the
+    # connection must keep serving after it.
+    async with ServeClient(server.core.config.host, port) as client:
+        hello = await client.hello(
+            "smoke-small", calibration_samples=1, area_side_m=80.0
+        )
+        if hello.ok or hello.error != "bad_request":
+            print("smoke FAIL: undersized hello got %r" % (hello,), file=out)
+            return 1
+        pong = await client.ping()
+        if not (pong.ok and pong.payload.get("pong")):
+            print("smoke FAIL: no ping after undersized hello", file=out)
+            return 1
+    print("smoke: undersized hello refused (bad_request), connection "
+          "still serving", file=out)
     async def _scrape(path: bytes) -> bytes:
         reader, writer = await asyncio.open_connection(
             server.core.config.host, port

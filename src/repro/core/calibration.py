@@ -93,29 +93,42 @@ def build_pdf_table(
         gaussian_limit_m = path_loss.far_threshold_m
 
     distances = rng.uniform(1.0, max_distance_m, size=n_samples)
-    rssi = np.asarray(path_loss.sample_rssi(distances, rng))
+    rssi = path_loss.sample_rssi(distances, rng)
     decodable = rssi >= receiver.sensitivity_dbm
-    distances = distances[decodable]
-    rssi = rssi[decodable]
-
-    keys = np.round(rssi).astype(int)
+    n_decodable = int(np.count_nonzero(decodable))
     bins: Dict[int, DistanceDistribution] = {}
     n_gauss = 0
     n_hist = 0
-    for key in np.unique(keys):
-        samples = distances[keys == key]
-        if samples.size < min_samples_per_bin:
-            continue
-        dist = DistanceDistribution.from_samples(
-            samples,
-            support_max_m=max_distance_m,
-            gaussian_limit_m=gaussian_limit_m,
-        )
-        bins[int(key)] = dist
-        if dist.is_gaussian:
-            n_gauss += 1
-        else:
-            n_hist += 1
+    if n_decodable:
+        distances = distances.compress(decodable)
+        keys = rssi.compress(decodable)
+        np.round(keys, out=keys)
+        # Group the samples by integer-dBm bin in one stable sort on a
+        # small unsigned offset key (numpy radix-sorts 8- and 16-bit
+        # keys).  The key's dtype is the smallest that holds the bin
+        # range, so it cannot wrap.  Stability keeps each bin's samples
+        # in draw order, so every bin fits from exactly the array a
+        # ``keys == key`` mask would select.
+        lowest = keys.min()
+        key_type = np.min_scalar_type(int(keys.max() - lowest))
+        keys -= lowest
+        offsets = keys.astype(key_type)
+        grouped = distances[np.argsort(offsets, kind="stable")]
+        stop = 0
+        for offset, count in enumerate(np.bincount(offsets).tolist()):
+            start, stop = stop, stop + count
+            if count == 0 or count < min_samples_per_bin:
+                continue
+            dist = DistanceDistribution.from_samples(
+                grouped[start:stop],
+                support_max_m=max_distance_m,
+                gaussian_limit_m=gaussian_limit_m,
+            )
+            bins[int(lowest) + offset] = dist
+            if dist.is_gaussian:
+                n_gauss += 1
+            else:
+                n_hist += 1
 
     if not bins:
         raise ValueError(
@@ -126,7 +139,7 @@ def build_pdf_table(
     return CalibrationResult(
         table=table,
         n_samples_drawn=n_samples,
-        n_samples_decodable=int(decodable.sum()),
+        n_samples_decodable=n_decodable,
         n_gaussian_bins=n_gauss,
         n_histogram_bins=n_hist,
     )

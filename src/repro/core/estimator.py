@@ -316,16 +316,6 @@ class PositionEstimator:
             t=observation.t,
         )
 
-    def advance_to(self, sim_time: float) -> None:
-        """Advance internal motion state to ``sim_time``.
-
-        For odometry-carrying modes this integrates one odometer step
-        (identical to :meth:`tick`); RF_ONLY estimators have no motion
-        state and the call is a no-op — which is what lets the service
-        replay an RF observation stream without a mobility model.
-        """
-        self.tick(sim_time)
-
     def set_ingest_tap(
         self,
         tap: Optional[Callable[[str, Optional[BeaconObservation]], None]],

@@ -59,11 +59,6 @@ class LifetimeProjection:
     half_team_s: float
     last_death_s: float
 
-    @property
-    def mean_lifetime_s(self) -> float:
-        values = list(self.node_lifetimes_s.values())
-        return sum(values) / len(values) if values else 0.0
-
 
 def project_lifetime(
     per_node_energy_j: Dict[int, float],

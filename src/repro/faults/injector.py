@@ -169,14 +169,3 @@ class FaultInjector:
         return self._corruptible(dst_id, packet) and self._corrupter_for(
             dst_id
         ).corrupts(packet.payload)
-
-    # -- diagnostics --------------------------------------------------------
-
-    @property
-    def burst_episodes(self) -> int:
-        """BAD-state episodes entered so far (0 without burst faults)."""
-        return 0 if self._burst is None else self._burst.bad_time_entered
-
-    def brownout_windows(self) -> int:
-        """Deaf windows entered across all attached radios."""
-        return sum(g.windows_entered for g in self._brownouts.values())

@@ -103,11 +103,6 @@ class OdometryNoise:
         """A perfect odometer — used by tests to isolate other error sources."""
         return OdometryNoise(0.0, 0.0, 0.0, 0.0)
 
-    @staticmethod
-    def paper_defaults() -> "OdometryNoise":
-        """The calibrated error model used by all paper experiments."""
-        return OdometryNoise()
-
 
 @dataclass(frozen=True)
 class OdometryReading:

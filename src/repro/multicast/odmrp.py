@@ -21,7 +21,7 @@ its intended next hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -236,12 +236,6 @@ class OdmrpNode:
         """True if this node currently holds an unexpired FG flag."""
         expiry = self._fg_expiry.get(source)
         return expiry is not None and expiry > self._sim.now
-
-    @property
-    def forwarding_sources(self) -> Set[int]:
-        """Sources for which this node is currently a forwarder."""
-        now = self._sim.now
-        return {s for s, e in self._fg_expiry.items() if e > now}
 
     # -- mesh construction -------------------------------------------------
 

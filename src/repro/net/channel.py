@@ -196,10 +196,6 @@ class BroadcastChannel:
         """Airtime of a frame: preamble plus payload serialization."""
         return self._preamble_s + (size_bytes * 8.0) / self._bitrate
 
-    def position_of(self, node_id: int) -> Vec2:
-        """Current true position of a registered node."""
-        return self._nodes[node_id].mobility.position(self._sim.now)
-
     def medium_busy(self, node_id: int) -> bool:
         """Carrier sense: does ``node_id`` hear energy above its CS threshold?
 

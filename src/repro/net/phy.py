@@ -96,10 +96,13 @@ class PathLossModel:
                 self.rssi_at_1m_dbm
                 - 10.0 * self.path_loss_exponent * np.log10(d)
             )
-        d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
-        result = self.rssi_at_1m_dbm - 10.0 * self.path_loss_exponent * (
-            np.log10(d)
-        )
+        # In place on one fresh copy; same operations and order as the
+        # scalar path.
+        result = np.array(distance_m, dtype=float)
+        np.maximum(result, 1.0, out=result)
+        np.log10(result, out=result)
+        result *= 10.0 * self.path_loss_exponent
+        np.subtract(self.rssi_at_1m_dbm, result, out=result)
         if np.isscalar(distance_m):
             return float(result)
         return result
@@ -147,20 +150,31 @@ class PathLossModel:
                         )
                     )
             return float(rssi)
+        # Array path (calibration and Fig. 1), worked in place so that at
+        # most three input-sized arrays are alive at once.  The draws and
+        # values match the out-of-place form bit for bit: the mean takes
+        # no draw, ``standard_normal`` draws exactly what ``normal(0, 1)``
+        # would (see sample_rssi_batch), and subtracting the fade only
+        # where it hit equals subtracting 0.0 elsewhere.
         d = np.atleast_1d(np.asarray(distance_m, dtype=float))
-        rssi = np.asarray(self.mean_rssi(d), dtype=float)
         far = d > self.far_threshold_m
-        sigma = np.where(far, self.far_sigma_db, self.gaussian_sigma_db)
-        rssi = rssi + rng.normal(0.0, 1.0, size=d.shape) * sigma
-        if np.any(far) and self.far_fade_prob > 0.0:
-            fade_hit = far & (rng.random(size=d.shape) < self.far_fade_prob)
-            if np.any(fade_hit):
+        noise = rng.standard_normal(d.shape)
+        noise *= np.where(far, self.far_sigma_db, self.gaussian_sigma_db)
+        rssi = self.mean_rssi(d)
+        rssi += noise
+        if self.far_fade_prob > 0.0 and far.any():
+            # The fade uniforms overwrite the spent shadowing deviates.
+            hit = rng.random(out=noise) < self.far_fade_prob
+            del noise
+            hit &= far
+            if hit.any():
                 fades = rng.normal(
                     self.far_fade_mean_db,
                     self.far_fade_sigma_db,
                     size=d.shape,
                 )
-                rssi = rssi - np.where(fade_hit, np.abs(fades), 0.0)
+                np.abs(fades, out=fades)
+                np.subtract(rssi, fades, out=rssi, where=hit)
         if np.isscalar(distance_m):
             return float(rssi[0])
         return rssi.reshape(np.shape(distance_m))

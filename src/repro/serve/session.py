@@ -61,6 +61,7 @@ from repro.serve.protocol import (
     FixRequest,
     HelloRequest,
     ObserveRequest,
+    ProtocolError,
     Response,
     StatsRequest,
     WindowRequest,
@@ -627,7 +628,11 @@ class CalibrationStore:
         self._tables: Dict[Tuple[int, int], PdfTable] = {}
 
     def table_for(self, hello: HelloRequest) -> PdfTable:
-        """The (possibly cached) table for a hello's calibration identity."""
+        """The (possibly cached) table for a hello's calibration identity.
+
+        Raises:
+            ProtocolError: if the hello's calibration populates no bin.
+        """
         key = (hello.calibration_seed, hello.calibration_samples)
         table = self._tables.get(key)
         if table is not None:
@@ -645,12 +650,20 @@ class CalibrationStore:
                 self._registry.counter("serve_warmstart_hits").inc()
                 return cached
         self._registry.counter("serve_warmstart_misses").inc()
-        result = build_pdf_table(
-            PathLossModel(),
-            RandomStreams(seed).get("calibration"),
-            n_samples=samples,
-            receiver=ReceiverModel(),
-        )
+        try:
+            result = build_pdf_table(
+                PathLossModel(),
+                RandomStreams(seed).get("calibration"),
+                n_samples=samples,
+                receiver=ReceiverModel(),
+            )
+        except ValueError:
+            # The hello itself is at fault: too few samples for any bin
+            # to reach the fit floor.  The shard answers bad_request.
+            raise ProtocolError(
+                "calibration_samples=%d populates no PDF-Table bin at "
+                "calibration_seed=%d; send more samples" % (samples, seed)
+            ) from None
         if self._warm_store is not None:
             self._warm_store.put_payload(
                 fingerprint, result.table, job_name="serve-calibration"

@@ -39,6 +39,7 @@ from repro.serve.protocol import (
     ByeRequest,
     HelloRequest,
     PingRequest,
+    ProtocolError,
     Request,
     Response,
     error_response,
@@ -230,10 +231,6 @@ class Shard:
         )
         return future
 
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
     # -- worker --------------------------------------------------------------
 
     async def _run(self) -> None:
@@ -296,6 +293,8 @@ class Shard:
         """
         try:
             return self._dispatch(request, trace)
+        except ProtocolError as exc:  # e.g. a hello too small to calibrate
+            return error_response("bad_request", str(exc))
         except Exception as exc:  # service must outlive a bad request
             self._registry.counter("serve_errors_total").inc()
             return error_response("internal", "%s: %s" % (

@@ -88,6 +88,18 @@ class TestDistanceDistribution:
         with pytest.raises(ValueError):
             DistanceDistribution.gaussian(10.0, -1.0, 180.0)
 
+    def test_fit_moments_match_numpy_bit_for_bit(self):
+        # Calibration fits contiguous slices at any offset of one sorted
+        # array; sizes straddle the pairwise-sum block edges (8, 128).
+        pool = np.random.default_rng(3).uniform(1.0, 180.0, 6000)
+        for size in (1, 7, 8, 9, 127, 128, 129, 1000, 5003):
+            for start in range(8):
+                samples = pool[start:start + size]
+                dist = DistanceDistribution.from_samples(samples, 180.0)
+                assert dist.mean_m == float(samples.mean())
+                assert dist.std_m == float(samples.std())
+                assert dist.n_samples == size
+
 
 class TestPdfTable:
     def make_table(self):
@@ -198,6 +210,31 @@ class TestCalibration:
             build_pdf_table(default_path_loss, rng, n_samples=0)
         with pytest.raises(ValueError):
             build_pdf_table(default_path_loss, rng, max_distance_m=0.5)
+
+    def test_bins_fit_exactly_the_masked_samples(self, default_path_loss):
+        """Each bin is fitted from ``distances[keys == key]``, in draw
+        order: replay the campaign's draws and fit every key by mask."""
+        receiver = ReceiverModel()
+        result = build_pdf_table(
+            default_path_loss, RandomStreams(4).get("cal"),
+            n_samples=20_000, receiver=receiver, min_samples_per_bin=1,
+        )
+        rng = RandomStreams(4).get("cal")
+        distances = rng.uniform(1.0, 180.0, size=20_000)
+        rssi = default_path_loss.sample_rssi(distances, rng)
+        keep = rssi >= receiver.sensitivity_dbm
+        distances = distances[keep]
+        keys = np.round(rssi[keep]).astype(int)
+        assert [key for key, _ in result.table.items()] == sorted(set(keys))
+        for key, dist in result.table.items():
+            oracle = DistanceDistribution.from_samples(
+                distances[keys == key], 180.0,
+                gaussian_limit_m=default_path_loss.far_threshold_m,
+            )
+            assert dist.n_samples == oracle.n_samples
+            assert dist.mean_m == oracle.mean_m
+            assert dist.std_m == oracle.std_m
+            assert dist.hist_density.tobytes() == oracle.hist_density.tobytes()
 
     def test_deterministic_given_seed(self, default_path_loss):
         r1 = build_pdf_table(

@@ -611,6 +611,32 @@ def test_tcp_bad_line_keeps_connection_usable():
     asyncio.run(scenario())
 
 
+def test_tcp_hello_too_small_to_calibrate_is_a_bad_request():
+    """At calibration seed 1 these sample counts populate no PDF-Table
+    bin; the hello is refused as the client's fault, naming the field,
+    and the connection keeps serving."""
+    async def scenario():
+        server = LocalizationServer(_small_core())
+        await server.start()
+        async with ServeClient("127.0.0.1", server.port) as client:
+            for samples in (1, 100, 400):
+                refused = await client.hello(
+                    "small-%d" % samples, calibration_samples=samples,
+                    area_side_m=80.0,
+                )
+                assert not refused.ok and refused.error == "bad_request"
+                assert ("calibration_samples=%d" % samples
+                        in refused.payload["detail"])
+            assert (await client.ping()).payload["pong"]
+            assert (await client.hello(
+                "t", calibration_samples=2000, area_side_m=80.0
+            )).ok
+            assert (await client.hello("default", area_side_m=80.0)).ok
+        await server.stop()
+
+    asyncio.run(scenario())
+
+
 async def _http_get(port, path):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(b"GET %s HTTP/1.1\r\nHost: test\r\n\r\n" % path)
