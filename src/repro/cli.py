@@ -997,6 +997,7 @@ async def _serve_smoke(server, out) -> int:
             return 1
     print("smoke: undersized hello refused (bad_request), connection "
           "still serving", file=out)
+
     async def _scrape(path: bytes) -> bytes:
         reader, writer = await asyncio.open_connection(
             server.core.config.host, port

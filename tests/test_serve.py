@@ -689,6 +689,7 @@ def test_cli_serve_smoke(capsys):
     code = main(["serve", "--port", "0", "--shards", "2", "--smoke"])
     out = capsys.readouterr().out
     assert code == 0, out
+    assert "smoke: undersized hello refused (bad_request)" in out
     assert "smoke: /metrics scrape ok" in out
 
 
