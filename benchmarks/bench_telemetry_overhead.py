@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.config import CoCoAConfig
-from repro.experiments.runner import run_scenario
+from repro.core.team import CoCoATeam
 from repro.telemetry import NULL_REGISTRY, Telemetry
 from repro.util.geometry import Rect
 
@@ -50,9 +50,9 @@ def report(capsys):
     return _report
 
 
-def _timed_run(config, telemetry=None):
+def _timed_run(config, table, telemetry=None):
     start = time.perf_counter()
-    result = run_scenario(config, telemetry=telemetry)
+    result = CoCoATeam(config, pdf_table=table, telemetry=telemetry).run()
     return result, time.perf_counter() - start
 
 
@@ -78,19 +78,22 @@ def test_null_registry_per_call_cost(benchmark, report):
 
 def test_fig6_run_overhead_disabled_vs_enabled(benchmark, report):
     config = _fig6_config(DURATION_S)
-    run_scenario(config)  # warm the calibration cache the timed runs share
+    # Calibrate once and warm up: the timed runs share the table.
+    warm = CoCoATeam(config)
+    warm.run()
+    table = warm.pdf_table
 
-    baseline, baseline_s = _timed_run(config)
+    baseline, baseline_s = _timed_run(config, table)
 
     def run_enabled():
-        return _timed_run(config, telemetry=Telemetry())
+        return _timed_run(config, table, telemetry=Telemetry())
 
     (rich, enabled_s) = benchmark.pedantic(
         run_enabled, rounds=1, iterations=1
     )
     # Re-time the disabled run after the enabled one so cache warmth and
     # CPU state are comparable in either direction.
-    _, baseline2_s = _timed_run(config)
+    _, baseline2_s = _timed_run(config, table)
     disabled_s = min(baseline_s, baseline2_s)
     overhead = enabled_s / disabled_s - 1.0 if disabled_s > 0 else 0.0
 

@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from repro.core import CoCoAConfig, CoCoATeam
 from repro.experiments.metrics import summarize_errors
-from repro.experiments.runner import SharedCalibration
 
 
 def main() -> None:
@@ -34,7 +33,6 @@ def main() -> None:
         v_max=2.0,
         master_seed=3,
     )
-    calibration = SharedCalibration()
     periods = (20.0, 50.0, 100.0, 200.0)
 
     print("Mission: %.0f robots, %.0f min, accuracy requirement %.1f m"
@@ -44,13 +42,9 @@ def main() -> None:
 
     rows = []
     for period in periods:
-        coordinated = CoCoATeam(
-            replace(base, beacon_period_s=period),
-            pdf_table=calibration.table_for(base),
-        ).run()
+        coordinated = CoCoATeam(replace(base, beacon_period_s=period)).run()
         uncoordinated = CoCoATeam(
-            replace(base, beacon_period_s=period, coordination=False),
-            pdf_table=calibration.table_for(base),
+            replace(base, beacon_period_s=period, coordination=False)
         ).run()
         summary = summarize_errors(
             coordinated.errors, skip_first_s=min(period, 200.0)

@@ -17,7 +17,6 @@ import numpy as np
 from repro.analysis.stats import ConfidenceInterval, mean_confidence_interval
 from repro.core.config import CoCoAConfig
 from repro.experiments.metrics import summarize_errors
-from repro.experiments.runner import SharedCalibration
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.executor import run_sweep
 from repro.orchestrator.jobs import seed_jobs
@@ -45,14 +44,6 @@ class SeedSweepResult:
     energy_ci: ConfidenceInterval
 
     @property
-    def worst_seed_error_m(self) -> float:
-        return max(self.error_time_averages_m)
-
-    @property
-    def best_seed_error_m(self) -> float:
-        return min(self.error_time_averages_m)
-
-    @property
     def relative_spread(self) -> float:
         """Std/mean of the error metric — the seed-sensitivity measure."""
         values = np.asarray(self.error_time_averages_m)
@@ -66,7 +57,6 @@ def run_seed_sweep(
     config: CoCoAConfig,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     skip_first_s: Optional[float] = None,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
@@ -84,7 +74,6 @@ def run_seed_sweep(
         seeds: master seeds to sweep (at least two).
         skip_first_s: warm-up to exclude from error averaging; defaults
             to just past the first beacon period.
-        calibration: optional shared calibration cache (serial path).
         jobs: worker processes (1 = in-process serial execution).
         cache: optional content-addressed result cache.
         progress: optional per-job progress listener.
@@ -100,13 +89,11 @@ def run_seed_sweep(
         skip_first_s = min(
             1.1 * config.beacon_period_s + 5.0, config.duration_s / 2
         )
-    cal = calibration if calibration is not None else SharedCalibration()
     outcome = run_sweep(
         seed_jobs(config, seeds, telemetry=telemetry_path is not None),
         n_jobs=jobs,
         cache=cache,
         progress=progress,
-        calibration=cal,
         telemetry_path=telemetry_path,
     )
     errors: List[float] = []

@@ -40,7 +40,6 @@ from repro.core.config import (
 )
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
-from repro.experiments.runner import SharedCalibration
 from repro.orchestrator.cache import DEFAULT_CACHE_DIR, ResultCache
 
 
@@ -182,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--async", dest="async_only", action="store_true",
                       help="run only the async-safety family "
                            "(shorthand for --select ASY)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="suppress findings recorded in this baseline file")
-    lint.add_argument("--write-baseline", default=None, metavar="PATH",
-                      help="record current findings as the grandfathered "
-                           "baseline and exit 0 (zero findings remove a "
-                           "stale baseline file)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print every rule code with its summary and exit")
     lint.add_argument("--sanitize", action="store_true",
@@ -422,7 +415,6 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 def cmd_figure(args: argparse.Namespace, out) -> int:
     from repro.experiments import figures
 
-    cal = SharedCalibration()
     cache = _cache_from_args(args)
     sweep_kw = dict(
         jobs=args.jobs, cache=cache, telemetry_path=args.telemetry
@@ -451,30 +443,28 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
               % (result["path_length_m"], result["final_error_m"]), file=out)
     elif name == "fig6":
         result = figures.run_fig6(
-            duration_s=duration, master_seed=seed, calibration=cal, **sweep_kw
+            duration_s=duration, master_seed=seed, **sweep_kw
         )
         for period, data in sorted(result.items()):
             print("T=%-4.0f avg %.2f m" % (period,
                   data["summary"].time_average_m), file=out)
     elif name == "fig7":
         result = figures.run_fig7(
-            duration_s=duration, master_seed=seed, calibration=cal, **sweep_kw
+            duration_s=duration, master_seed=seed, **sweep_kw
         )
         for v_max, modes in result.items():
             row = "  ".join("%s %.1f m" % (m, d["summary"].time_average_m)
                             for m, d in modes.items())
             print("v_max=%.1f: %s" % (v_max, row), file=out)
     elif name == "fig8":
-        result = figures.run_fig8(
-            duration_s=duration, master_seed=seed, calibration=cal
-        )
+        result = figures.run_fig8(duration_s=duration, master_seed=seed)
         for instant, data in result.items():
             print("%-26s t=%.0fs median %.2f m p90 %.2f m"
                   % (instant, data["time_s"], data["median_m"],
                      data["p90_m"]), file=out)
     elif name == "fig9":
         result = figures.run_fig9(
-            duration_s=duration, master_seed=seed, calibration=cal, **sweep_kw
+            duration_s=duration, master_seed=seed, **sweep_kw
         )
         for period, data in sorted(result.items()):
             print("T=%-4.0f avg %.2f m  E %.0f J vs %.0f J (%.1fx)"
@@ -484,7 +474,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
                      data["energy_ratio"]), file=out)
     elif name == "fig10":
         result = figures.run_fig10(
-            duration_s=duration, master_seed=seed, calibration=cal, **sweep_kw
+            duration_s=duration, master_seed=seed, **sweep_kw
         )
         for count, data in sorted(result.items()):
             print("anchors=%-3d avg %.2f m (no-fix windows %d)"
@@ -492,8 +482,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
                      data["windows_without_fix"]), file=out)
     elif name == "mrmm":
         result = figures.run_mrmm_ablation(
-            duration_s=duration, master_seed=seed, calibration=cal,
-            **sweep_kw
+            duration_s=duration, master_seed=seed, **sweep_kw
         )
         for protocol, data in result.items():
             print("%-6s ctrl %d  data_fwd %d  syncs %d  err %.2f m"
@@ -676,7 +665,6 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
         format_json,
         lint_paths,
         parse_code_list,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -706,21 +694,10 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
             args.paths,
             select=parse_code_list(select, "--select"),
             ignore=parse_code_list(args.ignore, "--ignore"),
-            baseline_path=args.baseline,
         )
     except LintUsageError as exc:
         print("lint: %s" % exc, file=out)
         return 2
-    if args.write_baseline is not None:
-        if write_baseline(args.write_baseline, report.findings):
-            print("wrote %d finding%s to baseline %s"
-                  % (len(report.findings),
-                     "" if len(report.findings) == 1 else "s",
-                     args.write_baseline), file=out)
-        else:
-            print("no findings: removed any stale baseline at %s"
-                  % args.write_baseline, file=out)
-        return 0
     if args.json:
         print(format_json(report), file=out)
     else:

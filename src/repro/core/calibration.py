@@ -44,12 +44,6 @@ class CalibrationResult:
     n_gaussian_bins: int
     n_histogram_bins: int
 
-    @property
-    def gaussian_fraction(self) -> float:
-        """Fraction of populated bins that are Gaussian."""
-        total = self.n_gaussian_bins + self.n_histogram_bins
-        return self.n_gaussian_bins / total if total else 0.0
-
 
 def build_pdf_table(
     path_loss: PathLossModel,

@@ -10,7 +10,6 @@ beacons, 30 simulated minutes.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from repro.energy.model import EnergyModel
@@ -186,16 +185,6 @@ class CoCoAConfig:
             or self.area.height < self.grid_resolution_m
         ):
             raise ValueError("grid resolution exceeds the deployment area")
-
-    @property
-    def n_unknowns(self) -> int:
-        """Robots without localization devices."""
-        return self.n_robots - self.n_anchors
-
-    @property
-    def n_beacon_periods(self) -> int:
-        """Complete beacon periods within the simulation duration."""
-        return int(math.floor(self.duration_s / self.beacon_period_s))
 
     @property
     def guard_s(self) -> float:

@@ -298,8 +298,7 @@ class PositionEstimator:
     # coordinator (RobotNode.handle_beacon, CoCoATeam's metric sampler)
     # and the streaming service (repro.serve) call exactly these three
     # methods, so the estimator cannot tell a live simulation from a
-    # replayed observation log.  First step toward a swappable
-    # Estimator protocol (ROADMAP item 5).
+    # replayed observation log.
 
     def ingest_observation(self, observation: BeaconObservation) -> None:
         """Incorporate one beacon observation (the streaming entry point).
@@ -358,8 +357,9 @@ class PositionEstimator:
         Args:
             beacon_position: the anchor's claimed coordinates.
             rssi_dbm: the measured signal strength.
-            anchor_id: the claiming anchor (enables the quarantine
-                ledger); optional for backward compatibility.
+            anchor_id: the claiming anchor.  Quarantine and suspicion
+                key on it; a beacon without one still meets the gate but
+                is never quarantined or suspected.
             t: receive time (drives the suspicion decay).
         """
         if self._filter is None or self._table is None:

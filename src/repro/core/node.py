@@ -82,10 +82,6 @@ class RobotNode:
             return self.estimator.estimate
         return self.mobility.position(t)
 
-    def localization_error(self, t: float) -> float:
-        """Distance between true and estimated position at time ``t``."""
-        return self.true_position(t).distance_to(self.estimated_position(t))
-
     def handle_beacon(self, received: ReceivedPacket) -> None:
         """Feed a received beacon to the estimator (unknown robots)."""
         if self.estimator is None:

@@ -179,41 +179,3 @@ class ParticleFilter:
             + np.dot(self._weights, np.square(self._ys - mean.y))
         )
         return float(np.sqrt(max(var, 0.0)))
-
-    # -- checkpointing --------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """The filter's evolving state as a picklable mapping.
-
-        Captures the particle cloud, weights, counters and the sampling
-        stream's generator state, so a restored filter continues the
-        exact random sequence the snapshotted one would have drawn —
-        resampling after restore is bit-identical to never pausing.
-        """
-        return {
-            "n_particles": self._n,
-            "xs": self._xs.copy(),
-            "ys": self._ys.copy(),
-            "weights": self._weights.copy(),
-            "beacons_applied": self._beacons_applied,
-            "resamplings": self.resamplings,
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` mapping (bit-exact resume).
-
-        Raises:
-            ValueError: the snapshot used a different particle count.
-        """
-        if int(state["n_particles"]) != self._n:
-            raise ValueError(
-                "filter snapshot has %d particles, this filter %d"
-                % (state["n_particles"], self._n)
-            )
-        self._xs = state["xs"].copy()
-        self._ys = state["ys"].copy()
-        self._weights = state["weights"].copy()
-        self._beacons_applied = int(state["beacons_applied"])
-        self.resamplings = int(state["resamplings"])
-        self._rng.bit_generator.state = state["rng_state"]

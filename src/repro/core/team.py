@@ -37,7 +37,6 @@ from repro.core.node import RobotNode, RobotRole
 from repro.core.pdf_table import PdfTable
 from repro.energy.report import TeamEnergyReport, aggregate_meters
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultPlan
 from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
@@ -115,14 +114,6 @@ class TeamResult:
         time (NaN-aware, see :meth:`mean_error_series`)."""
         return float(np.nanmean(self.errors))
 
-    def max_mean_error(self) -> float:
-        """Peak of the robot-averaged error curve."""
-        return float(self.mean_error_series().max())
-
-    def final_mean_error(self) -> float:
-        """Robot-averaged error at the last sample."""
-        return float(self.mean_error_series()[-1])
-
     def error_snapshot(self, at_time: float) -> np.ndarray:
         """Per-robot errors at the sample nearest ``at_time`` (CDF input)."""
         idx = int(np.argmin(np.abs(self.times - at_time)))
@@ -138,15 +129,12 @@ class CoCoATeam:
 
     Args:
         config: the scenario description.
-        pdf_table: optionally reuse an already calibrated PDF Table (the
-            calibration is a property of the hardware, not the scenario,
-            so parameter sweeps share it — and save the calibration cost).
-            The team never mutates it: its per-bin LUTs are derived data,
-            so one table serves any number of runs.
-        faults: optional :class:`~repro.faults.spec.FaultPlan` overriding
-            ``config.faults`` (the config field is what sweeps and the
-            result cache see; the argument is an escape hatch for direct
-            programmatic use).
+        pdf_table: optionally inject an already calibrated PDF Table
+            instead of calibrating from the config's ``calibration``
+            stream (exact-density references, test fixtures, timed runs
+            that exclude calibration).  The team never mutates it: its
+            per-bin LUTs are derived data, so one table serves any number
+            of runs.
         telemetry: optional rich-instrumentation handle.  When given, the
             coordinators record beacon-round spans, beacon receptions
             become child events, and fix quality lands in registry
@@ -159,7 +147,6 @@ class CoCoATeam:
         self,
         config: CoCoAConfig,
         pdf_table: Optional[PdfTable] = None,
-        faults: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.config = config
@@ -170,14 +157,13 @@ class CoCoATeam:
             self.sim, config.path_loss, self.streams.get("phy"),
             trace=telemetry.tracer if telemetry is not None else None,
         )
-        plan = faults if faults is not None else config.faults
-        self.fault_plan = plan
         self.faults: Optional[FaultInjector] = None
-        if not plan.is_noop():
+        if not config.faults.is_noop():
             # A no-op plan never constructs an injector: the unfaulted
             # code path runs untouched and stays bit-identical.
             self.faults = FaultInjector(
-                plan, self.streams, crc_check=config.defenses.crc_check
+                config.faults, self.streams,
+                crc_check=config.defenses.crc_check,
             )
             self.channel.install_faults(self.faults)
         if pdf_table is None and self._needs_rf():

@@ -28,7 +28,7 @@ from repro.experiments.presets import (
     fig10_config,
     headline_config,
 )
-from repro.experiments.runner import SharedCalibration, run_scenario
+from repro.experiments.runner import run_scenario
 
 __all__ = [
     "ErrorSummary",
@@ -40,6 +40,5 @@ __all__ = [
     "fig7_config",
     "fig9_config",
     "fig10_config",
-    "SharedCalibration",
     "run_scenario",
 ]

@@ -37,7 +37,6 @@ from repro.experiments.presets import (
     fig10_config,
     headline_config,
 )
-from repro.experiments.runner import SharedCalibration
 from repro.mobility.base import ScriptedMobility
 from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometryNoise, OdometrySensor
@@ -196,14 +195,12 @@ def run_fig6(
     beacon_periods_s: Sequence[float] = (10.0, 50.0, 100.0, 300.0),
     duration_s: float = 1800.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
     telemetry_path: Optional[str] = None,
 ) -> Dict[float, Dict]:
     """Figure 6: RF-only localization error over time for several ``T``."""
-    cal = calibration if calibration is not None else SharedCalibration()
     sweep = [
         SweepJob(
             config=fig6_config(
@@ -216,7 +213,7 @@ def run_fig6(
         for period in beacon_periods_s
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     out: Dict[float, Dict] = {}
@@ -237,14 +234,12 @@ def run_fig7(
     v_maxes: Sequence[float] = (0.5, 2.0),
     duration_s: float = 1800.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
     telemetry_path: Optional[str] = None,
 ) -> Dict[float, Dict[str, Dict]]:
     """Figure 7: odometry vs RF-only vs CoCoA at T = 100 s."""
-    cal = calibration if calibration is not None else SharedCalibration()
     modes = (
         LocalizationMode.ODOMETRY_ONLY,
         LocalizationMode.RF_ONLY,
@@ -263,7 +258,7 @@ def run_fig7(
         for mode in modes
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     out: Dict[float, Dict[str, Dict]] = {v_max: {} for v_max in v_maxes}
@@ -281,7 +276,6 @@ def run_fig8(
     duration_s: float = 1800.0,
     master_seed: int = 1,
     window_index: Optional[int] = None,
-    calibration: Optional[SharedCalibration] = None,
 ) -> Dict[str, Dict]:
     """Figure 8: CDF of the localization error at three instants.
 
@@ -291,9 +285,8 @@ def run_fig8(
     Instants are derived from the Sync robot's clock so they track the
     team's actual (drifting) schedule.
     """
-    cal = calibration if calibration is not None else SharedCalibration()
     config = headline_config(duration_s=duration_s, master_seed=master_seed)
-    team = CoCoATeam(config, pdf_table=cal.table_for(config))
+    team = CoCoATeam(config)
     result = team.run()
     sync_clock = team.nodes[0].coordinator.clock
     T, t = config.beacon_period_s, config.transmit_window_s
@@ -325,7 +318,6 @@ def run_fig9(
     beacon_periods_s: Sequence[float] = (10.0, 50.0, 100.0, 300.0),
     duration_s: float = 1800.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
@@ -333,7 +325,6 @@ def run_fig9(
 ) -> Dict[float, Dict]:
     """Figure 9: impact of ``T`` on error (a) and on energy with/without
     coordination (b)."""
-    cal = calibration if calibration is not None else SharedCalibration()
     sweep = [
         SweepJob(
             config=fig9_config(
@@ -351,7 +342,7 @@ def run_fig9(
         for coordination in (True, False)
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     by_key = outcome.by_key()
@@ -378,7 +369,6 @@ def run_fig10(
     anchor_counts: Sequence[int] = (5, 15, 25, 35),
     duration_s: float = 1800.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
@@ -386,7 +376,6 @@ def run_fig10(
 ) -> Dict[int, Dict]:
     """Figure 10: impact of the number of robots with localization
     devices."""
-    cal = calibration if calibration is not None else SharedCalibration()
     sweep = [
         SweepJob(
             config=fig10_config(
@@ -399,7 +388,7 @@ def run_fig10(
         for count in anchor_counts
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     out: Dict[int, Dict] = {}
@@ -423,7 +412,6 @@ def run_fig10(
 def run_mrmm_ablation(
     duration_s: float = 900.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
@@ -434,7 +422,6 @@ def run_mrmm_ablation(
     Runs the identical CoCoA scenario with each multicast protocol and
     reports control overhead, data transmissions and SYNC delivery.
     """
-    cal = calibration if calibration is not None else SharedCalibration()
     sweep = [
         SweepJob(
             config=headline_config(
@@ -449,7 +436,7 @@ def run_mrmm_ablation(
         for protocol in (MulticastProtocol.ODMRP, MulticastProtocol.MRMM)
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     out: Dict[str, Dict] = {}

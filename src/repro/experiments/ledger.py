@@ -38,7 +38,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.metrics import summarize_errors
 from repro.experiments.resilience import run_resilience_sweep
-from repro.experiments.runner import SharedCalibration
 from repro.ext.failures import FailureSchedule, ResilientTeam
 from repro.ext.georouting import run_georouting_study
 from repro.ext.online_routing import RoutingTeam
@@ -90,7 +89,7 @@ def _num(x: float) -> str:
 # ----------------------------------------------------------------------
 
 
-def _fig1(jobs: int, cal: SharedCalibration) -> Values:
+def _fig1(jobs: int) -> Values:
     bins = run_fig1()["bins"]
     out: Values = {}
     for name, rssi in (("near", -52), ("far", -86)):
@@ -103,7 +102,7 @@ def _fig1(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _fig4(jobs: int, cal: SharedCalibration) -> Values:
+def _fig4(jobs: int) -> Values:
     out: Values = {}
     for v_max, data in run_fig4(v_maxes=SPEEDS, jobs=jobs).items():
         series, p = data["mean_error"], "fig4.v%s." % _num(v_max)
@@ -113,7 +112,7 @@ def _fig4(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _fig5(jobs: int, cal: SharedCalibration) -> Values:
+def _fig5(jobs: int) -> Values:
     result = run_fig5(master_seed=1)
     errors = result["errors"]
     third = len(errors) // 3
@@ -126,16 +125,16 @@ def _fig5(jobs: int, cal: SharedCalibration) -> Values:
     }
 
 
-def _fig6(jobs: int, cal: SharedCalibration) -> Values:
-    result = run_fig6(beacon_periods_s=PERIODS, calibration=cal, jobs=jobs)
+def _fig6(jobs: int) -> Values:
+    result = run_fig6(beacon_periods_s=PERIODS, jobs=jobs)
     return {
         "fig6.T%s.time_average_m" % _num(t): d["summary"].time_average_m
         for t, d in result.items()
     }
 
 
-def _fig7(jobs: int, cal: SharedCalibration, seed: int = 1) -> Values:
-    result = run_fig7(v_maxes=SPEEDS, master_seed=seed, calibration=cal, jobs=jobs)
+def _fig7(jobs: int, seed: int = 1) -> Values:
+    result = run_fig7(v_maxes=SPEEDS, master_seed=seed, jobs=jobs)
     out: Values = {}
     for v_max, modes in result.items():
         for mode, data in modes.items():
@@ -150,9 +149,9 @@ def _fig7_base(seed: int) -> str:
     return "fig7." if seed == 1 else "fig7.seed%d." % seed
 
 
-def _fig8(jobs: int, cal: SharedCalibration) -> Values:
+def _fig8(jobs: int) -> Values:
     out: Values = {}
-    for instant, data in run_fig8(calibration=cal).items():
+    for instant, data in run_fig8().items():
         p = "fig8.%s." % instant
         out[p + "time_s"] = float(data["time_s"])
         out[p + "median_m"] = data["median_m"]
@@ -161,9 +160,9 @@ def _fig8(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _fig9(jobs: int, cal: SharedCalibration) -> Values:
+def _fig9(jobs: int) -> Values:
     out: Values = {}
-    for t, data in run_fig9(beacon_periods_s=PERIODS, calibration=cal, jobs=jobs).items():
+    for t, data in run_fig9(beacon_periods_s=PERIODS, jobs=jobs).items():
         p = "fig9.T%s." % _num(t)
         out[p + "time_average_m"] = data["summary"].time_average_m
         for name in ("energy_coordinated_j", "energy_uncoordinated_j", "energy_ratio"):
@@ -171,17 +170,17 @@ def _fig9(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _fig10(jobs: int, cal: SharedCalibration) -> Values:
+def _fig10(jobs: int) -> Values:
     out: Values = {}
-    for count, data in run_fig10(ANCHOR_COUNTS, calibration=cal, jobs=jobs).items():
+    for count, data in run_fig10(ANCHOR_COUNTS, jobs=jobs).items():
         out["fig10.anchors%d.time_average_m" % count] = data["summary"].time_average_m
         out["fig10.anchors%d.windows_without_fix" % count] = data["windows_without_fix"]
     return out
 
 
-def _mrmm(jobs: int, cal: SharedCalibration) -> Values:
+def _mrmm(jobs: int) -> Values:
     out: Values = {}
-    for protocol, data in run_mrmm_ablation(1800.0, calibration=cal, jobs=jobs).items():
+    for protocol, data in run_mrmm_ablation(1800.0, jobs=jobs).items():
         p = "mrmm.%s." % protocol
         for name in (
             "control_packets", "data_forwarded", "forwards_suppressed", "syncs_received",
@@ -191,9 +190,9 @@ def _mrmm(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _resilience(jobs: int, cal: SharedCalibration, seed: int = 1) -> Values:
+def _resilience(jobs: int, seed: int = 1) -> Values:
     result = run_resilience_sweep(
-        INTENSITIES, duration_s=600.0, master_seed=seed, calibration=cal, jobs=jobs
+        INTENSITIES, duration_s=600.0, master_seed=seed, jobs=jobs
     )
     return {
         "resilience.seed%d.i%s.%s_m" % (seed, _num(i), label): cell["summary"].time_average_m
@@ -202,14 +201,12 @@ def _resilience(jobs: int, cal: SharedCalibration, seed: int = 1) -> Values:
     }
 
 
-def _filter_ablation(jobs: int, cal: SharedCalibration) -> Values:
+def _filter_ablation(jobs: int) -> Values:
     """Section 5: the grid filter swapped for Monte Carlo localization."""
     base = CoCoAConfig(duration_s=500.0, master_seed=6)
     out: Values = {}
     for kind in (LocalizationFilter.GRID, LocalizationFilter.PARTICLE):
-        result = CoCoATeam(
-            base.paper_scenario(localization_filter=kind), pdf_table=cal.table_for(base)
-        ).run()
+        result = CoCoATeam(base.paper_scenario(localization_filter=kind)).run()
         p = "filter.%s." % kind.value
         out[p + "time_average_m"] = summarize_errors(
             result.errors, skip_first_s=base.beacon_period_s * 1.1 + 5
@@ -218,15 +215,14 @@ def _filter_ablation(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _promotion(jobs: int, cal: SharedCalibration) -> Values:
+def _promotion(jobs: int) -> Values:
     """Section 6: beacon promotion in an anchor-sparse team."""
     config = CoCoAConfig(n_anchors=10, duration_s=500.0, master_seed=5)
-    table = cal.table_for(config)
     out: Values = {}
     for label, gate in (("baseline", None), ("gate6", 6.0), ("gate60", 60.0)):
         team = (
-            CoCoATeam(config, pdf_table=table) if gate is None else
-            PromotionTeam(config, PromotionConfig(max_fix_std_m=gate), pdf_table=table)
+            CoCoATeam(config) if gate is None else
+            PromotionTeam(config, PromotionConfig(max_fix_std_m=gate))
         )
         result, p = team.run(), "promotion.%s." % label
         out[p + "time_average_m"] = summarize_errors(
@@ -238,7 +234,7 @@ def _promotion(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _power(jobs: int, cal: SharedCalibration) -> Values:
+def _power(jobs: int) -> Values:
     """Section 6: transmission power control."""
     out: Values = {}
     for point in run_power_sweep((-6.0, 0.0, 6.0), duration_s=400.0):
@@ -250,7 +246,7 @@ def _power(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _georouting(jobs: int, cal: SharedCalibration) -> Values:
+def _georouting(jobs: int) -> Values:
     """Section 6: greedy routing over CoCoA coordinates (offline)."""
     result = run_georouting_study(
         CoCoAConfig(duration_s=460.0, master_seed=9), snapshot_times=(184.0, 299.0, 414.0)
@@ -264,10 +260,10 @@ def _georouting(jobs: int, cal: SharedCalibration) -> Values:
     }
 
 
-def _online_routing(jobs: int, cal: SharedCalibration) -> Values:
+def _online_routing(jobs: int) -> Values:
     """Section 6: geographic routing run live inside the simulator."""
     config = CoCoAConfig(beacon_period_s=50.0, duration_s=360.0, master_seed=7)
-    team = RoutingTeam(config, pdf_table=cal.table_for(config))
+    team = RoutingTeam(config)
     rng = RandomStreams(50).get("traffic")
 
     def traffic() -> None:
@@ -293,16 +289,16 @@ def _online_routing(jobs: int, cal: SharedCalibration) -> Values:
     }
 
 
-def _sync_failover(jobs: int, cal: SharedCalibration) -> Values:
+def _sync_failover(jobs: int) -> Values:
     """Robustness: the Sync robot dies at t = 100 s of 500 s."""
     config = CoCoAConfig(beacon_period_s=50.0, duration_s=500.0, master_seed=7)
-    table, kill = cal.table_for(config), FailureSchedule.of((100.0, 0))
+    kill = FailureSchedule.of((100.0, 0))
     teams = {
-        "baseline": ResilientTeam(config, failover=False, pdf_table=table),
+        "baseline": ResilientTeam(config, failover=False),
         "sync_dies": ResilientTeam(
-            config, kill, failover=False, resync_after_silent_periods=None, pdf_table=table
+            config, kill, failover=False, resync_after_silent_periods=None
         ),
-        "failover": ResilientTeam(config, kill, failover=True, pdf_table=table),
+        "failover": ResilientTeam(config, kill, failover=True),
     }
     out: Values = {}
     for label, team in teams.items():
@@ -315,13 +311,12 @@ def _sync_failover(jobs: int, cal: SharedCalibration) -> Values:
     return out
 
 
-def _attrition(jobs: int, cal: SharedCalibration) -> Values:
+def _attrition(jobs: int) -> Values:
     """Robustness: 2 anchors and 3 unknowns die across a 400 s run."""
     config = CoCoAConfig(beacon_period_s=50.0, duration_s=400.0, master_seed=9)
-    table = cal.table_for(config)
     schedule = FailureSchedule.of((80.0, 5), (140.0, 30), (200.0, 12), (260.0, 40), (320.0, 45))
-    clean = ResilientTeam(config, pdf_table=table).run()
-    team = ResilientTeam(config, schedule, failover=True, pdf_table=table)
+    clean = ResilientTeam(config).run()
+    team = ResilientTeam(config, schedule, failover=True)
     hit = team.run()
     return {
         "attrition.dead": len(team.dead),
@@ -334,25 +329,25 @@ def _attrition(jobs: int, cal: SharedCalibration) -> Values:
     }
 
 
-def _lifetime(jobs: int, cal: SharedCalibration) -> Values:
+def _lifetime(jobs: int) -> Values:
     """What Figure 9(b)'s joules buy: battery-projected mission time."""
     base = CoCoAConfig(duration_s=400.0, master_seed=4)
     out: Values = {}
     for label, coordination in (("coordinated", True), ("idle", False)):
         config = base.paper_scenario(coordination=coordination)
-        result = CoCoATeam(config, pdf_table=cal.table_for(base)).run()
+        result = CoCoATeam(config).run()
         life = project_lifetime(result.per_node_energy_j, 400.0, Battery())
         out["lifetime.%s.first_death_s" % label] = life.first_death_s
         out["lifetime.%s.last_death_s" % label] = life.last_death_s
     return out
 
 
-def _seed_sensitivity(jobs: int, cal: SharedCalibration) -> Values:
+def _seed_sensitivity(jobs: int) -> Values:
     """Is "CoCoA beats RF-only" seed noise?  T = 50 s, 400 s."""
     base = CoCoAConfig(duration_s=400.0, beacon_period_s=50.0)
     rf = base.paper_scenario(localization_mode=LocalizationMode.RF_ONLY)
     sweeps = {
-        mode: run_seed_sweep(config, seeds=SEEDS, calibration=cal, jobs=jobs)
+        mode: run_seed_sweep(config, seeds=SEEDS, jobs=jobs)
         for mode, config in (("cocoa", base), ("rf_only", rf))
     }
     comparison = compare_scenarios(sweeps["cocoa"], sweeps["rf_only"])
@@ -368,7 +363,7 @@ def _seed_sensitivity(jobs: int, cal: SharedCalibration) -> Values:
 
 #: (name, master seed(s), measurement) in run order.  Sweeping sections
 #: fan their runs out over ``jobs`` workers; the others run in-process.
-SECTIONS: Tuple[Tuple[str, Seed, Callable[[int, SharedCalibration], Values]], ...] = (
+SECTIONS: Tuple[Tuple[str, Seed, Callable[[int], Values]], ...] = (
     ("fig1", 1, _fig1),
     ("fig4", 1, _fig4),
     ("fig5", 1, _fig5),
@@ -393,11 +388,11 @@ SECTIONS: Tuple[Tuple[str, Seed, Callable[[int, SharedCalibration], Values]], ..
 
 def measure(jobs: int = 1, log=sys.stderr) -> Measured:
     """Run every section at its ledger shape; never touches a cache."""
-    cal, out, start = SharedCalibration(), {}, time.perf_counter()
+    out, start = {}, time.perf_counter()
     for name, seed, section in SECTIONS:
         out.update(
             (key, value if isinstance(value, tuple) else (value, seed))
-            for key, value in section(jobs, cal).items()
+            for key, value in section(jobs).items()
         )
         print("[%6.1fs] %s" % (time.perf_counter() - start, name), file=log)
     return out

@@ -77,13 +77,3 @@ def cdf_points(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return values, values
     fractions = np.arange(1, values.size + 1, dtype=float) / values.size
     return values, fractions
-
-
-def fraction_below(samples: np.ndarray, threshold: float) -> float:
-    """Fraction of error samples below ``threshold`` metres (e.g. the
-    paper's "more than 90% of the robots have a localization error lower
-    than 10 m")."""
-    values = np.asarray(samples, dtype=float).ravel()
-    if values.size == 0:
-        return 0.0
-    return float((values < threshold).mean())

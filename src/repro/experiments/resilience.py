@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence
 from repro.core.config import CoCoAConfig
 from repro.experiments.metrics import summarize_errors
 from repro.experiments.presets import headline_config
-from repro.experiments.runner import SharedCalibration
 from repro.faults.spec import (
     BrownoutSpec,
     BurstInterferenceSpec,
@@ -92,7 +91,6 @@ def run_resilience_sweep(
     base_config: Optional[CoCoAConfig] = None,
     duration_s: float = 600.0,
     master_seed: int = 1,
-    calibration: Optional[SharedCalibration] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
@@ -107,7 +105,6 @@ def run_resilience_sweep(
             scenario at ``duration_s`` / ``master_seed``.
         duration_s: simulated seconds (only used for the default config).
         master_seed: master seed (only used for the default config).
-        calibration: shared calibration cache for serial runs.
         jobs: worker processes (> 1 uses the process pool).
         cache: optional result cache; every cell is fingerprinted with
             its fault plan and defense profile, so cells are reusable
@@ -128,7 +125,6 @@ def run_resilience_sweep(
         base_config = headline_config(
             duration_s=duration_s, master_seed=master_seed
         )
-    cal = calibration if calibration is not None else SharedCalibration()
     variants = (
         ("undefended", DefenseConfig()),
         ("defended", defenses),
@@ -148,7 +144,7 @@ def run_resilience_sweep(
         for label, defense in variants
     ]
     outcome = run_sweep(
-        sweep, n_jobs=jobs, cache=cache, progress=progress, calibration=cal,
+        sweep, n_jobs=jobs, cache=cache, progress=progress,
         telemetry_path=telemetry_path,
     )
     skip_s = min(

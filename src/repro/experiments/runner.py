@@ -1,115 +1,28 @@
-"""Scenario execution helpers.
+"""Scenario execution helper.
 
-The PDF-Table calibration is a property of the radio hardware, not of any
-particular scenario, so parameter sweeps share one table through
-:class:`SharedCalibration` — both for physical fidelity (the paper
-calibrates once) and to keep sweeps fast.
+Every run calibrates its own PDF Table from the config's ``calibration``
+stream (see :class:`~repro.core.team.CoCoATeam`), so a scenario's result
+is a pure function of its config.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.core.calibration import build_pdf_table
-from repro.core.config import CoCoAConfig, LocalizationMode
-from repro.core.pdf_table import PdfTable
+from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam, TeamResult
-from repro.sim.rng import RandomStreams
 from repro.telemetry.collect import Telemetry
 
 
-class SharedCalibration:
-    """Caches PDF Tables keyed by (channel, receiver, seed, samples).
-
-    The cache is a small LRU — long multi-seed sweeps touch one table per
-    master seed, and an unbounded dict would grow with the sweep — and is
-    lock-protected so sweep drivers may share one instance across threads.
-
-    Args:
-        max_entries: tables kept before the least recently used is
-            evicted.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ValueError(
-                "max_entries must be >= 1, got %d" % max_entries
-            )
-        self.max_entries = max_entries
-        self._tables: "OrderedDict[Tuple, PdfTable]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._tables)
-
-    def table_for(self, config: CoCoAConfig) -> Optional[PdfTable]:
-        """Return (building if needed) the table for a scenario's hardware.
-
-        Returns ``None`` for scenarios that never use RF localization.
-        """
-        if (
-            config.localization_mode is LocalizationMode.ODOMETRY_ONLY
-            or config.n_anchors == 0
-        ):
-            return None
-        key = (
-            config.path_loss,
-            config.receiver,
-            config.master_seed,
-            config.calibration_samples,
-        )
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                return table
-            result = build_pdf_table(
-                config.path_loss,
-                RandomStreams(config.master_seed).get("calibration"),
-                n_samples=config.calibration_samples,
-                receiver=config.receiver,
-            )
-            table = result.table
-            self._tables[key] = table
-            while len(self._tables) > self.max_entries:
-                self._tables.popitem(last=False)
-                self.evictions += 1
-            return table
-
-    def clear(self) -> None:
-        """Drop every cached table (tests, worker-process resets)."""
-        with self._lock:
-            self._tables.clear()
-
-
-_default_calibration = SharedCalibration()
-
-
-def default_calibration() -> SharedCalibration:
-    """The process-wide calibration cache :func:`run_scenario` falls
-    back to; sweep worker processes clear it on startup."""
-    return _default_calibration
-
-
 def run_scenario(
-    config: CoCoAConfig,
-    calibration: Optional[SharedCalibration] = None,
-    telemetry: Optional[Telemetry] = None,
+    config: CoCoAConfig, telemetry: Optional[Telemetry] = None
 ) -> TeamResult:
-    """Build and run one scenario, reusing calibrations across calls.
+    """Build and run one scenario.
 
     Args:
         config: the scenario.
-        calibration: optional shared calibration cache.
         telemetry: optional rich-instrumentation handle, passed through
             to the team (never part of the config — see
             :class:`~repro.core.team.CoCoATeam`).
     """
-    cal = calibration if calibration is not None else _default_calibration
-    return CoCoATeam(
-        config, pdf_table=cal.table_for(config), telemetry=telemetry
-    ).run()
+    return CoCoATeam(config, telemetry=telemetry).run()

@@ -30,7 +30,6 @@ from repro.core.config import CoCoAConfig
 from repro.core.coordinator import Coordinator, SyncPayload
 from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
-from repro.faults.spec import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,9 @@ class ResilientTeam(CoCoATeam):
         failover: enable the anchors' Sync takeover rule.
         failover_threshold: silent periods before the first backup reacts.
         pdf_table: optional pre-built calibration.
-        faults: optional :class:`~repro.faults.spec.FaultPlan` overriding
-            ``config.faults`` — whole-robot deaths compose with the
-            channel/sensor faults of :mod:`repro.faults`.
+
+    Whole-robot deaths compose with the channel/sensor faults of
+    :mod:`repro.faults` that ``config.faults`` describes.
     """
 
     def __init__(
@@ -182,7 +181,6 @@ class ResilientTeam(CoCoATeam):
         failover_threshold: int = 3,
         resync_after_silent_periods: Optional[int] = 3,
         pdf_table: Optional[PdfTable] = None,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.schedule = schedule
         self._failover_enabled = failover
@@ -190,7 +188,7 @@ class ResilientTeam(CoCoATeam):
         self._resync_after = resync_after_silent_periods
         self.failovers: Dict[int, SyncFailover] = {}
         self.dead: Set[int] = set()
-        super().__init__(config, pdf_table=pdf_table, faults=faults)
+        super().__init__(config, pdf_table=pdf_table)
         self._wire_failover()
 
     def _build_coordinator(self, *args, **kwargs) -> Coordinator:

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
-from repro.experiments.runner import SharedCalibration
 from repro.util.geometry import Vec2
 
 if TYPE_CHECKING:
@@ -152,8 +151,7 @@ def run_georouting_study(
 
     from repro.multicast.mesh import connectivity_graph
 
-    calibration = SharedCalibration()
-    team = CoCoATeam(config, pdf_table=calibration.table_for(config))
+    team = CoCoATeam(config)
 
     snapshots: List[Tuple[Dict[int, Vec2], Dict[int, Vec2]]] = []
 

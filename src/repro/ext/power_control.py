@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
-from repro.experiments.runner import SharedCalibration
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ def run_power_sweep(
     """
     if base_config is None:
         base_config = CoCoAConfig(duration_s=duration_s)
-    calibration = SharedCalibration()
     points: List[PowerControlPoint] = []
     for delta in power_deltas_db:
         base_pl = base_config.path_loss
@@ -85,7 +83,7 @@ def run_power_sweep(
             energy_model=energy_model,
             duration_s=duration_s,
         )
-        team = CoCoATeam(config, pdf_table=calibration.table_for(config))
+        team = CoCoATeam(config)
         result = team.run()
         range_m = path_loss.distance_for_mean_rssi(
             config.receiver.sensitivity_dbm

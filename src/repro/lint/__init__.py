@@ -30,11 +30,6 @@ Suppress a deliberate deviation inline, justification mandatory::
     rng = random.Random(seed)  # repro: noqa[REP001] seeded backoff jitter
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.driver import FileLintResult, LintContext, lint_source
 from repro.lint.findings import Finding
 from repro.lint.rules import (
@@ -79,7 +74,6 @@ __all__ = [
     "LoopSanitizer",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "code_family",
     "findings_payload",
     "format_human",
@@ -89,9 +83,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_text",
-    "load_baseline",
     "loop_sanitizer",
     "parse_code_list",
     "register",
-    "write_baseline",
 ]

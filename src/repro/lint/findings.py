@@ -44,13 +44,3 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-independent identity used by the baseline file.
-
-        Deliberately excludes the line number so that unrelated edits
-        moving a grandfathered finding up or down do not invalidate the
-        baseline entry.
-        """
-        return "%s::%s::%s" % (self.path, self.code, self.message)

@@ -40,7 +40,7 @@ def code_family(code: str) -> str:
 
 
 class LintUsageError(Exception):
-    """A bad invocation: unknown code, missing path, unreadable baseline.
+    """A bad invocation: unknown code, missing or unreadable path.
 
     Maps to exit code 2, distinct from exit code 1 (findings present).
     """

@@ -1,11 +1,10 @@
 """File discovery, lint orchestration, and output formatting.
 
 ``lint_paths`` is the programmatic equivalent of ``repro lint``: it
-expands files/directories, lints every ``.py`` file once, applies the
-optional baseline, and returns a :class:`LintReport` whose
-``exit_code`` is suitable for CI (0 clean, 1 findings; usage errors
-raise :class:`~repro.lint.rules.LintUsageError`, which the CLI maps to
-exit code 2).
+expands files/directories, lints every ``.py`` file once, and returns a
+:class:`LintReport` whose ``exit_code`` is suitable for CI (0 clean, 1
+findings; usage errors raise :class:`~repro.lint.rules.LintUsageError`,
+which the CLI maps to exit code 2).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.lint import asyncrules  # noqa: F401  (registers ASY001-ASY006)
 from repro.lint import domain  # noqa: F401  (registers REP001-REP007)
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.driver import FileLintResult, lint_source
 from repro.lint.findings import Finding
 from repro.lint.rules import (
@@ -63,7 +61,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     noqa_suppressed: int = 0
-    baseline_suppressed: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -74,10 +71,7 @@ class LintReport:
         payload = findings_payload(self.findings, tool="lint")
         payload.update({
             "files_scanned": self.files_scanned,
-            "suppressed": {
-                "noqa": self.noqa_suppressed,
-                "baseline": self.baseline_suppressed,
-            },
+            "suppressed": {"noqa": self.noqa_suppressed},
             "elapsed_s": round(self.elapsed_s, 3),
         })
         return payload
@@ -130,7 +124,6 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[FrozenSet[str]] = None,
     ignore: Optional[FrozenSet[str]] = None,
-    baseline_path: Optional[str] = None,
 ) -> LintReport:
     """Lint files/directories and return the aggregate report."""
     start = time.perf_counter()
@@ -146,11 +139,6 @@ def lint_paths(
         findings.extend(result.findings)
         report.noqa_suppressed += result.noqa_suppressed
         report.files_scanned += 1
-    if baseline_path is not None:
-        entries = load_baseline(baseline_path)
-        findings, report.baseline_suppressed = apply_baseline(
-            findings, entries
-        )
     report.findings = sorted(findings)
     report.elapsed_s = time.perf_counter() - start
     return report
@@ -171,14 +159,9 @@ def format_human(report: LintReport) -> str:
                 for family in sorted(families)
             )
         )
-    suppressed_bits = []
-    if report.noqa_suppressed:
-        suppressed_bits.append("%d noqa" % report.noqa_suppressed)
-    if report.baseline_suppressed:
-        suppressed_bits.append("%d baselined" % report.baseline_suppressed)
     suffix = (
-        " (%s suppressed)" % ", ".join(suppressed_bits)
-        if suppressed_bits else ""
+        " (%d noqa suppressed)" % report.noqa_suppressed
+        if report.noqa_suppressed else ""
     )
     lines.append(
         "checked %d file%s in %.2fs: %s%s"

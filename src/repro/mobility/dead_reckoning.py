@@ -45,7 +45,6 @@ class DeadReckoning:
         self._x = np.full(rows, position.x, dtype=float)
         self._y = np.full(rows, position.y, dtype=float)
         self._heading = np.full(rows, normalize_angle(heading), dtype=float)
-        self._distance_integrated = np.zeros(rows)
         self._updates = np.zeros(rows, dtype=np.int64)
 
     def row(self, index: int) -> "ReckonerRow":
@@ -77,7 +76,6 @@ class DeadReckoning:
         self._x += distance * np.cos(heading)
         self._y += distance * np.sin(heading)
         self._heading = normalize_angles(heading + reading.heading_change)
-        self._distance_integrated += np.abs(distance)
         self._updates += 1
 
 
@@ -104,11 +102,6 @@ class ReckonerRow:
     def heading(self) -> float:
         """Current heading estimate (radians, normalized)."""
         return float(self.block._heading[self.index])
-
-    @property
-    def distance_integrated(self) -> float:
-        """Total absolute measured distance integrated so far."""
-        return float(self.block._distance_integrated[self.index])
 
     @property
     def updates(self) -> int:

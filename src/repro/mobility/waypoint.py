@@ -82,11 +82,6 @@ class WaypointMobility(MobilityModel):
     def v_max(self) -> float:
         return self._v_max
 
-    @property
-    def legs_generated(self) -> int:
-        """Number of legs created so far (grows as time advances)."""
-        return len(self._legs)
-
     def _random_point(self) -> Vec2:
         return Vec2(
             float(self._rng.uniform(self._area.x_min, self._area.x_max)),

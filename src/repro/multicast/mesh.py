@@ -1,9 +1,9 @@
 """Graph views of connectivity and the multicast mesh.
 
 These helpers build :mod:`networkx` graphs from simulation state.  They are
-*analysis* tools — protocols never read them — used by tests (is the mesh
-connected from the source to every member?) and by the MRMM-vs-ODMRP
-ablation benchmark (mesh size, path lengths, redundancy).  networkx is
+*analysis* tools — protocols never read them — used by tests (which
+robots the mesh holds, link distances) and by the offline geographic
+routing study.  networkx is
 loaded on first use, so importing :mod:`repro.multicast` (every simulator
 and serve process does) does not load it.
 """
@@ -65,15 +65,3 @@ def mesh_graph(
         node: pos for node, pos in positions.items() if node in participants
     }
     return connectivity_graph(mesh_positions, link_range_m)
-
-
-def mesh_reaches_all_members(
-    graph: nx.Graph, source: int, members: Iterable[int]
-) -> bool:
-    """True if every member is reachable from the source in the mesh graph."""
-    if source not in graph:
-        return False
-    import networkx as nx
-
-    reachable = nx.node_connected_component(graph, source)
-    return all(member in reachable for member in members)

@@ -11,9 +11,8 @@ Parallel correctness rests on two properties of the simulator:
 
 - every random stream derives from the job's own ``master_seed``, so a
   scenario's result is a pure function of its config;
-- workers rebuild their calibration tables from scratch (the pool
-  initializer clears the per-process :class:`SharedCalibration`), so no
-  state flows between jobs except through the explicit config.
+- every run calibrates its own PDF Table from that seed, so no state
+  flows between jobs except through the explicit config.
 
 Together these make parallel output bit-identical to serial output,
 which the regression suite enforces.
@@ -30,11 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.team import TeamResult
-from repro.experiments.runner import (
-    SharedCalibration,
-    default_calibration,
-    run_scenario,
-)
+from repro.experiments.runner import run_scenario
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.jobs import CODE_VERSION, SweepJob
 from repro.orchestrator.progress import (
@@ -79,32 +74,13 @@ def _timed_run(job: SweepJob) -> Tuple[TeamResult, float]:
     return result, time.perf_counter() - start
 
 
-def _worker_init() -> None:
-    """Process-pool initializer: start each worker with fresh calibration.
-
-    Under the ``fork`` start method workers inherit the parent's cached
-    PDF tables; clearing guarantees every worker rebuilds from its jobs'
-    seeds alone, keeping memory bounded and behaviour identical across
-    start methods.
-    """
-    default_calibration().clear()
-
-
 class SerialBackend:
-    """In-process execution, one job at a time, in job order.
-
-    Args:
-        calibration: optional shared calibration cache, reused across the
-            sweep's jobs exactly like the old hand-rolled loops did.
-    """
+    """In-process execution, one job at a time, in job order."""
 
     n_workers = 1
     #: Optional ``callable(index)`` invoked when a job starts executing;
     #: the sweep driver installs one for in-flight-aware ETAs.
     on_start: Optional[Callable[[int], None]] = None
-
-    def __init__(self, calibration: Optional[SharedCalibration] = None) -> None:
-        self.calibration = calibration
 
     def execute(
         self, pending: Sequence[IndexedJob]
@@ -114,11 +90,7 @@ class SerialBackend:
                 self.on_start(index)
             start = time.perf_counter()
             cpu_start = time.process_time()
-            result = run_scenario(
-                job.config,
-                calibration=self.calibration,
-                telemetry=_job_telemetry(job),
-            )
+            result = run_scenario(job.config, telemetry=_job_telemetry(job))
             _record_cpu(result, time.process_time() - cpu_start)
             yield index, result, time.perf_counter() - start, 1
 
@@ -127,9 +99,8 @@ class ProcessPoolBackend:
     """Fan jobs out over a ``ProcessPoolExecutor``, surviving worker
     failures.
 
-    Results are yielded as they complete (the caller restores job order);
-    each worker process rebuilds its own calibration tables.  Three
-    hardening layers wrap the happy path:
+    Results are yielded as they complete (the caller restores job order).
+    Three hardening layers wrap the happy path:
 
     - **retry with backoff**: a job whose attempt raises is resubmitted
       up to ``max_attempts`` times, sleeping an exponentially growing,
@@ -189,10 +160,7 @@ class ProcessPoolBackend:
         self._task = task if task is not None else _timed_run
 
     def _new_pool(self, n_pending: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=min(self.n_workers, n_pending),
-            initializer=_worker_init,
-        )
+        return ProcessPoolExecutor(max_workers=min(self.n_workers, n_pending))
 
     def _backoff_s(self, failures: int, rng: random.Random) -> float:
         delay = self.backoff_base_s * (2.0 ** max(failures - 1, 0))
@@ -333,7 +301,6 @@ def run_sweep(
     backend: Optional[object] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    calibration: Optional[SharedCalibration] = None,
     timeout_s: Optional[float] = None,
     max_attempts: int = 3,
     telemetry_path: Optional[str] = None,
@@ -351,8 +318,6 @@ def run_sweep(
             summary line (job counts, hit rate, wall quantiles) is also
             appended to the cache's ``sweeps.jsonl``.
         progress: optional listener for per-job progress and ETA.
-        calibration: shared calibration for the serial backend (worker
-            processes always rebuild their own).
         timeout_s: per-attempt wall-clock limit for pool workers
             (ignored for the serial backend and explicit ``backend``).
         max_attempts: attempts per job before the sweep aborts (pool
@@ -368,7 +333,7 @@ def run_sweep(
                 n_jobs, timeout_s=timeout_s, max_attempts=max_attempts
             )
             if n_jobs > 1
-            else SerialBackend(calibration=calibration)
+            else SerialBackend()
         )
     listener = progress if progress is not None else ProgressListener()
     n_workers = getattr(backend, "n_workers", 1)

@@ -19,7 +19,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.config import CoCoAConfig
 
@@ -109,25 +109,4 @@ def seed_jobs(
             telemetry=telemetry,
         )
         for seed in seeds
-    ]
-
-
-def grid_jobs(
-    config: CoCoAConfig,
-    field: str,
-    values: Iterable[object],
-    name_format: Optional[str] = None,
-    telemetry: bool = False,
-) -> List[SweepJob]:
-    """Jobs varying one config field over ``values``."""
-    if name_format is None:
-        name_format = field + "={value}"
-    return [
-        SweepJob(
-            config=replace(config, **{field: value}),
-            name=name_format.format(value=value),
-            key=value,
-            telemetry=telemetry,
-        )
-        for value in values
     ]

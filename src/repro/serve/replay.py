@@ -16,14 +16,10 @@ delivery order within a beacon window.
   (in-process or TCP), optionally shuffling each window's beacons to
   exercise out-of-order delivery, and collects the service's fixes.
 - :func:`diff_fixes` lists every divergence (empty list = gate passes).
-
-Logs serialize to JSONL (header line + one line per event), so a CI job
-can record once and replay in a separate process.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -63,49 +59,6 @@ class ReplayLog:
     grid_resolution_m: float
     min_beacons_for_fix: int
     events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def recorded_fixes(self) -> List[Dict[str, Any]]:
-        """The batch fixes, one dict per fixed window close."""
-        return [
-            event for event in self.events
-            if event["kind"] == "close" and event.get("fixed")
-        ]
-
-    # -- JSONL ---------------------------------------------------------------
-
-    def dump_jsonl(self, path) -> None:
-        """Write header + events, one JSON object per line."""
-        header = {
-            "kind": "header",
-            "calibration_seed": self.calibration_seed,
-            "calibration_samples": self.calibration_samples,
-            "area_side_m": self.area_side_m,
-            "grid_resolution_m": self.grid_resolution_m,
-            "min_beacons_for_fix": self.min_beacons_for_fix,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path) -> "ReplayLog":
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if not lines:
-            raise ValueError("empty replay log: %s" % path)
-        header = json.loads(lines[0])
-        if header.get("kind") != "header":
-            raise ValueError("replay log must start with a header line")
-        log = cls(
-            calibration_seed=header["calibration_seed"],
-            calibration_samples=header["calibration_samples"],
-            area_side_m=header["area_side_m"],
-            grid_resolution_m=header["grid_resolution_m"],
-            min_beacons_for_fix=header["min_beacons_for_fix"],
-        )
-        log.events = [json.loads(line) for line in lines[1:]]
-        return log
 
 
 def record_replay_log(config: CoCoAConfig) -> "tuple[ReplayLog, Any]":

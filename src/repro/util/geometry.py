@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class Vec2:
         c, s = math.cos(angle), math.sin(angle)
         return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
-
     @staticmethod
     def from_polar(radius: float, angle: float) -> "Vec2":
         """Build a vector from polar coordinates (radians)."""
@@ -166,13 +162,6 @@ class Rect:
         return (
             self.x_min - tolerance <= point.x <= self.x_max + tolerance
             and self.y_min - tolerance <= point.y <= self.y_max + tolerance
-        )
-
-    def clamp_point(self, point: Vec2) -> Vec2:
-        """Return ``point`` clamped to lie inside the rectangle."""
-        return Vec2(
-            clamp(point.x, self.x_min, self.x_max),
-            clamp(point.y, self.y_min, self.y_max),
         )
 
     @staticmethod

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.seeds import compare_scenarios, run_seed_sweep
 from repro.analysis.stats import mean_confidence_interval, welch_t_test
 from repro.core.config import CoCoAConfig, LocalizationMode
-from repro.experiments.runner import SharedCalibration
 
 
 class TestConfidenceInterval:
@@ -80,39 +79,26 @@ def sweep_config(**overrides):
 
 
 class TestSeedSweep:
-    @pytest.fixture(scope="class")
-    def cal(self):
-        return SharedCalibration()
-
-    def test_sweep_aggregates(self, cal):
-        result = run_seed_sweep(
-            sweep_config(), seeds=(1, 2, 3), calibration=cal
-        )
+    def test_sweep_aggregates(self):
+        result = run_seed_sweep(sweep_config(), seeds=(1, 2, 3))
         assert len(result.error_time_averages_m) == 3
         assert len(result.energy_totals_j) == 3
         assert result.error_ci.n == 3
-        assert result.best_seed_error_m <= result.error_ci.mean
-        assert result.worst_seed_error_m >= result.error_ci.mean
         assert result.relative_spread >= 0.0
 
-    def test_seeds_produce_different_worlds(self, cal):
-        result = run_seed_sweep(
-            sweep_config(), seeds=(1, 2, 3), calibration=cal
-        )
+    def test_seeds_produce_different_worlds(self):
+        result = run_seed_sweep(sweep_config(), seeds=(1, 2, 3))
         assert len(set(result.error_time_averages_m)) == 3
 
-    def test_requires_two_seeds(self, cal):
+    def test_requires_two_seeds(self):
         with pytest.raises(ValueError):
-            run_seed_sweep(sweep_config(), seeds=(1,), calibration=cal)
+            run_seed_sweep(sweep_config(), seeds=(1,))
 
-    def test_compare_scenarios(self, cal):
-        cocoa = run_seed_sweep(
-            sweep_config(), seeds=(1, 2, 3), calibration=cal
-        )
+    def test_compare_scenarios(self):
+        cocoa = run_seed_sweep(sweep_config(), seeds=(1, 2, 3))
         rf = run_seed_sweep(
             sweep_config(localization_mode=LocalizationMode.RF_ONLY),
             seeds=(1, 2, 3),
-            calibration=cal,
         )
         comparison = compare_scenarios(cocoa, rf)
         # CoCoA is more accurate than RF-only on average.

@@ -94,21 +94,12 @@ class TestRobotNodeQueries:
         t = team.sim.now
         assert anchor.is_anchor
         assert anchor.estimated_position(t) == anchor.true_position(t)
-        assert anchor.localization_error(t) == pytest.approx(0.0)
 
     def test_unknown_reports_estimator_position(self, team):
         unknown = team.nodes[5]
         t = team.sim.now
         assert not unknown.is_anchor
         assert unknown.estimated_position(t) == unknown.estimator.estimate
-
-    def test_localization_error_is_distance(self, team):
-        unknown = team.nodes[6]
-        t = team.sim.now
-        expected = unknown.true_position(t).distance_to(
-            unknown.estimated_position(t)
-        )
-        assert unknown.localization_error(t) == pytest.approx(expected)
 
     def test_node_role_invariants(self, team):
         from repro.core.node import RobotNode, RobotRole

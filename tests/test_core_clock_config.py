@@ -73,8 +73,6 @@ class TestCoCoAConfig:
 
     def test_derived_quantities(self):
         config = CoCoAConfig()
-        assert config.n_unknowns == 25
-        assert config.n_beacon_periods == 18
         assert config.guard_s == pytest.approx(4.0)
 
     def test_window_must_be_shorter_than_period(self):
@@ -87,7 +85,7 @@ class TestCoCoAConfig:
 
     def test_zero_anchors_allowed(self):
         config = CoCoAConfig(n_anchors=0)
-        assert config.n_unknowns == 50
+        assert config.n_anchors == 0
 
     def test_guard_must_cover_drift(self):
         with pytest.raises(ValueError):

@@ -224,9 +224,18 @@ class TestCocoaMode:
         assert error < 10.0
 
     def test_snapshot_refuses_a_dead_reckoner(self, pdf_table):
+        from repro.core.particle import ParticleFilter
+
         est = self.make(pdf_table, straight_mobility())
         with pytest.raises(ValueError, match="dead reckoner"):
             est.snapshot()
+        # Only grid filters checkpoint: a particle filter is refused too.
+        particle = PositionEstimator(
+            LocalizationMode.RF_ONLY, AREA, pdf_table=pdf_table,
+            position_filter=ParticleFilter(AREA, RandomStreams(9).get("pf")),
+        )
+        with pytest.raises(ValueError, match="does not support snapshots"):
+            particle.snapshot()
 
     def test_rf_only_snapshot_has_no_odometer(self, pdf_table):
         est = PositionEstimator(

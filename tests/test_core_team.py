@@ -59,6 +59,11 @@ class TestTeamConstruction:
         assert all(n.multicast is None for n in team.nodes)
         assert all(n.beaconer is None for n in team.nodes)
         assert all(n.estimator is not None for n in team.nodes)
+        # An odometry-only team calibrates no PDF table, anchors or not.
+        assert team.pdf_table is None
+        assert CoCoATeam(
+            small_config(localization_mode=LocalizationMode.ODOMETRY_ONLY)
+        ).pdf_table is None
 
 
 class TestCocoaRun:
@@ -180,12 +185,9 @@ class TestDeterminism:
 class TestTeamResultHelpers:
     def test_summary_helpers(self, cocoa_result):
         team, result = cocoa_result
-        series = result.mean_error_series()
         assert result.time_average_error() == pytest.approx(
             float(result.errors.mean())
         )
-        assert result.final_mean_error() == pytest.approx(float(series[-1]))
-        assert result.max_mean_error() == pytest.approx(float(series.max()))
 
     def test_error_snapshot_nearest_sample(self, cocoa_result):
         team, result = cocoa_result

@@ -21,7 +21,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.metrics import (
     cdf_points,
-    fraction_below,
     summarize_errors,
 )
 from repro.experiments.presets import (
@@ -32,7 +31,7 @@ from repro.experiments.presets import (
     fig10_config,
     headline_config,
 )
-from repro.experiments.runner import SharedCalibration, run_scenario
+from repro.experiments.runner import run_scenario
 
 
 class TestMetrics:
@@ -67,11 +66,6 @@ class TestMetrics:
         xs, ys = cdf_points(np.array([]))
         assert xs.size == 0 and ys.size == 0
 
-    def test_fraction_below(self):
-        samples = np.array([1.0, 5.0, 9.0, 20.0])
-        assert fraction_below(samples, 10.0) == pytest.approx(0.75)
-        assert fraction_below(np.array([]), 10.0) == 0.0
-
 
 class TestPresets:
     def test_headline_matches_paper(self):
@@ -105,64 +99,11 @@ class TestPresets:
         assert fig10_config(15).n_anchors == 15
 
 
-class TestSharedCalibration:
-    def test_same_hardware_same_table(self):
-        cal = SharedCalibration()
-        config = headline_config(duration_s=60.0)
-        assert cal.table_for(config) is cal.table_for(config)
-
-    def test_odometry_only_needs_no_table(self):
-        cal = SharedCalibration()
-        assert cal.table_for(fig4_config(2.0)) is None
-
-    def test_lru_bound_evicts_oldest(self):
-        cal = SharedCalibration(max_entries=2)
-        small = dict(duration_s=60.0, calibration_samples=5_000)
-        for seed in (1, 2, 3):
-            cal.table_for(headline_config(master_seed=seed, **small))
-        assert len(cal) == 2
-        assert cal.evictions == 1
-        # Seed 1 was evicted; touching it rebuilds rather than crashing.
-        assert cal.table_for(headline_config(master_seed=1, **small))
-
-    def test_lru_touch_refreshes_recency(self):
-        cal = SharedCalibration(max_entries=2)
-        small = dict(duration_s=60.0, calibration_samples=5_000)
-        t1 = cal.table_for(headline_config(master_seed=1, **small))
-        cal.table_for(headline_config(master_seed=2, **small))
-        cal.table_for(headline_config(master_seed=1, **small))  # refresh 1
-        cal.table_for(headline_config(master_seed=3, **small))  # evicts 2
-        assert cal.table_for(headline_config(master_seed=1, **small)) is t1
-
-    def test_clear_drops_tables(self):
-        cal = SharedCalibration()
-        config = headline_config(duration_s=60.0, calibration_samples=5_000)
-        table = cal.table_for(config)
-        cal.clear()
-        assert len(cal) == 0
-        assert cal.table_for(config) is not table
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(ValueError):
-            SharedCalibration(max_entries=0)
-
-    def test_default_calibration_is_shared(self):
-        from repro.experiments.runner import default_calibration
-
-        assert default_calibration() is default_calibration()
-
+class TestRunScenario:
     def test_run_scenario_smoke(self):
         config = fig4_config(2.0, duration_s=30.0, master_seed=1)
         result = run_scenario(config)
         assert result.errors.shape == (50, 30)
-
-
-MINI = dict(duration_s=70.0, master_seed=3)
-
-
-@pytest.fixture(scope="module")
-def mini_calibration():
-    return SharedCalibration()
 
 
 class TestFigureRunners:
@@ -193,27 +134,17 @@ class TestFigureRunners:
         assert result["final_error_m"] < 1.0
         assert result["errors"].max() < 1.0
 
-    def test_fig6_structure(self, mini_calibration):
-        result = run_fig6(
-            beacon_periods_s=(30.0,),
-            duration_s=70.0,
-            calibration=mini_calibration,
-        )
+    def test_fig6_structure(self):
+        result = run_fig6(beacon_periods_s=(30.0,), duration_s=70.0)
         assert 30.0 in result
         assert result[30.0]["summary"].time_average_m > 0
 
-    def test_fig7_contains_three_modes(self, mini_calibration):
-        result = run_fig7(
-            v_maxes=(2.0,), duration_s=70.0, calibration=mini_calibration
-        )
+    def test_fig7_contains_three_modes(self):
+        result = run_fig7(v_maxes=(2.0,), duration_s=70.0)
         assert set(result[2.0]) == {"odometry_only", "rf_only", "cocoa"}
 
-    def test_fig8_three_instants(self, mini_calibration):
-        result = run_fig8(
-            duration_s=260.0,
-            calibration=mini_calibration,
-            window_index=2,
-        )
+    def test_fig8_three_instants(self):
+        result = run_fig8(duration_s=260.0, window_index=2)
         assert set(result) == {
             "end_of_beacon_period",
             "end_of_transmit_window",
@@ -223,18 +154,12 @@ class TestFigureRunners:
             assert data["errors"].shape == (25,)
             assert 0.0 <= data["time_s"] <= 260.0
 
-    def test_fig10_structure(self, mini_calibration):
-        result = run_fig10(
-            anchor_counts=(10,),
-            duration_s=70.0,
-            calibration=mini_calibration,
-        )
+    def test_fig10_structure(self):
+        result = run_fig10(anchor_counts=(10,), duration_s=70.0)
         assert result[10]["summary"].time_average_m > 0
 
-    def test_mrmm_ablation_structure(self, mini_calibration):
-        result = run_mrmm_ablation(
-            duration_s=70.0, calibration=mini_calibration
-        )
+    def test_mrmm_ablation_structure(self):
+        result = run_mrmm_ablation(duration_s=70.0)
         assert set(result) == {"odmrp", "mrmm"}
         for data in result.values():
             assert data["syncs_received"] >= 0

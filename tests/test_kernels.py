@@ -1,20 +1,24 @@
-"""Hot-path kernel regression suite.
+"""The LUT-tolerance gate and the fast-path unit tests.
 
 Byte stability of whole runs is pinned absolutely by the golden digests
 in ``test_science_digests.py``.  This module holds the gate the digests
 cannot express — per-figure metrics from the LUT densities must stay
 within 0.1 % relative of runs that evaluate
-:meth:`~repro.core.pdf_table.DistanceDistribution.pdf` afresh — and unit
-tests for the pieces the fast path is built from: the batched RSSI
-sampler's draw-for-draw stream equivalence, the carrier-sense distance
-band, the LUT densities, the shared constraint-field cache, the pose
-memo and the structure-of-arrays positions.
+:meth:`~repro.core.pdf_table.DistanceDistribution.pdf` afresh — the
+serial-against-pool sweep equality, and unit tests for the pieces the
+fast path is built from: the batched RSSI sampler's draw-for-draw stream
+equivalence, the carrier-sense distance band, the LUT densities, the
+shared constraint-field cache, the pose memo and the structure-of-arrays
+positions.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.seeds import run_seed_sweep
+from repro.analysis.stats import mean_confidence_interval
 from repro.core.bayes import GridBayesFilter
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.constraint_cache import ConstraintFieldCache
@@ -22,7 +26,7 @@ from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
 from repro.energy.meter import EnergyMeter
 from repro.energy.model import EnergyModel
-from repro.experiments.runner import SharedCalibration
+from repro.experiments.metrics import summarize_errors
 from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
 from repro.net.channel import BroadcastChannel
@@ -48,14 +52,8 @@ def tiny_config(**overrides):
     return CoCoAConfig(**defaults)
 
 
-@pytest.fixture(scope="module")
-def calibration():
-    return SharedCalibration()
-
-
-def run_tiny(seed, calibration):
-    config = tiny_config(master_seed=seed)
-    team = CoCoATeam(config, pdf_table=calibration.table_for(config))
+def run_tiny(seed):
+    team = CoCoATeam(tiny_config(master_seed=seed))
     return team, team.run()
 
 
@@ -72,17 +70,6 @@ class ExactPdfTable(PdfTable):
 
     def pdf_for_key(self, key, distances_m):
         return self._bins[key].pdf(distances_m)
-
-
-class ExactCalibration:
-    """A :class:`SharedCalibration` stand-in serving exact tables."""
-
-    def __init__(self, shared):
-        self.shared = shared
-
-    def table_for(self, config):
-        table = self.shared.table_for(config)
-        return ExactPdfTable(dict(table.items()), table.support_max_m)
 
 
 class TestRngStreamEquivalence:
@@ -395,8 +382,8 @@ class TestConstraintFieldCache:
         for filt in cached + [bare]:
             assert filt.posterior.tobytes() == reference.tobytes()
 
-    def test_team_run_holds_one_position(self, calibration):
-        team, _ = run_tiny(1, calibration)
+    def test_team_run_holds_one_position(self):
+        team, _ = run_tiny(1)
         cache = team.constraint_cache
         counters = cache.counters()
         assert counters["kernel_cache_constraint_hits"] > 0
@@ -424,12 +411,11 @@ class TestPoseMemo:
             for _ in range(2):
                 got = memo.position(t)
                 assert (got.x, got.y) == (want.x, want.y)
-        assert memo.legs_generated == reference.legs_generated
 
 
 class TestTeamKernelWiring:
-    def test_kernels_on_wires_everything(self, calibration):
-        team, result = run_tiny(1, calibration)
+    def test_kernels_on_wires_everything(self):
+        team, result = run_tiny(1)
         assert team.constraint_cache is not None
         counters = team.constraint_cache.counters()
         assert counters["kernel_cache_constraint_hits"] > 0
@@ -506,29 +492,31 @@ class TestBitIdenticalGate:
 
     SEEDS = (1, 2, 3)
 
-    def test_sweep_byte_equal_serial_and_pool(self, calibration):
+    def test_sweep_byte_equal_serial_and_pool(self):
         config = tiny_config()
-        serial = run_seed_sweep(
-            config, seeds=self.SEEDS, calibration=calibration
-        )
+        serial = run_seed_sweep(config, seeds=self.SEEDS)
         pool = run_seed_sweep(config, seeds=self.SEEDS, jobs=2)
         assert pool.error_time_averages_m == serial.error_time_averages_m
         assert pool.energy_totals_j == serial.energy_totals_j
 
-    def test_lut_kernel_within_figure_tolerance(self, calibration):
+    def test_lut_kernel_within_figure_tolerance(self):
         config = tiny_config()
-        exact = run_seed_sweep(
-            config, seeds=self.SEEDS,
-            calibration=ExactCalibration(calibration),
-        )
-        lut = run_seed_sweep(
-            config, seeds=self.SEEDS, calibration=calibration
-        )
+        skip_s = min(1.1 * config.beacon_period_s + 5.0, config.duration_s / 2)
+        lut = run_seed_sweep(config, seeds=self.SEEDS, skip_first_s=skip_s)
+        exact_errors, exact_energies = [], []
+        for seed in self.SEEDS:
+            seeded = replace(config, master_seed=seed)
+            table = CoCoATeam(seeded).pdf_table
+            exact = ExactPdfTable(dict(table.items()), table.support_max_m)
+            result = CoCoATeam(seeded, pdf_table=exact).run()
+            exact_errors.append(
+                summarize_errors(result.errors, skip_first_s=skip_s).time_average_m
+            )
+            exact_energies.append(result.total_energy_j())
         # The two runs must take different density paths, or the bound
         # below compares a path with itself.
-        assert lut.error_time_averages_m != exact.error_time_averages_m
-        assert lut.energy_totals_j == exact.energy_totals_j
-        relative = abs(lut.error_ci.mean - exact.error_ci.mean) / (
-            exact.error_ci.mean
-        )
+        assert lut.error_time_averages_m != exact_errors
+        assert lut.energy_totals_j == exact_energies
+        exact_mean = mean_confidence_interval(exact_errors).mean
+        relative = abs(lut.error_ci.mean - exact_mean) / exact_mean
         assert relative < 1e-3

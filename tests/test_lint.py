@@ -26,7 +26,6 @@ from repro.lint import (
     lint_paths,
     lint_text,
     parse_code_list,
-    write_baseline,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -398,25 +397,6 @@ class TestSuppressionAndBaseline:
         )
         assert [f.code for f in result.findings] == ["REP001"]
 
-    def test_baseline_round_trip(self, tmp_path):
-        source = "import random\nx = random.random()\n"
-        bad = tmp_path / "legacy.py"
-        bad.write_text(source)
-        report = lint_paths([str(bad)])
-        assert [f.code for f in report.findings] == ["REP001"]
-
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), report.findings)
-        again = lint_paths([str(bad)], baseline_path=str(baseline))
-        assert again.findings == []
-        assert again.baseline_suppressed == 1
-
-        # A second, new instance of the same violation still surfaces.
-        bad.write_text(source + "y = random.random()\n")
-        third = lint_paths([str(bad)], baseline_path=str(baseline))
-        assert [f.code for f in third.findings] == ["REP001"]
-        assert third.baseline_suppressed == 1
-
 
 class TestSelectionAndErrors:
     SOURCE = "import random\nx = random.random() == 0.5\n"
@@ -484,38 +464,6 @@ class TestCli:
         out = io.StringIO()
         assert main(["lint", "no/such/path"], out=out) == 2
         assert main(["lint", "--select", "NOPE", "src"], out=out) == 2
-
-    def test_write_baseline_then_gate(self, tmp_path):
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        out = io.StringIO()
-        assert main(
-            ["lint", str(bad), "--write-baseline", str(baseline)], out=out
-        ) == 0
-        assert main(
-            ["lint", str(bad), "--baseline", str(baseline)], out=out
-        ) == 0
-
-    def test_write_baseline_with_zero_findings_removes_stale_file(
-        self, tmp_path
-    ):
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        out = io.StringIO()
-        assert main(
-            ["lint", str(bad), "--write-baseline", str(baseline)], out=out
-        ) == 0
-        assert baseline.exists()
-        # The violation gets fixed; re-recording must *remove* the stale
-        # baseline rather than leave an empty-but-present file behind.
-        bad.write_text("x = 1\n")
-        assert main(
-            ["lint", str(bad), "--write-baseline", str(baseline)], out=out
-        ) == 0
-        assert not baseline.exists()
-        assert "removed any stale baseline" in out.getvalue()
 
     def test_list_rules(self):
         out = io.StringIO()

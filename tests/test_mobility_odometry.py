@@ -169,16 +169,6 @@ class TestDeadReckoning:
         reckoner.reset(Vec2(5, 5), heading=2.0)
         assert reckoner.heading == pytest.approx(2.0)
 
-    def test_distance_integrated_accumulates(self, rng):
-        mob = ScriptedMobility([Vec2(0, 0), Vec2(100, 0)], speed=1.0)
-        sensor = OdometrySensor(mob, rng, noise=OdometryNoise.noiseless())
-        block = DeadReckoning(Vec2(0, 0), 0.0)
-        reckoner = block.row(0)
-        for t in range(1, 11):
-            block.advance(sensor.read(float(t)))
-        assert reckoner.distance_integrated == pytest.approx(10.0)
-        assert reckoner.updates == 10
-
     def test_heading_normalized(self, rng):
         from repro.mobility.odometry import OdometryReading
 
@@ -247,13 +237,11 @@ class ScalarReckoner:
         self.x = position.x
         self.y = position.y
         self.heading = normalize_angle(heading)
-        self.distance_integrated = 0.0
 
     def advance(self, distance, heading_change):
         self.x = self.x + distance * math.cos(self.heading)
         self.y = self.y + distance * math.sin(self.heading)
         self.heading = normalize_angle(self.heading + heading_change)
-        self.distance_integrated += abs(distance)
 
 
 #: Turns below a 90° threshold go unmeasured: waypoint legs then give
@@ -330,7 +318,6 @@ class TestArrayOdometerOracle:
                 assert row.position.x == reckoner.x
                 assert row.position.y == reckoner.y
                 assert row.heading == reckoner.heading
-                assert row.distance_integrated == reckoner.distance_integrated
         return odometers
 
     @pytest.mark.parametrize("n", [1, 25])

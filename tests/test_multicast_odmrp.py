@@ -9,7 +9,6 @@ from repro.multicast.lifetime import kinematics_of
 from repro.multicast.mesh import (
     connectivity_graph,
     mesh_graph,
-    mesh_reaches_all_members,
 )
 from repro.multicast.mrmm import MrmmConfig, MrmmNode
 from repro.multicast.odmrp import OdmrpConfig, OdmrpNode
@@ -286,17 +285,6 @@ class TestMeshGraph:
             positions, 100.0, forwarders={1}, source=0, members=[2]
         )
         assert set(graph.nodes) == {0, 1, 2}
-
-    def test_mesh_reaches_all_members(self):
-        positions = {i: Vec2(40.0 * i, 0) for i in range(4)}
-        graph = mesh_graph(
-            positions, 50.0, forwarders={1, 2}, source=0, members=[3]
-        )
-        assert mesh_reaches_all_members(graph, 0, [3])
-        graph2 = mesh_graph(
-            positions, 50.0, forwarders=set(), source=0, members=[3]
-        )
-        assert not mesh_reaches_all_members(graph2, 0, [3])
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

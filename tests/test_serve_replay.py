@@ -17,7 +17,6 @@ import pytest
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.serve import (
     InProcessClient,
-    ReplayLog,
     ServeConfig,
     ServiceCore,
     diff_fixes,
@@ -81,7 +80,9 @@ TRACE_SHAPES = {
 @pytest.mark.parametrize("seed", GATE_SEEDS)
 def test_service_fixes_byte_identical_in_order(recorded_logs, seed):
     log = recorded_logs[seed]
-    assert log.recorded_fixes(), "recording captured no fixes"
+    assert any(
+        e["kind"] == "close" and e["fixed"] for e in log.events
+    ), "recording captured no fixes"
     replayed = _replay(log, "gate-%d" % seed)
     assert diff_fixes(log, replayed) == []
 
@@ -108,19 +109,6 @@ def test_service_fixes_byte_identical_under_tracing(
     replayed = _replay(log, "trace-%s-%d" % (shape, seed),
                        **TRACE_SHAPES[shape])
     assert diff_fixes(log, replayed) == []
-
-
-def test_replay_log_jsonl_round_trip(recorded_logs, tmp_path):
-    log = recorded_logs[GATE_SEEDS[0]]
-    path = tmp_path / "replay.jsonl"
-    log.dump_jsonl(path)
-    restored = ReplayLog.load_jsonl(path)
-    assert restored.calibration_seed == log.calibration_seed
-    assert restored.calibration_samples == log.calibration_samples
-    assert restored.events == log.events
-    # A log that went through disk still passes the gate.
-    replayed = _replay(restored, "disk")
-    assert diff_fixes(restored, replayed) == []
 
 
 def test_recording_does_not_change_batch_results():

@@ -80,9 +80,6 @@ class TestVec2:
         assert v.x == pytest.approx(-2.0)
         assert v.y == pytest.approx(0.0, abs=1e-12)
 
-    def test_as_tuple(self):
-        assert Vec2(1.0, 2.0).as_tuple() == (1.0, 2.0)
-
     def test_hashable(self):
         assert len({Vec2(1, 2), Vec2(1, 2), Vec2(2, 1)}) == 2
 
@@ -114,11 +111,6 @@ class TestRect:
     def test_contains_with_tolerance(self):
         r = Rect(0, 0, 10, 10)
         assert r.contains(Vec2(10.5, 5), tolerance=1.0)
-
-    def test_clamp_point(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.clamp_point(Vec2(-5, 15)) == Vec2(0, 10)
-        assert r.clamp_point(Vec2(3, 4)) == Vec2(3, 4)
 
     def test_square_factory(self):
         s = Rect.square(200.0)
