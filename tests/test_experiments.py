@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LocalizationMode
+from repro.core.team import CoCoATeam
 from repro.experiments.figures import (
     run_fig1,
     run_fig4,
@@ -104,6 +105,15 @@ class TestRunScenario:
         config = fig4_config(2.0, duration_s=30.0, master_seed=1)
         result = run_scenario(config)
         assert result.errors.shape == (50, 30)
+
+
+class TestSharedCalibration:
+    """The PDF table a run calibrates for itself from its own config."""
+
+    def test_odometry_only_needs_no_table(self):
+        config = fig4_config(2.0)
+        assert config.localization_mode is LocalizationMode.ODOMETRY_ONLY
+        assert CoCoATeam(config).pdf_table is None
 
 
 class TestFigureRunners:
