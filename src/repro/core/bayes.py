@@ -12,7 +12,10 @@ a probability mass per cell.  For every received beacon the filter
 
 The position estimate is the posterior mean — Equation (3)'s expectation —
 and, per the paper, is only trusted once at least three beacons have been
-incorporated.
+incorporated.  The mean and the spread are computed once per posterior
+state: the filter memoises them, and every write to the posterior
+(a beacon, a reset, a restore) clears the memo, so a read that follows
+a window close (serve's ``confidence``) costs no grid pass for them.
 
 All operations are vectorized numpy.  Every constraint comes from a
 :class:`~repro.core.constraint_cache.ConstraintFieldCache`: a team or a
@@ -66,6 +69,10 @@ class GridBayesFilter:
         self._beacons_applied = 0
         self._annihilations = 0
         self._cache = ConstraintFieldCache()
+        # Moments of the current posterior, derived state: set on first
+        # read, cleared by every posterior write (_forget_moments).
+        self._mean: Optional[Vec2] = None
+        self._std_m: Optional[float] = None
 
     @property
     def area(self) -> Rect:
@@ -133,8 +140,14 @@ class GridBayesFilter:
         """Restart from the uniform prior (Equation 2's initial estimate:
         "a robot is equally likely to be in any position")."""
         self._posterior.fill(1.0 / self._posterior.size)
+        self._forget_moments()
         self._beacons_applied = 0
         self._annihilations = 0
+
+    def _forget_moments(self) -> None:
+        """Drop the memoised mean and spread (the posterior changed)."""
+        self._mean = None
+        self._std_m = None
 
     # -- checkpointing --------------------------------------------------------
 
@@ -167,6 +180,7 @@ class GridBayesFilter:
                 % (state.get("grid_signature"), self.grid_signature)
             )
         np.copyto(self._posterior, state["posterior"])
+        self._forget_moments()
         self._beacons_applied = int(state["beacons_applied"])
         self._annihilations = int(state["annihilations"])
 
@@ -204,6 +218,7 @@ class GridBayesFilter:
         constraint = self._cache.constraint_field(
             self, beacon, table, table.bin_key_for(rssi_dbm)
         )
+        self._forget_moments()
         self._posterior *= constraint
         total = self._posterior.sum()
         if total <= 1e-300 or not np.isfinite(total):
@@ -214,10 +229,13 @@ class GridBayesFilter:
         self._beacons_applied += 1
 
     def estimate(self) -> Vec2:
-        """Posterior-mean position — Equation (3)."""
-        x_hat = float((self._posterior * self._x_axis).sum())
-        y_hat = float((self._posterior * self._y_axis).sum())
-        return Vec2(x_hat, y_hat)
+        """Posterior-mean position — Equation (3), memoised until the
+        posterior next changes."""
+        if self._mean is None:
+            x_hat = float((self._posterior * self._x_axis).sum())
+            y_hat = float((self._posterior * self._y_axis).sum())
+            self._mean = Vec2(x_hat, y_hat)
+        return self._mean
 
     def mode(self) -> Vec2:
         """Maximum a-posteriori cell center (diagnostic alternative to
@@ -251,11 +269,21 @@ class GridBayesFilter:
     def position_std_m(self, mean: Optional[Vec2] = None) -> float:
         """Scalar spread: sqrt of the posterior's total variance.
 
+        The spread about the posterior mean is memoised until the
+        posterior next changes; a spread about any other ``mean`` is
+        computed afresh and not kept.
+
         Args:
             mean: as for :meth:`covariance`.
         """
+        about_posterior_mean = mean is None or mean is self._mean
+        if about_posterior_mean and self._std_m is not None:
+            return self._std_m
         cov = self.covariance(mean)
-        return float(np.sqrt(max(cov[0, 0] + cov[1, 1], 0.0)))
+        std_m = float(np.sqrt(max(cov[0, 0] + cov[1, 1], 0.0)))
+        if about_posterior_mean:
+            self._std_m = std_m
+        return std_m
 
     def entropy_bits(self) -> float:
         """Shannon entropy of the posterior in bits (uniform = max)."""

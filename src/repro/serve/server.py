@@ -483,23 +483,48 @@ class LocalizationServer:
             await replies.put(self.core.submit_traced(request))
 
     async def _write_replies(self, replies, writer) -> None:
+        """Write replies in request order, one socket write per run of
+        ready replies.
+
+        Every queued reply whose future has already resolved joins the
+        current batch; the batch goes out with one ``write`` and one
+        ``drain`` before the writer blocks, whether on an empty queue or
+        on a reply still being computed, so a ready reply never waits
+        behind an unresolved one.
+        """
+        batch: List[bytes] = []
         while True:
+            if batch and replies.empty():
+                if not await self._flush(writer, batch):
+                    return
             item = await replies.get()
             if item is None:
+                if batch:
+                    await self._flush(writer, batch)
                 return
             pending, trace_id = item
+            if batch and not pending.done():
+                if not await self._flush(writer, batch):
+                    return
             response = await pending
-            try:
-                # The trace id is spliced onto the wire line here, never
-                # onto the Response: cached replies are shared across
-                # retries that carry different trace ids.
-                writer.write(
-                    encode_response(response, trace=trace_id)
-                    .encode("utf-8") + b"\n"
-                )
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                return
+            # The trace id is spliced onto the wire line here, never
+            # onto the Response: cached replies are shared across
+            # retries that carry different trace ids.
+            batch.append(
+                encode_response(response, trace=trace_id)
+                .encode("utf-8") + b"\n"
+            )
+
+    @staticmethod
+    async def _flush(writer, batch: List[bytes]) -> bool:
+        """Send and clear ``batch``; False once the peer is gone."""
+        try:
+            writer.write(b"".join(batch))
+            batch.clear()
+            await writer.drain()
+        except (ConnectionError, RuntimeError):
+            return False
+        return True
 
     # -- HTTP scrape ---------------------------------------------------------
 

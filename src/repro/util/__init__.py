@@ -7,7 +7,6 @@ These helpers are deliberately dependency-light; every other subpackage of
 from repro.util.geometry import (
     Rect,
     Vec2,
-    clamp,
     distance,
     heading_between,
     normalize_angle,
@@ -31,7 +30,6 @@ from repro.util.validation import (
 __all__ = [
     "Vec2",
     "Rect",
-    "clamp",
     "distance",
     "heading_between",
     "normalize_angle",

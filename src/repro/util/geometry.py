@@ -172,13 +172,6 @@ class Rect:
         return Rect(0.0, 0.0, side, side)
 
 
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` to the closed interval ``[low, high]``."""
-    if low > high:
-        raise ValueError("clamp bounds reversed: %r > %r" % (low, high))
-    return low if value < low else high if value > high else value
-
-
 def distance(a: Vec2, b: Vec2) -> float:
     """Euclidean distance between two points."""
     return a.distance_to(b)

@@ -178,6 +178,106 @@ class TestEstimators:
         )
 
 
+#: Beacons fed in order by the moment-memo tests: a consistent fix.
+MEMO_BEACONS = (
+    (Vec2(80.0, 90.0), -62.0),
+    (Vec2(120.0, 95.0), -66.0),
+    (Vec2(100.0, 125.0), -64.0),
+    (Vec2(60.0, 140.0), -71.0),
+)
+
+
+def _moments_hex(filt):
+    mean = filt.estimate()
+    return (mean.x.hex(), mean.y.hex(), filt.position_std_m().hex())
+
+
+def _fed(area, pdf_table, beacons):
+    filt = GridBayesFilter(area, 2.0)
+    for beacon, rssi in beacons:
+        filt.apply_beacon(beacon, rssi, pdf_table)
+    return filt
+
+
+class TestMomentMemo:
+    """The mean and spread are memoised per posterior state: every write
+    clears them, so a filter read between writes reports exactly what a
+    fresh filter fed the same sequence reports."""
+
+    def test_apply_beacon_clears_memo(self, area, pdf_table):
+        filt = GridBayesFilter(area, 2.0)
+        for k, (beacon, rssi) in enumerate(MEMO_BEACONS, start=1):
+            _moments_hex(filt)
+            filt.apply_beacon(beacon, rssi, pdf_table)
+            fresh = _fed(area, pdf_table, MEMO_BEACONS[:k])
+            assert _moments_hex(filt) == _moments_hex(fresh)
+
+    def test_annihilation_restart_clears_memo(self, area, pdf_table):
+        # The constraint fields carry a density floor, so no beacon
+        # sequence drives a normalized posterior's mass to zero; zero it
+        # directly, as a poisoned posterior would, to take the restart.
+        def annihilate(filt):
+            filt._posterior.fill(0.0)
+            filt.apply_beacon(Vec2(50.0, 50.0), -70.0, pdf_table)
+
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        _moments_hex(filt)
+        annihilate(filt)
+        assert filt.annihilations == 1
+        fresh = _fed(area, pdf_table, MEMO_BEACONS)
+        annihilate(fresh)
+        assert _moments_hex(filt) == _moments_hex(fresh)
+
+    def test_reset_uniform_clears_memo(self, area, pdf_table):
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        _moments_hex(filt)
+        filt.reset_uniform()
+        assert _moments_hex(filt) == _moments_hex(GridBayesFilter(area, 2.0))
+
+    def test_restore_state_clears_memo(self, area, pdf_table):
+        saved = _fed(area, pdf_table, MEMO_BEACONS[:2]).snapshot_state()
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        _moments_hex(filt)
+        filt.restore_state(saved)
+        fresh = _fed(area, pdf_table, MEMO_BEACONS[:2])
+        assert _moments_hex(filt) == _moments_hex(fresh)
+
+    def test_second_read_does_not_recompute(
+        self, area, pdf_table, monkeypatch
+    ):
+        calls = []
+        covariance = GridBayesFilter.covariance
+
+        def counting(self, mean=None):
+            calls.append(mean)
+            return covariance(self, mean)
+
+        monkeypatch.setattr(GridBayesFilter, "covariance", counting)
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        # A window close reads the mean, then the spread about it ...
+        fix = filt.estimate()
+        std_m = filt.position_std_m(fix)
+        assert len(calls) == 1
+        # ... and a later read of the same posterior reuses both.
+        assert filt.estimate() is fix
+        assert filt.position_std_m() == std_m
+        assert filt.position_std_m(fix) == std_m
+        assert len(calls) == 1
+        # A spread about another point is computed, and not kept.
+        assert filt.position_std_m(Vec2(0.0, 0.0)) > std_m
+        assert filt.position_std_m() == std_m
+        assert len(calls) == 2
+
+    def test_snapshot_carries_no_memo(self, area, pdf_table):
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        _moments_hex(filt)
+        state = filt.snapshot_state()
+        assert set(state) == {
+            "grid_signature", "posterior", "beacons_applied",
+            "annihilations",
+        }
+
+
 class TestAxisGeometry:
     """The filter keeps its cell centres as two broadcast axes.  On a
     square area both axes are the same array, so a mix-up between them

@@ -15,12 +15,9 @@ from repro.multicast.lifetime import Kinematics, predict_link_lifetime
 from repro.net.phy import PathLossModel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.util.geometry import Rect, Vec2, clamp, normalize_angle
+from repro.util.geometry import Rect, Vec2, normalize_angle
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
-finite = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
 coords = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
 )
@@ -56,12 +53,6 @@ class TestGeometryProperties:
     def test_rotation_preserves_norm(self, x, y, angle):
         v = Vec2(x, y)
         assert v.rotated(angle).norm() == pytest_approx(v.norm(), abs_tol=1e-6)
-
-    @given(finite, st.floats(-100, 100, allow_nan=False), st.floats(0, 100, allow_nan=False))
-    def test_clamp_within_bounds(self, value, low, width):
-        high = low + width
-        result = clamp(value, low, high)
-        assert low <= result <= high
 
 
 def pytest_approx(expected, abs_tol=1e-9):

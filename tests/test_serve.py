@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.serve import (
 from repro.serve.protocol import (
     MAX_CALIBRATION_SAMPLES,
     MAX_GRID_CELLS,
+    ConfidenceRequest,
     FixRequest,
     HelloRequest,
     ObserveRequest,
@@ -607,6 +609,87 @@ def test_tcp_bad_line_keeps_connection_usable():
         writer.close()
         await writer.wait_closed()
         await server.stop()
+
+    asyncio.run(scenario())
+
+
+def _window_burst(robot=0):
+    """One pipelined window's request lines, each stamped with a trace
+    id that names its position: open, 4 observes, close, confidence."""
+    requests = [WindowRequest(tenant="t", robot=robot, event="open")]
+    requests += [
+        ObserveRequest(tenant="t", robot=robot, seq=seq, x=x, y=y,
+                       rssi_dbm=rssi)
+        for seq, (x, y, rssi) in enumerate(BEACONS)
+    ]
+    requests.append(WindowRequest(tenant="t", robot=robot, event="close"))
+    requests.append(ConfidenceRequest(tenant="t", robot=robot))
+    return [
+        encode_request(replace(request, trace="r%d" % index))
+        .encode("utf-8") + b"\n"
+        for index, request in enumerate(requests)
+    ]
+
+
+def test_tcp_coalesces_ready_replies_in_request_order(monkeypatch):
+    """A pipelined window burst is answered in request order, each line
+    byte-equal to the in-process reply, in fewer socket writes than
+    replies; a bad line inside a burst keeps its place."""
+    server_writes = []
+    client_writers = set()
+    real_write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        if id(self) not in client_writers:
+            server_writes.append(data)
+        return real_write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+    async def scenario():
+        server = LocalizationServer(_small_core(trace_mode="off"))
+        await server.start()
+        reference = InProcessClient(_small_core(trace_mode="off"))
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        client_writers.add(id(writer))
+        hello = _hello(calibration_samples=2000)
+        writer.write(encode_request(hello).encode("utf-8") + b"\n")
+        assert parse_response(await reader.readline()).ok
+        assert (await reference.request(hello)).ok
+
+        burst = _window_burst()
+        server_writes.clear()
+        writer.write(b"".join(burst))
+        await writer.drain()
+        received = [await reader.readline() for _ in burst]
+        assert len(server_writes) < len(burst)
+        for index, (line, got) in enumerate(zip(burst, received)):
+            request = parse_request(line.strip())
+            expected = await reference.request(request)
+            assert got == (
+                encode_response(expected, trace="r%d" % index)
+                .encode("utf-8") + b"\n"
+            )
+        assert json.loads(received[-2])["fixed"]
+
+        # A refused line is answered at once, but still after the
+        # replies queued ahead of it and before those behind it.
+        burst = _window_burst(robot=1)
+        burst.insert(3, b"this is not json\n")
+        writer.write(b"".join(burst))
+        await writer.drain()
+        received = [json.loads(await reader.readline()) for _ in burst]
+        assert [reply.get("trace") for reply in received] == [
+            "r0", "r1", "r2", None, "r3", "r4", "r5", "r6",
+        ]
+        assert received[3]["error"] == "bad_request"
+        assert all(reply["ok"] for i, reply in enumerate(received) if i != 3)
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+        await reference.core.stop()
 
     asyncio.run(scenario())
 

@@ -7,7 +7,6 @@ import pytest
 from repro.util.geometry import (
     Rect,
     Vec2,
-    clamp,
     distance,
     heading_between,
     normalize_angle,
@@ -146,15 +145,6 @@ class TestAngleHelpers:
     def test_wrap_angle_deg(self):
         assert wrap_angle_deg(190.0) == pytest.approx(-170.0)
         assert wrap_angle_deg(-190.0) == pytest.approx(170.0)
-
-    def test_clamp(self):
-        assert clamp(5, 0, 10) == 5
-        assert clamp(-1, 0, 10) == 0
-        assert clamp(11, 0, 10) == 10
-
-    def test_clamp_reversed_bounds_raise(self):
-        with pytest.raises(ValueError):
-            clamp(5, 10, 0)
 
     def test_module_level_helpers(self):
         assert distance(Vec2(0, 0), Vec2(0, 2)) == pytest.approx(2.0)
