@@ -146,7 +146,7 @@ class FaultInjector:
         Only beacon packets are eligible: the modelled fault is silent
         corruption of the localization-critical payload in the receive
         path, not channel-wide bit errors (the PHY loss models cover
-        those).  The damaged copy keeps the original checksum, so
+        those).  The damaged copy records the sent payload's checksum, so
         ``crc_ok`` is False on it — exactly what a real CRC over a
         damaged payload looks like.
         """

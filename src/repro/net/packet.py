@@ -50,8 +50,8 @@ class Packet:
             copies of a flooded packet share the originator's ``origin_uid``.
         origin_uid: id of the original packet for duplicate suppression in
             flooding protocols; defaults to ``uid``.
-        payload_crc: CRC-32 over the payload, computed at send time; a
-            payload damaged in flight no longer matches it (``crc_ok``).
+        payload_crc: CRC-32 of the sent payload, recorded by ``damaged_copy``
+            on a copy damaged in flight; ``None`` on a packet as sent.
     """
 
     src: int
@@ -73,20 +73,17 @@ class Packet:
             raise ValueError("ttl must be non-negative, got %r" % self.ttl)
         if self.origin_uid is None:
             object.__setattr__(self, "origin_uid", self.uid)
-        if self.payload_crc is None:
-            object.__setattr__(
-                self, "payload_crc", payload_checksum(self.payload)
-            )
 
     @property
     def crc_ok(self) -> bool:
-        """Does the stored checksum still match the payload?"""
-        return self.payload_crc == payload_checksum(self.payload)
+        """Does the payload match its recorded checksum (if any)?"""
+        return self.payload_crc is None or self.payload_crc == payload_checksum(self.payload)
 
     def damaged_copy(self, damaged_payload: Any) -> "Packet":
-        """A copy carrying ``damaged_payload`` but the *original* CRC —
-        what a receiver sees after in-flight corruption."""
-        return dataclasses.replace(self, payload=damaged_payload)
+        """A copy carrying ``damaged_payload`` and the CRC of the sent
+        payload — what a receiver sees after in-flight corruption."""
+        crc = payload_checksum(self.payload)
+        return dataclasses.replace(self, payload=damaged_payload, payload_crc=crc)
 
     @property
     def size_bytes(self) -> int:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bayes import GridBayesFilter
 from repro.net.phy import PathLossModel
@@ -157,14 +159,6 @@ class TestEstimators:
             filt.apply_beacon(anchor, rssi, pdf_table)
         assert filt.mode().distance_to(filt.estimate()) < 10.0
 
-    def test_covariance_positive_semidefinite(self, area, pdf_table):
-        filt = GridBayesFilter(area, 2.0)
-        filt.apply_beacon(Vec2(50, 50), -70.0, pdf_table)
-        cov = filt.covariance()
-        eigenvalues = np.linalg.eigvalsh(cov)
-        assert np.all(eigenvalues >= -1e-9)
-        assert cov[0, 1] == pytest.approx(cov[1, 0])
-
     def test_entropy_decreases_with_evidence(self, area, pdf_table):
         filt = GridBayesFilter(area, 2.0)
         before = filt.entropy_bits()
@@ -246,13 +240,13 @@ class TestMomentMemo:
         self, area, pdf_table, monkeypatch
     ):
         calls = []
-        covariance = GridBayesFilter.covariance
+        spread_about = GridBayesFilter._spread_about
 
-        def counting(self, mean=None):
+        def counting(self, mean):
             calls.append(mean)
-            return covariance(self, mean)
+            return spread_about(self, mean)
 
-        monkeypatch.setattr(GridBayesFilter, "covariance", counting)
+        monkeypatch.setattr(GridBayesFilter, "_spread_about", counting)
         filt = _fed(area, pdf_table, MEMO_BEACONS)
         # A window close reads the mean, then the spread about it ...
         fix = filt.estimate()
@@ -278,11 +272,47 @@ class TestMomentMemo:
         }
 
 
+def _meshgrid(area, shape):
+    ny, nx = shape
+    return np.meshgrid(
+        area.x_min + (np.arange(nx) + 0.5) * (area.width / nx),
+        area.y_min + (np.arange(ny) + 0.5) * (area.height / ny),
+    )
+
+
+def _with_posterior(filt, posterior):
+    state = filt.snapshot_state()
+    state["posterior"] = posterior
+    filt.restore_state(state)
+    return filt
+
+
+def _oracle_mean(posterior, cell_x, cell_y):
+    """Equation (3) over full meshgrids."""
+    return Vec2(
+        float((posterior * cell_x).sum()), float((posterior * cell_y).sum())
+    )
+
+
+def _oracle_std(posterior, cell_x, cell_y, about):
+    """sqrt of the covariance trace about ``about``, over full meshgrids."""
+    dx = cell_x - about.x
+    dy = cell_y - about.y
+    cxx = float((posterior * dx * dx).sum())
+    cyy = float((posterior * dy * dy).sum())
+    return float(np.sqrt(max(cxx + cyy, 0.0)))
+
+
+def _hex(value):
+    return value.x.hex(), value.y.hex()
+
+
 class TestAxisGeometry:
     """The filter keeps its cell centres as two broadcast axes.  On a
     square area both axes are the same array, so a mix-up between them
     would pass every square-area check; this grid is neither square nor
-    anchored at the origin."""
+    anchored at the origin.  The meshgrid formulas are the bit-for-bit
+    oracle for every per-cell field and moment."""
 
     AREA = Rect(-30.0, 10.0, 170.0, 90.0)
 
@@ -290,18 +320,12 @@ class TestAxisGeometry:
         filt = GridBayesFilter(self.AREA, 2.0)
         ny, nx = filt.shape
         assert (ny, nx) == (40, 100)
-        area = self.AREA
-        cell_x, cell_y = np.meshgrid(
-            area.x_min + (np.arange(nx) + 0.5) * (area.width / nx),
-            area.y_min + (np.arange(ny) + 0.5) * (area.height / ny),
-        )
+        cell_x, cell_y = _meshgrid(self.AREA, (ny, nx))
         rng = np.random.default_rng(2024)
         for _ in range(10):
             posterior = rng.random((ny, nx)) ** 4
             posterior /= posterior.sum()
-            state = filt.snapshot_state()
-            state["posterior"] = posterior
-            filt.restore_state(state)
+            _with_posterior(filt, posterior)
 
             beacon = Vec2(
                 float(rng.uniform(-60.0, 200.0)),
@@ -317,28 +341,81 @@ class TestAxisGeometry:
                 filt.compute_distance_field(beacon), distances
             )
 
-            x_hat = float((posterior * cell_x).sum())
-            y_hat = float((posterior * cell_y).sum())
-            assert filt.estimate() == Vec2(x_hat, y_hat)
-
-            dx = cell_x - x_hat
-            dy = cell_y - y_hat
-            cxx = float((posterior * dx * dx).sum())
-            cyy = float((posterior * dy * dy).sum())
-            cxy = float((posterior * dx * dy).sum())
-            covariance = np.array([[cxx, cxy], [cxy, cyy]])
-            assert np.array_equal(filt.covariance(), covariance)
-            assert np.array_equal(
-                filt.covariance(Vec2(x_hat, y_hat)), covariance
-            )
-            std = float(np.sqrt(max(cxx + cyy, 0.0)))
+            mean = _oracle_mean(posterior, cell_x, cell_y)
+            assert filt.estimate() == mean
+            std = _oracle_std(posterior, cell_x, cell_y, mean)
             assert filt.position_std_m() == std
-            assert filt.position_std_m(Vec2(x_hat, y_hat)) == std
+            assert filt.position_std_m(Vec2(mean.x, mean.y)) == std
+            # A spread about a point that is not the mean.
+            assert filt.position_std_m(beacon) == _oracle_std(
+                posterior, cell_x, cell_y, beacon
+            )
 
             idx = np.unravel_index(int(np.argmax(posterior)), (ny, nx))
             assert filt.mode() == Vec2(
                 float(cell_x[idx]), float(cell_y[idx])
             )
+
+    @pytest.mark.parametrize("posterior_kind", ["random", "zeros", "uniform"])
+    def test_square_grid_moments_match_meshgrid(self, area, posterior_kind):
+        filt = GridBayesFilter(area, 2.0)
+        assert filt.shape == (100, 100)
+        cell_x, cell_y = _meshgrid(area, filt.shape)
+        rng = np.random.default_rng(7)
+        if posterior_kind == "uniform":
+            posterior = np.full(filt.shape, 1.0 / filt.posterior.size)
+        else:
+            posterior = rng.random(filt.shape) ** 8
+            if posterior_kind == "zeros":
+                # Exact zeros, as a far-off ring's underflowed cells hold.
+                posterior[:, :37] = 0.0
+                posterior[60:, :] = 0.0
+            posterior /= posterior.sum()
+        _with_posterior(filt, posterior)
+        mean = _oracle_mean(posterior, cell_x, cell_y)
+        assert _hex(filt.estimate()) == _hex(mean)
+        std = _oracle_std(posterior, cell_x, cell_y, mean)
+        assert filt.position_std_m().hex() == std.hex()
+        elsewhere = Vec2(13.25, 181.5)
+        assert filt.position_std_m(elsewhere).hex() == _oracle_std(
+            posterior, cell_x, cell_y, elsewhere
+        ).hex()
+        if posterior_kind == "uniform":
+            assert _hex(filt.estimate()) == _hex(
+                GridBayesFilter(area, 2.0).estimate()
+            )
+
+
+class TestMomentOracleProperty:
+    """For random posteriors and points the moments equal the meshgrid
+    oracle exactly (compared as ``float.hex``)."""
+
+    @given(
+        posterior_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        power=st.sampled_from([1, 4, 16]),
+        shape=st.sampled_from([(5, 7), (40, 100), (100, 100)]),
+        px=st.floats(min_value=-100.0, max_value=300.0),
+        py=st.floats(min_value=-100.0, max_value=300.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_moments_equal_oracle(self, posterior_seed, power, shape, px, py):
+        ny, nx = shape
+        area = Rect(-20.0, 5.0, -20.0 + 2.0 * nx, 5.0 + 2.0 * ny)
+        filt = GridBayesFilter(area, 2.0)
+        assert filt.shape == shape
+        cell_x, cell_y = _meshgrid(area, shape)
+        posterior = np.random.default_rng(posterior_seed).random(shape) ** power
+        posterior /= posterior.sum()
+        _with_posterior(filt, posterior)
+        mean = _oracle_mean(posterior, cell_x, cell_y)
+        assert _hex(filt.estimate()) == _hex(mean)
+        point = Vec2(px, py)
+        assert filt.position_std_m(point).hex() == _oracle_std(
+            posterior, cell_x, cell_y, point
+        ).hex()
+        assert filt.position_std_m().hex() == _oracle_std(
+            posterior, cell_x, cell_y, mean
+        ).hex()
 
 
 class TestLeastSquaresOracle:

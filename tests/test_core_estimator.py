@@ -271,7 +271,7 @@ class TestWindowCloseMoments:
             watchdog=True,
             anchor_expiry_s=60.0,
         )
-        calls = {"estimate": 0, "covariance": 0}
+        calls = {"estimate": 0, "_spread_about": 0}
         filt = est.filter
 
         def spy(name):
@@ -284,8 +284,8 @@ class TestWindowCloseMoments:
             monkeypatch.setattr(filt, name, counted)
 
         spy("estimate")
-        if hasattr(filt, "covariance"):
-            spy("covariance")
+        if hasattr(filt, "_spread_about"):
+            spy("_spread_about")
         model = PathLossModel()
         true = Vec2(90.0, 110.0)
         est.on_window_open()
@@ -295,7 +295,7 @@ class TestWindowCloseMoments:
             anchor = Vec2(true.x + offset[0], true.y + offset[1])
             rssi = float(model.mean_rssi(anchor.distance_to(true)))
             est.on_beacon(anchor, rssi, anchor_id=anchor_id, t=1.0)
-        assert calls == {"estimate": 0, "covariance": 0}
+        assert calls == {"estimate": 0, "_spread_about": 0}
         est.on_window_close()
         return est, calls
 
@@ -303,7 +303,7 @@ class TestWindowCloseMoments:
         est, calls = self.defended_close(pdf_table, monkeypatch)
         assert est.fixes == 1
         assert calls["estimate"] <= 1
-        assert calls["covariance"] <= 1
+        assert calls["_spread_about"] == 1
         # The shared moments are the ones the filter reports on its own.
         filt = est.filter
         assert est.estimate == filt.estimate()

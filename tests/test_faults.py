@@ -32,7 +32,7 @@ from repro.faults.spec import (
     PayloadCorruptionSpec,
     RssiBiasSpec,
 )
-from repro.net.packet import Packet
+from repro.net.packet import Packet, payload_checksum
 from repro.util.geometry import Rect, Vec2
 
 
@@ -259,6 +259,7 @@ class TestPacketCrc:
             payload=BeaconPayload(anchor_id=1, x=10.0, y=20.0),
             payload_bytes=20,
         )
+        assert packet.payload_crc is None
         assert packet.crc_ok
 
     def test_damaged_copy_fails_crc(self):
@@ -273,7 +274,7 @@ class TestPacketCrc:
             BeaconPayload(anchor_id=1, x=10.0, y=21.0)
         )
         assert not damaged.crc_ok
-        assert damaged.payload_crc == packet.payload_crc
+        assert damaged.payload_crc == payload_checksum(packet.payload)
         assert damaged.uid == packet.uid
 
 
