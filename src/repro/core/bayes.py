@@ -17,6 +17,15 @@ state: the filter memoises them, and every write to the posterior
 (a beacon, a reset, a restore) clears the memo, so a read that follows
 a window close (serve's ``confidence``) costs no grid pass for them.
 
+Every round restarts from the uniform prior, so the posterior is a pure
+function of the grid, the PDF table and the beacons applied since the
+last reset.  The filter keeps that evidence, one ``(x, y, rssi_dbm)``
+tuple per applied beacon, and a checkpoint holds the evidence rather
+than the grid: :meth:`GridBayesFilter.restore_state` resets and replays
+it through :meth:`GridBayesFilter.apply_beacon` — the same float
+operations in the same order, so the posterior, its counters and any
+annihilation restart come back bit for bit.
+
 All operations are vectorized numpy.  Every constraint comes from a
 :class:`~repro.core.constraint_cache.ConstraintFieldCache`: a team or a
 serve session shares one across its robots, and a bare filter makes its
@@ -32,7 +41,8 @@ lookup tables, and a window close's mean and spread about 70 µs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +81,9 @@ class GridBayesFilter:
         self._posterior = np.full((ny, nx), 1.0 / (nx * ny))
         self._beacons_applied = 0
         self._annihilations = 0
+        #: (x, y, rssi_dbm) of every beacon applied since the last
+        #: reset: what a snapshot holds instead of the posterior.
+        self._evidence: List[Tuple[float, float, float]] = []
         self._cache = ConstraintFieldCache()
         # Moments of the current posterior, derived state: set on first
         # read, cleared by every posterior write (_forget_moments).
@@ -146,6 +159,7 @@ class GridBayesFilter:
         self._forget_moments()
         self._beacons_applied = 0
         self._annihilations = 0
+        self._evidence.clear()
 
     def _forget_moments(self) -> None:
         """Drop the memoised mean and spread (the posterior changed)."""
@@ -157,48 +171,56 @@ class GridBayesFilter:
     def snapshot_state(self) -> dict:
         """The filter's evolving state as a picklable mapping.
 
-        Captures exactly what :meth:`restore_state` needs to continue
-        bit-identically: the posterior mass (copied, so later updates
-        cannot mutate the checkpoint) and the per-round counters.  The
-        grid geometry itself is *not* captured — it is construction
-        state, and the ``grid_signature`` guard at restore refuses a
-        mismatched geometry instead of silently resampling.
+        Holds the evidence — the ``(x, y, rssi_dbm)`` of every beacon
+        applied since the last reset, as a tuple — rather than the
+        posterior it produced: a few hundred bytes instead of one
+        float64 per cell.  The grid geometry is construction state; the
+        ``grid_signature`` guard at restore refuses a mismatched
+        geometry instead of silently resampling.
         """
         return {
             "grid_signature": self.grid_signature,
-            "posterior": self._posterior.copy(),
-            "beacons_applied": self._beacons_applied,
-            "annihilations": self._annihilations,
+            "evidence": tuple(self._evidence),
         }
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict, table: PdfTable) -> None:
         """Adopt a :meth:`snapshot_state` mapping (bit-exact resume).
 
+        Resets to the uniform prior and replays the evidence through
+        :meth:`apply_beacon` with ``table``, which must be the table the
+        evidence was applied with.
+
         Raises:
-            ValueError: the snapshot came from a different grid geometry.
+            ValueError: the snapshot came from a different grid
+                geometry, or carries no evidence (any other format).
         """
         if state.get("grid_signature") != self.grid_signature:
             raise ValueError(
                 "filter snapshot geometry %r does not match this grid %r"
                 % (state.get("grid_signature"), self.grid_signature)
             )
-        np.copyto(self._posterior, state["posterior"])
-        self._forget_moments()
-        self._beacons_applied = int(state["beacons_applied"])
-        self._annihilations = int(state["annihilations"])
+        if "evidence" not in state:
+            raise ValueError("filter snapshot carries no evidence")
+        self.reset_uniform()
+        for x, y, rssi_dbm in state["evidence"]:
+            self.apply_beacon(Vec2(x, y), rssi_dbm, table)
 
     def compute_distance_field(self, beacon: Vec2) -> np.ndarray:
         """Cell-center distances to ``beacon`` (Equation 1's geometry).
 
-        Squares the two axis offsets, then one broadcast add and one
-        sqrt: two grid-sized passes.  Each cell gets
-        ``sqrt((x - bx)**2 + (y - by)**2)``.
+        Squares the two axis offsets, fills a grid from the x offsets,
+        adds the y offsets and takes the square root in place: each
+        cell gets ``sqrt((x - bx)**2 + (y - by)**2)``.  Filling then
+        adding in place costs less than one broadcast add into a new
+        grid, for the same bits.
         """
         dx = np.subtract(self._x_axis, beacon.x)
         np.square(dx, out=dx)
         dy = np.subtract(self._y_axis, beacon.y)
         np.square(dy, out=dy)
-        distances = np.add(dx, dy)
+        distances = np.empty_like(self._posterior)
+        distances[...] = dx
+        distances += dy
         np.sqrt(distances, out=distances)
         return distances
 
@@ -230,6 +252,7 @@ class GridBayesFilter:
         else:
             self._posterior /= total
         self._beacons_applied += 1
+        self._evidence.append((beacon.x, beacon.y, rssi_dbm))
 
     def estimate(self) -> Vec2:
         """Posterior-mean position — Equation (3), memoised until the
@@ -288,9 +311,23 @@ class GridBayesFilter:
         return float(np.sqrt(max(terms[0] + terms[1], 0.0)))
 
     def entropy_bits(self) -> float:
-        """Shannon entropy of the posterior in bits (uniform = max)."""
-        p = self._posterior[self._posterior > 0]
-        return float(-(p * np.log2(p)).sum())
+        """Shannon entropy of the posterior in bits (uniform = max).
+
+        Sums ``p·log2(p)`` over the whole grid, without a masked copy.
+        Only an exact zero cell (``0·-inf``) makes that sum NaN; then the
+        sum runs again over the positive cells alone.  With no zero cell
+        both sums add the same terms in the same order, so the bits are
+        the same either way.
+        """
+        p = self._posterior
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log2(p)
+            terms *= p
+        total = float(terms.sum())
+        if math.isnan(total):
+            positive = p[p > 0]
+            total = float((positive * np.log2(positive)).sum())
+        return -total
 
     def is_degenerate(self) -> bool:
         """Has the posterior stopped being a trustworthy distribution?

@@ -528,11 +528,14 @@ class PositionEstimator:
     # bit-identically to never pausing.  This is what lets the streaming
     # service (repro.serve) checkpoint tenant sessions through the
     # orchestrator cache and survive crashes without drifting from the
-    # batch recording (tests/test_serve_durability.py).  Construction
-    # state (mode, grid geometry, PDF table, gate/defense knobs) is
-    # deliberately NOT captured: the restoring side must rebuild an
-    # identically-configured estimator first, and the filter's geometry
-    # guard refuses a mismatch instead of silently resampling.  Only
+    # batch recording (tests/test_serve_durability.py).  The filter's
+    # share is its evidence (the beacons applied since the last reset),
+    # not its posterior: restore replays that evidence through the
+    # estimator's own PDF table.  Construction state (mode, grid
+    # geometry, PDF table, gate/defense knobs) is deliberately NOT
+    # captured: the restoring side must rebuild an identically-configured
+    # estimator first, and the filter's geometry guard refuses a mismatch
+    # instead of silently resampling.  Only
     # estimators without odometry take snapshots: serve is RF-only, and
     # nothing else pauses an estimator.  The mapping keeps its
     # ``"dead_reckoner": None`` entry so serve's checkpoints are unchanged.
@@ -590,7 +593,8 @@ class PositionEstimator:
 
         Raises:
             ValueError: the snapshot came from a different localization
-                mode, or the filter/grid shapes do not match.
+                mode, the filter/grid shapes do not match, or the filter
+                state carries no evidence.
         """
         if state.get("mode") != self._mode.value:
             raise ValueError(
@@ -600,7 +604,7 @@ class PositionEstimator:
         if self._filter is not None:
             if state.get("filter") is None:
                 raise ValueError("snapshot carries no filter state")
-            self._filter.restore_state(state["filter"])
+            self._filter.restore_state(state["filter"], self._table)
         x, y = state["estimate"]
         self._estimate = Vec2(x, y)
         last_fix = state["last_fix"]

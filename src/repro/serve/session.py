@@ -195,20 +195,28 @@ class TenantSession:
         if lane is None and create:
             if len(self._lanes) >= self._limits.max_robots:
                 return None
-            estimator = PositionEstimator(
-                mode=LocalizationMode.RF_ONLY,
-                area=self._area,
-                pdf_table=self._table,
-                grid_resolution_m=self.hello.grid_resolution_m,
-                min_beacons_for_fix=self.hello.min_beacons_for_fix,
-                constraint_cache=self.constraint_cache,
-            )
-            lane = self._lanes[robot] = _RobotLane(estimator)
-            robots = self._registry.gauge("serve_robots_active")
-            robots.add(1)
-            self._registry.gauge("serve_robots_active_peak").set_max(
-                robots.value
-            )
+            lane = self._add_lane(robot, self._new_estimator())
+        return lane
+
+    def _new_estimator(self) -> PositionEstimator:
+        return PositionEstimator(
+            mode=LocalizationMode.RF_ONLY,
+            area=self._area,
+            pdf_table=self._table,
+            grid_resolution_m=self.hello.grid_resolution_m,
+            min_beacons_for_fix=self.hello.min_beacons_for_fix,
+            constraint_cache=self.constraint_cache,
+        )
+
+    def _add_lane(
+        self, robot: int, estimator: PositionEstimator
+    ) -> _RobotLane:
+        lane = self._lanes[robot] = _RobotLane(estimator)
+        robots = self._registry.gauge("serve_robots_active")
+        robots.add(1)
+        self._registry.gauge("serve_robots_active_peak").set_max(
+            robots.value
+        )
         return lane
 
     # -- request handling ----------------------------------------------------
@@ -438,7 +446,15 @@ class TenantSession:
         return self.resume_token
 
     def snapshot(self) -> SessionCheckpoint:
-        """The session's complete state, frozen at this request boundary."""
+        """The session's complete state, frozen at this request boundary.
+
+        Each lane record holds the robot's window, its buffered
+        observations and its estimator snapshot, whose filter share is
+        the evidence applied since the last reset rather than the
+        posterior grid: a restore replays it through the session's PDF
+        table, so a record stays a few hundred bytes however fine the
+        grid.
+        """
         hello = self.hello
         lanes = []
         for robot in sorted(self._lanes):
@@ -446,10 +462,10 @@ class TenantSession:
             if record is None or robot in self._dirty_lanes:
                 # Only re-snapshot lanes a request touched since the
                 # last snapshot; everyone else's record is still exact
-                # (records are immutable once built — the estimator
-                # snapshot copies its arrays, and restore copies them
-                # back out — so sharing them across checkpoints is
-                # safe).
+                # (records are immutable once built — the filter's
+                # evidence is a tuple, and restore replays it rather
+                # than adopting it — so sharing them across checkpoints
+                # is safe).
                 lane = self._lanes[robot]
                 record = {
                     "robot": robot,
@@ -504,32 +520,45 @@ class TenantSession:
         the estimator snapshots carry a grid-signature guard, so a
         geometry mismatch raises instead of silently resampling.
 
+        Every lane's estimator is restored into a fresh estimator before
+        the session changes, so a refused checkpoint leaves the session
+        as it was.
+
         Raises:
             ValueError: the checkpoint belongs to a different tenant or
-                a different estimator geometry.
+                a different estimator geometry, exceeds the robot limit,
+                or holds an estimator snapshot that is not this format.
         """
         if checkpoint.tenant != self.tenant:
             raise ValueError(
                 "checkpoint tenant %r does not match session %r"
                 % (checkpoint.tenant, self.tenant)
             )
+        robots = set(self._lanes)
+        robots.update(record["robot"] for record in checkpoint.lanes)
+        if len(robots) > self._limits.max_robots:
+            raise ValueError("checkpoint exceeds this session's robot limit")
+        restored = []
+        for record in checkpoint.lanes:
+            estimator = self._new_estimator()
+            estimator.restore(record["estimator"])
+            pending = [
+                (seq, BeaconObservation(**fields))
+                for seq, fields in record["pending"]
+            ]
+            restored.append((record, estimator, pending))
         # Adopted state invalidates every cached lane record (restore
         # may roll lanes back to states no cached record describes).
         self._lane_records.clear()
         self._dirty_lanes = set()
-        for record in checkpoint.lanes:
-            lane = self._lane_for(record["robot"], create=True)
-            if lane is None:
-                raise ValueError("checkpoint exceeds this session's "
-                                 "robot limit")
-            self._dirty_lanes.add(record["robot"])
+        for record, estimator, pending in restored:
+            robot = record["robot"]
+            lane = self._lanes.get(robot) or self._add_lane(robot, estimator)
+            lane.estimator = estimator
             lane.window = int(record["window"])
             lane.window_open = bool(record["window_open"])
-            lane.pending = [
-                (seq, BeaconObservation(**fields))
-                for seq, fields in record["pending"]
-            ]
-            lane.estimator.restore(record["estimator"])
+            lane.pending = pending
+            self._dirty_lanes.add(robot)
         counters = checkpoint.counters
         self.observations = int(counters["observations"])
         self.observations_dropped = int(counters["observations_dropped"])

@@ -232,7 +232,7 @@ class TestMomentMemo:
         saved = _fed(area, pdf_table, MEMO_BEACONS[:2]).snapshot_state()
         filt = _fed(area, pdf_table, MEMO_BEACONS)
         _moments_hex(filt)
-        filt.restore_state(saved)
+        filt.restore_state(saved, pdf_table)
         fresh = _fed(area, pdf_table, MEMO_BEACONS[:2])
         assert _moments_hex(filt) == _moments_hex(fresh)
 
@@ -266,10 +266,7 @@ class TestMomentMemo:
         filt = _fed(area, pdf_table, MEMO_BEACONS)
         _moments_hex(filt)
         state = filt.snapshot_state()
-        assert set(state) == {
-            "grid_signature", "posterior", "beacons_applied",
-            "annihilations",
-        }
+        assert set(state) == {"grid_signature", "evidence"}
 
 
 def _meshgrid(area, shape):
@@ -281,9 +278,10 @@ def _meshgrid(area, shape):
 
 
 def _with_posterior(filt, posterior):
-    state = filt.snapshot_state()
-    state["posterior"] = posterior
-    filt.restore_state(state)
+    """Set the posterior directly (no beacon sequence reaches an
+    arbitrary mass grid), clearing the moment memo as a write does."""
+    np.copyto(filt._posterior, posterior)
+    filt._forget_moments()
     return filt
 
 
@@ -416,6 +414,86 @@ class TestMomentOracleProperty:
         assert filt.position_std_m().hex() == _oracle_std(
             posterior, cell_x, cell_y, mean
         ).hex()
+
+
+def _masked_entropy(posterior):
+    """Entropy over the positive cells only, as a masked copy."""
+    p = posterior[posterior > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+class TestEntropy:
+    """The entropy sums over the whole grid without a masked copy; it
+    equals the masked sum bit for bit (compared as ``float.hex``)."""
+
+    def test_random_posterior_matches_masked_sum(self, area):
+        filt = GridBayesFilter(area, 2.0)
+        posterior = np.random.default_rng(11).random(filt.shape) ** 4
+        posterior /= posterior.sum()
+        assert (posterior > 0).all()
+        _with_posterior(filt, posterior)
+        assert filt.entropy_bits().hex() == _masked_entropy(posterior).hex()
+
+    def test_exact_zero_cells_fall_back_to_masked_sum(self, area):
+        filt = GridBayesFilter(area, 2.0)
+        posterior = np.random.default_rng(12).random(filt.shape) ** 4
+        posterior[:, :41] = 0.0
+        posterior[70:, :] = 0.0
+        posterior /= posterior.sum()
+        _with_posterior(filt, posterior)
+        bits = filt.entropy_bits()
+        assert np.isfinite(bits)
+        assert bits.hex() == _masked_entropy(posterior).hex()
+
+    def test_fed_posterior_matches_masked_sum(self, area, pdf_table):
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        assert filt.entropy_bits().hex() == _masked_entropy(
+            filt.posterior
+        ).hex()
+
+
+class TestEvidence:
+    """The filter keeps the beacons applied since the last reset; a
+    snapshot carries them and a restore replays them bit for bit."""
+
+    def test_evidence_follows_applies_and_resets(self, area, pdf_table):
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        assert filt.snapshot_state()["evidence"] == tuple(
+            (beacon.x, beacon.y, rssi) for beacon, rssi in MEMO_BEACONS
+        )
+        filt.reset_uniform()
+        assert filt.snapshot_state()["evidence"] == ()
+
+    def test_restore_replays_into_a_restored_filter(self, area, pdf_table):
+        original = _fed(area, pdf_table, MEMO_BEACONS)
+        once = GridBayesFilter(area, 2.0)
+        once.restore_state(original.snapshot_state(), pdf_table)
+        twice = GridBayesFilter(area, 2.0)
+        twice.restore_state(once.snapshot_state(), pdf_table)
+        for filt in (once, twice):
+            assert filt.posterior.tobytes() == original.posterior.tobytes()
+            assert filt.beacons_applied == original.beacons_applied
+            assert _moments_hex(filt) == _moments_hex(original)
+            assert filt.entropy_bits().hex() == (
+                original.entropy_bits().hex()
+            )
+
+    def test_snapshot_without_evidence_is_refused(self, area, pdf_table):
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        state = {
+            "grid_signature": filt.grid_signature,
+            "posterior": np.array(filt.posterior),
+            "beacons_applied": filt.beacons_applied,
+            "annihilations": filt.annihilations,
+        }
+        fresh = GridBayesFilter(area, 2.0)
+        with pytest.raises(ValueError, match="no evidence"):
+            fresh.restore_state(state, pdf_table)
+        assert fresh.beacons_applied == 0
+        with pytest.raises(ValueError, match="geometry"):
+            GridBayesFilter(Rect.square(100.0), 2.0).restore_state(
+                filt.snapshot_state(), pdf_table
+            )
 
 
 class TestLeastSquaresOracle:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import LocalizationMode
@@ -321,3 +322,89 @@ class TestWindowCloseMoments:
         assert calls["estimate"] <= 1
         assert est.estimate == filt.estimate()
         assert est.last_fix_std_m == filt.position_std_m()
+
+
+class TestEvidenceCheckpoint:
+    """An RF-only snapshot holds the filter's evidence (the beacons
+    applied since the last reset); restore replays it through the
+    estimator's own PDF table and reproduces every reader's bytes."""
+
+    TRUE = Vec2(90.0, 110.0)
+    OFFSETS = [(-20, 0), (18, 6), (0, 25), (-8, -20), (12, -12)]
+
+    def make(self, pdf_table):
+        return PositionEstimator(
+            LocalizationMode.RF_ONLY, AREA, pdf_table=pdf_table,
+            watchdog=True,
+        )
+
+    def beacons(self, est, shift=0.0, count=None):
+        model = PathLossModel()
+        for anchor_id, (dx, dy) in enumerate(self.OFFSETS[:count]):
+            anchor = Vec2(self.TRUE.x + dx + shift, self.TRUE.y + dy)
+            rssi = float(model.mean_rssi(anchor.distance_to(self.TRUE)))
+            est.on_beacon(anchor, rssi, anchor_id=anchor_id, t=1.0)
+
+    def window(self, est, shift=0.0):
+        est.on_window_open()
+        self.beacons(est, shift)
+        est.on_window_close()
+
+    @staticmethod
+    def readout(est):
+        filt = est.filter
+        mean = filt.estimate()
+        return (
+            est.estimate.x.hex(), est.estimate.y.hex(),
+            mean.x.hex(), mean.y.hex(),
+            filt.position_std_m().hex(), filt.entropy_bits().hex(),
+            filt.beacons_applied, filt.annihilations,
+            est.fixes, est.watchdog_resets, est.windows_without_fix,
+            filt.posterior.tobytes(),
+        )
+
+    @pytest.mark.parametrize(
+        "stage", ["after_close", "mid_window", "watchdog_reset", "restored"]
+    )
+    def test_restore_reproduces_readouts(self, pdf_table, stage):
+        est = self.make(pdf_table)
+        self.window(est)
+        if stage == "mid_window":
+            est.on_window_open()
+            self.beacons(est, shift=3.0, count=2)
+        elif stage == "watchdog_reset":
+            est.on_window_open()
+            self.beacons(est, shift=3.0)
+            # Poison the posterior directly (no beacon sequence breaks
+            # it); the close's watchdog resets the filter to the prior.
+            est.filter._posterior.fill(np.nan)
+            est.on_window_close()
+            assert est.watchdog_resets == 1
+        copy = self.make(pdf_table)
+        copy.restore(est.snapshot())
+        if stage == "restored":
+            again = self.make(pdf_table)
+            again.restore(copy.snapshot())
+            copy = again
+        assert self.readout(copy) == self.readout(est)
+        for each in (est, copy):
+            if stage == "mid_window":
+                self.beacons(each, shift=3.0)
+                each.on_window_close()
+            else:
+                self.window(each, shift=3.0)
+        assert self.readout(copy) == self.readout(est)
+
+    def test_posterior_snapshot_is_refused(self, pdf_table):
+        est = self.make(pdf_table)
+        self.window(est)
+        state = est.snapshot()
+        filt = est.filter
+        state["filter"] = {
+            "grid_signature": filt.grid_signature,
+            "posterior": np.array(filt.posterior),
+            "beacons_applied": filt.beacons_applied,
+            "annihilations": filt.annihilations,
+        }
+        with pytest.raises(ValueError, match="no evidence"):
+            self.make(pdf_table).restore(state)

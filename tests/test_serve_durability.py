@@ -17,7 +17,9 @@ The claims under test, smallest to largest:
 from __future__ import annotations
 
 import asyncio
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.orchestrator.cache import ResultCache
@@ -37,6 +39,8 @@ from repro.serve import (
     ensure_ok,
 )
 from repro.serve.protocol import (
+    ConfidenceRequest,
+    FixRequest,
     HelloRequest,
     ObserveRequest,
     ProtocolError,
@@ -172,6 +176,124 @@ def test_restore_rejects_wrong_tenant_and_geometry(pdf_table):
     )
     with pytest.raises(ValueError):
         other_grid.restore_from(checkpoint)
+
+
+def _readout_hex(session, robot=0):
+    """Every float a robot's readers see, as ``float.hex`` tokens: the
+    fix and confidence payloads plus the filter's moments and entropy."""
+    def hexed(payload):
+        return {
+            key: value.hex() if isinstance(value, float) else value
+            for key, value in payload.items()
+        }
+
+    fix = session.handle(FixRequest(tenant=session.tenant, robot=robot))
+    confidence = session.handle(
+        ConfidenceRequest(tenant=session.tenant, robot=robot)
+    )
+    assert fix.ok and confidence.ok
+    filt = session._lanes[robot].estimator.filter
+    mean = filt.estimate()
+    return (
+        hexed(fix.payload),
+        hexed(confidence.payload),
+        mean.x.hex(),
+        mean.y.hex(),
+        filt.position_std_m().hex(),
+        filt.entropy_bits().hex(),
+        filt.annihilations,
+        filt.posterior.tobytes(),
+    )
+
+
+def _open_and_observe(session, beacons, robot=0):
+    assert session.handle(WindowRequest(
+        tenant=session.tenant, robot=robot, event="open"
+    )).ok
+    for seq, (x, y, rssi) in enumerate(beacons):
+        assert session.handle(ObserveRequest(
+            tenant=session.tenant, robot=robot, seq=seq, x=x, y=y,
+            rssi_dbm=rssi,
+        )).ok
+
+
+@pytest.mark.parametrize("stage", ["after_close", "mid_window", "restored"])
+def test_evidence_restore_reproduces_every_readout(pdf_table, stage):
+    """A checkpoint holds each filter's evidence, not its posterior; the
+    replay on restore reproduces every reader's bytes, at the snapshot
+    and after the next window, including on a restored filter that is
+    checkpointed again."""
+    original = _session(pdf_table)
+    _feed(original, WINDOW_A)
+    if stage == "mid_window":
+        # The filter is reset; the window's beacons wait in the buffer.
+        _open_and_observe(original, WINDOW_B[:2])
+    restored = _session(pdf_table)
+    restored.restore_from(original.snapshot())
+    if stage == "restored":
+        again = _session(pdf_table)
+        again.restore_from(restored.snapshot())
+        restored = again
+    assert _readout_hex(restored) == _readout_hex(original)
+    for session in (original, restored):
+        if stage == "mid_window":
+            for seq, (x, y, rssi) in enumerate(WINDOW_B[2:], start=2):
+                assert session.handle(ObserveRequest(
+                    tenant="t", robot=0, seq=seq, x=x, y=y, rssi_dbm=rssi,
+                )).ok
+            assert session.handle(WindowRequest(
+                tenant="t", robot=0, event="close"
+            )).ok
+        else:
+            _feed(session, WINDOW_B)
+    assert _readout_hex(restored) == _readout_hex(original)
+
+
+def test_lane_record_holds_evidence_not_the_posterior(pdf_table):
+    session = _session(pdf_table)
+    _feed(session, WINDOW_A)
+    (record,) = session.snapshot().lanes
+    state = record["estimator"]["filter"]
+    assert set(state) == {"grid_signature", "evidence"}
+    assert state["evidence"] == tuple(WINDOW_A)
+    assert len(pickle.dumps(record, pickle.HIGHEST_PROTOCOL)) < 2048
+
+
+def _posterior_format(checkpoint, pdf_table):
+    """The checkpoint as the previous format wrote it: every filter
+    state a copy of the posterior grid plus its counters."""
+    for record in checkpoint.lanes:
+        filt = _session(pdf_table)
+        state = record["estimator"]["filter"]
+        replayed = filt._lane_for(0, create=True).estimator.filter
+        replayed.restore_state(state, pdf_table)
+        record["estimator"]["filter"] = {
+            "grid_signature": state["grid_signature"],
+            "posterior": np.array(replayed.posterior),
+            "beacons_applied": replayed.beacons_applied,
+            "annihilations": replayed.annihilations,
+        }
+    return checkpoint
+
+
+def test_posterior_snapshot_is_refused_before_any_lane_changes(pdf_table):
+    source = _session(pdf_table)
+    _feed(source, WINDOW_A, robot=0)
+    _feed(source, WINDOW_B, robot=1)
+    checkpoint = _posterior_format(source.snapshot(), pdf_table)
+    session = _session(pdf_table)
+    before = session.stats()
+    with pytest.raises(ValueError, match="evidence"):
+        session.restore_from(checkpoint)
+    assert session.n_robots == 0
+    assert session.stats() == before
+    # A session with a lane of its own keeps that lane as it was.
+    _feed(session, WINDOW_B, robot=1)
+    want = _readout_hex(session, robot=1)
+    with pytest.raises(ValueError, match="evidence"):
+        session.restore_from(checkpoint)
+    assert session.n_robots == 1
+    assert _readout_hex(session, robot=1) == want
 
 
 def test_checkpoint_fingerprint_separates_identities():
@@ -576,6 +698,43 @@ def test_sessions_survive_process_restart_through_cache(tmp_path):
             assert resumed.payload["restored"] is True
             second = await _client_window(client, "t", WINDOW_B)
             assert (_fix_bytes(first), _fix_bytes(second)) == want
+        finally:
+            await second_core.stop()
+
+    asyncio.run(scenario())
+
+
+def test_posterior_checkpoint_left_in_a_warm_cache_is_rejected(
+    tmp_path, pdf_table
+):
+    """After an upgrade, a checkpoint in the previous posterior format
+    resumes as ``restored: false``, counted as a rejected resume, and
+    leaves a fresh session with no lanes."""
+    async def scenario():
+        clock = _FakeClock()
+        cache = ResultCache(root=str(tmp_path / "serve-cache"))
+        config = ServeConfig(n_shards=1, sweep_interval_s=3600.0)
+        first_core = ServiceCore(config, warm_store=cache, clock=clock)
+        client = InProcessClient(first_core)
+        token = ensure_ok(await client.hello("t", **HELLO_KW)).payload[
+            "resume"
+        ]
+        await _client_window(client, "t", WINDOW_A)
+        await first_core.drain()
+        await first_core.stop()
+        stored = cache.get_payload(token, SessionCheckpoint)
+        cache.put_payload(token, _posterior_format(stored, pdf_table))
+
+        second_core = ServiceCore(config, warm_store=cache, clock=clock)
+        client = InProcessClient(second_core)
+        try:
+            resumed = ensure_ok(await client.hello(
+                "t", resume=token, **HELLO_KW
+            ))
+            assert resumed.payload["restored"] is False
+            rejected = second_core.registry.counter("serve_resume_rejected")
+            assert rejected.value == 1
+            assert second_core.shards[0].sessions["t"].n_robots == 0
         finally:
             await second_core.stop()
 
