@@ -213,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds of idleness before a tenant session "
                             "is evicted (0 disables)")
     serve.add_argument("--warm-cache", metavar="DIR", default=None,
-                       help="use this result-cache directory as the "
-                            "calibration warm-start store AND the "
-                            "checkpoint persistence layer")
+                       help="persist session checkpoints in this "
+                            "result-cache directory so sessions survive "
+                            "a restart")
     serve.add_argument("--no-checkpointing", action="store_true",
                        help="disable session checkpointing (crashes and "
                             "evictions lose sessions)")
@@ -711,9 +711,9 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     from repro.serve import LocalizationServer, ServeConfig, ServiceCore
 
-    warm_store = None
+    checkpoint_cache = None
     if args.warm_cache is not None:
-        warm_store = ResultCache(root=args.warm_cache)
+        checkpoint_cache = ResultCache(root=args.warm_cache)
     try:
         config = ServeConfig(
             host=args.host,
@@ -733,7 +733,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         return 2
 
     async def _run() -> int:
-        core = ServiceCore(config, warm_store=warm_store)
+        core = ServiceCore(config, checkpoint_cache=checkpoint_cache)
         server = LocalizationServer(core)
         try:
             await server.start()
@@ -747,7 +747,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
               "/readyz on the same port"
               % (config.host, server.port, config.n_shards,
                  "" if config.checkpointing else ", checkpointing off",
-                 ", warm cache %s" % args.warm_cache
+                 ", checkpoints persisted to %s" % args.warm_cache
                  if args.warm_cache else ""), file=out)
         if args.smoke:
             code = await _serve_smoke(server, out)

@@ -191,14 +191,6 @@ class PdfTable:
         # floor-level density just like DistanceDistribution.pdf.
         self._luts: Dict[int, np.ndarray] = {}
 
-    def __getstate__(self):
-        # Keep pickles (process-pool workers, the orchestrator's result
-        # cache) small and deterministic: LUTs are derived data and
-        # rebuild lazily on first use after unpickling.
-        state = self.__dict__.copy()
-        state["_luts"] = {}
-        return state
-
     @property
     def support_max_m(self) -> float:
         """Upper end of the distance support (metres)."""

@@ -16,7 +16,7 @@ from repro.multicast.lifetime import (
     predict_link_lifetime,
 )
 from repro.multicast.flooding import DuplicateCache
-from repro.multicast.mesh import connectivity_graph, mesh_graph
+from repro.multicast.mesh import connectivity_graph
 from repro.multicast.odmrp import (
     MulticastStats,
     OdmrpConfig,
@@ -35,5 +35,4 @@ __all__ = [
     "MrmmConfig",
     "MrmmNode",
     "connectivity_graph",
-    "mesh_graph",
 ]

@@ -1,16 +1,15 @@
-"""Graph views of connectivity and the multicast mesh.
+"""Graph view of radio connectivity.
 
-These helpers build :mod:`networkx` graphs from simulation state.  They are
-*analysis* tools — protocols never read them — used by tests (which
-robots the mesh holds, link distances) and by the offline geographic
-routing study.  networkx is
-loaded on first use, so importing :mod:`repro.multicast` (every simulator
-and serve process does) does not load it.
+:func:`connectivity_graph` builds a :mod:`networkx` graph from node
+positions.  It is an *analysis* tool — protocols never read it — used by
+the offline geographic routing study.  networkx is loaded on first use,
+so importing :mod:`repro.multicast` (every simulator and serve process
+does) does not load it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict
 
 from repro.util.geometry import Vec2
 
@@ -46,22 +45,3 @@ def connectivity_graph(
             if d <= link_range_m:
                 graph.add_edge(a, b, distance=d)
     return graph
-
-
-def mesh_graph(
-    positions: Dict[int, Vec2],
-    link_range_m: float,
-    forwarders: Set[int],
-    source: int,
-    members: Iterable[int],
-) -> nx.Graph:
-    """Subgraph of connectivity induced by the mesh participants.
-
-    The mesh consists of the source, the current forwarding group and the
-    group members; data flows over connectivity edges among them.
-    """
-    participants = set(forwarders) | {source} | set(members)
-    mesh_positions = {
-        node: pos for node, pos in positions.items() if node in participants
-    }
-    return connectivity_graph(mesh_positions, link_range_m)

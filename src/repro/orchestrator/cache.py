@@ -110,8 +110,8 @@ class ResultCache:
         """Generic typed lookup: the stored object, or ``None``.
 
         The type check is part of the contract — a fingerprint scheme
-        that stores :class:`~repro.core.pdf_table.PdfTable` payloads
-        (the serve warm-start store) shares the cache with
+        that stores other payloads (serve's ``ckpt-`` session
+        checkpoints) shares the cache with
         :class:`~repro.core.team.TeamResult` entries, and a prefix
         collision must read as a miss, never as a wrongly-typed hit.
         """

@@ -51,7 +51,6 @@ from repro.serve.session import (
     CalibrationStore,
     SessionLimits,
     TenantSession,
-    calibration_fingerprint,
 )
 from repro.serve.shard import Shard, shard_index_for
 from repro.serve.supervisor import ShardSupervisor
@@ -85,7 +84,6 @@ __all__ = [
     "CalibrationStore",
     "SessionLimits",
     "TenantSession",
-    "calibration_fingerprint",
     "Shard",
     "shard_index_for",
     "ShardSupervisor",

@@ -51,8 +51,8 @@ def checkpoint_fingerprint(hello: HelloRequest) -> str:
     estimator pipeline (geometry, calibration identity) —
     exact ``float.hex`` encoding, so two geometries that differ in the
     last bit get distinct addresses.  Prefixed so checkpoint payloads
-    can never collide with TeamResult or calibration entries inside the
-    shared orchestrator cache.
+    can never collide with TeamResult entries inside the shared
+    orchestrator cache.
     """
     token = "checkpoint|tenant=%s|seed=%d|samples=%d|area=%s|grid=%s|min=%d" % (
         hello.tenant,

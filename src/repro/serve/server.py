@@ -3,7 +3,7 @@
 Two layers:
 
 - :class:`ServiceCore` is the transport-free heart — shards, sessions,
-  the warm-start calibration store and the telemetry registry.  Tests
+  the calibration-table store and the telemetry registry.  Tests
   and the in-process client drive it directly; the TCP front end is a
   thin shell around it.
 - :class:`LocalizationServer` owns the socket: newline-delimited JSON
@@ -25,7 +25,7 @@ Backpressure stack, outermost first:
 
 Durability stack (``checkpointing`` on, the default): a
 :class:`~repro.serve.checkpoint.CheckpointStore` shared by every shard
-(persisted through the warm-start cache when one is given), one
+(persisted to disk when a checkpoint cache is given), one
 :class:`~repro.serve.supervisor.ShardSupervisor` per shard reviving
 dead workers and re-hydrating lost sessions, and a graceful
 :meth:`ServiceCore.drain` that refuses new work, finishes queued work
@@ -52,17 +52,17 @@ from repro.serve.protocol import (
 from repro.obs.oplog import OpsLog
 from repro.obs.trace import TRACE_MODES, RequestTracer, TraceConfig
 from repro.serve.checkpoint import CheckpointStore
-from repro.serve.session import (
-    CalibrationStore,
-    SessionLimits,
-    TenantSession,
-)
+from repro.serve.session import CalibrationStore, TenantSession
 from repro.serve.shard import Shard, shard_index_for
 from repro.serve.supervisor import ShardSupervisor
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.registry import DURATION_EDGES_S, MetricsRegistry
 
 __all__ = ["ServeConfig", "ServiceCore", "LocalizationServer"]
+
+#: Per-connection response backlog before the reader pauses
+#: (slow-consumer backpressure).
+REPLY_QUEUE_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,6 @@ class ServeConfig:
         session_ttl_s: idle seconds before a tenant session is evicted
             (0 disables eviction).
         sweep_interval_s: idle-eviction sweep cadence per shard.
-        max_robots_per_tenant: estimator lanes one session may hold.
-        max_pending_observations: buffered observations per robot per
-            beacon window.
-        reply_queue_limit: per-connection response backlog before the
-            reader pauses (slow-consumer backpressure).
         checkpointing: checkpoint sessions on window close / eviction /
             drain and re-hydrate them after crashes (see
             :mod:`repro.serve.checkpoint`).  Off = the pre-durability
@@ -98,7 +93,6 @@ class ServeConfig:
         trace_sample_every: head-sampling period in ``sampled`` mode.
         trace_slow_ms: tail-sampling latency threshold (ms) in
             ``sampled`` mode.
-        trace_max_spans: span-buffer capacity (oldest evicted first).
     """
 
     host: str = "127.0.0.1"
@@ -108,23 +102,17 @@ class ServeConfig:
     tenant_inflight_limit: int = 32
     session_ttl_s: float = 300.0
     sweep_interval_s: float = 1.0
-    max_robots_per_tenant: int = 256
-    max_pending_observations: int = 1024
-    reply_queue_limit: int = 128
     checkpointing: bool = True
     supervise: bool = True
     trace_mode: str = "sampled"
     trace_sample_every: int = 128
     trace_slow_ms: float = 25.0
-    trace_max_spans: int = 50_000
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.reply_queue_limit < 1:
-            raise ValueError("reply_queue_limit must be >= 1")
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(
                 "trace_mode must be one of %r" % (TRACE_MODES,)
@@ -136,7 +124,6 @@ class ServeConfig:
             mode=self.trace_mode,
             head_sample_every=self.trace_sample_every,
             slow_ms=self.trace_slow_ms,
-            max_spans=self.trace_max_spans,
         )
 
 
@@ -147,9 +134,9 @@ class ServiceCore:
         config: deployment knobs.
         registry: telemetry registry (a fresh one by default; the
             ``/metrics`` endpoint renders it).
-        warm_store: optional
-            :class:`~repro.orchestrator.cache.ResultCache` used as the
-            calibration warm-start store.
+        checkpoint_cache: optional
+            :class:`~repro.orchestrator.cache.ResultCache` that persists
+            session checkpoints across process restarts.
         clock: monotonic time source shared by shards and sessions
             (injectable so TTL tests never sleep).
     """
@@ -158,7 +145,7 @@ class ServiceCore:
         self,
         config: Optional[ServeConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        warm_store=None,
+        checkpoint_cache=None,
         clock=None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
@@ -170,20 +157,13 @@ class ServiceCore:
             self.config.trace_config(), registry=self.registry
         )
         self.ops = OpsLog()
-        self.calibrations = CalibrationStore(
-            warm_store=warm_store, registry=self.registry
-        )
-        # Checkpoints share the warm-start cache's disk layer when one
-        # is given (distinct ``ckpt-`` prefix, typed loads), so a single
-        # --cache flag buys both calibration reuse and crash durability.
+        self.calibrations = CalibrationStore(registry=self.registry)
+        # Checkpoints persist through the cache when one is given
+        # (``ckpt-`` addresses, typed loads), so they survive a restart.
         self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(cache=warm_store, registry=self.registry)
+            CheckpointStore(cache=checkpoint_cache, registry=self.registry)
             if self.config.checkpointing
             else None
-        )
-        self._limits = SessionLimits(
-            max_robots=self.config.max_robots_per_tenant,
-            max_pending_observations=self.config.max_pending_observations,
         )
         self.shards: List[Shard] = [
             Shard(
@@ -217,7 +197,6 @@ class ServiceCore:
         return TenantSession(
             hello,
             table=self.calibrations.table_for(hello),
-            limits=self._limits,
             clock=self._clock,
             registry=self.registry,
             checkpoints=self.checkpoints,
@@ -433,9 +412,7 @@ class LocalizationServer:
     ) -> None:
         registry = self.core.registry
         registry.counter("serve_connections_total").inc()
-        replies: "asyncio.Queue" = asyncio.Queue(
-            maxsize=self.core.config.reply_queue_limit
-        )
+        replies: "asyncio.Queue" = asyncio.Queue(maxsize=REPLY_QUEUE_LIMIT)
         writer_task = asyncio.get_running_loop().create_task(
             self._write_replies(replies, writer)
         )

@@ -1,4 +1,4 @@
-"""Per-tenant estimator sessions and the warm-start calibration store.
+"""Per-tenant estimator sessions and the calibration-table store.
 
 A :class:`TenantSession` owns one tenant's live localization state: one
 RF-only :class:`~repro.core.estimator.PositionEstimator` per robot, fed
@@ -36,16 +36,13 @@ never executed (or whose effect a checkpoint restore rolled back, which
 also rolls back the cache) simply executes again.
 
 Calibration tables are a property of the radio hardware, not the
-tenant, and cost ~1 s to build at paper fidelity — so
-:class:`CalibrationStore` shares them across tenants in-process and
-warm-starts them from the orchestrator's content-addressed cache
-(:meth:`~repro.orchestrator.cache.ResultCache.get_payload`) across
-processes.
+tenant, so :class:`CalibrationStore` builds each one once per process
+and shares it across tenants.  The build is deterministic, so a
+restarted process that resumes a checkpoint rebuilds the same table.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -75,7 +72,6 @@ __all__ = [
     "SessionLimits",
     "TenantSession",
     "CalibrationStore",
-    "calibration_fingerprint",
 ]
 
 
@@ -614,45 +610,21 @@ def _ZERO_CLOCK() -> float:
     return 0.0
 
 
-# -- calibration warm-start --------------------------------------------------
-
-
-def calibration_fingerprint(
-    seed: int,
-    samples: int,
-    path_loss: Optional[PathLossModel] = None,
-    receiver: Optional[ReceiverModel] = None,
-) -> str:
-    """Content hash naming one calibration table in the warm-start store.
-
-    Prefixed so calibration payloads can never collide with TeamResult
-    fingerprints inside the shared orchestrator cache.
-    """
-    path_loss = path_loss if path_loss is not None else PathLossModel()
-    receiver = receiver if receiver is not None else ReceiverModel()
-    token = "calibration|seed=%d|samples=%d|%r|%r" % (
-        seed, samples, path_loss, receiver,
-    )
-    return "cal-" + hashlib.sha256(token.encode("utf-8")).hexdigest()
+# -- calibration tables ------------------------------------------------------
 
 
 class CalibrationStore:
-    """Shares calibrated PDF tables across tenants and processes.
+    """Shares calibrated PDF tables across the tenants of one process.
 
-    Lookup order: in-process dict (keyed by seed and sample count) →
-    the orchestrator's content-addressed cache (when given) → a fresh
-    :func:`~repro.core.calibration.build_pdf_table` run, whose result
-    is pushed back into both layers.
+    Tables are keyed by ``(calibration_seed, calibration_samples)``; a
+    miss runs :func:`~repro.core.calibration.build_pdf_table`, which is
+    deterministic, so a restarted process rebuilds the same bytes.
 
     Args:
-        warm_store: optional
-            :class:`~repro.orchestrator.cache.ResultCache`; its payload
-            API persists tables across server restarts.
         registry: telemetry registry (hit/miss counters).
     """
 
-    def __init__(self, warm_store=None, registry=NULL_REGISTRY) -> None:
-        self._warm_store = warm_store
+    def __init__(self, registry=NULL_REGISTRY) -> None:
         self._registry = registry
         self._tables: Dict[Tuple[int, int], PdfTable] = {}
 
@@ -667,25 +639,15 @@ class CalibrationStore:
         if table is not None:
             self._registry.counter("serve_warmstart_hits").inc()
             return table
-        table = self._warm_table(*key)
-        self._tables[key] = table
-        return table
-
-    def _warm_table(self, seed: int, samples: int) -> PdfTable:
-        fingerprint = calibration_fingerprint(seed, samples)
-        if self._warm_store is not None:
-            cached = self._warm_store.get_payload(fingerprint, PdfTable)
-            if cached is not None:
-                self._registry.counter("serve_warmstart_hits").inc()
-                return cached
         self._registry.counter("serve_warmstart_misses").inc()
+        seed, samples = key
         try:
-            result = build_pdf_table(
+            table = build_pdf_table(
                 PathLossModel(),
                 RandomStreams(seed).get("calibration"),
                 n_samples=samples,
                 receiver=ReceiverModel(),
-            )
+            ).table
         except ValueError:
             # The hello itself is at fault: too few samples for any bin
             # to reach the fit floor.  The shard answers bad_request.
@@ -693,8 +655,5 @@ class CalibrationStore:
                 "calibration_samples=%d populates no PDF-Table bin at "
                 "calibration_seed=%d; send more samples" % (samples, seed)
             ) from None
-        if self._warm_store is not None:
-            self._warm_store.put_payload(
-                fingerprint, result.table, job_name="serve-calibration"
-            )
-        return result.table
+        self._tables[key] = table
+        return table

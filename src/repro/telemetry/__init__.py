@@ -24,8 +24,6 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    global_registry,
-    set_global_registry,
 )
 from repro.telemetry.report import render_report
 from repro.telemetry.snapshot import (
@@ -46,8 +44,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "global_registry",
-    "set_global_registry",
     "DURATION_EDGES_S",
     "DISTANCE_EDGES_M",
     "COUNT_EDGES",

@@ -31,8 +31,6 @@ __all__ = [
     "DURATION_EDGES_S",
     "DISTANCE_EDGES_M",
     "COUNT_EDGES",
-    "global_registry",
-    "set_global_registry",
 ]
 
 #: Fixed bucket edges for wall/sim durations in seconds (log-ish spacing).
@@ -311,23 +309,3 @@ class NullRegistry:
 
 #: The shared disabled-mode shim.
 NULL_REGISTRY = NullRegistry()
-
-_global_registry = NULL_REGISTRY
-
-
-def global_registry():
-    """The process-wide default registry (the no-op shim until enabled).
-
-    Only code with no natural scope (orchestrator-level accounting) should
-    fall back to this; simulation components always receive an explicit
-    registry so concurrent runs cannot interleave metrics.
-    """
-    return _global_registry
-
-
-def set_global_registry(registry) -> None:
-    """Install (or, with :data:`NULL_REGISTRY`, disable) the process-wide
-    default registry.  Returns nothing; passing ``None`` restores the
-    shim."""
-    global _global_registry
-    _global_registry = registry if registry is not None else NULL_REGISTRY

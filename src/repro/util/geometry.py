@@ -177,11 +177,6 @@ def distance(a: Vec2, b: Vec2) -> float:
     return a.distance_to(b)
 
 
-def heading_between(a: Vec2, b: Vec2) -> float:
-    """Heading (radians) of the ray from ``a`` to ``b``."""
-    return a.heading_to(b)
-
-
 def normalize_angle(angle: float) -> float:
     """Normalize an angle in radians into ``(-pi, pi]``."""
     angle = math.fmod(angle, TWO_PI)
@@ -205,8 +200,3 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
     angles[low] += TWO_PI
     angles[high] -= TWO_PI
     return angles
-
-
-def wrap_angle_deg(angle_deg: float) -> float:
-    """Normalize an angle in degrees into ``(-180, 180]``."""
-    return math.degrees(normalize_angle(math.radians(angle_deg)))

@@ -30,22 +30,6 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-def db_to_ratio(db: float) -> float:
-    """Convert a gain/loss in dB to a linear power ratio."""
-    return 10.0 ** (db / 10.0)
-
-
-def ratio_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to dB.
-
-    Raises:
-        ValueError: if ``ratio`` is not strictly positive.
-    """
-    if ratio <= 0.0:
-        raise ValueError("power ratio must be positive, got %r" % ratio)
-    return 10.0 * math.log10(ratio)
-
-
 def joules(milliwatts: float, seconds: float) -> float:
     """Energy in joules consumed by drawing ``milliwatts`` for ``seconds``."""
     if seconds < 0:

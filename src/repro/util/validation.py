@@ -7,7 +7,6 @@ a silently wrong simulation.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 Number = Union[int, float]
@@ -24,13 +23,6 @@ def check_non_negative(name: str, value: Number) -> Number:
     """Require ``value >= 0``; return it for chaining."""
     if not value >= 0:
         raise ValueError("%s must be non-negative, got %r" % (name, value))
-    return value
-
-
-def check_finite(name: str, value: Number) -> Number:
-    """Require ``value`` to be a finite number; return it for chaining."""
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite, got %r" % (name, value))
     return value
 
 

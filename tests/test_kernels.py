@@ -234,19 +234,6 @@ class TestPdfTableLut:
             assert l1 < 0.02
             assert float(np.max(np.abs(lut - exact) / exact)) < 0.25
 
-    def test_pickle_drops_luts(self, pdf_table):
-        import pickle
-
-        lo, hi = pdf_table.rssi_range
-        distances = np.linspace(0.0, 50.0, 100)
-        key = pdf_table.bin_key_for((lo + hi) / 2.0)
-        expected = pdf_table.pdf_for_key(key, distances).copy()
-        clone = pickle.loads(pickle.dumps(pdf_table))
-        assert not clone._luts  # derived data is rebuilt, not shipped
-        assert clone.pdf_for_key(key, distances).tobytes() == (
-            expected.tobytes()
-        )
-
 
 class TestConstraintFieldCache:
     def test_grid_signature_mismatch_rejected(self):

@@ -8,7 +8,6 @@ from repro.mobility.waypoint import WaypointMobility
 from repro.multicast.lifetime import kinematics_of
 from repro.multicast.mesh import (
     connectivity_graph,
-    mesh_graph,
 )
 from repro.multicast.mrmm import MrmmConfig, MrmmNode
 from repro.multicast.odmrp import OdmrpConfig, OdmrpNode
@@ -278,13 +277,6 @@ class TestMeshGraph:
     def test_edge_annotated_with_distance(self):
         graph = connectivity_graph({0: Vec2(0, 0), 1: Vec2(30, 40)}, 100.0)
         assert graph.edges[0, 1]["distance"] == pytest.approx(50.0)
-
-    def test_mesh_graph_restricted_to_participants(self):
-        positions = {i: Vec2(40.0 * i, 0) for i in range(5)}
-        graph = mesh_graph(
-            positions, 100.0, forwarders={1}, source=0, members=[2]
-        )
-        assert set(graph.nodes) == {0, 1, 2}
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Unit tests for the streaming localization service.
 
 Covers the wire protocol, per-tenant sessions (buffer/sort/close
-semantics, limits), the calibration warm-start store, shard queueing and
+semantics, limits), the calibration-table store, shard queueing and
 eviction, and the TCP front end including the ``/metrics`` scrape.
 """
 
@@ -29,7 +29,6 @@ from repro.serve import (
     SessionLimits,
     Shard,
     TenantSession,
-    calibration_fingerprint,
     shard_index_for,
 )
 from repro.serve.protocol import (
@@ -345,14 +344,6 @@ def test_session_stats_and_idle_tracking(pdf_table):
 # -- calibration store --------------------------------------------------------
 
 
-def test_calibration_fingerprint_is_prefixed_and_stable():
-    a = calibration_fingerprint(1, 1000)
-    assert a.startswith("cal-")
-    assert a == calibration_fingerprint(1, 1000)
-    assert a != calibration_fingerprint(2, 1000)
-    assert a != calibration_fingerprint(1, 2000)
-
-
 def test_calibration_store_shares_tables_in_process():
     store = CalibrationStore()
     first = store.table_for(_hello(calibration_samples=2000))
@@ -360,20 +351,6 @@ def test_calibration_store_shares_tables_in_process():
     assert first is second
     different = store.table_for(_hello(calibration_samples=3000))
     assert different is not first
-
-
-def test_calibration_store_warm_starts_from_result_cache(tmp_path):
-    cache = ResultCache(root=str(tmp_path / "cache"))
-    cold = CalibrationStore(warm_store=cache)
-    table = cold.table_for(_hello(calibration_samples=2000))
-    assert cache.stats.stores == 1
-    # A fresh process (new store instance) warm-starts from disk.
-    warm_cache = ResultCache(root=str(tmp_path / "cache"))
-    warm = CalibrationStore(warm_store=warm_cache)
-    restored = warm.table_for(_hello(calibration_samples=2000))
-    assert warm_cache.stats.hits == 1
-    assert restored.rssi_range == table.rssi_range
-    assert isinstance(restored, PdfTable)
 
 
 def test_result_cache_payload_type_check(tmp_path):

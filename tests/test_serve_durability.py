@@ -677,7 +677,7 @@ def test_sessions_survive_process_restart_through_cache(tmp_path):
         cache = ResultCache(root=str(tmp_path / "serve-cache"))
         first_core = ServiceCore(
             ServeConfig(n_shards=1, sweep_interval_s=3600.0),
-            warm_store=cache, clock=clock,
+            checkpoint_cache=cache, clock=clock,
         )
         client = InProcessClient(first_core)
         hello = ensure_ok(await client.hello("t", **HELLO_KW))
@@ -688,7 +688,7 @@ def test_sessions_survive_process_restart_through_cache(tmp_path):
         # A new core over the same cache directory = restarted process.
         second_core = ServiceCore(
             ServeConfig(n_shards=1, sweep_interval_s=3600.0),
-            warm_store=cache, clock=clock,
+            checkpoint_cache=cache, clock=clock,
         )
         client = InProcessClient(second_core)
         try:
@@ -696,8 +696,16 @@ def test_sessions_survive_process_restart_through_cache(tmp_path):
                 "t", resume=token, **HELLO_KW
             ))
             assert resumed.payload["restored"] is True
+            # The restarted process rebuilt its table; the fixes below
+            # prove the rebuild resumes bit for bit.
+            misses = second_core.registry.counter("serve_warmstart_misses")
+            assert misses.value == 1
             second = await _client_window(client, "t", WINDOW_B)
             assert (_fix_bytes(first), _fix_bytes(second)) == want
+            # Checkpoints are the only thing the cache persists.
+            entries = cache.entries()
+            assert entries
+            assert {entry.job for entry in entries} == {"serve-checkpoint"}
         finally:
             await second_core.stop()
 
@@ -714,7 +722,7 @@ def test_posterior_checkpoint_left_in_a_warm_cache_is_rejected(
         clock = _FakeClock()
         cache = ResultCache(root=str(tmp_path / "serve-cache"))
         config = ServeConfig(n_shards=1, sweep_interval_s=3600.0)
-        first_core = ServiceCore(config, warm_store=cache, clock=clock)
+        first_core = ServiceCore(config, checkpoint_cache=cache, clock=clock)
         client = InProcessClient(first_core)
         token = ensure_ok(await client.hello("t", **HELLO_KW)).payload[
             "resume"
@@ -725,7 +733,7 @@ def test_posterior_checkpoint_left_in_a_warm_cache_is_rejected(
         stored = cache.get_payload(token, SessionCheckpoint)
         cache.put_payload(token, _posterior_format(stored, pdf_table))
 
-        second_core = ServiceCore(config, warm_store=cache, clock=clock)
+        second_core = ServiceCore(config, checkpoint_cache=cache, clock=clock)
         client = InProcessClient(second_core)
         try:
             resumed = ensure_ok(await client.hello(

@@ -29,13 +29,11 @@ from repro.telemetry import (
     SpanTracer,
     Telemetry,
     TelemetrySnapshot,
-    global_registry,
     merge_snapshots,
     prometheus_text,
     read_jsonl,
     read_trace_jsonl,
     render_report,
-    set_global_registry,
     write_jsonl,
     write_perfetto_json,
 )
@@ -126,16 +124,6 @@ class TestInstruments:
         assert not NULL_REGISTRY.enabled
         # The shim shares one instrument: nothing is ever allocated.
         assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("z")
-
-    def test_global_registry_defaults_to_shim(self):
-        assert global_registry() is NULL_REGISTRY
-        try:
-            registry = MetricsRegistry()
-            set_global_registry(registry)
-            assert global_registry() is registry
-        finally:
-            set_global_registry(None)
-        assert global_registry() is NULL_REGISTRY
 
 
 class TestSpanTracer:

@@ -8,9 +8,7 @@ from repro.util.geometry import (
     Rect,
     Vec2,
     distance,
-    heading_between,
     normalize_angle,
-    wrap_angle_deg,
 )
 
 
@@ -142,12 +140,5 @@ class TestAngleHelpers:
         assert normalize_angle(math.pi) == pytest.approx(math.pi)
         assert normalize_angle(-math.pi) == pytest.approx(math.pi)
 
-    def test_wrap_angle_deg(self):
-        assert wrap_angle_deg(190.0) == pytest.approx(-170.0)
-        assert wrap_angle_deg(-190.0) == pytest.approx(170.0)
-
     def test_module_level_helpers(self):
         assert distance(Vec2(0, 0), Vec2(0, 2)) == pytest.approx(2.0)
-        assert heading_between(Vec2(0, 0), Vec2(-1, 0)) == pytest.approx(
-            math.pi
-        )

@@ -1,19 +1,14 @@
 """Unit tests for repro.util.units and repro.util.validation."""
 
-import math
-
 import pytest
 
 from repro.util.units import (
     DBM_MIN,
-    db_to_ratio,
     dbm_to_mw,
     joules,
     mw_to_dbm,
-    ratio_to_db,
 )
 from repro.util.validation import (
-    check_finite,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -38,14 +33,6 @@ class TestPowerConversions:
         assert mw_to_dbm(0.0) == DBM_MIN
         assert mw_to_dbm(-1.0) == DBM_MIN
 
-    def test_db_ratio_roundtrip(self):
-        assert db_to_ratio(3.0) == pytest.approx(10 ** 0.3)
-        assert ratio_to_db(db_to_ratio(7.5)) == pytest.approx(7.5)
-
-    def test_ratio_to_db_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ratio_to_db(0.0)
-
     def test_joules(self):
         # 900 mW for 1800 s = 1620 J: the paper's idle baseline per node.
         assert joules(900.0, 1800.0) == pytest.approx(1620.0)
@@ -67,13 +54,6 @@ class TestValidation:
         assert check_non_negative("x", 0) == 0
         with pytest.raises(ValueError):
             check_non_negative("x", -0.1)
-
-    def test_check_finite(self):
-        assert check_finite("x", 1.5) == 1.5
-        with pytest.raises(ValueError):
-            check_finite("x", math.inf)
-        with pytest.raises(ValueError):
-            check_finite("x", math.nan)
 
     def test_check_in_range(self):
         assert check_in_range("x", 5, 0, 10) == 5
