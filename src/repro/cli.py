@@ -630,12 +630,8 @@ def cmd_report(args: argparse.Namespace, out) -> int:
         # Cached TeamResults carry their base snapshot, so a report over
         # a finished sweep needs no re-simulation.
         cache = ResultCache(root=args.cache_dir)
-        seen = set()
-        for entry in cache.entries():
-            if entry.fingerprint in seen:
-                continue
-            seen.add(entry.fingerprint)
-            result = cache.get(entry.fingerprint)
+        for fingerprint in cache.fingerprints():
+            result = cache.get(fingerprint)
             snapshot = getattr(result, "telemetry", None)
             if snapshot is not None:
                 snapshots.append(snapshot)

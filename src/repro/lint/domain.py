@@ -8,7 +8,7 @@ Every rule encodes one invariant the reproduction's results rest on:
 - REP002: simulation code reads simulated time from the engine clock,
   never the wall clock.  Absolute wall-clock timestamps (``time.time``,
   ``datetime.now``) are banned everywhere because they leak
-  nondeterminism into artifacts (cache manifests, reports); relative
+  nondeterminism into artifacts (sweep logs, reports); relative
   timers (``perf_counter`` &c.) are additionally banned inside the
   sim-facing packages.
 - REP003: iterating a set produces a hash-order sequence (randomized

@@ -2,14 +2,16 @@
 
 Layout (under the cache root, ``.repro_cache/`` by default)::
 
-    <root>/<salt>/<fp[:2]>/<fingerprint>.pkl   pickled TeamResult
-    <root>/<salt>/manifest.jsonl               one JSON line per store
+    <root>/<salt>/<fp[:2]>/<fingerprint>.pkl   one pickled payload
+    <root>/<salt>/sweeps.jsonl                 one JSON line per sweep
 
 ``salt`` is the code-version salt (:data:`~repro.orchestrator.jobs.CODE_VERSION`);
 changing it orphans every older entry, which is exactly the invalidation
-we want after a change that alters simulation output.  The manifest is an
-append-only human-readable index (fingerprint, job name, wall seconds) so
-``ls``-ing the cache is never required to know what is in it.
+we want after a change that alters simulation output.  The directory is
+its own index: :meth:`ResultCache.fingerprints` lists the stored
+entries, and a re-``put`` overwrites its file, so a latest-wins payload
+(serve's session checkpoints) occupies one file however often it is
+stored.
 
 The cache is strictly best-effort: a corrupt pickle, an unreadable
 directory or an unwritable filesystem downgrades to a miss (the sweep
@@ -19,13 +21,13 @@ recomputes) and bumps :attr:`CacheStats.errors` — it never raises out of
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import pickle
 import shutil
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.core.team import TeamResult
 from repro.orchestrator.jobs import CODE_VERSION
@@ -49,17 +51,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     errors: int = 0
-
-
-@dataclass
-class ManifestEntry:
-    """One line of the cache manifest."""
-
-    fingerprint: str
-    job: str
-    wall_s: float
-    written_at: float
-    extra: dict = field(default_factory=dict)
 
 
 class ResultCache:
@@ -91,10 +82,6 @@ class ResultCache:
         )
 
     @property
-    def manifest_path(self) -> str:
-        return os.path.join(self._partition, "manifest.jsonl")
-
-    @property
     def sweeps_path(self) -> str:
         """Append-only log of sweep-level summaries (``repro report``
         reads it for orchestrator-side numbers like the cache hit rate)."""
@@ -102,12 +89,8 @@ class ResultCache:
 
     # -- lookup / store ------------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[TeamResult]:
-        """Return the stored result, or ``None`` on miss or any error."""
-        return self.get_payload(fingerprint, TeamResult)
-
-    def get_payload(self, fingerprint: str, expected_type: type):
-        """Generic typed lookup: the stored object, or ``None``.
+    def get(self, fingerprint: str, expected_type: type = TeamResult):
+        """Return the stored payload, or ``None`` on miss or any error.
 
         The type check is part of the contract — a fingerprint scheme
         that stores other payloads (serve's ``ckpt-`` session
@@ -134,24 +117,9 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(
-        self,
-        fingerprint: str,
-        result: TeamResult,
-        job_name: str = "",
-        wall_s: float = 0.0,
-    ) -> bool:
-        """Store ``result``; returns False (and keeps going) on failure."""
-        return self.put_payload(fingerprint, result, job_name, wall_s)
-
-    def put_payload(
-        self,
-        fingerprint: str,
-        payload,
-        job_name: str = "",
-        wall_s: float = 0.0,
-    ) -> bool:
-        """Store any picklable payload under ``fingerprint``."""
+    def put(self, fingerprint: str, payload) -> bool:
+        """Store any picklable payload under ``fingerprint``; returns
+        False (and keeps going) on failure."""
         path = self.path_for(fingerprint)
         tmp = path + ".tmp.%d" % os.getpid()
         try:
@@ -168,27 +136,19 @@ class ResultCache:
                 pass
             return False
         self.stats.stores += 1
-        self._append_manifest(fingerprint, job_name, wall_s)
         return True
 
-    def _append_manifest(
-        self, fingerprint: str, job_name: str, wall_s: float
-    ) -> None:
-        line = json.dumps(
-            {
-                "fingerprint": fingerprint,
-                "job": job_name,
-                "wall_s": round(wall_s, 3),
-                # repro: noqa[REP002] manifest metadata, not a result
-                "written_at": time.time(),
-            },
-            sort_keys=True,
+    def fingerprints(self) -> List[str]:
+        """Every stored fingerprint in this salt partition, sorted.
+
+        Only finished ``<fp[:2]>/<fp>.pkl`` files count; a
+        ``.pkl.tmp.<pid>`` left by an interrupted write does not.
+        """
+        pattern = os.path.join(self._partition, "??", "*.pkl")
+        return sorted(
+            os.path.basename(path)[: -len(".pkl")]
+            for path in glob.glob(pattern)
         )
-        try:
-            with open(self.manifest_path, "a") as handle:
-                handle.write(line + "\n")
-        except Exception:
-            self.stats.errors += 1
 
     def record_sweep(self, record: dict) -> bool:
         """Append one sweep summary to ``sweeps.jsonl`` (best effort)."""
@@ -238,43 +198,6 @@ class ResultCache:
         return True
 
     # -- maintenance ---------------------------------------------------------
-
-    def entries(self) -> List[ManifestEntry]:
-        """Parse the manifest (skipping unreadable lines)."""
-        out: List[ManifestEntry] = []
-        try:
-            with open(self.manifest_path) as handle:
-                for raw in handle:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        data = json.loads(raw)
-                        out.append(
-                            ManifestEntry(
-                                fingerprint=data.pop("fingerprint"),
-                                job=data.pop("job", ""),
-                                wall_s=float(data.pop("wall_s", 0.0)),
-                                written_at=float(data.pop("written_at", 0.0)),
-                                extra=data,
-                            )
-                        )
-                    except Exception:
-                        continue
-        except OSError:
-            return out
-        return out
-
-    def size_bytes(self) -> int:
-        """Total bytes stored across every salt partition."""
-        total = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                try:
-                    total += os.path.getsize(os.path.join(dirpath, name))
-                except OSError:
-                    continue
-        return total
 
     def clear(self) -> None:
         """Wipe the whole cache root (every salt partition)."""

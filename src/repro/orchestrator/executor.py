@@ -43,6 +43,15 @@ from repro.telemetry.registry import DURATION_EDGES_S, Histogram
 
 IndexedJob = Tuple[int, SweepJob]
 
+#: Attempts per job before the pool backend aborts the sweep.
+MAX_ATTEMPTS = 3
+#: First retry delay; doubles per failure up to :data:`BACKOFF_MAX_S`.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+#: Seed of the retry-jitter PRNG (kept deterministic so retried sweeps
+#: behave reproducibly under test).
+BACKOFF_SEED = 0
+
 
 class SweepExecutionError(RuntimeError):
     """A job kept failing after every allowed attempt."""
@@ -100,32 +109,23 @@ class ProcessPoolBackend:
     failures.
 
     Results are yielded as they complete (the caller restores job order).
-    Three hardening layers wrap the happy path:
+    Two hardening layers wrap the happy path:
 
     - **retry with backoff**: a job whose attempt raises is resubmitted
-      up to ``max_attempts`` times, sleeping an exponentially growing,
-      jittered interval between attempts (the jitter draws from a
-      dedicated seeded PRNG, so scheduling noise never touches any
+      up to :data:`MAX_ATTEMPTS` times, sleeping an exponentially
+      growing, jittered interval between attempts (the jitter draws from
+      a dedicated seeded PRNG, so scheduling noise never touches any
       simulation stream);
-    - **per-job timeout**: an attempt running longer than ``timeout_s``
-      is charged a failure and its pool is torn down (terminating the
-      stuck worker) and respawned;
     - **broken-pool recovery**: when a worker dies (OOM kill, segfault,
       interpreter crash) the ``BrokenProcessPool`` is discarded, the
       attempt that died is charged a failure, and every *other* in-flight
       job is resubmitted to a fresh pool without being charged.
 
-    A job that fails ``max_attempts`` times raises
+    A job that fails :data:`MAX_ATTEMPTS` times raises
     :class:`SweepExecutionError` — a sweep never silently drops a point.
 
     Args:
         n_workers: worker process count (>= 1).
-        timeout_s: per-attempt wall-clock limit (``None`` = unlimited).
-        max_attempts: attempts per job before the sweep aborts.
-        backoff_base_s: first retry delay; doubles per failure.
-        backoff_max_s: retry delay ceiling.
-        backoff_seed: seed of the jitter PRNG (kept deterministic so
-            retried sweeps behave reproducibly under test).
         task: the callable shipped to workers; injectable for tests.
     """
 
@@ -134,37 +134,20 @@ class ProcessPoolBackend:
     on_start: Optional[Callable[[int], None]] = None
 
     def __init__(
-        self,
-        n_workers: int,
-        timeout_s: Optional[float] = None,
-        max_attempts: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_max_s: float = 2.0,
-        backoff_seed: int = 0,
-        task: Optional[Callable] = None,
+        self, n_workers: int, task: Optional[Callable] = None
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1, got %d" % n_workers)
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive, got %r" % timeout_s)
-        if max_attempts < 1:
-            raise ValueError(
-                "max_attempts must be >= 1, got %d" % max_attempts
-            )
         self.n_workers = n_workers
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.backoff_seed = backoff_seed
         self._task = task if task is not None else _timed_run
 
     def _new_pool(self, n_pending: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=min(self.n_workers, n_pending))
 
-    def _backoff_s(self, failures: int, rng: random.Random) -> float:
-        delay = self.backoff_base_s * (2.0 ** max(failures - 1, 0))
-        return min(delay, self.backoff_max_s) * (0.5 + rng.random())
+    @staticmethod
+    def _backoff_s(failures: int, rng: random.Random) -> float:
+        delay = BACKOFF_BASE_S * (2.0 ** max(failures - 1, 0))
+        return min(delay, BACKOFF_MAX_S) * (0.5 + rng.random())
 
     @staticmethod
     def _terminate(pool: ProcessPoolExecutor) -> None:
@@ -190,23 +173,17 @@ class ProcessPoolBackend:
         attempts = {index: 0 for index, _ in pending}
         failures = {index: 0 for index, _ in pending}
         # repro: noqa[REP001] seeded per-sweep retry jitter, not sim-facing
-        rng = random.Random(self.backoff_seed)
+        rng = random.Random(BACKOFF_SEED)
         pool = self._new_pool(len(pending))
         futures: Dict[object, int] = {}
-        deadlines: Dict[object, float] = {}
 
-        def fail(index: int, cause: Optional[BaseException]) -> None:
+        def fail(index: int, cause: BaseException) -> None:
             """Charge one failure; abort the sweep past the budget."""
             failures[index] += 1
-            if failures[index] >= self.max_attempts:
+            if failures[index] >= MAX_ATTEMPTS:
                 raise SweepExecutionError(
-                    "job %r failed %d time%s%s"
-                    % (
-                        jobs[index].name,
-                        failures[index],
-                        "" if failures[index] == 1 else "s",
-                        ": %s" % cause if cause is not None else "",
-                    )
+                    "job %r failed %d times: %s"
+                    % (jobs[index].name, MAX_ATTEMPTS, cause)
                 ) from cause
             time.sleep(self._backoff_s(failures[index], rng))
             queue.append(index)
@@ -220,22 +197,12 @@ class ProcessPoolBackend:
                         self.on_start(index)
                     future = pool.submit(self._task, jobs[index])
                     futures[future] = index
-                    if self.timeout_s is not None:
-                        deadlines[future] = time.monotonic() + self.timeout_s
 
-                wait_s = None
-                if deadlines:
-                    wait_s = max(
-                        min(deadlines.values()) - time.monotonic(), 0.0
-                    )
-                done, _ = wait(
-                    set(futures), timeout=wait_s, return_when=FIRST_COMPLETED
-                )
+                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
 
                 pool_broken = False
                 for future in done:
                     index = futures.pop(future)
-                    deadlines.pop(future, None)
                     try:
                         result, wall_s = future.result()
                     except BrokenProcessPool as error:
@@ -248,23 +215,13 @@ class ProcessPoolBackend:
                     else:
                         yield index, result, wall_s, attempts[index]
 
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and future in futures
-                ]
-                if expired or pool_broken:
-                    # Either path invalidates the pool: stuck workers
-                    # must be killed, dead pools cannot take new work.
-                    # Requeue the in-flight survivors uncharged.
-                    for future in expired:
-                        fail(futures[future], None)
-                    for future, index in list(futures.items()):
+                if pool_broken:
+                    # A dead pool cannot take new work.  Requeue the
+                    # in-flight survivors uncharged.
+                    for index in futures.values():
                         if index not in queue:
                             queue.append(index)
                     futures.clear()
-                    deadlines.clear()
                     self._terminate(pool)
                     pool = self._new_pool(max(len(queue), 1))
         finally:
@@ -301,8 +258,6 @@ def run_sweep(
     backend: Optional[object] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    timeout_s: Optional[float] = None,
-    max_attempts: int = 3,
     telemetry_path: Optional[str] = None,
 ) -> SweepOutcome:
     """Execute a sweep, returning results in deterministic job order.
@@ -318,10 +273,6 @@ def run_sweep(
             summary line (job counts, hit rate, wall quantiles) is also
             appended to the cache's ``sweeps.jsonl``.
         progress: optional listener for per-job progress and ETA.
-        timeout_s: per-attempt wall-clock limit for pool workers
-            (ignored for the serial backend and explicit ``backend``).
-        max_attempts: attempts per job before the sweep aborts (pool
-            backend only).
         telemetry_path: if given, write one JSONL record per job (its
             telemetry snapshot, wall/CPU time, cache status) plus a final
             sweep-summary record to this path.
@@ -329,11 +280,7 @@ def run_sweep(
     jobs = list(jobs)
     if backend is None:
         backend = (
-            ProcessPoolBackend(
-                n_jobs, timeout_s=timeout_s, max_attempts=max_attempts
-            )
-            if n_jobs > 1
-            else SerialBackend()
+            ProcessPoolBackend(n_jobs) if n_jobs > 1 else SerialBackend()
         )
     listener = progress if progress is not None else ProgressListener()
     n_workers = getattr(backend, "n_workers", 1)
@@ -401,8 +348,7 @@ def run_sweep(
         results[index] = result
         in_flight.pop(index, None)
         if cache is not None:
-            cache.put(job.fingerprint, result, job_name=job.name,
-                      wall_s=wall_s)
+            cache.put(job.fingerprint, result)
         wall_hist.observe(wall_s)
         snapshot = getattr(result, "telemetry", None)
         cpu_s = snapshot.get("orchestrator_job_cpu_s") if snapshot else 0.0

@@ -70,8 +70,8 @@ class SweepJob:
 
     Attributes:
         config: the complete scenario to run.
-        name: human-readable label used in progress output and the cache
-            manifest (e.g. ``"fig9 T=100 coord"``).
+        name: human-readable label used in progress output, telemetry
+            records and error messages (e.g. ``"fig9 T=100 coord"``).
         key: consumer-side key (seed, beacon period, (v_max, mode) tuple,
             ...) so sweep callers can reshape the flat result list back
             into their own structures.

@@ -27,7 +27,7 @@ class JobRecord:
         cached: True if the result came from the cache.
         attempts: times the job was submitted to a worker before the
             result landed (0 for cache hits, 1 for a clean run, more
-            after retries, timeouts or pool crashes).
+            after retries or pool crashes).
         cpu_s: CPU seconds the job burned in its worker (0.0 for cache
             hits, or when the result carries no telemetry snapshot).
     """

@@ -13,9 +13,8 @@ round behind the live state.
 - an in-process map (always on) — what shard supervisors re-hydrate
   from after a worker crash, with zero deserialization cost;
 - optionally the orchestrator's content-addressed
-  :class:`~repro.orchestrator.cache.ResultCache` via its typed
-  ``get_payload`` / ``put_payload`` surface — what survives a full
-  process restart.  Checkpoint fingerprints are ``ckpt-``-prefixed
+  :class:`~repro.orchestrator.cache.ResultCache` via its typed ``get``
+  and its ``put`` — what survives a full process restart.  Checkpoint fingerprints are ``ckpt-``-prefixed
   SHA-256 digests of the session *identity* (tenant + estimator
   geometry + calibration identity), so successive checkpoints of one
   session overwrite each other and the latest always wins, while two
@@ -104,8 +103,8 @@ class CheckpointStore:
 
     Args:
         cache: optional :class:`~repro.orchestrator.cache.ResultCache`;
-            when given, every save is also persisted through its typed
-            payload API so sessions survive full process restarts.
+            when given, every save is also persisted to it so sessions
+            survive full process restarts.
         registry: telemetry registry (save/load/restore counters).
     """
 
@@ -116,20 +115,14 @@ class CheckpointStore:
         self._memory: Dict[str, SessionCheckpoint] = {}
         #: tenant -> fingerprint of its newest checkpoint.
         self._latest: Dict[str, str] = {}
-        self.saves = 0
-        self.loads = 0
 
     def save(self, checkpoint: SessionCheckpoint) -> None:
         """Store ``checkpoint`` as its tenant's newest (best effort)."""
         self._memory[checkpoint.fingerprint] = checkpoint
         self._latest[checkpoint.tenant] = checkpoint.fingerprint
-        self.saves += 1
         self._registry.counter("serve_checkpoints_saved").inc()
         if self._cache is not None:
-            self._cache.put_payload(
-                checkpoint.fingerprint, checkpoint,
-                job_name="serve-checkpoint",
-            )
+            self._cache.put(checkpoint.fingerprint, checkpoint)
 
     def load(self, fingerprint: str) -> Optional[SessionCheckpoint]:
         """The checkpoint at ``fingerprint``, or ``None``.
@@ -140,14 +133,11 @@ class CheckpointStore:
         """
         checkpoint = self._memory.get(fingerprint)
         if checkpoint is None and self._cache is not None:
-            checkpoint = self._cache.get_payload(
-                fingerprint, SessionCheckpoint
-            )
+            checkpoint = self._cache.get(fingerprint, SessionCheckpoint)
             if checkpoint is not None:
                 self._memory[fingerprint] = checkpoint
                 self._latest[checkpoint.tenant] = fingerprint
         if checkpoint is not None:
-            self.loads += 1
             self._registry.counter("serve_checkpoints_loaded").inc()
         return checkpoint
 

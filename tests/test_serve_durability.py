@@ -17,6 +17,7 @@ The claims under test, smallest to largest:
 from __future__ import annotations
 
 import asyncio
+import os
 import pickle
 
 import numpy as np
@@ -428,7 +429,7 @@ def test_checkpoint_store_persists_through_result_cache(pdf_table, tmp_path):
     restored.restore_from(loaded)
     assert restored.windows_closed == 1
     # A wrong-typed entry at the address reads as a miss, not a crash.
-    cache.put_payload(token, {"not": "a checkpoint"})
+    cache.put(token, {"not": "a checkpoint"})
     assert CheckpointStore(cache=cache).load(token) is None
 
 
@@ -702,10 +703,20 @@ def test_sessions_survive_process_restart_through_cache(tmp_path):
             assert misses.value == 1
             second = await _client_window(client, "t", WINDOW_B)
             assert (_fix_bytes(first), _fix_bytes(second)) == want
-            # Checkpoints are the only thing the cache persists.
-            entries = cache.entries()
-            assert entries
-            assert {entry.job for entry in entries} == {"serve-checkpoint"}
+            # Checkpoints are the only thing the cache persists: every
+            # file under it is a .pkl that loads as one.
+            stored = [
+                os.path.join(dirpath, name)
+                for dirpath, _dirnames, names in os.walk(cache.root)
+                for name in names
+            ]
+            assert stored
+            for path in stored:
+                assert path.endswith(".pkl")
+                fingerprint = os.path.basename(path)[: -len(".pkl")]
+                assert path == cache.path_for(fingerprint)
+                loaded = cache.get(fingerprint, SessionCheckpoint)
+                assert isinstance(loaded, SessionCheckpoint)
         finally:
             await second_core.stop()
 
@@ -730,8 +741,8 @@ def test_posterior_checkpoint_left_in_a_warm_cache_is_rejected(
         await _client_window(client, "t", WINDOW_A)
         await first_core.drain()
         await first_core.stop()
-        stored = cache.get_payload(token, SessionCheckpoint)
-        cache.put_payload(token, _posterior_format(stored, pdf_table))
+        stored = cache.get(token, SessionCheckpoint)
+        cache.put(token, _posterior_format(stored, pdf_table))
 
         second_core = ServiceCore(config, checkpoint_cache=cache, clock=clock)
         client = InProcessClient(second_core)
