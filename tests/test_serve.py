@@ -17,6 +17,8 @@ import pytest
 
 from repro.core.config import LocalizationMode
 from repro.core.estimator import BeaconObservation, PositionEstimator
+from repro.core.pdf_table import PdfTable
+from repro.orchestrator.cache import ResultCache
 from repro.serve import (
     InProcessClient,
     LocalizationServer,
@@ -349,6 +351,13 @@ def test_calibration_store_shares_tables_in_process():
     assert first is second
     different = store.table_for(_hello(calibration_samples=3000))
     assert different is not first
+
+
+def test_result_cache_payload_type_check(tmp_path):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    assert cache.put("cal-xyz", {"not": "a table"})
+    assert cache.get("cal-xyz", PdfTable) is None  # typed miss
+    assert cache.get("cal-xyz", dict) == {"not": "a table"}
 
 
 # -- shard --------------------------------------------------------------------
