@@ -627,10 +627,16 @@ def cmd_report(args: argparse.Namespace, out) -> int:
                 sweep = record  # newest wins; files are append-ordered
         title = "telemetry report — %s" % args.from_path
     else:
+        from repro.serve.checkpoint import CHECKPOINT_PREFIX
+
         # Cached TeamResults carry their base snapshot, so a report over
-        # a finished sweep needs no re-simulation.
+        # a finished sweep needs no re-simulation.  A --warm-cache
+        # server's session checkpoints share the directory; they are
+        # skipped unread rather than counted as errors and misses.
         cache = ResultCache(root=args.cache_dir)
         for fingerprint in cache.fingerprints():
+            if fingerprint.startswith(CHECKPOINT_PREFIX):
+                continue
             result = cache.get(fingerprint)
             snapshot = getattr(result, "telemetry", None)
             if snapshot is not None:

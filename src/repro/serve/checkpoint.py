@@ -37,10 +37,15 @@ from repro.serve.protocol import HelloRequest
 from repro.telemetry.registry import NULL_REGISTRY
 
 __all__ = [
+    "CHECKPOINT_PREFIX",
     "SessionCheckpoint",
     "CheckpointStore",
     "checkpoint_fingerprint",
 ]
+
+#: Prefix of every checkpoint fingerprint; no TeamResult fingerprint
+#: (a bare SHA-256 hex digest) carries it.
+CHECKPOINT_PREFIX = "ckpt-"
 
 
 def checkpoint_fingerprint(hello: HelloRequest) -> str:
@@ -61,7 +66,7 @@ def checkpoint_fingerprint(hello: HelloRequest) -> str:
         float(hello.grid_resolution_m).hex(),
         hello.min_beacons_for_fix,
     )
-    return "ckpt-" + hashlib.sha256(token.encode("utf-8")).hexdigest()
+    return CHECKPOINT_PREFIX + hashlib.sha256(token.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

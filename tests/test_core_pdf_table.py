@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.calibration import build_pdf_table
 from repro.core.pdf_table import (
+    LUT_ENTRIES,
     UNIFORM_FLOOR_WEIGHT,
     DistanceDistribution,
     PdfTable,
 )
-from repro.net.phy import ReceiverModel
+from repro.net.phy import PathLossModel, ReceiverModel
 from repro.sim.rng import RandomStreams
 
 
@@ -244,3 +245,80 @@ class TestCalibration:
         )
         assert r1.table.rssi_range == r2.table.rssi_range
         assert r1.n_samples_decodable == r2.n_samples_decodable
+
+
+def calibrated_table(seed, n_samples=120_000, max_distance_m=180.0):
+    """The table serve builds for a hello (and a team for its config)."""
+    return build_pdf_table(
+        PathLossModel(),
+        RandomStreams(seed).get("calibration"),
+        n_samples=n_samples,
+        max_distance_m=max_distance_m,
+        receiver=ReceiverModel(),
+    ).table
+
+
+#: Default tables at calibration seeds 1-3, the 2,000-sample seed-1
+#: hello table (chaos's), and a shorter support whose histogram bins end
+#: at 150 m, well inside the LUT's 300 m span.
+LUT_TABLES = {
+    "default-seed1": dict(seed=1),
+    "default-seed2": dict(seed=2),
+    "default-seed3": dict(seed=3),
+    "hello-2000": dict(seed=1, n_samples=2000),
+    "support-150": dict(seed=1, max_distance_m=150.0),
+}
+
+
+def full_lut(table, key):
+    """The full-length LUT: every one of LUT_ENTRIES nodes, no tail cut."""
+    nodes = np.linspace(0.0, 2.0 * table.support_max_m, LUT_ENTRIES)
+    return np.asarray(table.bin_for(key).pdf(nodes), dtype=float)
+
+
+def index_fields(table):
+    """LUT index fields of a 2 m grid over a 200 m area, for beacons
+    inside it, on its edge and corner, and a million metres away."""
+    centres = (np.arange(100) + 0.5) * 2.0
+    gx, gy = np.meshgrid(centres, centres)
+    beacons = [(60.0, 130.0), (200.0, 100.0), (0.0, 0.0), (1e6, 1e6)]
+    return [
+        table.lut_index_for(np.hypot(gx - x, gy - y)) for x, y in beacons
+    ]
+
+
+class TestLutStorage:
+    """Stored LUTs end at their floor tail and gather the full LUT's bits."""
+
+    @pytest.fixture(scope="class", params=sorted(LUT_TABLES))
+    def table(self, request):
+        return calibrated_table(**LUT_TABLES[request.param])
+
+    def test_gather_matches_full_lut_bit_for_bit(self, table):
+        fields = index_fields(table)
+        assert fields[-1].min() == LUT_ENTRIES - 1
+        for key, _ in table.items():
+            full = full_lut(table, key)
+            for index in fields:
+                got = table.pdf_from_index(key, index)
+                want = full.take(index)
+                assert got.view(np.uint64).tobytes() == (
+                    want.view(np.uint64).tobytes()
+                ), key
+
+    def test_every_stored_lut_ends_on_its_floor(self, table):
+        floor = UNIFORM_FLOOR_WEIGHT / table.support_max_m
+        for key, _ in table.items():
+            lut = table._lut_for(key)
+            full = full_lut(table, key)
+            assert lut.tobytes() == full[: lut.size].tobytes()
+            assert lut[-1] == full[-1] == floor
+            assert np.all(full[lut.size:] == floor)
+            assert lut.size < LUT_ENTRIES
+            if lut.size > 1:
+                assert lut[-2] != floor, key
+
+    def test_default_table_stores_at_most_a_quarter(self):
+        table = calibrated_table(1)
+        stored = sum(table._lut_for(key).size for key, _ in table.items())
+        assert stored <= 0.25 * table.n_bins * LUT_ENTRIES

@@ -518,6 +518,39 @@ class TestReportCommand:
         assert "sleep fraction" in output
         assert "cache hits 0, misses 2" in output
 
+    def test_report_skips_session_checkpoints(self, tmp_path, monkeypatch):
+        """A --warm-cache server's checkpoints share the report's cache
+        directory: the report renders as without them, reads none of
+        them, and counts no error or miss."""
+        import repro.cli
+        from repro.serve.checkpoint import SessionCheckpoint
+
+        root = str(tmp_path / "c")
+        run_sweep(seed_jobs(tiny_config(), (1,)), cache=ResultCache(root=root))
+        code, before = self._run_cli(["report", "--cache-dir", root])
+        assert code == 0
+        fingerprint = "ckpt-" + "a" * 64
+        assert ResultCache(root=root).put(fingerprint, SessionCheckpoint(
+            fingerprint=fingerprint, tenant="t", hello={}, counters={},
+        ))
+        opened = []
+
+        class RecordingCache(ResultCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(repro.cli, "ResultCache", RecordingCache)
+        code, after = self._run_cli(["report", "--cache-dir", root])
+        assert code == 0
+        assert after == before
+        assert "1 run aggregated" in after
+        [cache] = opened
+        assert len(cache.fingerprints()) == 2
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.errors) == (
+            1, 0, 0
+        )
+
     def test_report_from_jsonl_and_prometheus(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         run_sweep(
