@@ -195,8 +195,7 @@ class PdfTable:
         # included) on a dense grid over twice the support — grid cells
         # can sit up to the area diagonal away from a beacon, and
         # anything beyond the domain clamps to the last node, which is
-        # floor-level density just like DistanceDistribution.pdf.  Each
-        # LUT is kept only up to the first node of its floor tail.
+        # floor-level density just like DistanceDistribution.pdf.
         self._luts: Dict[int, np.ndarray] = {}
 
     @property
@@ -263,8 +262,8 @@ class PdfTable:
             nodes = np.linspace(0.0, 2.0 * self._support_max_m, LUT_ENTRIES)
             full = np.asarray(self._bins[key].pdf(nodes), dtype=float)
             above_floor = np.flatnonzero(full != full[-1])
-            end = int(above_floor[-1]) + 1 if above_floor.size else 0
-            lut = full[: end + 1].copy()
+            stop = int(above_floor[-1]) + 2 if above_floor.size else 1
+            lut = full[:stop].copy()
             lut.flags.writeable = False
             self._luts[key] = lut
         return lut
