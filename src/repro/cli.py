@@ -933,8 +933,9 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
 
 async def _serve_smoke(server, out) -> int:
     """Two-tenant round trip, an undersized-hello refusal and the HTTP
-    scrapes, against ourselves."""
+    scrapes (every closed lane parked), against ourselves."""
     import asyncio
+    import re
 
     from repro.serve import ServeClient
 
@@ -993,6 +994,13 @@ async def _serve_smoke(server, out) -> int:
         print("smoke FAIL: bad /metrics scrape", file=out)
         return 1
     print("smoke: /metrics scrape ok (%d bytes)" % len(scrape), file=out)
+    # Every window has closed, so every lane must have parked its grid.
+    grids = re.search(rb"^repro_serve_lane_grids_live (\S+)$", scrape, re.M)
+    if grids is None or grids.group(1) != b"0.0":
+        print("smoke FAIL: lane grids still live after every window "
+              "closed (%r)" % (grids and grids.group(0),), file=out)
+        return 1
+    print("smoke: no lane holds a grid once its window closed", file=out)
     for path, want in ((b"/healthz", b"ok"), (b"/readyz", b"ready")):
         scrape = await _scrape(path)
         if b"200 OK" not in scrape or want not in scrape:

@@ -12,10 +12,10 @@ a probability mass per cell.  For every received beacon the filter
 
 The position estimate is the posterior mean — Equation (3)'s expectation —
 and, per the paper, is only trusted once at least three beacons have been
-incorporated.  The mean and the spread are computed once per posterior
-state: the filter memoises them, and every write to the posterior
-(a beacon, a reset, a restore) clears the memo, so a read that follows
-a window close (serve's ``confidence``) costs no grid pass for them.
+incorporated.  The mean, the spread and the entropy are computed once
+per posterior state: the filter memoises them, and every write to the
+posterior (a beacon, a reset, a restore) clears the memo, so a read that
+follows a window close (serve's ``confidence``) costs no grid pass.
 
 Every round restarts from the uniform prior, so the posterior is a pure
 function of the grid, the PDF table and the beacons applied since the
@@ -26,11 +26,20 @@ it through :meth:`GridBayesFilter.apply_beacon` — the same float
 operations in the same order, so the posterior, its counters and any
 annihilation restart come back bit for bit.
 
+The same replay lets a filter drop its grid between rounds.
+:meth:`GridBayesFilter.park` fills the memo and releases the posterior;
+the mean, the spread and the entropy still read from the memo.  Any other
+read or write of the grid rebuilds it first by replaying the evidence
+through the table it was applied with, and :meth:`reset_uniform`
+allocates a fresh uniform grid.  Serve parks each lane when its window
+closes, so a session holds one grid per *open* window; the simulator
+never parks.
+
 All operations are vectorized numpy.  Every constraint comes from a
 :class:`~repro.core.constraint_cache.ConstraintFieldCache`: a team or a
 serve session shares one across its robots, and a bare filter makes its
-own, so the filter's only persistent grid-sized state is its posterior.
-A moment pass fills a transient contiguous grid from one axis at a
+own, so the filter's only persistent grid-sized state is its posterior
+(none while parked).  A moment pass fills a transient contiguous grid from one axis at a
 time: a product over contiguous memory costs less than one that
 broadcasts a row or column against the posterior, for the same bytes.
 Measured on a 2-CPU Xeon VM with numpy 2.4 (timeit minima), one update
@@ -55,6 +64,13 @@ from repro.util.validation import check_positive
 class GridBayesFilter:
     """Posterior over positions on a regular grid.
 
+    A filter is either live (it holds its posterior grid) or parked
+    (:meth:`park`: it holds the posterior's mean, spread and entropy,
+    its evidence and the table that evidence was applied with).  A
+    parked filter answers :meth:`estimate`, :meth:`position_std_m` about
+    its mean and :meth:`entropy_bits` from those; every other use of the
+    grid replays the evidence first, with the same bits.
+
     Args:
         area: the deployment rectangle (the paper's
             ``[x_min, x_max] x [y_min, y_max]`` bounds).
@@ -78,7 +94,14 @@ class GridBayesFilter:
         self._y_axis = (
             area.y_min + (np.arange(ny) + 0.5) * (area.height / ny)
         ).reshape(ny, 1)
-        self._posterior = np.full((ny, nx), 1.0 / (nx * ny))
+        self._shape = (ny, nx)
+        #: The posterior grid; None while parked.
+        self._posterior: Optional[np.ndarray] = np.full(
+            self._shape, 1.0 / (nx * ny)
+        )
+        #: The table a parked filter's evidence was applied with: what
+        #: _unpark replays it through.  None while live.
+        self._parked_table: Optional[PdfTable] = None
         self._beacons_applied = 0
         self._annihilations = 0
         #: (x, y, rssi_dbm) of every beacon applied since the last
@@ -86,9 +109,11 @@ class GridBayesFilter:
         self._evidence: List[Tuple[float, float, float]] = []
         self._cache = ConstraintFieldCache()
         # Moments of the current posterior, derived state: set on first
-        # read, cleared by every posterior write (_forget_moments).
+        # read (or by park), cleared by every posterior write
+        # (_forget_moments).
         self._mean: Optional[Vec2] = None
         self._std_m: Optional[float] = None
+        self._entropy_bits: Optional[float] = None
 
     @property
     def area(self) -> Rect:
@@ -101,7 +126,7 @@ class GridBayesFilter:
     @property
     def shape(self) -> Tuple[int, int]:
         """Grid shape as (rows, cols) = (ny, nx)."""
-        return self._posterior.shape
+        return self._shape
 
     @property
     def grid_signature(self) -> str:
@@ -117,8 +142,8 @@ class GridBayesFilter:
             float(self._area.y_min).hex(),
             float(self._area.x_max).hex(),
             float(self._area.y_max).hex(),
-            self._posterior.shape[0],
-            self._posterior.shape[1],
+            self._shape[0],
+            self._shape[1],
         )
 
     def attach_constraint_cache(self, cache) -> None:
@@ -136,8 +161,9 @@ class GridBayesFilter:
 
     @property
     def posterior(self) -> np.ndarray:
-        """The posterior mass grid (read-only view)."""
-        view = self._posterior.view()
+        """The posterior mass grid (read-only view); a parked filter
+        rebuilds it first."""
+        view = self._grid().view()
         view.flags.writeable = False
         return view
 
@@ -154,17 +180,72 @@ class GridBayesFilter:
 
     def reset_uniform(self) -> None:
         """Restart from the uniform prior (Equation 2's initial estimate:
-        "a robot is equally likely to be in any position")."""
-        self._posterior.fill(1.0 / self._posterior.size)
+        "a robot is equally likely to be in any position").  A parked
+        filter allocates a fresh grid."""
+        uniform = 1.0 / (self._shape[0] * self._shape[1])
+        if self._posterior is None:
+            self._posterior = np.full(self._shape, uniform)
+            self._parked_table = None
+        else:
+            self._posterior.fill(uniform)
         self._forget_moments()
         self._beacons_applied = 0
         self._annihilations = 0
         self._evidence.clear()
 
     def _forget_moments(self) -> None:
-        """Drop the memoised mean and spread (the posterior changed)."""
+        """Drop the memoised mean, spread and entropy (the posterior
+        changed)."""
         self._mean = None
         self._std_m = None
+        self._entropy_bits = None
+
+    # -- parking --------------------------------------------------------------
+
+    @property
+    def parked(self) -> bool:
+        """True while the filter holds no posterior grid (see :meth:`park`)."""
+        return self._posterior is None
+
+    def park(self, table: PdfTable) -> None:
+        """Memoise the posterior's mean, spread and entropy, then drop
+        the grid.
+
+        The evidence, ``beacons_applied`` and ``annihilations`` stay.
+        Reading the memoised values costs nothing; any other use of the
+        grid rebuilds it by replaying the evidence through ``table``,
+        which must be the table the evidence was applied with (the
+        contract of :meth:`restore_state`).  Parking a parked filter
+        does nothing.
+        """
+        if self._posterior is None:
+            return
+        self.position_std_m()
+        self.entropy_bits()
+        self._posterior = None
+        self._parked_table = table
+
+    def _grid(self) -> np.ndarray:
+        """The posterior grid, rebuilt first if the filter is parked."""
+        if self._posterior is None:
+            self._unpark()
+        return self._posterior
+
+    def _unpark(self) -> None:
+        """Rebuild a parked posterior: the :meth:`restore_state` replay
+        of the filter's own evidence, so the grid, the counters and the
+        memo come back with the same bits."""
+        evidence = tuple(self._evidence)
+        table = self._parked_table
+        memo = (self._mean, self._std_m, self._entropy_bits)
+        self._replay(evidence, table)
+        self._mean, self._std_m, self._entropy_bits = memo
+
+    def _replay(self, evidence, table: PdfTable) -> None:
+        """Reset to the uniform prior and apply ``evidence`` in order."""
+        self.reset_uniform()
+        for x, y, rssi_dbm in evidence:
+            self.apply_beacon(Vec2(x, y), rssi_dbm, table)
 
     # -- checkpointing --------------------------------------------------------
 
@@ -201,9 +282,7 @@ class GridBayesFilter:
             )
         if "evidence" not in state:
             raise ValueError("filter snapshot carries no evidence")
-        self.reset_uniform()
-        for x, y, rssi_dbm in state["evidence"]:
-            self.apply_beacon(Vec2(x, y), rssi_dbm, table)
+        self._replay(state["evidence"], table)
 
     def compute_distance_field(self, beacon: Vec2) -> np.ndarray:
         """Cell-center distances to ``beacon`` (Equation 1's geometry).
@@ -218,7 +297,7 @@ class GridBayesFilter:
         np.square(dx, out=dx)
         dy = np.subtract(self._y_axis, beacon.y)
         np.square(dy, out=dy)
-        distances = np.empty_like(self._posterior)
+        distances = np.empty(self._shape)
         distances[...] = dx
         distances += dy
         np.sqrt(distances, out=distances)
@@ -233,24 +312,25 @@ class GridBayesFilter:
         everywhere — mutually inconsistent evidence), the filter restarts
         from the newest constraint alone rather than dividing by zero; the
         newest measurement is the one most consistent with the robot's
-        current position.
+        current position.  A parked filter rebuilds its grid first.
 
         Args:
             beacon: the anchor's claimed position.
             rssi_dbm: measured signal strength.
             table: the calibrated PDF table.
         """
+        posterior = self._grid()
         constraint = self._cache.constraint_field(
             self, beacon, table, table.bin_key_for(rssi_dbm)
         )
         self._forget_moments()
-        self._posterior *= constraint
-        total = self._posterior.sum()
+        posterior *= constraint
+        total = posterior.sum()
         if total <= 1e-300 or not np.isfinite(total):
             self._annihilations += 1
-            np.divide(constraint, constraint.sum(), out=self._posterior)
+            np.divide(constraint, constraint.sum(), out=posterior)
         else:
-            self._posterior /= total
+            posterior /= total
         self._beacons_applied += 1
         self._evidence.append((beacon.x, beacon.y, rssi_dbm))
 
@@ -258,11 +338,12 @@ class GridBayesFilter:
         """Posterior-mean position — Equation (3), memoised until the
         posterior next changes."""
         if self._mean is None:
-            cells = np.empty_like(self._posterior)
+            posterior = self._grid()
+            cells = np.empty_like(posterior)
             sums = []
             for axis in (self._x_axis, self._y_axis):
                 cells[...] = axis
-                cells *= self._posterior
+                cells *= posterior
                 sums.append(float(cells.sum()))
             self._mean = Vec2(*sums)
         return self._mean
@@ -271,7 +352,7 @@ class GridBayesFilter:
         """Maximum a-posteriori cell center (diagnostic alternative to
         the paper's expectation estimator)."""
         row, col = np.unravel_index(
-            int(np.argmax(self._posterior)), self._posterior.shape
+            int(np.argmax(self._grid())), self._shape
         )
         return Vec2(
             float(self._x_axis[0, col]), float(self._y_axis[row, 0])
@@ -298,7 +379,7 @@ class GridBayesFilter:
 
     def _spread_about(self, mean: Vec2) -> float:
         """One spread pass: ``sqrt(Σ(w·dx)·dx + Σ(w·dy)·dy)``."""
-        w = self._posterior
+        w = self._grid()
         offsets = np.empty_like(w)
         weighted = np.empty_like(w)
         terms = []
@@ -311,7 +392,8 @@ class GridBayesFilter:
         return float(np.sqrt(max(terms[0] + terms[1], 0.0)))
 
     def entropy_bits(self) -> float:
-        """Shannon entropy of the posterior in bits (uniform = max).
+        """Shannon entropy of the posterior in bits (uniform = max),
+        memoised until the posterior next changes.
 
         Sums ``p·log2(p)`` over the whole grid, without a masked copy.
         Only an exact zero cell (``0·-inf``) makes that sum NaN; then the
@@ -319,15 +401,17 @@ class GridBayesFilter:
         both sums add the same terms in the same order, so the bits are
         the same either way.
         """
-        p = self._posterior
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log2(p)
-            terms *= p
-        total = float(terms.sum())
-        if math.isnan(total):
-            positive = p[p > 0]
-            total = float((positive * np.log2(positive)).sum())
-        return -total
+        if self._entropy_bits is None:
+            p = self._grid()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.log2(p)
+                terms *= p
+            total = float(terms.sum())
+            if math.isnan(total):
+                positive = p[p > 0]
+                total = float((positive * np.log2(positive)).sum())
+            self._entropy_bits = -total
+        return self._entropy_bits
 
     def is_degenerate(self) -> bool:
         """Has the posterior stopped being a trustworthy distribution?
@@ -340,7 +424,7 @@ class GridBayesFilter:
         watchdog resets to the prior in either case rather than adopting
         a junk fix.
         """
-        total = float(self._posterior.sum())
+        total = float(self._grid().sum())
         if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
             return True
         return (

@@ -297,15 +297,14 @@ def _validate(request: Request) -> None:
                 "window event must be one of %r" % (_WINDOW_EVENTS,)
             )
         _check_int("robot", request.robot)
+        _check_finite("t", request.t)
         if request.expected is not None:
             _check_int("expected", request.expected)
     if isinstance(request, ObserveRequest):
         _check_int("robot", request.robot)
         _check_int("seq", request.seq)
         for name in ("x", "y", "rssi_dbm", "t"):
-            value = getattr(request, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ProtocolError("%s must be a number" % name)
+            _check_finite(name, getattr(request, name))
         if request.anchor_id is not None:
             _check_int("anchor_id", request.anchor_id)
     if isinstance(request, (FixRequest, ConfidenceRequest)):
@@ -322,11 +321,7 @@ def _validate(request: Request) -> None:
             value = getattr(request, name)
             # The checkpoint address hashes float(value), so an integer
             # too large for a float is as unusable as inf or NaN.
-            try:
-                valid = not isinstance(value, bool) and math.isfinite(value)
-            except (TypeError, OverflowError):
-                valid = False
-            if not valid or value <= 0:
+            if not _is_finite(value) or value <= 0:
                 raise ProtocolError(
                     "%s must be a finite positive number" % name
                 )
@@ -355,6 +350,23 @@ def _validate(request: Request) -> None:
             raise ProtocolError(
                 "resume must be a non-empty string (<=256 chars)"
             )
+
+
+def _is_finite(value: Any) -> bool:
+    """A finite int or float, not a bool.  ``json`` reads ``NaN``,
+    ``Infinity`` and ``1e999`` as floats, and an int too large for a
+    float has no finite float value either."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_finite(name: str, value: Any) -> None:
+    if not _is_finite(value):
+        raise ProtocolError("%s must be a finite number" % name)
 
 
 def _check_int(name: str, value: Any, minimum: int = 0) -> None:

@@ -322,16 +322,21 @@ class ServiceCore:
         return prometheus_text(self.registry)
 
     def _refresh_gauges(self) -> None:
-        sessions = sum(len(shard.sessions) for shard in self.shards)
-        robots = sum(
-            session.n_robots
+        sessions = [
+            session
             for shard in self.shards
             for session in shard.sessions.values()
-        )
-        self.registry.gauge("serve_sessions_active").set(sessions)
+        ]
+        robots = sum(session.n_robots for session in sessions)
+        self.registry.gauge("serve_sessions_active").set(len(sessions))
         self.registry.gauge("serve_robots_active").set(robots)
         self.registry.gauge("serve_robots_active_peak").set_max(robots)
         self.registry.gauge("serve_shards").set(len(self.shards))
+        # Lanes holding a posterior grid: the open windows (a closed
+        # lane is parked).
+        self.registry.gauge("serve_lane_grids_live").set(
+            sum(session.grids_live for session in sessions)
+        )
         # ru_maxrss is KiB on Linux and bytes on macOS; reading it is a
         # syscall, not file I/O, so the scrape stays loop-safe.
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -21,6 +21,14 @@ Determinism contract (regression-tested in ``tests/test_serve_replay.py``):
   the next window-open resets before any fix reads it, so dropping
   them is fix-equivalent (and keeps a session's memory bounded).
 
+Memory: a lane holds its posterior grid only while its window is open.
+:meth:`TenantSession._window_close` parks the lane's filter once the
+reply and the checkpoint are built (see
+:meth:`~repro.core.bayes.GridBayesFilter.park`): ``fix`` and
+``confidence`` then read the memoised mean, spread and entropy, and the
+next open allocates a fresh uniform grid.  A restore parks each closed
+lane as soon as it is rebuilt.
+
 Durability (regression-tested in ``tests/test_serve_durability.py``):
 a session given a :class:`~repro.serve.checkpoint.CheckpointStore`
 writes a full :meth:`TenantSession.snapshot` on every window close (and
@@ -181,6 +189,13 @@ class TenantSession:
     @property
     def n_robots(self) -> int:
         return len(self._lanes)
+
+    @property
+    def grids_live(self) -> int:
+        """Lanes whose filter holds its posterior grid (open windows)."""
+        return sum(
+            not lane.estimator.filter.parked for lane in self._lanes.values()
+        )
 
     def idle_for(self, now: float) -> float:
         """Seconds since the last request touched this session."""
@@ -379,6 +394,9 @@ class TenantSession:
                     self.checkpoint_now()
             else:
                 self.checkpoint_now()
+        # Nothing writes the posterior again before the next open, and
+        # fix/confidence read only its memoised moments.
+        estimator.filter.park(self._table)
         return response
 
     def _fix(self, request: FixRequest) -> Response:
@@ -538,6 +556,9 @@ class TenantSession:
         for record in checkpoint.lanes:
             estimator = self._new_estimator()
             estimator.restore(record["estimator"])
+            if not record["window_open"]:
+                # One replayed grid at a time, as a close leaves it.
+                estimator.filter.park(self._table)
             pending = [
                 (seq, BeaconObservation(**fields))
                 for seq, fields in record["pending"]

@@ -496,6 +496,178 @@ class TestEvidence:
             )
 
 
+class _TruncatedTable:
+    """The fixture's table with every density zero past ``cutoff_m``.
+
+    The real table's uniform floor keeps some mass in every cell, so no
+    beacon sequence annihilates its posterior.  Here two beacons that
+    each put the robot within ``cutoff_m`` of opposite corners leave no
+    mass anywhere, so the second one annihilates through its evidence
+    alone, and a replay takes the same restart.
+    """
+
+    def __init__(self, table, cutoff_m):
+        self._table = table
+        self._cutoff = int(table.lut_index_for(np.array([cutoff_m]))[0])
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def pdf_from_index(self, key, index):
+        field = self._table.pdf_from_index(key, index)
+        field[index > self._cutoff] = 0.0
+        return field
+
+
+def _parking_scenario(area, pdf_table, kind):
+    """Two filters fed the same round (``kind``), the table it used,
+    and the beacon that continues it."""
+    if kind == "annihilated":
+        table = _TruncatedTable(pdf_table, 40.0)
+        beacons = [
+            (Vec2(20.0, 20.0), -60.0),
+            (Vec2(180.0, 180.0), -60.0),
+            (Vec2(170.0, 150.0), -66.0),
+        ]
+    else:
+        table, beacons = pdf_table, list(MEMO_BEACONS)
+    pair = []
+    for _ in range(2):
+        filt = GridBayesFilter(area, 2.0)
+        for beacon, rssi in beacons:
+            filt.apply_beacon(beacon, rssi, table)
+        pair.append(filt)
+    if kind == "annihilated":
+        assert pair[0].annihilations == 1
+    return pair[0], pair[1], table, (Vec2(150.0, 170.0), -64.0)
+
+
+def _memo_readout(filt):
+    """What a parked filter answers from its memo: the mean, the spread
+    about it, the entropy and the counters, as bits."""
+    mean = filt.estimate()
+    return (
+        mean.x.hex(), mean.y.hex(), filt.position_std_m(mean).hex(),
+        filt.position_std_m().hex(), filt.entropy_bits().hex(),
+        filt.beacons_applied, filt.annihilations, filt.snapshot_state(),
+        filt.shape, filt.grid_signature,
+    )
+
+
+def _grid_readout(filt):
+    """What needs the grid: the posterior bytes, the MAP cell, the
+    spread about another point and the degeneracy probe."""
+    mode = filt.mode()
+    return (
+        filt.posterior.tobytes(), mode.x.hex(), mode.y.hex(),
+        filt.position_std_m(Vec2(10.0, 20.0)).hex(), filt.is_degenerate(),
+    )
+
+
+class TestParking:
+    """A parked filter answers every read and takes every write with the
+    bits of a twin that never parked."""
+
+    @pytest.mark.parametrize("kind", ["fed", "annihilated"])
+    def test_parked_reads_match_an_unparked_twin(self, area, pdf_table, kind):
+        parked, twin, table, _ = _parking_scenario(area, pdf_table, kind)
+        parked.park(table)
+        assert parked.parked and not twin.parked
+        assert _memo_readout(parked) == _memo_readout(twin)
+        # The memo answered; nothing rebuilt the grid.
+        assert parked.parked
+        assert _grid_readout(parked) == _grid_readout(twin)
+        assert not parked.parked
+        assert _memo_readout(parked) == _memo_readout(twin)
+
+    @pytest.mark.parametrize("kind", ["fed", "annihilated"])
+    def test_apply_beacon_on_a_parked_filter_continues(
+        self, area, pdf_table, kind
+    ):
+        parked, twin, table, (beacon, rssi) = _parking_scenario(
+            area, pdf_table, kind
+        )
+        parked.park(table)
+        for filt in (parked, twin):
+            filt.apply_beacon(beacon, rssi, table)
+        assert not parked.parked
+        assert _memo_readout(parked) == _memo_readout(twin)
+        assert _grid_readout(parked) == _grid_readout(twin)
+
+    @pytest.mark.parametrize("kind", ["fed", "annihilated"])
+    def test_reset_uniform_on_a_parked_filter_allocates_the_prior(
+        self, area, pdf_table, kind
+    ):
+        parked, twin, table, (beacon, rssi) = _parking_scenario(
+            area, pdf_table, kind
+        )
+        parked.park(table)
+        for filt in (parked, twin):
+            filt.reset_uniform()
+        assert not parked.parked
+        assert _memo_readout(parked) == _memo_readout(twin)
+        assert (
+            parked.posterior.tobytes()
+            == GridBayesFilter(area, 2.0).posterior.tobytes()
+        )
+        for filt in (parked, twin):
+            for beacon_, rssi_ in MEMO_BEACONS:
+                filt.apply_beacon(beacon_, rssi_, pdf_table)
+        assert _memo_readout(parked) == _memo_readout(twin)
+        assert _grid_readout(parked) == _grid_readout(twin)
+
+    def test_park_computes_each_moment_once(
+        self, area, pdf_table, monkeypatch
+    ):
+        calls = []
+        spread_about = GridBayesFilter._spread_about
+
+        def counting(self, mean):
+            calls.append(mean)
+            return spread_about(self, mean)
+
+        monkeypatch.setattr(GridBayesFilter, "_spread_about", counting)
+        filt = _fed(area, pdf_table, MEMO_BEACONS)
+        fix = filt.estimate()
+        std_m = filt.position_std_m(fix)
+        filt.park(pdf_table)
+        entropy = filt.entropy_bits()
+        # A memoised float comes back as the same object.
+        assert filt.entropy_bits() is entropy
+        filt.posterior  # the replay rebuilds the grid, not the memo
+        assert filt.estimate() is fix
+        assert filt.position_std_m() == std_m
+        assert filt.entropy_bits() is entropy
+        assert len(calls) == 1
+        filt.park(pdf_table)
+        filt.park(pdf_table)   # parking a parked filter does nothing
+        assert filt.estimate() is fix
+        assert len(calls) == 1
+
+    def test_estimator_watchdog_reset_then_park(self, area, pdf_table):
+        """A close whose posterior the watchdog resets parks the prior."""
+        from repro.core.config import LocalizationMode
+        from repro.core.estimator import PositionEstimator
+
+        pair = []
+        for _ in range(2):
+            est = PositionEstimator(
+                LocalizationMode.RF_ONLY, area, pdf_table, watchdog=True
+            )
+            est.on_window_open()
+            for beacon, rssi in MEMO_BEACONS:
+                est.on_beacon(beacon, rssi)
+            est.filter._posterior.fill(np.nan)
+            est.on_window_close()
+            assert est.watchdog_resets == 1
+            pair.append(est)
+        parked, twin = (est.filter for est in pair)
+        parked.park(pdf_table)
+        assert _memo_readout(parked) == _memo_readout(twin)
+        assert parked.parked
+        assert _grid_readout(parked) == _grid_readout(twin)
+
+
 class TestLeastSquaresOracle:
     """An estimator-independent oracle: with only near-regime Gaussian
     beacons and no motion, each beacon's constraint is a Gaussian in

@@ -129,6 +129,13 @@ UNFITTING_GRID_HELLO = (
 )
 
 
+#: An observe whose position and RSSI json reads as NaN floats.
+NAN_OBSERVE = (
+    '{"op":"observe","tenant":"a","robot":0,"seq":0,"x":NaN,"y":2,'
+    '"rssi_dbm":NaN}'
+)
+
+
 @pytest.mark.parametrize("line", [
     "not json",
     '{"op": "warp"}',
@@ -166,6 +173,27 @@ UNFITTING_GRID_HELLO = (
     '{"op": "hello", "tenant": "t", "area_side_m": 1e308, '
     '"grid_resolution_m": 1e-300}',                          # ratio -> inf
     UNFITTING_GRID_HELLO,
+    # Non-finite or non-numeric observe and window numbers: json reads
+    # NaN, Infinity and 1e999 as floats.
+    *(
+        '{"op": "observe", "tenant": "t", "robot": 0, "seq": 0, '
+        '"x": 1, "y": 2, "rssi_dbm": -60, "t": 0, %s}' % bad
+        for bad in (
+            '"x": NaN', '"y": -Infinity', '"rssi_dbm": NaN',
+            '"rssi_dbm": Infinity', '"x": 1e999', '"t": NaN',
+            '"t": -1e999', '"t": true', '"t": "abc"', '"y": "2"',
+        )
+    ),
+    pytest.param(
+        '{"op": "observe", "tenant": "t", "robot": 0, "seq": 0, '
+        '"x": 1%s, "y": 2, "rssi_dbm": -60}' % ("0" * 400),
+        id="observe-x-10**400",
+    ),
+    *(
+        '{"op": "window", "tenant": "t", "robot": 0, "event": "open", '
+        '"t": %s}' % bad
+        for bad in ("NaN", "Infinity", "1e999", "true", '"abc"', "null")
+    ),
 ])
 def test_protocol_rejects_bad_lines(line):
     with pytest.raises(ProtocolError):
@@ -278,6 +306,112 @@ def test_session_lanes_share_one_field_memo(pdf_table):
             and value.size == grid.posterior.size
         ]
         assert len(held) == 1 and held[0] is grid._posterior
+
+
+def _assert_only_open_lanes_hold_grids(session):
+    for lane in session._lanes.values():
+        assert lane.estimator.filter.parked is not lane.window_open
+    assert session.grids_live == sum(
+        lane.window_open for lane in session._lanes.values()
+    )
+
+
+def _reference_estimator(hello, pdf_table):
+    """An in-process estimator built as a lane's, which never parks."""
+    return PositionEstimator(
+        mode=LocalizationMode.RF_ONLY,
+        area=Rect.square(hello.area_side_m),
+        pdf_table=pdf_table,
+        grid_resolution_m=hello.grid_resolution_m,
+        min_beacons_for_fix=hello.min_beacons_for_fix,
+    )
+
+
+def test_session_parks_every_closed_lane(pdf_table):
+    """After every close no closed lane holds a grid and every open one
+    does; fix and confidence replies equal an unparked estimator's."""
+    session = _session(pdf_table)
+    references = [_reference_estimator(session.hello, pdf_table)
+                  for _ in range(3)]
+
+    def hexed(payload):
+        return {key: value.hex() if isinstance(value, float) else value
+                for key, value in payload.items()}
+
+    # Robot 1 hears only two beacons in its second window: no fix, and
+    # its confidence then reads a two-beacon posterior.
+    schedule = [(0, BEACONS), (1, BEACONS[::-1]), (2, BEACONS[1:]),
+                (1, BEACONS[:2]), (0, BEACONS[2:] + BEACONS[:2])]
+    # Robot 2 stays open across the others' windows.
+    assert session.handle(WindowRequest(
+        tenant="t", robot=2, event="open")).ok
+    references[2].on_window_open()
+    for robot, beacons in schedule:
+        if robot != 2:
+            assert session.handle(WindowRequest(
+                tenant="t", robot=robot, event="open")).ok
+            references[robot].on_window_open()
+        _assert_only_open_lanes_hold_grids(session)
+        for seq, (x, y, rssi) in enumerate(beacons):
+            assert session.handle(ObserveRequest(
+                tenant="t", robot=robot, seq=seq, x=x, y=y, rssi_dbm=rssi,
+            )).ok
+            references[robot].ingest_observation(
+                BeaconObservation(x=x, y=y, rssi_dbm=rssi))
+        assert session.handle(WindowRequest(
+            tenant="t", robot=robot, event="close")).ok
+        references[robot].on_window_close()
+        _assert_only_open_lanes_hold_grids(session)
+        for other, reference in enumerate(references):
+            fix = session.handle(FixRequest(tenant="t", robot=other))
+            confidence = session.handle(
+                ConfidenceRequest(tenant="t", robot=other))
+            if other not in session._lanes:
+                continue
+            assert fix.ok and confidence.ok
+            estimate = reference.estimate
+            fix.payload.pop("window")
+            assert hexed(fix.payload) == hexed({
+                "has_fix": reference.has_fix, "fixes": reference.fixes,
+                "x": estimate.x, "y": estimate.y,
+                "x_hex": estimate.x.hex(), "y_hex": estimate.y.hex(),
+            })
+            grid = reference.filter
+            want = {
+                "beacons_applied": grid.beacons_applied,
+                "std_m": grid.position_std_m(),
+                "entropy_bits": grid.entropy_bits(),
+                "has_fix": reference.has_fix,
+            }
+            if reference.last_fix_std_m is not None:
+                want["last_fix_std_m"] = reference.last_fix_std_m
+            assert hexed(confidence.payload) == hexed(want)
+        # Reads after a close come from the memo: still parked.
+        _assert_only_open_lanes_hold_grids(session)
+    assert session.n_robots == 3
+
+
+def test_lane_grid_gauge_counts_open_windows():
+    async def scenario():
+        core = _small_core()
+        client = InProcessClient(core)
+        await client.hello("a", calibration_samples=2000, area_side_m=80.0)
+        await client.window_open("a", 0)
+        await client.window_open("a", 1)
+        live = [core.stats()["serve_lane_grids_live"]]
+        for seq, (x, y, rssi) in enumerate(BEACONS):
+            await client.observe("a", 0, seq=seq, x=x, y=y, rssi_dbm=rssi)
+        assert (await client.window_close("a", 0)).payload["fixed"]
+        live.append(core.stats()["serve_lane_grids_live"])
+        assert (await client.window_close("a", 1)).ok
+        live.append(core.stats()["serve_lane_grids_live"])
+        text = core.metrics_text()
+        await core.stop()
+        return live, text
+
+    live, text = asyncio.run(scenario())
+    assert live == [2.0, 1.0, 0.0]
+    assert "\nrepro_serve_lane_grids_live 0.0\n" in text
 
 
 def test_session_acknowledges_out_of_window_observations(pdf_table):
@@ -576,9 +710,11 @@ def test_tcp_bad_line_keeps_connection_usable():
             writer.write(line.encode() + b"\n")
         # And a hello whose grid cell is wider than its area.
         writer.write(UNFITTING_GRID_HELLO.encode() + b"\n")
+        # And an observe carrying NaN numbers.
+        writer.write(NAN_OBSERVE.encode() + b"\n")
         writer.write(b'{"op": "ping"}\n')
         await writer.drain()
-        for _ in range(3 + len(OVERSIZED_HELLOS)):
+        for _ in range(4 + len(OVERSIZED_HELLOS)):
             refused = parse_response(await reader.readline())
             assert not refused.ok and refused.error == "bad_request"
         pong = parse_response(await reader.readline())

@@ -250,6 +250,42 @@ def test_evidence_restore_reproduces_every_readout(pdf_table, stage):
     assert _readout_hex(restored) == _readout_hex(original)
 
 
+def _parked_lanes(session):
+    return {
+        robot: lane.estimator.filter.parked
+        for robot, lane in session._lanes.items()
+    }
+
+
+def test_restore_parks_closed_lanes_and_continues_bit_for_bit(pdf_table):
+    """A restore rebuilds each lane and parks the closed ones at once;
+    the restored session then fixes with the bits of one never paused,
+    and every close leaves its lane parked."""
+    original = _session(pdf_table)
+    _feed(original, WINDOW_A, robot=0)
+    _feed(original, WINDOW_B, robot=1)
+    _open_and_observe(original, WINDOW_A[:2], robot=2)
+    assert _parked_lanes(original) == {0: True, 1: True, 2: False}
+    restored = _session(pdf_table)
+    restored.restore_from(original.snapshot())
+    assert _parked_lanes(restored) == {0: True, 1: True, 2: False}
+    for session in (original, restored):
+        for seq, (x, y, rssi) in enumerate(WINDOW_A[2:], start=2):
+            assert session.handle(ObserveRequest(
+                tenant="t", robot=2, seq=seq, x=x, y=y, rssi_dbm=rssi,
+            )).ok
+        assert session.handle(WindowRequest(
+            tenant="t", robot=2, event="close"
+        )).payload["fixed"]
+        assert _parked_lanes(session) == {0: True, 1: True, 2: True}
+        for robot, beacons in ((0, WINDOW_B), (1, WINDOW_A)):
+            _feed(session, beacons, robot=robot)
+            assert all(_parked_lanes(session).values())
+    # The readout's posterior bytes rebuild each grid by replay.
+    for robot in (0, 1, 2):
+        assert _readout_hex(restored, robot) == _readout_hex(original, robot)
+
+
 def test_lane_record_holds_evidence_not_the_posterior(pdf_table):
     session = _session(pdf_table)
     _feed(session, WINDOW_A)
