@@ -39,9 +39,10 @@ All operations are vectorized numpy.  Every constraint comes from a
 :class:`~repro.core.constraint_cache.ConstraintFieldCache`: a team or a
 serve session shares one across its robots, and a bare filter makes its
 own, so the filter's only persistent grid-sized state is its posterior
-(none while parked).  A moment pass fills a transient contiguous grid from one axis at a
-time: a product over contiguous memory costs less than one that
-broadcasts a row or column against the posterior, for the same bytes.
+(none while parked).  A moment pass fills a transient contiguous grid
+from one axis at a time: a product over contiguous memory costs less
+than one that broadcasts a row or column against the posterior, for the
+same bytes.
 Measured on a 2-CPU Xeon VM with numpy 2.4 (timeit minima), one update
 of a 100×100 grid costs about 20 µs when the memo already holds the
 field, about 80 µs when the memo evaluates it through the PDF table's
@@ -100,7 +101,7 @@ class GridBayesFilter:
             self._shape, 1.0 / (nx * ny)
         )
         #: The table a parked filter's evidence was applied with: what
-        #: _unpark replays it through.  None while live.
+        #: _grid replays it through.  None while live.
         self._parked_table: Optional[PdfTable] = None
         self._beacons_applied = 0
         self._annihilations = 0
@@ -226,20 +227,15 @@ class GridBayesFilter:
         self._parked_table = table
 
     def _grid(self) -> np.ndarray:
-        """The posterior grid, rebuilt first if the filter is parked."""
+        """The posterior grid.  A parked filter first rebuilds it by the
+        :meth:`restore_state` replay of its own evidence, so the grid
+        and the counters come back with the same bits and the memo stays
+        valid."""
         if self._posterior is None:
-            self._unpark()
+            memo = (self._mean, self._std_m, self._entropy_bits)
+            self._replay(tuple(self._evidence), self._parked_table)
+            self._mean, self._std_m, self._entropy_bits = memo
         return self._posterior
-
-    def _unpark(self) -> None:
-        """Rebuild a parked posterior: the :meth:`restore_state` replay
-        of the filter's own evidence, so the grid, the counters and the
-        memo come back with the same bits."""
-        evidence = tuple(self._evidence)
-        table = self._parked_table
-        memo = (self._mean, self._std_m, self._entropy_bits)
-        self._replay(evidence, table)
-        self._mean, self._std_m, self._entropy_bits = memo
 
     def _replay(self, evidence, table: PdfTable) -> None:
         """Reset to the uniform prior and apply ``evidence`` in order."""
