@@ -38,7 +38,6 @@ class ResilientRoutingTeam(RoutingTeam):
         # Wire failover exactly as ResilientTeam does.
         self.dead = set()
         self.failovers = {}
-        self._failover_threshold = 2
         ResilientTeam._wire_failover(self)
         for node in self.nodes:
             if node.coordinator is not None:

@@ -40,6 +40,7 @@ from repro.core.config import (
 )
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
+from repro.obs.trace import TRACE_MODES
 from repro.orchestrator.cache import DEFAULT_CACHE_DIR, ResultCache
 
 
@@ -200,26 +201,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the streaming localization service (NDJSON over TCP, "
              "plus GET /metrics on the same port)",
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    # The flags that set a ServeConfig field name it as their dest and
+    # stay unset unless given, so ServeConfig holds the only defaults
+    # (see serve_config_from_args).  The CLI's port is its own: 7707.
+    unset = argparse.SUPPRESS
+    serve.add_argument("--host", default=unset, help="bind address")
     serve.add_argument("--port", type=int, default=7707,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--shards", type=_positive_int, default=4,
+    serve.add_argument("--shards", dest="n_shards", type=_positive_int,
+                       default=unset, metavar="SHARDS",
                        help="worker event loops (tenants hash across them)")
-    serve.add_argument("--queue-limit", type=_positive_int, default=256,
+    serve.add_argument("--queue-limit", type=_positive_int, default=unset,
                        help="bounded request queue depth per shard")
-    serve.add_argument("--tenant-inflight", type=_positive_int, default=32,
+    serve.add_argument("--tenant-inflight", dest="tenant_inflight_limit",
+                       type=_positive_int, default=unset,
+                       metavar="TENANT_INFLIGHT",
                        help="max queued requests per tenant before shedding")
-    serve.add_argument("--session-ttl", type=float, default=300.0,
+    serve.add_argument("--session-ttl", dest="session_ttl_s", type=float,
+                       default=unset, metavar="SESSION_TTL",
                        help="seconds of idleness before a tenant session "
                             "is evicted (0 disables)")
     serve.add_argument("--warm-cache", metavar="DIR", default=None,
                        help="persist session checkpoints in this "
                             "result-cache directory so sessions survive "
                             "a restart")
-    serve.add_argument("--no-checkpointing", action="store_true",
+    serve.add_argument("--no-checkpointing", dest="checkpointing",
+                       action="store_false", default=unset,
                        help="disable session checkpointing (crashes and "
                             "evictions lose sessions)")
-    serve.add_argument("--no-supervise", action="store_true",
+    serve.add_argument("--no-supervise", dest="supervise",
+                       action="store_false", default=unset,
                        help="disable shard-worker supervision (a dead "
                             "worker stays dead)")
     serve.add_argument("--smoke", action="store_true",
@@ -227,15 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "hello too small to calibrate (must get "
                             "bad_request) and /metrics, /healthz and "
                             "/readyz scrapes against itself, then exit")
-    serve.add_argument("--trace-mode",
-                       choices=["off", "sampled", "always"],
-                       default="sampled",
+    serve.add_argument("--trace-mode", choices=TRACE_MODES, default=unset,
                        help="request tracing: off, sampled (head-sample "
                             "1-in-N plus slow requests) or always")
     serve.add_argument("--trace-sample-every", type=_positive_int,
-                       default=128, metavar="N",
+                       default=unset, metavar="N",
                        help="head-sample one request in N (sampled mode)")
-    serve.add_argument("--trace-slow-ms", type=float, default=25.0,
+    serve.add_argument("--trace-slow-ms", type=float, default=unset,
                        help="tail-sample requests slower than this "
                             "(sampled mode)")
     serve.add_argument("--trace-out", metavar="PATH", default=None,
@@ -707,29 +716,35 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
     return report.exit_code
 
 
+def serve_config_from_args(args: argparse.Namespace):
+    """The :class:`~repro.serve.server.ServeConfig` ``repro serve`` runs:
+    the given flags over ServeConfig's own defaults.
+
+    Raises:
+        ValueError: if a flag's value is out of range (e.g. the port).
+    """
+    from dataclasses import fields
+
+    from repro.serve import ServeConfig
+
+    names = {field.name for field in fields(ServeConfig)}
+    return ServeConfig(
+        **{name: value for name, value in vars(args).items()
+           if name in names}
+    )
+
+
 def cmd_serve(args: argparse.Namespace, out) -> int:
     import asyncio
     import signal
 
-    from repro.serve import LocalizationServer, ServeConfig, ServiceCore
+    from repro.serve import LocalizationServer, ServiceCore
 
     checkpoint_cache = None
     if args.warm_cache is not None:
         checkpoint_cache = ResultCache(root=args.warm_cache)
     try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            n_shards=args.shards,
-            queue_limit=args.queue_limit,
-            tenant_inflight_limit=args.tenant_inflight,
-            session_ttl_s=args.session_ttl,
-            checkpointing=not args.no_checkpointing,
-            supervise=not args.no_supervise,
-            trace_mode=args.trace_mode,
-            trace_sample_every=args.trace_sample_every,
-            trace_slow_ms=args.trace_slow_ms,
-        )
+        config = serve_config_from_args(args)
     except ValueError as exc:
         print("serve: %s" % exc, file=out)
         return 2

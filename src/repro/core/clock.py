@@ -22,31 +22,23 @@ class DriftingClock:
         local(t) = anchor_local + (1 + rate) * (t - anchor_true)
 
     where ``rate`` is this robot's drift (e.g. +0.01 = runs 1% fast) and
-    the anchor point moves whenever :meth:`synchronize` is called.
+    the anchor point moves whenever :meth:`synchronize` is called.  The
+    first anchor is (0, 0): robots are synchronized at deployment, at the
+    start of the simulation.
 
     Args:
         drift_rate: this clock's rate error; drawn by the caller, typically
             uniform in ``[-max_drift, +max_drift]``.
-        start_true: true time at construction.
-        start_local: local time at construction (defaults to ``start_true``
-            — robots are synchronized at deployment).
     """
 
-    def __init__(
-        self,
-        drift_rate: float,
-        start_true: float = 0.0,
-        start_local: float = None,
-    ) -> None:
+    def __init__(self, drift_rate: float) -> None:
         if abs(drift_rate) >= 1.0:
             raise ValueError(
                 "drift_rate must be a small fraction, got %r" % drift_rate
             )
         self._rate = drift_rate
-        self._anchor_true = start_true
-        self._anchor_local = (
-            start_true if start_local is None else start_local
-        )
+        self._anchor_true = 0.0
+        self._anchor_local = 0.0
 
     @property
     def drift_rate(self) -> float:
@@ -83,7 +75,7 @@ class DriftingClock:
 
     @staticmethod
     def random(
-        rng: np.random.Generator, max_drift_rate: float, start_true: float = 0.0
+        rng: np.random.Generator, max_drift_rate: float
     ) -> "DriftingClock":
         """Draw a clock with rate error uniform in ``[-max, +max]``."""
         if max_drift_rate < 0:
@@ -92,4 +84,4 @@ class DriftingClock:
                 % max_drift_rate
             )
         rate = float(rng.uniform(-max_drift_rate, max_drift_rate))
-        return DriftingClock(rate, start_true)
+        return DriftingClock(rate)

@@ -60,15 +60,17 @@ class SyncPayload:
 class Coordinator:
     """One robot's wake/sleep and window schedule.
 
-    The coordinator drives four callbacks:
+    The coordinator runs three lists of hooks, each in registration order:
 
-    - ``on_window_open`` at radio wake-up (the localization filter resets
+    - window-open hooks at radio wake-up (the localization filter resets
       here so that early beacons from fast-clocked anchors still count),
-    - ``on_window_start`` at the nominal local window start (anchors begin
+    - window-start hooks at the nominal local window start (anchors begin
       beaconing; the Sync robot refreshes the mesh and sends SYNC),
-    - ``on_window_close`` at window start + ``t`` (unknowns finalize their
-      fix),
-    - ``on_period_end`` right before the radio sleeps.
+    - window-close hooks at window start + ``t`` (unknowns finalize their
+      fix).
+
+    The team registers its own duties first, so extensions that hook in
+    afterwards run after them.
 
     Args:
         sim: simulation engine.
@@ -98,10 +100,6 @@ class Coordinator:
         guard_s: float,
         sync_slack_s: float = 0.5,
         coordination: bool = True,
-        on_window_open: Optional[Callable[[], None]] = None,
-        on_window_start: Optional[Callable[[], None]] = None,
-        on_window_close: Optional[Callable[[], None]] = None,
-        on_period_end: Optional[Callable[[], None]] = None,
         resync_after_silent_periods: Optional[int] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> None:
@@ -120,10 +118,6 @@ class Coordinator:
         self._guard_s = guard_s
         self._sync_slack_s = sync_slack_s
         self._coordination = coordination
-        self._on_window_open = on_window_open
-        self._on_window_start = on_window_start
-        self._on_window_close = on_window_close
-        self._on_period_end = on_period_end
         if (
             resync_after_silent_periods is not None
             and resync_after_silent_periods < 1
@@ -133,6 +127,7 @@ class Coordinator:
                 % resync_after_silent_periods
             )
         self._resync_after = resync_after_silent_periods
+        self._window_open_hooks: List[Callable[[], None]] = []
         self._window_start_hooks: List[Callable[[], None]] = []
         self._window_close_hooks: List[Callable[[], None]] = []
         self._silent_periods = 0
@@ -181,19 +176,24 @@ class Coordinator:
             )
         self._resync_after = periods
 
-    def add_window_start_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` at every window start, after the primary
-        ``on_window_start`` callback.
+    def add_window_open_hook(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` at every radio wake-up, after the hooks already
+        registered."""
+        self._window_open_hooks.append(hook)
 
-        This is the public extension point extensions (failover, beacon
-        promotion, application traffic) attach to; hooks run in
-        registration order and survive parameter changes via SYNC.
+    def add_window_start_hook(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` at every window start, after the hooks already
+        registered.
+
+        This is the public extension point the team and its extensions
+        (failover, beacon promotion, application traffic) attach to;
+        hooks survive parameter changes via SYNC.
         """
         self._window_start_hooks.append(hook)
 
     def add_window_close_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` at every window close, after the primary
-        ``on_window_close`` callback."""
+        """Run ``hook`` at every window close, after the hooks already
+        registered."""
         self._window_close_hooks.append(hook)
 
     def start(self) -> None:
@@ -252,8 +252,8 @@ class Coordinator:
                 node=self._interface.node_id,
                 attrs={"window": self.windows_run},
             )
-        if self._on_window_open is not None:
-            self._on_window_open()
+        for hook in self._window_open_hooks:
+            hook()
         start_local = self._current_window_start_local()
         self._schedule_at_local(
             start_local, self._window_start_phase, "coord-window-start"
@@ -262,8 +262,6 @@ class Coordinator:
     def _window_start_phase(self) -> None:
         if self._stopped:
             return
-        if self._on_window_start is not None:
-            self._on_window_start()
         for hook in self._window_start_hooks:
             hook()
         start_local = self._current_window_start_local()
@@ -276,8 +274,6 @@ class Coordinator:
     def _window_close_phase(self) -> None:
         if self._stopped:
             return
-        if self._on_window_close is not None:
-            self._on_window_close()
         for hook in self._window_close_hooks:
             hook()
         local_now = self._clock.local_time(self._sim.now)
@@ -301,8 +297,6 @@ class Coordinator:
     def _period_end_phase(self) -> None:
         if self._stopped:
             return
-        if self._on_period_end is not None:
-            self._on_period_end()
         if self._tracer is not None and self.window_span is not None:
             self._tracer.end_span(self.window_span, self._sim.now)
             self.window_span = None

@@ -37,6 +37,11 @@ from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
 from repro.mobility.odometry import OdometrySensor
 from repro.util.geometry import Rect, Vec2, normalize_angle
 
+#: A CoCoA fix corrects the dead reckoner's heading only when both the
+#: measured and the reckoned displacement since the last fix reach this
+#: length (m); below it the angle would be pure noise.
+MIN_HEADING_FIX_DISPLACEMENT_M = 1.0
+
 
 @dataclass(frozen=True)
 class BeaconObservation:
@@ -90,9 +95,6 @@ class PositionEstimator:
             center, the mean of their uniform prior.
         initial_heading: starting heading estimate (radians); only
             meaningful when the initial position is trusted.
-        min_heading_fix_displacement_m: displacements shorter than this do
-            not trigger a heading correction (the angle would be pure
-            noise).
         position_filter: optional pre-built Bayesian filter implementing
             the ``reset_uniform`` / ``apply_beacon`` / ``estimate`` /
             ``position_std_m`` / ``beacons_applied`` protocol (e.g. a
@@ -165,7 +167,6 @@ class PositionEstimator:
         min_beacons_for_fix: int = 3,
         initial_position: Optional[Vec2] = None,
         initial_heading: float = 0.0,
-        min_heading_fix_displacement_m: float = 1.0,
         position_filter=None,
         beacon_gate_sigma: float = 0.0,
         beacon_gate_slack_m: float = 10.0,
@@ -179,7 +180,6 @@ class PositionEstimator:
         self._table = pdf_table
         self._odometry = odometry
         self._min_beacons = min_beacons_for_fix
-        self._min_heading_disp = min_heading_fix_displacement_m
         self._gate_sigma = beacon_gate_sigma
         self._gate_slack_m = beacon_gate_slack_m
         self._watchdog = watchdog
@@ -634,8 +634,8 @@ class PositionEstimator:
             measured = fix - self._last_fix
             reckoned = reckoner.position - self._last_fix
             if (
-                measured.norm() >= self._min_heading_disp
-                and reckoned.norm() >= self._min_heading_disp
+                measured.norm() >= MIN_HEADING_FIX_DISPLACEMENT_M
+                and reckoned.norm() >= MIN_HEADING_FIX_DISPLACEMENT_M
             ):
                 correction = normalize_angle(
                     Vec2.zero().heading_to(measured)

@@ -31,6 +31,15 @@ import numpy as np
 from repro.core.pdf_table import PdfTable
 from repro.util.geometry import Rect, Vec2
 
+#: Resample when the effective sample size falls below this fraction of
+#: the particle count.
+RESAMPLE_ESS_FRACTION = 0.5
+
+#: σ (m) of the Gaussian jitter added after each resampling: standard
+#: "roughening" that prevents particle impoverishment when many beacons
+#: arrive in one window.
+ROUGHENING_STD_M = 1.0
+
 
 class ParticleFilter:
     """Sample-based posterior over positions in the deployment area.
@@ -39,11 +48,6 @@ class ParticleFilter:
         area: deployment rectangle.
         rng: random stream for sampling and resampling.
         n_particles: sample count (the accuracy/runtime knob).
-        resample_ess_fraction: resample when the effective sample size
-            falls below this fraction of ``n_particles``.
-        roughening_std_m: σ of the Gaussian jitter added after each
-            resampling — standard "roughening" that prevents particle
-            impoverishment when many beacons arrive in one window.
     """
 
     def __init__(
@@ -51,28 +55,15 @@ class ParticleFilter:
         area: Rect,
         rng: np.random.Generator,
         n_particles: int = 1500,
-        resample_ess_fraction: float = 0.5,
-        roughening_std_m: float = 1.0,
     ) -> None:
         if n_particles < 10:
             raise ValueError(
                 "n_particles must be at least 10, got %r" % n_particles
             )
-        if not 0.0 < resample_ess_fraction <= 1.0:
-            raise ValueError(
-                "resample_ess_fraction must be in (0, 1], got %r"
-                % resample_ess_fraction
-            )
-        if roughening_std_m < 0:
-            raise ValueError(
-                "roughening_std_m must be non-negative, got %r"
-                % roughening_std_m
-            )
         self._area = area
         self._rng = rng
         self._n = n_particles
-        self._resample_ess = resample_ess_fraction * n_particles
-        self._roughening = roughening_std_m
+        self._resample_ess = RESAMPLE_ESS_FRACTION * n_particles
         self._xs = np.empty(n_particles)
         self._ys = np.empty(n_particles)
         self._weights = np.empty(n_particles)
@@ -147,15 +138,14 @@ class ParticleFilter:
         indices = np.searchsorted(cumulative, positions)
         self._xs = self._xs[indices]
         self._ys = self._ys[indices]
-        if self._roughening > 0.0:
-            self._xs = self._xs + self._rng.normal(
-                0.0, self._roughening, size=self._n
-            )
-            self._ys = self._ys + self._rng.normal(
-                0.0, self._roughening, size=self._n
-            )
-            np.clip(self._xs, self._area.x_min, self._area.x_max, out=self._xs)
-            np.clip(self._ys, self._area.y_min, self._area.y_max, out=self._ys)
+        self._xs = self._xs + self._rng.normal(
+            0.0, ROUGHENING_STD_M, size=self._n
+        )
+        self._ys = self._ys + self._rng.normal(
+            0.0, ROUGHENING_STD_M, size=self._n
+        )
+        np.clip(self._xs, self._area.x_min, self._area.x_max, out=self._xs)
+        np.clip(self._ys, self._area.y_min, self._area.y_max, out=self._ys)
         self._weights = np.full(self._n, 1.0 / self._n)
         self.resamplings += 1
 

@@ -34,6 +34,9 @@ UNIFORM_FLOOR_WEIGHT = 0.02
 #: LUT resolution: nodes over twice the table support, per RSSI bin.
 LUT_ENTRIES = 16384
 
+#: Histogram bins over the support of a far-regime (non-Gaussian) fit.
+HIST_BINS = 32
+
 
 @dataclass(frozen=True)
 class DistanceDistribution:
@@ -118,13 +121,12 @@ class DistanceDistribution:
         samples_m: np.ndarray,
         support_max_m: float,
         gaussian_limit_m: float = 40.0,
-        hist_bins: int = 32,
     ) -> "DistanceDistribution":
         """Fit a bin from calibration samples.
 
         Uses the paper's rule: a Gaussian when the observed distances are
         within the near regime (mean ≤ ``gaussian_limit_m``), an empirical
-        histogram otherwise.
+        histogram of :data:`HIST_BINS` bins otherwise.
         """
         samples = np.asarray(samples_m, dtype=float).ravel()
         n = samples.size
@@ -144,7 +146,7 @@ class DistanceDistribution:
             )
         density, edges = np.histogram(
             samples,
-            bins=hist_bins,
+            bins=HIST_BINS,
             range=(0.0, support_max_m),
             density=True,
         )

@@ -41,8 +41,8 @@ from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometrySensor
 from repro.mobility.waypoint import WaypointMobility
 from repro.multicast.lifetime import kinematics_of
-from repro.multicast.mrmm import MrmmConfig, MrmmNode
-from repro.multicast.odmrp import MulticastStats, OdmrpConfig, OdmrpNode
+from repro.multicast.mrmm import MrmmNode
+from repro.multicast.odmrp import MulticastStats, OdmrpNode
 from repro.net.channel import BroadcastChannel, ChannelStats
 from repro.net.interface import NetworkInterface
 from repro.net.packet import ReceivedPacket
@@ -355,24 +355,17 @@ class CoCoATeam:
         provider = lambda m=mobility: kinematics_of(m, self.sim.now)  # noqa: E731
         rng = self.streams.spawn("multicast", node_id)
         is_source = node_id == sync_robot_id
-        is_member = not is_source
-        if self.config.multicast is MulticastProtocol.MRMM:
-            return MrmmNode(
-                self.sim,
-                interface,
-                rng,
-                MrmmConfig(),
-                is_source=is_source,
-                is_member=is_member,
-                kinematics_provider=provider,
-            )
-        return OdmrpNode(
+        node_cls = (
+            MrmmNode
+            if self.config.multicast is MulticastProtocol.MRMM
+            else OdmrpNode
+        )
+        return node_cls(
             self.sim,
             interface,
             rng,
-            OdmrpConfig(),
             is_source=is_source,
-            is_member=is_member,
+            is_member=not is_source,
             kinematics_provider=provider,
         )
 
@@ -469,7 +462,7 @@ class CoCoATeam:
                     "estimator_fix_std_m", DISTANCE_EDGES_M
                 ).observe(estimator.last_fix_std_m)
 
-        return Coordinator(
+        coordinator = Coordinator(
             self.sim,
             clock,
             interface,
@@ -478,11 +471,14 @@ class CoCoATeam:
             guard_s=config.guard_s,
             sync_slack_s=config.sync_slack_s,
             coordination=config.coordination,
-            on_window_open=window_open,
-            on_window_start=window_start,
-            on_window_close=window_close,
             tracer=telemetry.tracer if telemetry is not None else None,
         )
+        # Registered before any extension's hooks, so the team's duties
+        # run first in every phase.
+        coordinator.add_window_open_hook(window_open)
+        coordinator.add_window_start_hook(window_start)
+        coordinator.add_window_close_hook(window_close)
+        return coordinator
 
     def _sync_round(self, source: OdmrpNode, clock: DriftingClock) -> None:
         """The Sync robot's per-period duties: refresh the mesh, send SYNC.

@@ -48,23 +48,20 @@ from repro.orchestrator.progress import ProgressListener
 from repro.sim.rng import RandomStreams
 from repro.util.geometry import Vec2
 
+#: Figure 1's two RSSI bins (dBm): a near one and a far one.
+FIG1_RSSI_DBM = (-52.0, -86.0)
 
-def run_fig1(
-    rssi_near_dbm: float = -52.0,
-    rssi_far_dbm: float = -86.0,
-    n_samples: int = 120_000,
-    master_seed: int = 1,
-    path_loss: Optional[PathLossModel] = None,
-) -> Dict:
-    """Figure 1: the PDF-versus-distance of two RSSI bins.
 
-    Returns, for each requested RSSI, the fitted distribution's metadata
-    plus a Gaussianity diagnostic (excess kurtosis and skewness of the
+def run_fig1(n_samples: int = 120_000, master_seed: int = 1) -> Dict:
+    """Figure 1: the PDF-versus-distance of the two :data:`FIG1_RSSI_DBM`
+    bins, over the default channel.
+
+    Returns, for each bin, the fitted distribution's metadata plus a
+    Gaussianity diagnostic (excess kurtosis and skewness of the
     calibration samples in that bin): the near bin should be approximately
     Gaussian, the far bin visibly not.
     """
-    if path_loss is None:
-        path_loss = PathLossModel()
+    path_loss = PathLossModel()
     rng = RandomStreams(master_seed).get("calibration")
     result = build_pdf_table(path_loss, rng, n_samples=n_samples)
     table = result.table
@@ -77,7 +74,7 @@ def run_fig1(
     distances, rssi = distances[keep], rssi[keep]
 
     out: Dict = {"bins": {}, "calibration": result}
-    for target in (rssi_near_dbm, rssi_far_dbm):
+    for target in FIG1_RSSI_DBM:
         key = int(round(target))
         samples = distances[np.round(rssi).astype(int) == key]
         dist = table.bin_for(target)

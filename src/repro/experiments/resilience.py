@@ -94,10 +94,10 @@ def run_resilience_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    defenses: DefenseConfig = DEFENDED_DEFAULTS,
     telemetry_path: Optional[str] = None,
 ) -> Dict[float, Dict[str, Dict]]:
-    """Error-versus-intensity curves, with and without defenses.
+    """Error-versus-intensity curves, without defenses and with
+    :data:`DEFENDED_DEFAULTS`.
 
     Args:
         intensities: fault intensities to sweep (0 = clean baseline).
@@ -110,7 +110,6 @@ def run_resilience_sweep(
             its fault plan and defense profile, so cells are reusable
             across sweeps.
         progress: optional progress listener.
-        defenses: the defense profile for the "defended" cells.
         telemetry_path: when set, executed cells run with rich telemetry
             and the per-job snapshots are written to this JSONL path.
 
@@ -127,7 +126,7 @@ def run_resilience_sweep(
         )
     variants = (
         ("undefended", DefenseConfig()),
-        ("defended", defenses),
+        ("defended", DEFENDED_DEFAULTS),
     )
     sweep = [
         SweepJob(

@@ -12,13 +12,13 @@ the team degrades:
   samples become NaN; :class:`~repro.core.team.TeamResult` aggregates with
   NaN-aware means).
 - :class:`SyncFailover` gives every anchor a takeover rule: an anchor that
-  misses ``threshold`` consecutive expected SYNCs begins waiting its
-  *rank* (position among anchor ids) in further silent periods, then
-  promotes itself to Sync robot.  Rank staggering makes the lowest alive
-  anchor win without any extra protocol traffic, and a self-promoted
-  anchor demotes itself the moment it hears SYNC from a lower id — the
-  classic bully-style resolution, paid for entirely with messages CoCoA
-  already sends.
+  misses :data:`FAILOVER_THRESHOLD` consecutive expected SYNCs begins
+  waiting its *rank* (position among anchor ids) in further silent
+  periods, then promotes itself to Sync robot.  Rank staggering makes
+  the lowest alive anchor win without any extra protocol traffic, and a
+  self-promoted anchor demotes itself the moment it hears SYNC from a
+  lower id — the classic bully-style resolution, paid for entirely with
+  messages CoCoA already sends.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from repro.core.config import CoCoAConfig
 from repro.core.coordinator import Coordinator, SyncPayload
 from repro.core.pdf_table import PdfTable
 from repro.core.team import CoCoATeam
+
+#: Consecutive silent periods before a backup anchor's rank counter
+#: starts; total silence before takeover is this plus the anchor's rank.
+FAILOVER_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,6 @@ class SyncFailover:
         node_id: this anchor's id.
         rank: this anchor's position among anchor ids (0 = first backup).
         coordinator: this anchor's coordinator.
-        threshold: consecutive silent periods before the rank counter
-            starts; total silence before takeover is ``threshold + rank``
-            periods.
     """
 
     def __init__(
@@ -83,15 +84,11 @@ class SyncFailover:
         node_id: int,
         rank: int,
         coordinator: Coordinator,
-        threshold: int = 3,
     ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1, got %r" % threshold)
         self._team = team
         self.node_id = node_id
         self.rank = rank
         self._coordinator = coordinator
-        self._threshold = threshold
         self._last_sync_count = 0
         self.silent_periods = 0
         self.is_acting_sync = False
@@ -121,7 +118,7 @@ class SyncFailover:
         # backup's clock drifted during the outage.
         if self._coordinator.resync_after is None:
             listened_enough = self.silent_periods >= (
-                self._threshold + self.rank
+                FAILOVER_THRESHOLD + self.rank
             )
         else:
             # Two periods of spacing per rank: a single lost SYNC from the
@@ -131,7 +128,7 @@ class SyncFailover:
             )
         if (
             not self.is_acting_sync
-            and self.silent_periods >= self._threshold
+            and self.silent_periods >= FAILOVER_THRESHOLD
             and listened_enough
         ):
             self._take_over()
@@ -166,7 +163,6 @@ class ResilientTeam(CoCoATeam):
         config: base scenario.
         schedule: robot deaths to inject.
         failover: enable the anchors' Sync takeover rule.
-        failover_threshold: silent periods before the first backup reacts.
         pdf_table: optional pre-built calibration.
 
     Whole-robot deaths compose with the channel/sensor faults of
@@ -178,13 +174,11 @@ class ResilientTeam(CoCoATeam):
         config: CoCoAConfig,
         schedule: FailureSchedule = FailureSchedule(),
         failover: bool = True,
-        failover_threshold: int = 3,
         resync_after_silent_periods: Optional[int] = 3,
         pdf_table: Optional[PdfTable] = None,
     ) -> None:
         self.schedule = schedule
         self._failover_enabled = failover
-        self._failover_threshold = failover_threshold
         self._resync_after = resync_after_silent_periods
         self.failovers: Dict[int, SyncFailover] = {}
         self.dead: Set[int] = set()
@@ -205,11 +199,7 @@ class ResilientTeam(CoCoATeam):
         backups = [n for n in anchors if not n.is_sync_robot]
         for rank, node in enumerate(sorted(backups, key=lambda n: n.node_id)):
             component = SyncFailover(
-                self,
-                node.node_id,
-                rank,
-                node.coordinator,
-                threshold=self._failover_threshold,
+                self, node.node_id, rank, node.coordinator
             )
             self.failovers[node.node_id] = component
             self._hook_anchor(node, component)

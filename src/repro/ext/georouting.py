@@ -30,6 +30,12 @@ from repro.util.geometry import Vec2
 if TYPE_CHECKING:
     import networkx as nx
 
+#: Radio link range (m) of the study's connectivity graphs.
+LINK_RANGE_M = 90.0
+
+#: Seed of the stream that draws the study's (source, destination) pairs.
+PAIR_SEED = 7
+
 
 @dataclass(frozen=True)
 class GeoRoutingResult:
@@ -56,33 +62,30 @@ def greedy_route(
     coordinates: Dict[int, Vec2],
     source: int,
     destination: int,
-    max_hops: Optional[int] = None,
 ) -> Optional[List[int]]:
     """Greedy geographic forwarding from ``source`` to ``destination``.
 
     Each hop forwards to the neighbor whose *advertised* coordinates are
     closest to the destination's advertised coordinates, only if that
     strictly improves on the current holder (otherwise: local minimum,
-    routing fails).
+    routing fails).  Every hop strictly closes in on the destination, so
+    no route visits a node twice and the node count bounds the hops.
 
     Args:
         graph: connectivity graph (edges = radio links).
         coordinates: node id -> advertised position.
         source: originating node.
         destination: target node.
-        max_hops: hop budget; defaults to the node count.
 
     Returns:
         The hop list including both endpoints, or ``None`` on failure.
     """
     if source not in graph or destination not in graph:
         return None
-    if max_hops is None:
-        max_hops = graph.number_of_nodes()
     target = coordinates[destination]
     path = [source]
     current = source
-    for _ in range(max_hops):
+    for _ in range(graph.number_of_nodes()):
         if current == destination:
             return path
         neighbors = list(graph.neighbors(current))
@@ -131,8 +134,6 @@ def run_georouting_study(
     config: Optional[CoCoAConfig] = None,
     snapshot_times: Sequence[float] = (150.0, 300.0, 450.0),
     pairs_per_snapshot: int = 60,
-    link_range_m: float = 90.0,
-    seed: int = 7,
 ) -> GeoRoutingResult:
     """Compare greedy routing over true versus CoCoA coordinates.
 
@@ -174,13 +175,13 @@ def run_georouting_study(
         team.sim.schedule_at(at, capture, name="georouting-snapshot")
     team.run()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PAIR_SEED)
     node_ids = [node.node_id for node in team.nodes]
     total_true = total_est = total_attempts = 0
     stretch_true_all: List[float] = []
     stretch_est_all: List[float] = []
     for true_coords, est_coords in snapshots:
-        graph = connectivity_graph(true_coords, link_range_m)
+        graph = connectivity_graph(true_coords, LINK_RANGE_M)
         pairs = []
         for _ in range(pairs_per_snapshot):
             source, destination = rng.choice(node_ids, size=2, replace=False)

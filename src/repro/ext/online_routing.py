@@ -38,6 +38,20 @@ HELLO_BYTES = 20
 #: + hop count (1).
 GEO_HEADER_BYTES = 25
 
+#: TTL of routed messages, in hops.
+MAX_HOPS = 16
+#: Each frame is sent this many times (CoCoA's k-beacons principle:
+#: broadcast frames get no MAC acknowledgements, so reliability comes from
+#: repetition); duplicates are filtered by message id.
+REDUNDANCY = 2
+#: Hops advertised farther than this (m) are treated as unreliable and only
+#: used when no reliable neighbor makes progress: classic greedy picks the
+#: longest, flakiest link otherwise.
+RELIABLE_HOP_M = 70.0
+#: A neighbor-table entry expires after this many beacon periods without
+#: a fresh HELLO.
+NEIGHBOR_MAX_AGE_PERIODS = 2.5
+
 
 @dataclass(frozen=True)
 class HelloPayload:
@@ -117,7 +131,6 @@ class GeoRouter:
         neighbor_table: HELLO-maintained neighbor knowledge.
         own_position: callable returning this node's *believed* position
             (its estimate — never ground truth).
-        max_hops: TTL for routed messages.
         on_deliver: callback ``(payload, received)`` when a message for
             this node arrives.
     """
@@ -128,33 +141,13 @@ class GeoRouter:
         interface: NetworkInterface,
         neighbor_table: NeighborTable,
         own_position: Callable[[], Vec2],
-        max_hops: int = 16,
         on_deliver: Optional[Callable[[GeoPayload, ReceivedPacket], None]] = None,
-        redundancy: int = 2,
-        reliable_hop_m: float = 70.0,
     ) -> None:
-        if max_hops < 1:
-            raise ValueError("max_hops must be >= 1, got %r" % max_hops)
-        if redundancy < 1:
-            raise ValueError("redundancy must be >= 1, got %r" % redundancy)
-        if reliable_hop_m <= 0:
-            raise ValueError(
-                "reliable_hop_m must be positive, got %r" % reliable_hop_m
-            )
         self._sim = sim
         self._interface = interface
         self._neighbors = neighbor_table
         self._own_position = own_position
-        self._max_hops = max_hops
         self._on_deliver = on_deliver
-        #: Frames are sent this many times (CoCoA's k-beacons principle:
-        #: broadcast frames get no MAC acknowledgements, so reliability
-        #: comes from repetition); duplicates are filtered by message id.
-        self._redundancy = redundancy
-        #: Hops advertised farther than this are treated as unreliable and
-        #: only used when no reliable neighbor makes progress — classic
-        #: greedy picks the longest, flakiest link otherwise.
-        self._reliable_hop_m = reliable_hop_m
         self._msg_ids = 0
         self._handled: set = set()
         self.stats = RoutingStats()
@@ -191,7 +184,7 @@ class GeoRouter:
         return self._forward(payload)
 
     def _forward(self, payload: GeoPayload) -> bool:
-        if payload.hop_count >= self._max_hops:
+        if payload.hop_count >= MAX_HOPS:
             self.stats.dropped_ttl += 1
             return False
         neighbors = self._neighbors.fresh_entries()
@@ -212,7 +205,7 @@ class GeoRouter:
             body_bytes=payload.body_bytes,
             msg_id=payload.msg_id,
         )
-        for _ in range(self._redundancy):
+        for _ in range(REDUNDANCY):
             self._interface.send_broadcast(
                 Packet(
                     src=self.node_id,
@@ -232,12 +225,12 @@ class GeoRouter:
         directly.  Otherwise pick, among neighbors strictly closer to the
         destination than we believe ourselves to be, the one making the
         most progress over a *reliable* link (advertised hop distance at
-        most ``reliable_hop_m``); fall back to the best unreliable one.
+        most :data:`RELIABLE_HOP_M`); fall back to the best unreliable one.
         """
         own = self._own_position()
         if payload.dest_id in neighbors:
             hop = own.distance_to(neighbors[payload.dest_id])
-            if hop <= self._reliable_hop_m:
+            if hop <= RELIABLE_HOP_M:
                 return payload.dest_id
             # The destination is audible but far: relaying through a
             # reliable intermediate beats one flaky long shot.
@@ -253,7 +246,7 @@ class GeoRouter:
                 continue
             if d < best_any_d:
                 best_any, best_any_d = node_id, d
-            if own.distance_to(position) <= self._reliable_hop_m:
+            if own.distance_to(position) <= RELIABLE_HOP_M:
                 if d < best_reliable_d:
                     best_reliable, best_reliable_d = node_id, d
         return best_reliable if best_reliable is not None else best_any
@@ -291,12 +284,8 @@ class RoutingTeam(CoCoATeam):
     def __init__(
         self,
         config: CoCoAConfig,
-        neighbor_max_age_periods: float = 2.5,
-        max_hops: int = 16,
         pdf_table: Optional[PdfTable] = None,
     ) -> None:
-        self._neighbor_max_age_periods = neighbor_max_age_periods
-        self._max_hops = max_hops
         self.routers: Dict[int, GeoRouter] = {}
         self.neighbor_tables: Dict[int, NeighborTable] = {}
         self.delivered_messages: List[Tuple[int, GeoPayload]] = []
@@ -304,9 +293,7 @@ class RoutingTeam(CoCoATeam):
         self._wire_routing()
 
     def _wire_routing(self) -> None:
-        max_age = (
-            self._neighbor_max_age_periods * self.config.beacon_period_s
-        )
+        max_age = NEIGHBOR_MAX_AGE_PERIODS * self.config.beacon_period_s
         for node in self.nodes:
             table = NeighborTable(self.sim, max_age)
             self.neighbor_tables[node.node_id] = table
@@ -319,7 +306,6 @@ class RoutingTeam(CoCoATeam):
                 node.interface,
                 table,
                 believed_position,
-                max_hops=self._max_hops,
                 on_deliver=lambda p, rp: self.delivered_messages.append(
                     (rp.receiver, p)
                 ),

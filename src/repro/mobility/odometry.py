@@ -132,14 +132,14 @@ class OdometrySensor:
 
     The constructor builds a block of one row that follows one mobility
     model, bound to a one-row world of its own; :meth:`over_world` builds
-    one row per robot of an existing world.
+    one row per robot of an existing world.  Every row's first
+    (implicit) sample is at time 0.
 
     Args:
         mobility: the robot's true mobility model (not yet bound to a
             world).
         rng: this robot's odometry noise stream.
         noise: error model parameters.
-        start_time: time of the first (implicit) sample.
     """
 
     def __init__(
@@ -147,11 +147,10 @@ class OdometrySensor:
         mobility: MobilityModel,
         rng: np.random.Generator,
         noise: OdometryNoise = OdometryNoise(),
-        start_time: float = 0.0,
     ) -> None:
         world = WorldState()
         mobility.bind_world(world, 0)
-        self._setup(world, [0], [rng], noise, start_time)
+        self._setup(world, [0], [rng], noise)
 
     @classmethod
     def over_world(
@@ -160,7 +159,6 @@ class OdometrySensor:
         rows: Sequence[int],
         rngs: Sequence[np.random.Generator],
         noise: OdometryNoise = OdometryNoise(),
-        start_time: float = 0.0,
     ) -> "OdometrySensor":
         """One row per listed world row, true poses read from ``world``.
 
@@ -171,7 +169,7 @@ class OdometrySensor:
             rngs: one noise stream per listed row.
         """
         sensor = cls.__new__(cls)
-        sensor._setup(world, rows, list(rngs), noise, start_time)
+        sensor._setup(world, rows, list(rngs), noise)
         return sensor
 
     def _setup(
@@ -180,7 +178,6 @@ class OdometrySensor:
         rows: Sequence[int],
         rngs: Sequence[np.random.Generator],
         noise: OdometryNoise,
-        start_time: float,
     ) -> None:
         self._world = world
         self._index = np.asarray(rows, dtype=np.intp)
@@ -203,9 +200,9 @@ class OdometrySensor:
         self._buffer = np.zeros((n, NOISE_BLOCK))
         self._cursor = np.full(n, NOISE_BLOCK, dtype=np.intp)
         self._active = np.ones(n, dtype=bool)
-        self._last_time = start_time
+        self._last_time = 0.0
         self._last_x, self._last_y, self._last_heading = self._true_poses(
-            start_time
+            0.0
         )
 
     def _true_poses(

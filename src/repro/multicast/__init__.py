@@ -17,22 +17,16 @@ from repro.multicast.lifetime import (
 )
 from repro.multicast.flooding import DuplicateCache
 from repro.multicast.mesh import connectivity_graph
-from repro.multicast.odmrp import (
-    MulticastStats,
-    OdmrpConfig,
-    OdmrpNode,
-)
-from repro.multicast.mrmm import MrmmConfig, MrmmNode
+from repro.multicast.odmrp import MulticastStats, OdmrpNode
+from repro.multicast.mrmm import MrmmNode
 
 __all__ = [
     "Kinematics",
     "kinematics_of",
     "predict_link_lifetime",
     "DuplicateCache",
-    "OdmrpConfig",
     "OdmrpNode",
     "MulticastStats",
-    "MrmmConfig",
     "MrmmNode",
     "connectivity_graph",
 ]

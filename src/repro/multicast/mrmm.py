@@ -29,41 +29,10 @@ are exactly the improvements the CoCoA paper attributes to MRMM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.multicast.lifetime import Kinematics, predict_link_lifetime
-from repro.multicast.odmrp import (
-    JOIN_QUERY_MRMM_BYTES,
-    OdmrpConfig,
-    OdmrpNode,
-    _RouteEntry,
-)
-
-
-@dataclass(frozen=True)
-class MrmmConfig(OdmrpConfig):
-    """MRMM parameters.
-
-    Attributes:
-        max_lifetime_horizon_s: cap on link-lifetime predictions.
-        reliable_rssi_dbm: links heard at or above this strength count as
-            *reliable*; parent selection prefers reliable links outright,
-            pruning the flaky long-distance links that win ODMRP's
-            first-copy race but drop data later.
-    """
-
-    max_lifetime_horizon_s: float = 600.0
-    reliable_rssi_dbm: float = -85.0
-    suppress_threshold: Optional[int] = 2
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.max_lifetime_horizon_s <= 0:
-            raise ValueError(
-                "max_lifetime_horizon_s must be positive, got %r"
-                % self.max_lifetime_horizon_s
-            )
+from repro.multicast.odmrp import JOIN_QUERY_MRMM_BYTES, OdmrpNode, _RouteEntry
 
 
 class MrmmNode(OdmrpNode):
@@ -73,6 +42,19 @@ class MrmmNode(OdmrpNode):
     motion in forwarded JOIN QUERYs and evaluate link lifetimes to
     neighbors.
     """
+
+    #: Link range used for lifetime prediction.
+    ASSUMED_LINK_RANGE_M = 100.0
+    #: Cap on link-lifetime predictions.
+    MAX_LIFETIME_HORIZON_S = 600.0
+    #: Links heard at or above this strength count as *reliable*; parent
+    #: selection prefers reliable links outright, pruning the flaky
+    #: long-distance links that win ODMRP's first-copy race but drop data
+    #: later.
+    RELIABLE_RSSI_DBM = -85.0
+    #: Overheard copies that cancel a scheduled rebroadcast (the
+    #: redundancy the pruning preserves).
+    SUPPRESS_THRESHOLD = 2
 
     def _jq_bytes(self) -> int:
         return JOIN_QUERY_MRMM_BYTES
@@ -87,10 +69,9 @@ class MrmmNode(OdmrpNode):
         own = self._own_kinematics()
         if own is None or sender is None:
             return float("inf")
-        config = self._config
-        horizon = getattr(config, "max_lifetime_horizon_s", 600.0)
         return predict_link_lifetime(
-            own, sender, config.assumed_link_range_m, horizon
+            own, sender, self.ASSUMED_LINK_RANGE_M,
+            self.MAX_LIFETIME_HORIZON_S,
         )
 
     def _candidate_better(
@@ -104,7 +85,7 @@ class MrmmNode(OdmrpNode):
         final deterministic tie-break coalesces members onto shared
         parents, shrinking the forwarding group.
         """
-        threshold = getattr(self._config, "reliable_rssi_dbm", -85.0)
+        threshold = self.RELIABLE_RSSI_DBM
         cand_reliable = candidate.rssi_dbm >= threshold
         inc_reliable = incumbent.rssi_dbm >= threshold
         if cand_reliable != inc_reliable:

@@ -99,57 +99,6 @@ class MulticastStats:
     route_switches: int = 0
 
 
-@dataclass(frozen=True)
-class OdmrpConfig:
-    """Protocol parameters.
-
-    Attributes:
-        jq_ttl: hop budget of JOIN QUERY floods.
-        data_ttl: hop budget of data packets on the mesh.
-        fg_timeout_s: forwarding-group flag lifetime; ODMRP convention is
-            about three refresh intervals.
-        forward_jitter_s: maximum random delay before rebroadcasting a
-            flooded packet (desynchronizes the flood).
-        jr_delay_s: how long a member waits after the first JOIN QUERY copy
-            before sending its JOIN REPLY — the window in which better
-            upstream candidates may still arrive.
-        assumed_link_range_m: link range used for lifetime prediction
-            (MRMM only).
-        suppress_threshold: if set, a node cancels its own scheduled
-            rebroadcast of a flooded packet once it has overheard this many
-            copies — MRMM's redundancy-preserving pruning.  ``None``
-            (plain ODMRP) never suppresses.
-    """
-
-    jq_ttl: int = 8
-    data_ttl: int = 8
-    fg_timeout_s: float = 360.0
-    forward_jitter_s: float = 0.15
-    jr_delay_s: float = 0.4
-    assumed_link_range_m: float = 100.0
-    suppress_threshold: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.jq_ttl < 1 or self.data_ttl < 1:
-            raise ValueError("TTLs must be at least 1")
-        if self.fg_timeout_s <= 0:
-            raise ValueError(
-                "fg_timeout_s must be positive, got %r" % self.fg_timeout_s
-            )
-        if self.forward_jitter_s < 0 or self.jr_delay_s < 0:
-            raise ValueError("jitter/delay must be non-negative")
-        if self.suppress_threshold is not None and self.suppress_threshold < 1:
-            raise ValueError(
-                "suppress_threshold must be positive or None, got %r"
-                % self.suppress_threshold
-            )
-        if self.assumed_link_range_m <= 0:
-            raise ValueError(
-                "assumed_link_range_m must be positive, got %r"
-                % self.assumed_link_range_m
-            )
-
-
 @dataclass
 class _RouteEntry:
     """Best-known way back toward a source for the current refresh round."""
@@ -166,23 +115,44 @@ class _RouteEntry:
 class OdmrpNode:
     """One node's ODMRP instance.
 
+    The protocol parameters are class attributes, so the node class is
+    the only protocol selector (:class:`~repro.multicast.mrmm.MrmmNode`
+    overrides what MRMM changes).
+
     Args:
         sim: simulation engine.
         interface: the node's network attachment.
         rng: random stream for jitter.
-        config: protocol parameters.
         is_source: whether this node originates JOIN QUERYs and data.
         is_member: whether this node is a multicast group member.
         kinematics_provider: callable returning this node's own
             :class:`Kinematics` (used by MRMM; optional for plain ODMRP).
     """
 
+    #: Hop budget of JOIN QUERY floods.
+    JQ_TTL = 8
+    #: Hop budget of data packets on the mesh.
+    DATA_TTL = 8
+    #: Forwarding-group flag lifetime; ODMRP convention is about three
+    #: refresh intervals.
+    FG_TIMEOUT_S = 360.0
+    #: Maximum random delay before rebroadcasting a flooded packet
+    #: (desynchronizes the flood).
+    FORWARD_JITTER_S = 0.15
+    #: How long a member waits after the first JOIN QUERY copy before
+    #: sending its JOIN REPLY: the window in which better upstream
+    #: candidates may still arrive.
+    JR_DELAY_S = 0.4
+    #: If set, a node cancels its own scheduled rebroadcast of a flooded
+    #: packet once it has overheard this many copies (MRMM's
+    #: redundancy-preserving pruning); plain ODMRP never suppresses.
+    SUPPRESS_THRESHOLD: Optional[int] = None
+
     def __init__(
         self,
         sim: Simulator,
         interface: NetworkInterface,
         rng: np.random.Generator,
-        config: OdmrpConfig = OdmrpConfig(),
         is_source: bool = False,
         is_member: bool = False,
         kinematics_provider: Optional[Callable[[], Kinematics]] = None,
@@ -190,7 +160,6 @@ class OdmrpNode:
         self._sim = sim
         self._interface = interface
         self._rng = rng
-        self._config = config
         self.is_source = is_source
         self.is_member = is_member
         self._kinematics_provider = kinematics_provider
@@ -211,10 +180,6 @@ class OdmrpNode:
     @property
     def node_id(self) -> int:
         return self._node_id
-
-    @property
-    def config(self) -> OdmrpConfig:
-        return self._config
 
     def on_data(self, handler: DataHandler) -> None:
         """Register an application handler for delivered group data."""
@@ -266,7 +231,7 @@ class OdmrpNode:
             kind=JQ_KIND,
             payload=payload,
             payload_bytes=self._jq_bytes(),
-            ttl=self._config.jq_ttl,
+            ttl=self.JQ_TTL,
         )
         self._jq_cache.seen_before(packet.origin_uid)
         self._interface.send_broadcast(packet)
@@ -356,12 +321,12 @@ class OdmrpNode:
     def _fire_forward(self, packet: Packet, is_jq: bool) -> None:
         """Send a scheduled rebroadcast unless it was pruned meanwhile.
 
-        With ``suppress_threshold`` set (MRMM), the rebroadcast is
+        With :attr:`SUPPRESS_THRESHOLD` set (MRMM), the rebroadcast is
         cancelled if the node has overheard enough copies of the same
         packet while the jitter timer ran — its neighborhood is already
-        covered with the configured redundancy.
+        covered with the protocol's redundancy.
         """
-        threshold = self._config.suppress_threshold
+        threshold = self.SUPPRESS_THRESHOLD
         if (
             threshold is not None
             and self._copies.count(packet.origin_uid) >= threshold + 1
@@ -380,7 +345,7 @@ class OdmrpNode:
             return
         entry.jr_scheduled = True
         self._sim.schedule(
-            self._config.jr_delay_s + self._jitter(),
+            self.JR_DELAY_S + self._jitter(),
             self._send_join_reply,
             source,
             name="jr-send",
@@ -419,7 +384,7 @@ class OdmrpNode:
         if payload.source == self._node_id:
             return  # the source itself needs no FG flag
         self._fg_expiry[payload.source] = (
-            self._sim.now + self._config.fg_timeout_s
+            self._sim.now + self.FG_TIMEOUT_S
         )
         # Propagate membership interest toward the source.
         entry = self._routes.get(payload.source)
@@ -450,7 +415,7 @@ class OdmrpNode:
             kind=DATA_KIND,
             payload=payload,
             payload_bytes=body_bytes + 8,
-            ttl=self._config.data_ttl,
+            ttl=self.DATA_TTL,
         )
         self._data_cache.seen_before(packet.origin_uid)
         self._interface.send_broadcast(packet)
@@ -481,6 +446,4 @@ class OdmrpNode:
             )
 
     def _jitter(self) -> float:
-        if self._config.forward_jitter_s <= 0:
-            return 0.0
-        return float(self._rng.uniform(0.0, self._config.forward_jitter_s))
+        return float(self._rng.uniform(0.0, self.FORWARD_JITTER_S))

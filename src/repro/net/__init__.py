@@ -17,7 +17,7 @@ evaluation needs:
 
 from repro.net.channel import BroadcastChannel, Transmission
 from repro.net.interface import NetworkInterface
-from repro.net.mac import CsmaMac, MacConfig
+from repro.net.mac import CsmaMac
 from repro.net.packet import (
     IP_HEADER_BYTES,
     UDP_HEADER_BYTES,
@@ -38,6 +38,5 @@ __all__ = [
     "BroadcastChannel",
     "Transmission",
     "CsmaMac",
-    "MacConfig",
     "NetworkInterface",
 ]

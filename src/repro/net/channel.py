@@ -39,6 +39,9 @@ ReceiveCallback = Callable[[ReceivedPacket], None]
 #: 802.11b long preamble + PLCP header airtime in seconds.
 PREAMBLE_S = 192e-6
 
+#: Physical bitrate (the paper's 2 Mbps).
+BITRATE_BPS = 2e6
+
 
 @dataclass
 class Transmission:
@@ -102,8 +105,6 @@ class BroadcastChannel:
         sim: simulation engine.
         path_loss: the channel's signal model.
         rng: random stream for RSSI noise.
-        bitrate_bps: physical bitrate (paper: 2 Mbps).
-        preamble_s: fixed per-frame preamble airtime.
         trace: optional sim tracer (the team's telemetry tracer, or
             ``None``); records the ``channel.tx``, ``channel.rx`` and
             ``channel.collision`` categories it has enabled.
@@ -114,19 +115,11 @@ class BroadcastChannel:
         sim: Simulator,
         path_loss: PathLossModel,
         rng: np.random.Generator,
-        bitrate_bps: float = 2e6,
-        preamble_s: float = PREAMBLE_S,
         trace: Optional[SpanTracer] = None,
     ) -> None:
-        if bitrate_bps <= 0:
-            raise ValueError(
-                "bitrate_bps must be positive, got %r" % bitrate_bps
-            )
         self._sim = sim
         self._path_loss = path_loss
         self._rng = rng
-        self._bitrate = bitrate_bps
-        self._preamble_s = preamble_s
         #: Registered nodes; node ``i`` is entry ``i`` and world row ``i``.
         self._nodes: List[_NodeEntry] = []
         self._transmissions: List[Transmission] = []
@@ -194,7 +187,7 @@ class BroadcastChannel:
 
     def airtime_s(self, size_bytes: int) -> float:
         """Airtime of a frame: preamble plus payload serialization."""
-        return self._preamble_s + (size_bytes * 8.0) / self._bitrate
+        return PREAMBLE_S + (size_bytes * 8.0) / BITRATE_BPS
 
     def medium_busy(self, node_id: int) -> bool:
         """Carrier sense: does ``node_id`` hear energy above its CS threshold?

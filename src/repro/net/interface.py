@@ -14,10 +14,10 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.energy.meter import EnergyMeter
-from repro.energy.model import EnergyModel, RadioState
+from repro.energy.model import EnergyModel
 from repro.mobility.base import MobilityModel
 from repro.net.channel import BroadcastChannel
-from repro.net.mac import CsmaMac, MacConfig
+from repro.net.mac import CsmaMac
 from repro.net.packet import Packet, ReceivedPacket
 from repro.net.phy import ReceiverModel
 from repro.net.radio import Radio
@@ -29,6 +29,9 @@ ReceiveHandler = Callable[[ReceivedPacket], None]
 class NetworkInterface:
     """One robot's complete network attachment.
 
+    The radio starts awake (IDLE): robots are deployed with their radios
+    on, and the coordinator puts them to sleep after the first window.
+
     Args:
         sim: simulation engine.
         node_id: this robot's id.
@@ -39,8 +42,6 @@ class NetworkInterface:
         energy_model: radio energy constants.
         mac_rng: random stream for MAC backoff.
         receiver: receiver thresholds.
-        mac_config: MAC timing constants.
-        initially_awake: whether the radio starts in IDLE (True) or SLEEP.
     """
 
     def __init__(
@@ -52,17 +53,14 @@ class NetworkInterface:
         energy_model: EnergyModel,
         mac_rng: np.random.Generator,
         receiver: ReceiverModel = ReceiverModel(),
-        mac_config: MacConfig = MacConfig(),
-        initially_awake: bool = True,
     ) -> None:
         self._sim = sim
         self._node_id = node_id
         self._mobility = mobility
         self._channel = channel
         self.meter = EnergyMeter(energy_model)
-        initial = RadioState.IDLE if initially_awake else RadioState.SLEEP
-        self.radio = Radio(sim, self.meter, initial_state=initial)
-        self.mac = CsmaMac(sim, node_id, channel, self.radio, mac_rng, mac_config)
+        self.radio = Radio(sim, self.meter)
+        self.mac = CsmaMac(sim, node_id, channel, self.radio, mac_rng)
         self._handlers: Dict[str, List[ReceiveHandler]] = {}
         channel.register(node_id, mobility, self.radio, receiver, self._dispatch)
 

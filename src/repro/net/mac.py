@@ -18,7 +18,6 @@ Simplifications relative to a full 802.11 DCF, documented here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional
 
 import numpy as np
@@ -29,34 +28,15 @@ from repro.net.radio import Radio
 from repro.sim.engine import Event, Simulator
 
 
-@dataclass(frozen=True)
-class MacConfig:
-    """802.11b DCF timing constants (2 Mbps DSSS PHY).
+#: 802.11b DCF timing (2 Mbps DSSS PHY): DCF inter-frame space, backoff
+#: slot time and the broadcast contention window (CWmin, in slots).
+DIFS_S = 50e-6
+SLOT_S = 20e-6
+CW_SLOTS = 31
 
-    Attributes:
-        difs_s: DCF inter-frame space.
-        slot_s: backoff slot time.
-        cw_slots: contention window size for broadcast (CWmin).
-        max_defers: how many consecutive busy-medium deferrals before a
-            frame is dropped (guards against pathological congestion).
-    """
-
-    difs_s: float = 50e-6
-    slot_s: float = 20e-6
-    cw_slots: int = 31
-    max_defers: int = 50
-
-    def __post_init__(self) -> None:
-        if self.difs_s < 0 or self.slot_s < 0:
-            raise ValueError("MAC timings must be non-negative")
-        if self.cw_slots < 1:
-            raise ValueError(
-                "cw_slots must be at least 1, got %r" % self.cw_slots
-            )
-        if self.max_defers < 1:
-            raise ValueError(
-                "max_defers must be at least 1, got %r" % self.max_defers
-            )
+#: Consecutive busy-medium deferrals before a frame is dropped (guards
+#: against pathological congestion).
+MAX_DEFERS = 50
 
 
 class CsmaMac:
@@ -68,7 +48,6 @@ class CsmaMac:
         channel: the shared medium.
         radio: the node's radio (frames are dropped while it sleeps).
         rng: random stream for backoff draws.
-        config: DCF timing parameters.
     """
 
     def __init__(
@@ -78,20 +57,12 @@ class CsmaMac:
         channel: BroadcastChannel,
         radio: Radio,
         rng: np.random.Generator,
-        config: MacConfig = MacConfig(),
     ) -> None:
         self._sim = sim
         self._node_id = node_id
         self._channel = channel
         self._radio = radio
         self._rng = rng
-        self._config = config
-        # Hoisted backoff constants: _backoff_s runs once per attempt —
-        # the engine's densest aperiodic event population — and the
-        # dataclass attribute walk showed up in its profile.
-        self._difs_s = config.difs_s
-        self._slot_s = config.slot_s
-        self._cw_bound = config.cw_slots + 1
         self._queue: Deque[Packet] = deque()
         self._pending: Optional[Event] = None
         self._defers = 0
@@ -131,8 +102,8 @@ class CsmaMac:
         self._defers = 0
 
     def _backoff_s(self) -> float:
-        slots = int(self._rng.integers(0, self._cw_bound))
-        return self._difs_s + slots * self._slot_s
+        slots = int(self._rng.integers(0, CW_SLOTS + 1))
+        return DIFS_S + slots * SLOT_S
 
     def _arm(self, initial: bool) -> None:
         """Schedule the next transmission attempt after DIFS + backoff."""
@@ -157,7 +128,7 @@ class CsmaMac:
             or self._channel.medium_busy(self._node_id)
         ):
             self._defers += 1
-            if self._defers >= self._config.max_defers:
+            if self._defers >= MAX_DEFERS:
                 self._queue.popleft()
                 self.frames_dropped += 1
                 self._defers = 0

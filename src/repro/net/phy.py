@@ -207,9 +207,7 @@ class PathLossModel:
         k = d.size
         if k == 0:
             return np.empty(0)
-        mean = self.rssi_at_1m_dbm - 10.0 * self.path_loss_exponent * (
-            np.log10(np.maximum(d, 1.0))
-        )
+        mean = self.mean_rssi(d)
         far = d > self.far_threshold_m
         any_far = bool(far.any())
         # With no far receiver sigma is uniform, and multiplying by the

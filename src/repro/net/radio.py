@@ -41,13 +41,12 @@ _RX = RadioState.RX
 
 
 class Radio:
-    """One node's wireless interface power state.
+    """One node's wireless interface power state; it starts in IDLE
+    (deployed and awake).
 
     Args:
         sim: the simulation engine (for the clock and TX end events).
         meter: the node's energy meter.
-        initial_state: state at construction; defaults to IDLE (deployed
-            and awake).
 
     Attributes:
         receive_fault: the reception-fault gate (brownout injection), or
@@ -59,15 +58,10 @@ class Radio:
             and delivery time).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        meter: EnergyMeter,
-        initial_state: RadioState = RadioState.IDLE,
-    ) -> None:
+    def __init__(self, sim: Simulator, meter: EnergyMeter) -> None:
         self._sim = sim
         self._meter = meter
-        self._state = initial_state
+        self._state = RadioState.IDLE
         self._state_since = sim.now
         self._busy_until = sim.now
         self._end_event: Optional[Event] = None

@@ -24,6 +24,9 @@ from repro.telemetry.spans import Ring
 
 __all__ = ["OpsEvent", "OpsLog"]
 
+#: Events an ops log keeps; older ones are dropped (and counted).
+MAX_EVENTS = 10_000
+
 
 class OpsEvent:
     """One operational event: a kind, a relative timestamp, and fields."""
@@ -49,12 +52,8 @@ class OpsLog:
 
     __slots__ = ("ring", "_clock")
 
-    def __init__(
-        self,
-        max_events: int = 10_000,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.ring = Ring(max_events)
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+        self.ring = Ring(MAX_EVENTS)
         self._clock = clock if clock is not None else time.perf_counter
 
     def emit(self, kind: str, **fields: Any) -> OpsEvent:

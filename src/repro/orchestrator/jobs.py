@@ -97,14 +97,14 @@ class SweepJob:
 def seed_jobs(
     config: CoCoAConfig,
     seeds: Sequence[int],
-    name_format: str = "seed={seed}",
     telemetry: bool = False,
 ) -> List[SweepJob]:
-    """Jobs re-running one scenario under several master seeds."""
+    """Jobs re-running one scenario under several master seeds, named
+    ``seed=<seed>``."""
     return [
         SweepJob(
             config=replace(config, master_seed=seed),
-            name=name_format.format(seed=seed),
+            name="seed=%d" % seed,
             key=seed,
             telemetry=telemetry,
         )

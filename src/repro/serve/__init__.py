@@ -49,7 +49,6 @@ from repro.serve.replay import (
 from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
 from repro.serve.session import (
     CalibrationStore,
-    SessionLimits,
     TenantSession,
 )
 from repro.serve.shard import Shard, shard_index_for
@@ -82,7 +81,6 @@ __all__ = [
     "ServeConfig",
     "ServiceCore",
     "CalibrationStore",
-    "SessionLimits",
     "TenantSession",
     "Shard",
     "shard_index_for",

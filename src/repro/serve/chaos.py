@@ -58,9 +58,8 @@ from repro.serve.protocol import (
     Request,
     WindowRequest,
 )
-from repro.serve.replay import ReplayLog, diff_fixes
+from repro.serve.replay import ReplayLog, close_problems, diff_fixes
 from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
-from repro.telemetry.registry import MetricsRegistry
 
 __all__ = [
     "ChaosEvent",
@@ -451,7 +450,6 @@ async def run_chaos(
     config: Optional[ServeConfig] = None,
     chaos_log_path=None,
     trace_log_path=None,
-    registry=None,
 ) -> ChaosReport:
     """Run one chaos schedule against a live TCP server; gate the bytes.
 
@@ -473,7 +471,6 @@ async def run_chaos(
             retry and re-hello (the CI job uploads it as an artifact).
         trace_log_path: optional trace-JSONL path dumping the run's
             recorded spans (``repro trace`` reads it).
-        registry: optional metrics registry to share.
 
     Returns:
         A :class:`ChaosReport`; ``report.ok`` is the gate.
@@ -493,11 +490,7 @@ async def run_chaos(
         raise ValueError(
             "chaos runs need checkpointing and supervision enabled"
         )
-    core = ServiceCore(
-        config=config,
-        registry=registry if registry is not None else MetricsRegistry(),
-        clock=clock,
-    )
+    core = ServiceCore(config=config, clock=clock)
     server = LocalizationServer(core)
     journal: List[Dict[str, Any]] = []
     await server.start()
@@ -584,17 +577,11 @@ def _first_divergent_trace(
     log: ReplayLog, replayed: List[Dict[str, Any]]
 ) -> Optional[str]:
     """The trace id of the first replayed close that diverges from the
-    recorded batch fixes (mirrors :func:`diff_fixes`'s comparison)."""
+    recorded batch fixes (by :func:`close_problems`, as
+    :func:`diff_fixes` compares them)."""
     recorded = [e for e in log.events if e["kind"] == "close"]
     for want, got in zip(recorded, replayed):
-        if (
-            (want["robot"], want["window"])
-            != (got["robot"], got["window"])
-            or bool(want["fixed"]) != bool(got["fixed"])
-            or (want["fixed"] and any(
-                want[axis] != got[axis] for axis in ("x_hex", "y_hex")
-            ))
-        ):
+        if close_problems(want, got):
             return got.get("trace")
     if len(replayed) > len(recorded):
         return replayed[len(recorded)].get("trace")

@@ -31,6 +31,7 @@ __all__ = [
     "ReplayLog",
     "record_replay_log",
     "replay_log",
+    "close_problems",
     "diff_fixes",
 ]
 
@@ -233,6 +234,31 @@ async def replay_log(
     return fixes
 
 
+def close_problems(want: Dict[str, Any], got: Dict[str, Any]) -> List[str]:
+    """How one replayed close differs from its recorded batch close;
+    empty when the two agree (same window, same fixed flag, same
+    ``float.hex`` coordinates)."""
+    where = "robot %s window %s" % (want["robot"], want["window"])
+    if (want["robot"], want["window"]) != (got["robot"], got["window"]):
+        return [
+            "%s: replay visited robot %s window %s instead"
+            % (where, got["robot"], got["window"])
+        ]
+    if bool(want["fixed"]) != bool(got["fixed"]):
+        return [
+            "%s: fixed=%s in batch, fixed=%s in service"
+            % (where, want["fixed"], got["fixed"])
+        ]
+    if not want["fixed"]:
+        return []
+    return [
+        "%s: %s differs (batch %s, service %s)"
+        % (where, axis, want[axis], got[axis])
+        for axis in ("x_hex", "y_hex")
+        if want[axis] != got[axis]
+    ]
+
+
 def diff_fixes(
     log: ReplayLog, replayed: List[Dict[str, Any]]
 ) -> List[str]:
@@ -242,32 +268,12 @@ def diff_fixes(
     byte for byte (same windows fixed, same ``float.hex`` coordinates).
     """
     recorded = [e for e in log.events if e["kind"] == "close"]
-    problems: List[str] = []
     if len(recorded) != len(replayed):
-        problems.append(
+        return [
             "close count mismatch: recorded %d, replayed %d"
             % (len(recorded), len(replayed))
-        )
-        return problems
+        ]
+    problems: List[str] = []
     for want, got in zip(recorded, replayed):
-        where = "robot %s window %s" % (want["robot"], want["window"])
-        if (want["robot"], want["window"]) != (got["robot"], got["window"]):
-            problems.append(
-                "%s: replay visited robot %s window %s instead"
-                % (where, got["robot"], got["window"])
-            )
-            continue
-        if bool(want["fixed"]) != bool(got["fixed"]):
-            problems.append(
-                "%s: fixed=%s in batch, fixed=%s in service"
-                % (where, want["fixed"], got["fixed"])
-            )
-            continue
-        if want["fixed"]:
-            for axis in ("x_hex", "y_hex"):
-                if want[axis] != got[axis]:
-                    problems.append(
-                        "%s: %s differs (batch %s, service %s)"
-                        % (where, axis, want[axis], got[axis])
-                    )
+        problems.extend(close_problems(want, got))
     return problems

@@ -77,42 +77,22 @@ from repro.telemetry.registry import NULL_REGISTRY
 from repro.util.geometry import Rect
 
 __all__ = [
-    "SessionLimits",
     "TenantSession",
     "CalibrationStore",
 ]
 
+#: Robots one tenant may track; further window-opens are refused with
+#: ``robot_limit``.
+MAX_ROBOTS = 256
 
-class SessionLimits:
-    """Graceful-degradation knobs for one session.
+#: Buffered observations per robot per window; overflow is dropped and
+#: counted, never queued unboundedly.
+MAX_PENDING_OBSERVATIONS = 1024
 
-    Attributes:
-        max_robots: robots one tenant may track (further window-opens
-            are refused with ``robot_limit``).
-        max_pending_observations: buffered observations per robot per
-            window; overflow is dropped and counted, never queued
-            unboundedly.
-        reply_cache_size: cached ``(rid, reply)`` pairs kept for
-            idempotent retries; oldest entries fall out first.  It only
-            needs to cover one client's retry horizon (one in-flight
-            window), so it stays small.
-    """
-
-    __slots__ = ("max_robots", "max_pending_observations", "reply_cache_size")
-
-    def __init__(
-        self,
-        max_robots: int = 256,
-        max_pending_observations: int = 1024,
-        reply_cache_size: int = 256,
-    ) -> None:
-        if max_robots < 1 or max_pending_observations < 1:
-            raise ValueError("session limits must be >= 1")
-        if reply_cache_size < 1:
-            raise ValueError("session limits must be >= 1")
-        self.max_robots = max_robots
-        self.max_pending_observations = max_pending_observations
-        self.reply_cache_size = reply_cache_size
+#: Cached ``(rid, reply)`` pairs kept for idempotent retries; oldest
+#: entries fall out first.  It only needs to cover one client's retry
+#: horizon (one in-flight window), so it stays small.
+REPLY_CACHE_SIZE = 256
 
 
 class _RobotLane:
@@ -135,7 +115,6 @@ class TenantSession:
         hello: the session-opening request (geometry + calibration id).
         table: the tenant's calibrated PDF table (shared, never mutated
             here).
-        limits: per-tenant degradation limits.
         clock: monotonic time source for idle tracking (injectable so
             eviction tests never sleep).
         registry: telemetry registry for service-level counters.
@@ -149,7 +128,6 @@ class TenantSession:
         self,
         hello: HelloRequest,
         table: PdfTable,
-        limits: Optional[SessionLimits] = None,
         clock: Optional[Callable[[], float]] = None,
         registry=NULL_REGISTRY,
         checkpoints=None,
@@ -157,7 +135,6 @@ class TenantSession:
         self.tenant = hello.tenant
         self.hello = hello
         self._table = table
-        self._limits = limits if limits is not None else SessionLimits()
         self._clock = clock if clock is not None else _ZERO_CLOCK
         self._registry = registry
         self._checkpoints = checkpoints
@@ -204,7 +181,7 @@ class TenantSession:
     def _lane_for(self, robot: int, create: bool) -> Optional[_RobotLane]:
         lane = self._lanes.get(robot)
         if lane is None and create:
-            if len(self._lanes) >= self._limits.max_robots:
+            if len(self._lanes) >= MAX_ROBOTS:
                 return None
             lane = self._add_lane(robot, self._new_estimator())
         return lane
@@ -257,7 +234,7 @@ class TenantSession:
         response = self._dispatch(request, trace)
         if rid is not None and _mutated_state(request, response):
             self._replies[rid] = response
-            while len(self._replies) > self._limits.reply_cache_size:
+            while len(self._replies) > REPLY_CACHE_SIZE:
                 self._replies.popitem(last=False)
         return response
 
@@ -286,7 +263,7 @@ class TenantSession:
         if lane is None:
             return error_response(
                 "robot_limit",
-                "tenant tracks %d robots already" % self._limits.max_robots,
+                "tenant tracks %d robots already" % MAX_ROBOTS,
             )
         if lane.pending:
             # Stale buffer from a window that never closed: those
@@ -310,7 +287,7 @@ class TenantSession:
             # any fix can read it, so it is acknowledged and discarded.
             self.observations_out_of_window += 1
             return Response(ok=True, payload={"buffered": False})
-        if len(lane.pending) >= self._limits.max_pending_observations:
+        if len(lane.pending) >= MAX_PENDING_OBSERVATIONS:
             self.observations_dropped += 1
             self._registry.counter("serve_observations_dropped").inc()
             return error_response("pending_limit")
@@ -387,7 +364,7 @@ class TenantSession:
             # after a crash-and-restore gets this reply, not a re-close.
             if request.rid is not None:
                 self._replies[request.rid] = response
-                while len(self._replies) > self._limits.reply_cache_size:
+                while len(self._replies) > REPLY_CACHE_SIZE:
                     self._replies.popitem(last=False)
             if trace is not None:
                 with trace.hop("checkpoint", robot=request.robot):
@@ -550,7 +527,7 @@ class TenantSession:
             )
         robots = set(self._lanes)
         robots.update(record["robot"] for record in checkpoint.lanes)
-        if len(robots) > self._limits.max_robots:
+        if len(robots) > MAX_ROBOTS:
             raise ValueError("checkpoint exceeds this session's robot limit")
         restored = []
         for record in checkpoint.lanes:

@@ -6,8 +6,9 @@ This package replaces the GloMoSim substrate the paper runs on.  It provides:
   scheduler with a floating-point clock in seconds,
 - :class:`~repro.sim.engine.Event` handles that can be cancelled or
   rescheduled,
-- :class:`~repro.sim.timers.PeriodicTimer` — the building block for beacon
-  periods, SYNC periods and metric sampling,
+- :class:`~repro.sim.timers.PeriodicTimer` — a fixed-period timer; the
+  team's metric sampling is its only user (beacon periods run on each
+  robot's drifting clock in the coordinator),
 - :class:`~repro.sim.rng.RandomStreams` — named, independently seeded random
   streams so that e.g. mobility noise and RF shadowing are decoupled and
   every run is exactly reproducible from one master seed.

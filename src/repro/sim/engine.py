@@ -89,10 +89,7 @@ class Event:
 
 
 class Simulator:
-    """Deterministic discrete-event scheduler.
-
-    Args:
-        start_time: initial clock value in seconds.
+    """Deterministic discrete-event scheduler; its clock starts at 0 s.
 
     Example:
         >>> sim = Simulator()
@@ -106,8 +103,8 @@ class Simulator:
         2.0
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         # Heap entries are (time, seq, event) tuples rather than bare
         # events: heapq then compares tuples in C instead of calling
         # Event.__lt__, with the exact same (time, seq) lexicographic

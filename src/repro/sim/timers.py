@@ -1,25 +1,25 @@
 """Recurring timers built on the event engine.
 
-:class:`PeriodicTimer` drives every recurring activity in the reproduction:
-beacon periods (``T``), the k beacon transmissions inside a transmit window,
-ODMRP mesh refreshes, per-second metric sampling, and odometry integration
-steps.
+:class:`PeriodicTimer` drives the team's per-interval metric sampling
+(:meth:`~repro.core.team.CoCoATeam.run`), its only user.  Beacon periods
+and windows run on each robot's drifting clock through the
+:class:`~repro.core.coordinator.Coordinator` instead, and the ``k``
+beacons of a window are scheduled by the
+:class:`~repro.core.beaconing.AnchorBeaconer`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 class PeriodicTimer:
-    """Fire a callback every ``period`` seconds until stopped.
+    """Fire a callback every ``period`` seconds for the rest of the run.
 
-    The callback receives the firing count (0-based).  If ``max_fires`` is
-    given the timer stops itself after that many firings — this is how the
-    ``k`` beacons inside a transmit window are generated.
+    The callback receives the firing count (0-based).
     """
 
     def __init__(
@@ -29,7 +29,6 @@ class PeriodicTimer:
         callback: Callable[[int], None],
         *,
         start_delay: float = 0.0,
-        max_fires: Optional[int] = None,
         name: str = "periodic",
     ) -> None:
         # `not >` instead of `<=` so NaN is rejected too (NaN compares
@@ -44,62 +43,15 @@ class PeriodicTimer:
                 "start_delay must be non-negative and finite, got %r"
                 % start_delay
             )
-        if max_fires is not None and max_fires <= 0:
-            raise ValueError("max_fires must be positive, got %r" % max_fires)
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._max_fires = max_fires
         self._name = name
         self._fires = 0
-        self._stopped = False
-        self._event: Optional[Event] = sim.schedule(
-            start_delay, self._fire, name=name
-        )
-
-    @property
-    def fires(self) -> int:
-        """How many times the callback has run."""
-        return self._fires
-
-    @property
-    def running(self) -> bool:
-        """True until :meth:`stop` is called or ``max_fires`` is reached."""
-        return not self._stopped
-
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def reschedule(self, period: float) -> None:
-        """Change the period; takes effect from the *next* firing.
-
-        Used when a SYNC message advertises new ``T``/``t`` values.
-        """
-        if not (period > 0 and math.isfinite(period)):
-            raise ValueError(
-                "period must be positive and finite, got %r" % period
-            )
-        self._period = period
-
-    def stop(self) -> None:
-        """Cancel the timer.  Idempotent."""
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        sim.schedule(start_delay, self._fire, name=name)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         count = self._fires
         self._fires += 1
-        done = self._max_fires is not None and self._fires >= self._max_fires
-        if done:
-            self._stopped = True
-            self._event = None
-        else:
-            self._event = self._sim.schedule(
-                self._period, self._fire, name=self._name
-            )
+        self._sim.schedule(self._period, self._fire, name=self._name)
         self._callback(count)

@@ -37,6 +37,9 @@ __all__ = [
 
 _INVALID_PROM_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
+#: Namespace of every exported Prometheus metric name.
+PROM_PREFIX = "repro_"
+
 
 def write_jsonl(path, records: Iterable[Mapping], mode: str = "w") -> int:
     """Write (or with ``mode='a'`` append) records as JSON lines to
@@ -79,8 +82,8 @@ def read_trace_jsonl(path) -> List[Dict[str, Any]]:
     return records
 
 
-def _prom_name(name: str, prefix: str) -> str:
-    return _INVALID_PROM_CHARS.sub("_", prefix + name)
+def _prom_name(name: str) -> str:
+    return _INVALID_PROM_CHARS.sub("_", PROM_PREFIX + name)
 
 
 def _prom_type(name: str) -> str:
@@ -94,9 +97,9 @@ def _prom_type(name: str) -> str:
 
 def prometheus_text(
     source: Union[TelemetrySnapshot, MetricsRegistry, Mapping[str, float]],
-    prefix: str = "repro_",
 ) -> str:
-    """Render metrics in the Prometheus exposition format.
+    """Render metrics in the Prometheus exposition format, each name
+    prefixed with :data:`PROM_PREFIX`.
 
     Accepts a snapshot, a registry (whose histograms keep their bucket
     counts and are rendered with ``le`` labels) or any flat mapping.
@@ -122,11 +125,11 @@ def prometheus_text(
         metrics = dict(sorted(source.items()))
 
     for name, value in metrics.items():
-        prom = _prom_name(name, prefix)
+        prom = _prom_name(name)
         lines.append("# TYPE %s %s" % (prom, _prom_type(name)))
         lines.append("%s %s" % (prom, repr(float(value))))
     for histogram in sorted(histograms, key=lambda h: h.name):
-        prom = _prom_name(histogram.name, prefix)
+        prom = _prom_name(histogram.name)
         lines.append("# TYPE %s histogram" % prom)
         cumulative = 0
         for edge, count in zip(histogram.edges, histogram.bucket_counts):

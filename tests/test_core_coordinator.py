@@ -51,12 +51,12 @@ class TestCoordinatorSchedule:
             guard_s=1.0,
             sync_slack_s=0.5,
             coordination=coordination,
-            on_window_open=recorder("open"),
-            on_window_start=recorder("start"),
-            on_window_close=recorder("close"),
-            on_period_end=recorder("end"),
             **kwargs,
         )
+        # The primary callbacks, registered first as the team's are.
+        coordinator.add_window_open_hook(recorder("open"))
+        coordinator.add_window_start_hook(recorder("start"))
+        coordinator.add_window_close_hook(recorder("close"))
         return sim, interface, coordinator, events
 
     def test_first_window_opens_immediately(self):
@@ -171,6 +171,9 @@ class TestCoordinatorSchedule:
         sim.run(until=5.0)
         assert events.index(("start", 0.0)) < events.index(
             ("hook-start", 0.0)
+        )
+        assert events.index(("close", pytest.approx(3.0))) < events.index(
+            ("hook-close", pytest.approx(3.0))
         )
         closes = [t for name, t in events if name == "hook-close"]
         assert closes == [pytest.approx(3.0)]

@@ -44,10 +44,6 @@ class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_filter(n_particles=5)
-        with pytest.raises(ValueError):
-            make_filter(resample_ess_fraction=0.0)
-        with pytest.raises(ValueError):
-            make_filter(roughening_std_m=-1.0)
 
 
 class TestBeaconUpdates:

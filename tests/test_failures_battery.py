@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.energy.battery import Battery, project_lifetime
-from repro.ext.failures import FailureSchedule, ResilientTeam, SyncFailover
+from repro.ext.failures import FailureSchedule, ResilientTeam
 from repro.mobility.odometry import NOISE_BLOCK
 
 
@@ -229,11 +229,6 @@ class TestSyncFailover:
             if n.coordinator is not None
         )
         assert resync_periods > 0
-
-    def test_threshold_validated(self, pdf_table):
-        team = ResilientTeam(small_config(), pdf_table=pdf_table)
-        with pytest.raises(ValueError):
-            SyncFailover(team, 1, 0, team.nodes[1].coordinator, threshold=0)
 
     def test_no_takeover_when_sync_robot_alive(self, pdf_table):
         team = ResilientTeam(

@@ -9,8 +9,8 @@ from repro.multicast.lifetime import kinematics_of
 from repro.multicast.mesh import (
     connectivity_graph,
 )
-from repro.multicast.mrmm import MrmmConfig, MrmmNode
-from repro.multicast.odmrp import OdmrpConfig, OdmrpNode
+from repro.multicast.mrmm import MrmmNode
+from repro.multicast.odmrp import OdmrpNode
 from repro.net.channel import BroadcastChannel
 from repro.net.interface import NetworkInterface
 from repro.net.phy import PathLossModel
@@ -21,7 +21,6 @@ from repro.util.geometry import Rect, Vec2
 
 def build_line(
     cls=OdmrpNode,
-    config=None,
     spacing=40.0,
     n=5,
     seed=3,
@@ -30,8 +29,6 @@ def build_line(
     sim = Simulator()
     streams = RandomStreams(seed)
     channel = BroadcastChannel(sim, PathLossModel(), streams.get("phy"))
-    if config is None:
-        config = MrmmConfig() if cls is MrmmNode else OdmrpConfig()
     agents, delivered = [], []
     for i in range(n):
         mob = StationaryMobility(Vec2(spacing * i, 0.0))
@@ -47,7 +44,6 @@ def build_line(
             sim,
             interface,
             streams.spawn("mc", i),
-            config,
             is_source=(i == 0),
             is_member=(i != 0),
             kinematics_provider=(lambda m=mob: kinematics_of(m, sim.now)),
@@ -106,9 +102,9 @@ class TestOdmrpMesh:
             per_node[receiver] = per_node.get(receiver, 0) + 1
         assert all(count == 1 for count in per_node.values())
 
-    def test_fg_flag_expires(self):
-        config = OdmrpConfig(fg_timeout_s=5.0)
-        sim, channel, agents, _ = build_line(config=config)
+    def test_fg_flag_expires(self, monkeypatch):
+        monkeypatch.setattr(OdmrpNode, "FG_TIMEOUT_S", 5.0)
+        sim, channel, agents, _ = build_line()
         agents[0].send_join_query()
         sim.run(until=3.0)
         had_fg = any(a.is_forwarder_for(0) for a in agents)
@@ -123,9 +119,9 @@ class TestOdmrpMesh:
         with pytest.raises(RuntimeError):
             agents[1].send_data("x", 10)
 
-    def test_ttl_limits_flood_depth(self):
-        config = OdmrpConfig(jq_ttl=2)
-        sim, channel, agents, _ = build_line(config=config, n=6)
+    def test_ttl_limits_flood_depth(self, monkeypatch):
+        monkeypatch.setattr(OdmrpNode, "JQ_TTL", 2)
+        sim, channel, agents, _ = build_line(n=6)
         agents[0].send_join_query()
         sim.run(until=5.0)
         # TTL 2: origin + one forward hop; nodes beyond hop 2 never hear it.
@@ -141,28 +137,6 @@ class TestOdmrpMesh:
         assert agents[0].stats.data_originated == 1
         assert sum(a.stats.jq_forwarded for a in agents) >= 1
         assert sum(a.stats.jr_sent for a in agents) >= 1
-
-
-class TestOdmrpConfigValidation:
-    def test_bad_ttl(self):
-        with pytest.raises(ValueError):
-            OdmrpConfig(jq_ttl=0)
-
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError):
-            OdmrpConfig(fg_timeout_s=0.0)
-
-    def test_bad_suppress_threshold(self):
-        with pytest.raises(ValueError):
-            OdmrpConfig(suppress_threshold=0)
-
-    def test_bad_link_range(self):
-        with pytest.raises(ValueError):
-            OdmrpConfig(assumed_link_range_m=0.0)
-
-    def test_mrmm_bad_horizon(self):
-        with pytest.raises(ValueError):
-            MrmmConfig(max_lifetime_horizon_s=0.0)
 
 
 class TestMrmm:
@@ -181,7 +155,7 @@ class TestMrmm:
         """MRMM's pruning must cut transmissions in a dense mobile team
         without sacrificing delivery — the paper's §2.3 claim."""
 
-        def run(cls, config):
+        def run(cls):
             sim = Simulator()
             streams = RandomStreams(17)
             channel = BroadcastChannel(
@@ -205,7 +179,6 @@ class TestMrmm:
                     sim,
                     interface,
                     streams.spawn("mc", i),
-                    config,
                     is_source=(i == 0),
                     is_member=(i != 0),
                     kinematics_provider=(
@@ -232,8 +205,8 @@ class TestMrmm:
             unique = len(set(delivered))
             return total, unique / (messages * 24.0)
 
-        odmrp_forwards, odmrp_delivery = run(OdmrpNode, OdmrpConfig())
-        mrmm_forwards, mrmm_delivery = run(MrmmNode, MrmmConfig())
+        odmrp_forwards, odmrp_delivery = run(OdmrpNode)
+        mrmm_forwards, mrmm_delivery = run(MrmmNode)
         assert mrmm_forwards < 0.7 * odmrp_forwards
         assert mrmm_delivery > odmrp_delivery - 0.05
 

@@ -6,7 +6,7 @@ from repro.energy.model import EnergyModel
 from repro.mobility.base import StationaryMobility
 from repro.net.channel import BroadcastChannel
 from repro.net.interface import NetworkInterface
-from repro.net.mac import MacConfig
+from repro.net import mac
 from repro.net.packet import Packet
 from repro.net.phy import PathLossModel
 from repro.sim.engine import Simulator
@@ -14,7 +14,7 @@ from repro.sim.rng import RandomStreams
 from repro.util.geometry import Vec2
 
 
-def build(positions, seed=1, mac_config=MacConfig()):
+def build(positions, seed=1):
     sim = Simulator()
     streams = RandomStreams(seed)
     channel = BroadcastChannel(sim, PathLossModel(), streams.get("phy"))
@@ -28,7 +28,6 @@ def build(positions, seed=1, mac_config=MacConfig()):
                 channel,
                 EnergyModel.wavelan_2mbps(),
                 streams.spawn("mac", i),
-                mac_config=mac_config,
             )
         )
     return sim, channel, interfaces
@@ -40,17 +39,9 @@ def packet(src=0):
 
 class TestMacConfig:
     def test_defaults_valid(self):
-        config = MacConfig()
-        assert config.difs_s > 0
-        assert config.cw_slots >= 1
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            MacConfig(difs_s=-1.0)
-        with pytest.raises(ValueError):
-            MacConfig(cw_slots=0)
-        with pytest.raises(ValueError):
-            MacConfig(max_defers=0)
+        # 802.11b DCF timing at 2 Mbps DSSS.
+        assert (mac.DIFS_S, mac.SLOT_S, mac.CW_SLOTS) == (50e-6, 20e-6, 31)
+        assert mac.MAX_DEFERS >= 1
 
 
 class TestCsmaMac:
@@ -127,11 +118,9 @@ class TestCsmaMac:
         # Random backoff should separate most attempts.
         assert collisions <= 4
 
-    def test_max_defers_drops_frame(self):
-        config = MacConfig(max_defers=2)
-        sim, channel, interfaces = build(
-            [Vec2(0, 0), Vec2(10, 0)], mac_config=config
-        )
+    def test_max_defers_drops_frame(self, monkeypatch):
+        monkeypatch.setattr(mac, "MAX_DEFERS", 2)
+        sim, channel, interfaces = build([Vec2(0, 0), Vec2(10, 0)])
         # Keep the channel busy forever with back-to-back long frames.
 
         def jam():
@@ -173,21 +162,6 @@ class TestNetworkInterface:
         interfaces[0].send_broadcast(packet())
         sim.run(until=0.5)
         assert len(a) == 1 and len(b) == 1
-
-    def test_initially_asleep_option(self):
-        sim = Simulator()
-        streams = RandomStreams(1)
-        channel = BroadcastChannel(sim, PathLossModel(), streams.get("phy"))
-        interface = NetworkInterface(
-            sim,
-            0,
-            StationaryMobility(Vec2(0, 0)),
-            channel,
-            EnergyModel.wavelan_2mbps(),
-            streams.spawn("mac", 0),
-            initially_awake=False,
-        )
-        assert not interface.is_awake
 
     def test_finalize_bills_tail_energy(self):
         sim, channel, interfaces = build([Vec2(0, 0)])

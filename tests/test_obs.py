@@ -19,6 +19,7 @@ from repro.obs import (
     render_summary,
     slowest_traces,
 )
+from repro.obs import oplog
 from repro.obs.oplog import NULL_OPS_LOG
 from repro.serve.protocol import FixRequest, WindowRequest
 from repro.telemetry.export import (
@@ -241,8 +242,9 @@ class TestOpsLog:
         assert records[1]["at_s"] == 6.0
         assert records[1]["tenant"] == "acme"
 
-    def test_bounded(self):
-        ops = OpsLog(max_events=3, clock=FakeClock())
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(oplog, "MAX_EVENTS", 3)
+        ops = OpsLog(clock=FakeClock())
         for index in range(6):
             ops.emit("tick", index=index)
         assert [record["index"] for record in ops.records()] == [3, 4, 5]

@@ -145,9 +145,7 @@ class TestGeoRouterUnits:
             streams.spawn("mac", 0),
         )
         table = NeighborTable(sim, max_age_s=100.0)
-        router = GeoRouter(
-            sim, interface, table, lambda: Vec2(0, 0), max_hops=4
-        )
+        router = GeoRouter(sim, interface, table, lambda: Vec2(0, 0))
         return sim, table, router
 
     def test_send_without_neighbors_fails(self):
@@ -212,10 +210,3 @@ class TestGeoRouterUnits:
             msg_id=1,
         )
         assert router._pick_next_hop(table.fresh_entries(), payload) == 9
-
-    def test_invalid_parameters(self):
-        sim, table, router = self.build_router()
-        from repro.ext.online_routing import GeoRouter as GR
-
-        with pytest.raises(ValueError):
-            GR(sim, router._interface, table, lambda: Vec2(0, 0), max_hops=0)

@@ -26,7 +26,6 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServiceCore,
-    SessionLimits,
     Shard,
     TenantSession,
     shard_index_for,
@@ -46,6 +45,7 @@ from repro.serve.protocol import (
     parse_request,
     parse_response,
 )
+from repro.serve import session as session_module
 from repro.serve.session import CalibrationStore
 from repro.util.geometry import Rect
 
@@ -63,10 +63,9 @@ def _hello(tenant="t", **kwargs):
     return HelloRequest(tenant=tenant, **kwargs)
 
 
-def _session(pdf_table, tenant="t", limits=None, clock=None, **kwargs):
+def _session(pdf_table, tenant="t", clock=None, **kwargs):
     return TenantSession(
-        _hello(tenant, **kwargs), table=pdf_table,
-        limits=limits, clock=clock,
+        _hello(tenant, **kwargs), table=pdf_table, clock=clock,
     )
 
 
@@ -426,9 +425,9 @@ def test_session_acknowledges_out_of_window_observations(pdf_table):
     assert _run_window(session)["applied"] == len(BEACONS)
 
 
-def test_session_pending_limit_sheds(pdf_table):
-    limits = SessionLimits(max_pending_observations=2)
-    session = _session(pdf_table, limits=limits)
+def test_session_pending_limit_sheds(pdf_table, monkeypatch):
+    monkeypatch.setattr(session_module, "MAX_PENDING_OBSERVATIONS", 2)
+    session = _session(pdf_table)
     session.handle(WindowRequest(tenant="t", robot=0, event="open"))
     results = []
     for seq in range(4):
@@ -440,8 +439,9 @@ def test_session_pending_limit_sheds(pdf_table):
     assert session.observations_dropped == 2
 
 
-def test_session_robot_limit(pdf_table):
-    session = _session(pdf_table, limits=SessionLimits(max_robots=1))
+def test_session_robot_limit(pdf_table, monkeypatch):
+    monkeypatch.setattr(session_module, "MAX_ROBOTS", 1)
+    session = _session(pdf_table)
     assert session.handle(
         WindowRequest(tenant="t", robot=0, event="open")
     ).ok
@@ -887,6 +887,31 @@ def test_cli_serve_smoke(capsys):
     assert code == 0, out
     assert "smoke: undersized hello refused (bad_request)" in out
     assert "smoke: /metrics scrape ok" in out
+
+
+def test_cli_serve_defaults_are_serve_config_defaults():
+    from repro.cli import build_parser, serve_config_from_args
+
+    config = serve_config_from_args(build_parser().parse_args(["serve"]))
+    assert config.port == 7707
+    assert replace(config, port=ServeConfig().port) == ServeConfig()
+
+
+def test_cli_serve_flags_set_serve_config_fields():
+    from repro.cli import build_parser, serve_config_from_args
+
+    config = serve_config_from_args(build_parser().parse_args([
+        "serve", "--host", "0.0.0.0", "--port", "0", "--shards", "2",
+        "--queue-limit", "8", "--tenant-inflight", "3", "--session-ttl", "0",
+        "--no-checkpointing", "--no-supervise", "--trace-mode", "always",
+        "--trace-sample-every", "5", "--trace-slow-ms", "1.5",
+    ]))
+    assert config == ServeConfig(
+        host="0.0.0.0", port=0, n_shards=2, queue_limit=8,
+        tenant_inflight_limit=3, session_ttl_s=0.0, checkpointing=False,
+        supervise=False, trace_mode="always", trace_sample_every=5,
+        trace_slow_ms=1.5,
+    )
 
 
 @pytest.mark.parametrize("argv", [

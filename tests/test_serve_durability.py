@@ -33,7 +33,6 @@ from repro.serve import (
     ServiceCore,
     ServiceError,
     SessionCheckpoint,
-    SessionLimits,
     TenantSession,
     TransportError,
     checkpoint_fingerprint,
@@ -49,6 +48,7 @@ from repro.serve.protocol import (
     encode_request,
     parse_request,
 )
+from repro.serve import session as session_module
 
 WINDOW_A = [
     (10.0, 10.0, -60.0),
@@ -423,9 +423,9 @@ def test_close_with_expected_count_refuses_short_windows(pdf_table):
     assert closed.ok and closed.payload["applied"] == len(WINDOW_A)
 
 
-def test_reply_cache_is_bounded(pdf_table):
-    limits = SessionLimits(reply_cache_size=4)
-    session = _session(pdf_table, limits=limits)
+def test_reply_cache_is_bounded(pdf_table, monkeypatch):
+    monkeypatch.setattr(session_module, "REPLY_CACHE_SIZE", 4)
+    session = _session(pdf_table)
     for rid in range(1, 11):
         event = "open" if rid % 2 else "close"
         session.handle(WindowRequest(

@@ -9,9 +9,6 @@ class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
 
-    def test_custom_start_time(self):
-        assert Simulator(start_time=5.0).now == 5.0
-
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []

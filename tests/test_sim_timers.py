@@ -29,51 +29,9 @@ class TestPeriodicTimer:
     def test_callback_receives_fire_count(self):
         sim = Simulator()
         counts = []
-        PeriodicTimer(sim, 1.0, counts.append, max_fires=3)
-        sim.run()
+        PeriodicTimer(sim, 1.0, counts.append)
+        sim.run(until=2.5)
         assert counts == [0, 1, 2]
-
-    def test_max_fires_stops_timer(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda c: None, max_fires=2)
-        sim.run()
-        assert timer.fires == 2
-        assert not timer.running
-
-    def test_stop_prevents_further_fires(self):
-        sim = Simulator()
-        fired = []
-
-        def callback(count):
-            fired.append(count)
-            if count == 1:
-                timer.stop()
-
-        timer = PeriodicTimer(sim, 1.0, callback)
-        sim.run(until=10.0)
-        assert fired == [0, 1]
-        assert not timer.running
-
-    def test_stop_is_idempotent(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda c: None)
-        timer.stop()
-        timer.stop()
-        assert not timer.running
-
-    def test_reschedule_changes_future_period(self):
-        sim = Simulator()
-        times = []
-
-        def callback(count):
-            times.append(sim.now)
-            if count == 0:
-                timer.reschedule(3.0)
-
-        timer = PeriodicTimer(sim, 1.0, callback)
-        sim.run(until=8.0)
-        # Fires at 0, then the new period applies from the next firing.
-        assert times == [0.0, 1.0, 4.0, 7.0]
 
     def test_invalid_period_rejected(self):
         sim = Simulator()
@@ -96,18 +54,6 @@ class TestPeriodicTimer:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 PeriodicTimer(sim, 1.0, lambda c: None, start_delay=bad)
-
-    def test_non_finite_reschedule_period_rejected(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda c: None)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                timer.reschedule(bad)
-
-    def test_invalid_max_fires_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicTimer(sim, 1.0, lambda c: None, max_fires=0)
 
 
 class TestRandomStreams:
