@@ -32,6 +32,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.calibration import CALIBRATION_SAMPLES
 from repro.core.config import (
     CoCoAConfig,
     LocalizationFilter,
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--duration", type=float, default=60.0,
                        help="scenario duration (s)")
     chaos.add_argument("--samples", type=_positive_int, default=4000,
-                       help="calibration samples (paper fidelity: 120000)")
+                       help="calibration samples (paper fidelity: %d)"
+                            % CALIBRATION_SAMPLES)
     chaos.add_argument("--kills", type=int, default=1,
                        help="kill_shard faults per run")
     chaos.add_argument("--severs", type=int, default=2,
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser(
         "calibrate", help="run the offline calibration and print the table"
     )
-    calibrate.add_argument("--samples", type=int, default=120_000,
+    calibrate.add_argument("--samples", type=int, default=CALIBRATION_SAMPLES,
                            help="measurement campaign size")
     calibrate.add_argument("--seed", type=int, default=1, help="master seed")
 

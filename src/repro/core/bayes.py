@@ -61,6 +61,10 @@ from repro.core.pdf_table import PdfTable
 from repro.util.geometry import Rect, Vec2
 from repro.util.validation import check_positive
 
+#: Default grid cell side (m): the simulator's scenarios and a serve
+#: hello both default to it.
+GRID_RESOLUTION_M = 2.0
+
 
 class GridBayesFilter:
     """Posterior over positions on a regular grid.
@@ -78,7 +82,9 @@ class GridBayesFilter:
         resolution_m: cell side length.
     """
 
-    def __init__(self, area: Rect, resolution_m: float = 2.0) -> None:
+    def __init__(
+        self, area: Rect, resolution_m: float = GRID_RESOLUTION_M
+    ) -> None:
         check_positive("resolution_m", resolution_m)
         if resolution_m > min(area.width, area.height):
             raise ValueError("resolution exceeds the deployment area")

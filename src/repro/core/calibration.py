@@ -25,6 +25,11 @@ from repro.core.pdf_table import DistanceDistribution, PdfTable
 from repro.net.phy import PathLossModel, ReceiverModel
 from repro.util.validation import check_positive
 
+#: Default calibration campaign size: the paper-fidelity table every
+#: scenario, serve hello and ``repro calibrate`` builds unless told
+#: otherwise.
+CALIBRATION_SAMPLES = 120_000
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -48,7 +53,7 @@ class CalibrationResult:
 def build_pdf_table(
     path_loss: PathLossModel,
     rng: np.random.Generator,
-    n_samples: int = 120_000,
+    n_samples: int = CALIBRATION_SAMPLES,
     max_distance_m: float = 180.0,
     receiver: ReceiverModel = ReceiverModel(),
     min_samples_per_bin: int = 40,

@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Largest magnitude of a robot's clock rate error (fraction of elapsed
+#: time).  The coordinator's wake guard
+#: (:data:`~repro.core.coordinator.GUARD_FRACTION`) covers twice it.
+MAX_CLOCK_DRIFT_RATE = 0.02
+
 
 class DriftingClock:
     """A local clock with a constant rate error, re-anchored by SYNC.
@@ -74,14 +79,8 @@ class DriftingClock:
         self._anchor_local = reference_local
 
     @staticmethod
-    def random(
-        rng: np.random.Generator, max_drift_rate: float
-    ) -> "DriftingClock":
-        """Draw a clock with rate error uniform in ``[-max, +max]``."""
-        if max_drift_rate < 0:
-            raise ValueError(
-                "max_drift_rate must be non-negative, got %r"
-                % max_drift_rate
-            )
-        rate = float(rng.uniform(-max_drift_rate, max_drift_rate))
+    def random(rng: np.random.Generator) -> "DriftingClock":
+        """Draw a clock with rate error uniform in
+        ``[-MAX_CLOCK_DRIFT_RATE, +MAX_CLOCK_DRIFT_RATE]``."""
+        rate = float(rng.uniform(-MAX_CLOCK_DRIFT_RATE, MAX_CLOCK_DRIFT_RATE))
         return DriftingClock(rate)

@@ -1,10 +1,20 @@
 """Configuration for a CoCoA deployment / simulation scenario.
 
-:class:`CoCoAConfig` gathers every knob of the reproduction in one
-validated, immutable object.  The defaults are the paper's §4 headline
+:class:`CoCoAConfig` holds what a scenario varies: the paper's §4
+scenario (team size, anchors, ``T``, ``t``, ``k``, speed, localization
+mode, coordination, multicast) plus the channel, energy, calibration,
+fault and defense models that the extension studies vary, and the two
+estimator settings a serve hello mirrors.  The defaults are the headline
 scenario: 50 robots in a 40000 m² (200 m × 200 m) area, half of them
-anchors, beacon period ``T = 100 s``, transmit window ``t = 3 s``, ``k = 3``
-beacons, 30 simulated minutes.
+anchors, beacon period ``T = 100 s``, transmit window ``t = 3 s``,
+``k = 3`` beacons, 30 simulated minutes.
+
+Everything else a run needs is a default of the component that uses it
+(the waypoint model's minimum speed, the particle count, the odometry
+noise, the receiver thresholds, the SYNC slack) or a named constant
+where it is read: :data:`~repro.core.clock.MAX_CLOCK_DRIFT_RATE`,
+:data:`~repro.core.coordinator.GUARD_FRACTION` and
+:data:`~repro.core.team.METRIC_INTERVAL_S`.
 """
 
 from __future__ import annotations
@@ -12,16 +22,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.bayes import GRID_RESOLUTION_M
+from repro.core.calibration import CALIBRATION_SAMPLES
 from repro.energy.model import EnergyModel
 from repro.faults.spec import DefenseConfig, FaultPlan
-from repro.mobility.odometry import OdometryNoise
-from repro.net.phy import PathLossModel, ReceiverModel
+from repro.mobility.waypoint import MIN_SPEED_M_S
+from repro.net.phy import PathLossModel
 from repro.util.geometry import Rect
-from repro.util.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-)
+from repro.util.validation import check_in_range, check_positive
+
+#: Beacons a window must deliver before the estimator trusts its fix
+#: (paper: 3).  The estimator and the serve hello default to it.
+MIN_BEACONS_FOR_FIX = 3
 
 
 class LocalizationMode(enum.Enum):
@@ -74,8 +86,8 @@ class CoCoAConfig:
             which anchors beacon and everyone is awake (paper: 3 s).
         beacons_per_window: ``k``, beacon copies per anchor per window
             (paper: 3).
-        v_max: maximum robot speed in m/s (paper: 0.5 or 2.0).
-        v_min: minimum robot speed in m/s (paper: 0.1).
+        v_max: maximum robot speed in m/s (paper: 0.5 or 2.0); speeds
+            are drawn from ``[MIN_SPEED_M_S, v_max]``.
         duration_s: simulated time (paper: 30 minutes).
         master_seed: seed of every random stream in the run.
         localization_mode: which estimator the unknown robots run.
@@ -83,28 +95,16 @@ class CoCoAConfig:
             coordination); False leaves them idle — the paper's
             "without coordination" energy baseline.
         multicast: protocol carrying SYNC messages.
-        grid_resolution_m: Bayesian grid cell size.
+        grid_resolution_m: Bayesian grid cell size (a serve hello
+            carries the same setting).
         localization_filter: grid (the paper's technique) or particle
             (Monte Carlo localization, the pluggable alternative).
-        n_particles: sample count for the particle filter.
         min_beacons_for_fix: beacons required before the filter output is
-            trusted (paper: 3).
-        clock_drift_rate: maximum magnitude of a robot's local clock drift
-            (fraction of elapsed time); clocks re-synchronize on SYNC.
-        guard_fraction: nodes wake this fraction of the beacon period early
-            to tolerate clock drift (the coarse-synchronization guard).
-        sync_slack_s: how long after the transmit window nodes stay awake
-            to finish SYNC / mesh traffic.
+            trusted (paper: 3; a serve hello carries the same setting).
         energy_model: radio energy constants.
         path_loss: RF channel model.
-        receiver: receiver thresholds.
-        odometry_noise: odometry error model.
-        rest_time_max_s: maximum task/rest time at each waypoint.
         calibration_samples: Monte-Carlo samples for the offline PDF-Table
             calibration phase.
-        slam_error_std_m: σ of the anchors' own (SLAM-provided) position
-            error; the paper treats SLAM output as exact (0.0).
-        metric_interval_s: how often localization error is sampled.
         faults: injected RF/sensor faults (default: none — a provable
             no-op that reproduces the unfaulted simulation bit-identically).
         defenses: graceful-degradation defenses (default: all off).
@@ -117,29 +117,19 @@ class CoCoAConfig:
     transmit_window_s: float = 3.0
     beacons_per_window: int = 3
     v_max: float = 2.0
-    v_min: float = 0.1
     duration_s: float = 1800.0
     master_seed: int = 1
     localization_mode: LocalizationMode = LocalizationMode.COCOA
     coordination: bool = True
     multicast: MulticastProtocol = MulticastProtocol.MRMM
-    grid_resolution_m: float = 2.0
+    grid_resolution_m: float = GRID_RESOLUTION_M
     localization_filter: LocalizationFilter = LocalizationFilter.GRID
-    n_particles: int = 1500
-    min_beacons_for_fix: int = 3
-    clock_drift_rate: float = 0.02
-    guard_fraction: float = 0.04
-    sync_slack_s: float = 0.5
+    min_beacons_for_fix: int = MIN_BEACONS_FOR_FIX
     energy_model: EnergyModel = field(
         default_factory=EnergyModel.wavelan_2mbps
     )
     path_loss: PathLossModel = field(default_factory=PathLossModel)
-    receiver: ReceiverModel = field(default_factory=ReceiverModel)
-    odometry_noise: OdometryNoise = field(default_factory=OdometryNoise)
-    rest_time_max_s: float = 0.0
-    calibration_samples: int = 120_000
-    slam_error_std_m: float = 0.0
-    metric_interval_s: float = 1.0
+    calibration_samples: int = CALIBRATION_SAMPLES
     faults: FaultPlan = field(default_factory=FaultPlan)
     defenses: DefenseConfig = field(default_factory=DefenseConfig)
 
@@ -155,44 +145,17 @@ class CoCoAConfig:
                 % (self.transmit_window_s, self.beacon_period_s)
             )
         check_positive("beacons_per_window", self.beacons_per_window)
-        check_positive("v_min", self.v_min)
-        if self.v_min > self.v_max:
+        if self.v_max < MIN_SPEED_M_S:
             raise ValueError(
-                "need v_min <= v_max, got %r / %r"
-                % (self.v_min, self.v_max)
+                "v_max (%r) is below the %r m/s speed floor"
+                % (self.v_max, MIN_SPEED_M_S)
             )
         check_positive("duration_s", self.duration_s)
         check_positive("grid_resolution_m", self.grid_resolution_m)
-        check_in_range("n_particles", self.n_particles, 10, 1_000_000)
         check_positive("min_beacons_for_fix", self.min_beacons_for_fix)
-        check_in_range("clock_drift_rate", self.clock_drift_rate, 0.0, 0.2)
-        check_in_range("guard_fraction", self.guard_fraction, 0.0, 0.5)
-        if self.clock_drift_rate * 2.0 > self.guard_fraction and (
-            self.coordination
-        ):
-            raise ValueError(
-                "guard_fraction (%r) must cover twice the clock drift rate "
-                "(%r) or beacon windows will be missed"
-                % (self.guard_fraction, self.clock_drift_rate)
-            )
-        check_non_negative("sync_slack_s", self.sync_slack_s)
-        check_non_negative("rest_time_max_s", self.rest_time_max_s)
         check_positive("calibration_samples", self.calibration_samples)
-        check_non_negative("slam_error_std_m", self.slam_error_std_m)
-        check_positive("metric_interval_s", self.metric_interval_s)
         if (
             self.area.width < self.grid_resolution_m
             or self.area.height < self.grid_resolution_m
         ):
             raise ValueError("grid resolution exceeds the deployment area")
-
-    @property
-    def guard_s(self) -> float:
-        """Early-wake guard interval in seconds."""
-        return self.guard_fraction * self.beacon_period_s
-
-    def paper_scenario(self, **overrides) -> "CoCoAConfig":
-        """Return a copy with selected fields overridden."""
-        from dataclasses import replace
-
-        return replace(self, **overrides)

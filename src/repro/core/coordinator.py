@@ -32,6 +32,11 @@ from repro.telemetry.spans import Span, SpanTracer
 #: SYNC body: T (8) + t (8) + seq (4) + reference timestamp (8).
 SYNC_BODY_BYTES = 28
 SYNC_KIND = "sync"
+#: The team's wake guard as a fraction of the beacon period.  Two clocks
+#: drift apart at up to twice
+#: :data:`~repro.core.clock.MAX_CLOCK_DRIFT_RATE`, and the guard covers
+#: that, or beacon windows would be missed.
+GUARD_FRACTION = 0.04
 
 
 @dataclass(frozen=True)

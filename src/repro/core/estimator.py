@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.core.bayes import GridBayesFilter
-from repro.core.config import LocalizationMode
+from repro.core.bayes import GRID_RESOLUTION_M, GridBayesFilter
+from repro.core.config import MIN_BEACONS_FOR_FIX, LocalizationMode
 from repro.core.pdf_table import PdfTable
 from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
 from repro.mobility.odometry import OdometrySensor
@@ -163,8 +163,8 @@ class PositionEstimator:
         area: Rect,
         pdf_table: Optional[PdfTable] = None,
         odometry: Optional[OdometrySensor] = None,
-        grid_resolution_m: float = 2.0,
-        min_beacons_for_fix: int = 3,
+        grid_resolution_m: float = GRID_RESOLUTION_M,
+        min_beacons_for_fix: int = MIN_BEACONS_FOR_FIX,
         initial_position: Optional[Vec2] = None,
         initial_heading: float = 0.0,
         position_filter=None,

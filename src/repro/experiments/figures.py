@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.calibration import build_pdf_table
+from repro.core.calibration import CALIBRATION_SAMPLES, build_pdf_table
 from repro.core.config import LocalizationMode, MulticastProtocol
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import cdf_points, summarize_errors
@@ -52,7 +52,9 @@ from repro.util.geometry import Vec2
 FIG1_RSSI_DBM = (-52.0, -86.0)
 
 
-def run_fig1(n_samples: int = 120_000, master_seed: int = 1) -> Dict:
+def run_fig1(
+    n_samples: int = CALIBRATION_SAMPLES, master_seed: int = 1
+) -> Dict:
     """Figure 1: the PDF-versus-distance of the two :data:`FIG1_RSSI_DBM`
     bins, over the default channel.
 

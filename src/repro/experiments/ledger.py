@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -206,7 +206,7 @@ def _filter_ablation(jobs: int) -> Values:
     base = CoCoAConfig(duration_s=500.0, master_seed=6)
     out: Values = {}
     for kind in (LocalizationFilter.GRID, LocalizationFilter.PARTICLE):
-        result = CoCoATeam(base.paper_scenario(localization_filter=kind)).run()
+        result = CoCoATeam(replace(base, localization_filter=kind)).run()
         p = "filter.%s." % kind.value
         out[p + "time_average_m"] = summarize_errors(
             result.errors, skip_first_s=base.beacon_period_s * 1.1 + 5
@@ -334,7 +334,7 @@ def _lifetime(jobs: int) -> Values:
     base = CoCoAConfig(duration_s=400.0, master_seed=4)
     out: Values = {}
     for label, coordination in (("coordinated", True), ("idle", False)):
-        config = base.paper_scenario(coordination=coordination)
+        config = replace(base, coordination=coordination)
         result = CoCoATeam(config).run()
         life = project_lifetime(result.per_node_energy_j, 400.0, Battery())
         out["lifetime.%s.first_death_s" % label] = life.first_death_s
@@ -345,7 +345,7 @@ def _lifetime(jobs: int) -> Values:
 def _seed_sensitivity(jobs: int) -> Values:
     """Is "CoCoA beats RF-only" seed noise?  T = 50 s, 400 s."""
     base = CoCoAConfig(duration_s=400.0, beacon_period_s=50.0)
-    rf = base.paper_scenario(localization_mode=LocalizationMode.RF_ONLY)
+    rf = replace(base, localization_mode=LocalizationMode.RF_ONLY)
     sweeps = {
         mode: run_seed_sweep(config, seeds=SEEDS, jobs=jobs)
         for mode, config in (("cocoa", base), ("rf_only", rf))

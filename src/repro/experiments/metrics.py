@@ -7,6 +7,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.team import METRIC_INTERVAL_S
+
 
 @dataclass(frozen=True)
 class ErrorSummary:
@@ -29,15 +31,15 @@ class ErrorSummary:
 
 
 def summarize_errors(
-    errors: np.ndarray, skip_first_s: float = 0.0, sample_interval_s: float = 1.0
+    errors: np.ndarray, skip_first_s: float = 0.0
 ) -> ErrorSummary:
-    """Summarize an ``(n_robots, n_samples)`` error matrix.
+    """Summarize an ``(n_robots, n_samples)`` error matrix, sampled every
+    :data:`~repro.core.team.METRIC_INTERVAL_S`.
 
     Args:
         errors: per-robot, per-sample localization errors.
         skip_first_s: drop this much initial transient (e.g. the first
             beacon period, during which RF modes have no fix yet).
-        sample_interval_s: seconds between samples.
 
     Raises:
         ValueError: if skipping removes every sample.
@@ -47,7 +49,7 @@ def summarize_errors(
             "errors must be 2-D (robots x samples), got shape %r"
             % (errors.shape,)
         )
-    skip = int(round(skip_first_s / sample_interval_s))
+    skip = int(round(skip_first_s / METRIC_INTERVAL_S))
     if skip >= errors.shape[1]:
         raise ValueError(
             "skip_first_s=%r removes all %d samples"

@@ -8,8 +8,6 @@ parameters exist so benchmarks can trade fidelity for speed explicitly.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.config import CoCoAConfig, LocalizationMode
 
 
@@ -17,10 +15,9 @@ def headline_config(
     duration_s: float = 1800.0, master_seed: int = 1, **overrides
 ) -> CoCoAConfig:
     """The paper's default scenario (§4 intro)."""
-    config = CoCoAConfig(duration_s=duration_s, master_seed=master_seed)
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    return CoCoAConfig(
+        duration_s=duration_s, master_seed=master_seed, **overrides
+    )
 
 
 def fig4_config(

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
+from repro.net.phy import ReceiverModel
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def run_power_sweep(
         team = CoCoATeam(config)
         result = team.run()
         range_m = path_loss.distance_for_mean_rssi(
-            config.receiver.sensitivity_dbm
+            ReceiverModel().sensitivity_dbm
         )
         summary = summarize_errors(
             result.errors,

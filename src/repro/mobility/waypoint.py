@@ -21,6 +21,10 @@ import numpy as np
 from repro.mobility.base import Leg, MobilityModel
 from repro.util.geometry import Rect, Vec2
 
+#: The paper's minimum waypoint speed in m/s (§3: "uniformly between
+#: 0.1 and v_max").
+MIN_SPEED_M_S = 0.1
+
 
 class WaypointMobility(MobilityModel):
     """The paper's random waypoint model over a rectangular area.
@@ -44,7 +48,7 @@ class WaypointMobility(MobilityModel):
         self,
         area: Rect,
         rng: np.random.Generator,
-        v_min: float = 0.1,
+        v_min: float = MIN_SPEED_M_S,
         v_max: float = 2.0,
         rest_time_max: float = 0.0,
         start: Optional[Vec2] = None,

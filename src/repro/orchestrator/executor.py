@@ -97,11 +97,8 @@ class SerialBackend:
         for index, job in pending:
             if self.on_start is not None:
                 self.on_start(index)
-            start = time.perf_counter()
-            cpu_start = time.process_time()
-            result = run_scenario(job.config, telemetry=_job_telemetry(job))
-            _record_cpu(result, time.process_time() - cpu_start)
-            yield index, result, time.perf_counter() - start, 1
+            result, wall_s = _timed_run(job)
+            yield index, result, wall_s, 1
 
 
 class ProcessPoolBackend:

@@ -24,9 +24,10 @@ from typing import List, Sequence
 from repro.core.config import CoCoAConfig
 
 #: Bump whenever a change anywhere in the simulator alters the metrics a
-#: given config produces; cached results from older versions are then
-#: ignored (they live under a different cache partition).
-CODE_VERSION = "2026.08.2"
+#: given config produces, or the config's fields (and so every digest)
+#: change; cached results from older versions are then ignored (they
+#: live under a different cache partition).
+CODE_VERSION = "2026.10.1"
 
 
 def _canonical(value: object) -> object:

@@ -45,6 +45,10 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Union
 
+from repro.core.bayes import GRID_RESOLUTION_M
+from repro.core.calibration import CALIBRATION_SAMPLES
+from repro.core.config import MIN_BEACONS_FOR_FIX
+
 __all__ = [
     "ProtocolError",
     "HelloRequest",
@@ -85,10 +89,10 @@ class HelloRequest:
 
     tenant: str
     calibration_seed: int = 1
-    calibration_samples: int = 120_000
+    calibration_samples: int = CALIBRATION_SAMPLES
     area_side_m: float = 200.0
-    grid_resolution_m: float = 2.0
-    min_beacons_for_fix: int = 3
+    grid_resolution_m: float = GRID_RESOLUTION_M
+    min_beacons_for_fix: int = MIN_BEACONS_FOR_FIX
     resume: Optional[str] = None
     rid: Optional[int] = None
     trace: Optional[str] = None

@@ -50,7 +50,7 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.obs.oplog import OpsLog
-from repro.obs.trace import TRACE_MODES, RequestTracer, TraceConfig
+from repro.obs.trace import RequestTracer, TraceConfig
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.session import CalibrationStore, TenantSession
 from repro.serve.shard import Shard, shard_index_for
@@ -109,14 +109,19 @@ class ServeConfig:
     trace_slow_ms: float = 25.0
 
     def __post_init__(self) -> None:
+        """The one check of every setting, so ``repro serve`` refuses a
+        bad flag before it builds anything."""
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.trace_mode not in TRACE_MODES:
-            raise ValueError(
-                "trace_mode must be one of %r" % (TRACE_MODES,)
-            )
+        if self.queue_limit < 1 or self.tenant_inflight_limit < 1:
+            raise ValueError("queue limits must be >= 1")
+        if self.session_ttl_s < 0:
+            raise ValueError("session_ttl_s must be >= 0")
+        if self.sweep_interval_s <= 0:
+            raise ValueError("sweep_interval_s must be > 0")
+        self.trace_config()
 
     def trace_config(self) -> TraceConfig:
         """The knobs as an :class:`~repro.obs.trace.TraceConfig`."""

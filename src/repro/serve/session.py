@@ -59,7 +59,7 @@ from repro.core.config import LocalizationMode
 from repro.core.constraint_cache import ConstraintFieldCache
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
-from repro.net.phy import PathLossModel, ReceiverModel
+from repro.net.phy import PathLossModel
 from repro.serve.checkpoint import SessionCheckpoint, checkpoint_fingerprint
 from repro.serve.protocol import (
     ConfidenceRequest,
@@ -644,7 +644,6 @@ class CalibrationStore:
                 PathLossModel(),
                 RandomStreams(seed).get("calibration"),
                 n_samples=samples,
-                receiver=ReceiverModel(),
             ).table
         except ValueError:
             # The hello itself is at fault: too few samples for any bin

@@ -79,6 +79,9 @@ class Shard:
             checkpoint-before-evict and resume-token re-hydration.
         ops: structured ops-event log (:class:`~repro.obs.oplog.OpsLog`)
             for eviction events; a no-op shim by default.
+
+    The limits are not checked here: the server builds every shard from
+    a :class:`~repro.serve.server.ServeConfig`, which checks them.
     """
 
     def __init__(
@@ -94,10 +97,6 @@ class Shard:
         checkpoints=None,
         ops=NULL_OPS_LOG,
     ) -> None:
-        if queue_limit < 1 or tenant_inflight_limit < 1:
-            raise ValueError("queue limits must be >= 1")
-        if session_ttl_s < 0 or sweep_interval_s <= 0:
-            raise ValueError("ttl must be >= 0, sweep interval > 0")
         self.index = index
         self._session_factory = session_factory
         self._queue_limit = queue_limit

@@ -70,9 +70,6 @@ def _multicast_metrics(stats) -> Dict[str, float]:
         "multicast_data_delivered": float(stats.data_delivered),
         "multicast_duplicates_dropped": float(stats.duplicates_dropped),
         "multicast_forwards_suppressed": float(stats.forwards_suppressed),
-        "multicast_route_switches": float(
-            getattr(stats, "route_switches", 0)
-        ),
     }
 
 
@@ -96,6 +93,13 @@ def collect_team_snapshot(team, result) -> TelemetrySnapshot:
     }
     metrics.update(_channel_metrics(result.channel_stats))
     metrics.update(_multicast_metrics(result.multicast_stats))
+    # The team's multicast sum leaves route switches at 0 (see
+    # CoCoATeam.run), so they are summed over the nodes here.
+    metrics["multicast_route_switches"] = float(sum(
+        node.multicast.stats.route_switches
+        for node in team.nodes
+        if node.multicast is not None
+    ))
 
     # -- estimator / coordinator ------------------------------------------
     metrics.update({

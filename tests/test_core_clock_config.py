@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.clock import DriftingClock
+from repro.core.clock import MAX_CLOCK_DRIFT_RATE, DriftingClock
 from repro.core.config import CoCoAConfig, LocalizationMode, MulticastProtocol
+from repro.core.coordinator import GUARD_FRACTION
+from repro.core.team import CoCoATeam
 from repro.sim.rng import RandomStreams
 from repro.util.geometry import Rect
 
@@ -45,18 +47,12 @@ class TestDriftingClock:
 
     def test_random_clock_within_bounds(self):
         for seed in range(20):
-            clock = DriftingClock.random(
-                RandomStreams(seed).get("clock"), 0.02
-            )
-            assert abs(clock.drift_rate) <= 0.02
+            clock = DriftingClock.random(RandomStreams(seed).get("clock"))
+            assert abs(clock.drift_rate) <= MAX_CLOCK_DRIFT_RATE
 
     def test_extreme_rate_rejected(self):
         with pytest.raises(ValueError):
             DriftingClock(1.0)
-
-    def test_negative_max_drift_rejected(self):
-        with pytest.raises(ValueError):
-            DriftingClock.random(RandomStreams(0).get("c"), -0.1)
 
 
 class TestCoCoAConfig:
@@ -72,8 +68,14 @@ class TestCoCoAConfig:
         assert config.min_beacons_for_fix == 3
 
     def test_derived_quantities(self):
-        config = CoCoAConfig()
-        assert config.guard_s == pytest.approx(4.0)
+        """The team wakes its coordinators GUARD_FRACTION of T early:
+        4 s at the paper's T = 100 s."""
+        team = CoCoATeam(CoCoAConfig(
+            area=Rect.square(60.0), n_robots=4, n_anchors=2,
+            calibration_samples=6000,
+        ))
+        guards = [node.coordinator._guard_s for node in team.nodes]
+        assert guards == [pytest.approx(4.0)] * 4
 
     def test_window_must_be_shorter_than_period(self):
         with pytest.raises(ValueError):
@@ -88,28 +90,18 @@ class TestCoCoAConfig:
         assert config.n_anchors == 0
 
     def test_guard_must_cover_drift(self):
-        with pytest.raises(ValueError):
-            CoCoAConfig(clock_drift_rate=0.05, guard_fraction=0.04)
-
-    def test_guard_check_skipped_without_coordination(self):
-        config = CoCoAConfig(
-            clock_drift_rate=0.05, guard_fraction=0.04, coordination=False
-        )
-        assert config.clock_drift_rate == 0.05
+        """Two clocks drift apart at up to twice the drift rate, and the
+        wake guard must cover that or beacon windows are missed."""
+        assert 2 * MAX_CLOCK_DRIFT_RATE <= GUARD_FRACTION
 
     def test_speed_bounds_validated(self):
+        """v_max may not fall below the waypoint model's speed floor."""
         with pytest.raises(ValueError):
-            CoCoAConfig(v_min=2.0, v_max=0.5)
+            CoCoAConfig(v_max=0.05)
 
     def test_resolution_must_fit_area(self):
         with pytest.raises(ValueError):
             CoCoAConfig(area=Rect.square(2.0), grid_resolution_m=5.0)
-
-    def test_paper_scenario_override(self):
-        config = CoCoAConfig().paper_scenario(v_max=0.5, n_anchors=15)
-        assert config.v_max == 0.5
-        assert config.n_anchors == 15
-        assert config.n_robots == 50
 
     def test_modes_enumerated(self):
         assert LocalizationMode("cocoa") is LocalizationMode.COCOA

@@ -162,7 +162,6 @@ class TestAgainstGrid:
             duration_s=65.0,
             master_seed=3,
             localization_filter=LocalizationFilter.PARTICLE,
-            n_particles=800,
         )
         result = CoCoATeam(config, pdf_table=pdf_table).run()
         assert result.fixes > 0

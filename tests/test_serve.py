@@ -917,6 +917,8 @@ def test_cli_serve_flags_set_serve_config_fields():
 @pytest.mark.parametrize("argv", [
     ["serve", "--port", "-5"],
     ["serve", "--port", "70000"],
+    ["serve", "--port", "0", "--session-ttl", "-1"],
+    ["serve", "--port", "0", "--trace-slow-ms", "-1"],
 ])
 def test_cli_serve_bad_config_exits_2(capsys, argv):
     from repro.cli import main

@@ -850,7 +850,12 @@ def test_health_endpoints_over_tcp(pdf_table):
 
 
 def test_serve_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        ServeConfig(port=-1)
-    with pytest.raises(ValueError):
-        ServeConfig(n_shards=0)
+    """ServeConfig is the one check of every serve setting."""
+    for bad in (
+        dict(port=-1), dict(n_shards=0), dict(queue_limit=0),
+        dict(tenant_inflight_limit=0), dict(session_ttl_s=-1.0),
+        dict(sweep_interval_s=0.0), dict(trace_mode="never"),
+        dict(trace_sample_every=0), dict(trace_slow_ms=-1.0),
+    ):
+        with pytest.raises(ValueError):
+            ServeConfig(**bad)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.seeds import run_seed_sweep
 from repro.core.config import CoCoAConfig
+from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
 from repro.experiments.runner import run_scenario
 from repro.orchestrator.cache import ResultCache
@@ -355,6 +356,20 @@ class TestRunSnapshots:
         assert snapshot.get("coordinator_windows_run") > 0
         # Rich-only keys absent without a Telemetry handle.
         assert "trace_spans_recorded" not in snapshot.metrics
+
+    def test_route_switches_sum_the_nodes(self):
+        """``multicast_route_switches`` is the sum of every node's MRMM
+        route switches (the team's ``multicast_stats`` leaves them out)."""
+        team = CoCoATeam(tiny_config(
+            area=Rect.square(120.0), n_robots=12, n_anchors=6,
+            duration_s=100.0,
+        ))
+        result = team.run()
+        per_node = sum(
+            node.multicast.stats.route_switches for node in team.nodes
+        )
+        assert per_node > 0
+        assert result.telemetry.get("multicast_route_switches") == per_node
 
     def test_rich_snapshot_adds_registry_and_spans(self):
         telemetry = Telemetry()
