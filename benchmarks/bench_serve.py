@@ -47,7 +47,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.serve import LocalizationServer, ServeConfig, ServeClient, ServiceCore
+from repro.serve.client import ServeClient
+from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
 
 AREA_SIDE_M = 120.0
 RSSI_RANGE_DBM = (-82.0, -55.0)

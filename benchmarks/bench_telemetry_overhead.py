@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
-from repro.telemetry import NULL_REGISTRY, Telemetry
+from repro.telemetry.collect import Telemetry
+from repro.telemetry.registry import NULL_REGISTRY
 from repro.util.geometry import Rect
 
 #: Simulated seconds of the fig6-sized scenario pair.

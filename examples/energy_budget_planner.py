@@ -18,7 +18,8 @@ Run:
 import sys
 from dataclasses import replace
 
-from repro.core import CoCoAConfig, CoCoATeam
+from repro.core.config import CoCoAConfig
+from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
 
 

@@ -10,7 +10,8 @@ Run:
     python examples/quickstart.py
 """
 
-from repro.core import CoCoAConfig, CoCoATeam
+from repro.core.config import CoCoAConfig
+from repro.core.team import CoCoATeam
 
 
 def main() -> None:

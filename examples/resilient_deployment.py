@@ -19,7 +19,7 @@ Run:
 
 import numpy as np
 
-from repro.core import CoCoAConfig
+from repro.core.config import CoCoAConfig
 from repro.ext.failures import FailureSchedule
 from repro.ext.online_routing import RoutingTeam
 from repro.sim.rng import RandomStreams

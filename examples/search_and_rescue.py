@@ -21,7 +21,8 @@ Run:
     python examples/search_and_rescue.py
 """
 
-from repro.core import CoCoAConfig, CoCoATeam
+from repro.core.config import CoCoAConfig
+from repro.core.team import CoCoATeam
 from repro.ext.georouting import greedy_route
 from repro.multicast.mesh import connectivity_graph
 from repro.sim.rng import RandomStreams

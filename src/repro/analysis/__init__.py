@@ -6,18 +6,3 @@ several master seeds, aggregate the metrics, and attach confidence
 intervals, so claims like "CoCoA beats RF-only" can be checked for seed
 sensitivity rather than asserted from one sample path.
 """
-
-from repro.analysis.seeds import SeedSweepResult, run_seed_sweep
-from repro.analysis.stats import (
-    ConfidenceInterval,
-    mean_confidence_interval,
-    welch_t_test,
-)
-
-__all__ = [
-    "run_seed_sweep",
-    "SeedSweepResult",
-    "ConfidenceInterval",
-    "mean_confidence_interval",
-    "welch_t_test",
-]

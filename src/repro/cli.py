@@ -39,10 +39,7 @@ from repro.core.config import (
     LocalizationMode,
     MulticastProtocol,
 )
-from repro.core.team import CoCoATeam
-from repro.experiments.metrics import summarize_errors
 from repro.obs.trace import TRACE_MODES
-from repro.orchestrator.cache import DEFAULT_CACHE_DIR, ResultCache
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -88,8 +85,9 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for independent runs")
     parser.add_argument("--cache", action="store_true",
                         help="memoize finished runs on disk")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="result cache directory (implies --cache)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="result cache directory (implies --cache; "
+                             "default .repro_cache)")
     parser.add_argument("--clear-cache", action="store_true",
                         help="wipe the result cache before running")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
@@ -160,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="read job snapshots from a --telemetry JSONL "
                              "file instead of the result cache")
-    source.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="result cache to summarize")
+    source.add_argument("--cache-dir", default=None,
+                        help="result cache to summarize (default "
+                             ".repro_cache)")
     report.add_argument("--prometheus", action="store_true",
                         help="emit Prometheus exposition text instead of "
                              "the human-readable report")
@@ -374,22 +373,28 @@ def _config_from_args(args: argparse.Namespace) -> CoCoAConfig:
     )
 
 
-def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
+def _result_cache(root: Optional[str]):
+    """The :class:`~repro.orchestrator.cache.ResultCache` at ``root``
+    (the default directory when ``None``)."""
+    from repro.orchestrator.cache import DEFAULT_CACHE_DIR, ResultCache
+
+    return ResultCache(root=DEFAULT_CACHE_DIR if root is None else root)
+
+
+def _cache_from_args(args: argparse.Namespace):
     """Build (and optionally wipe) the result cache the flags describe."""
-    wants_cache = (
-        args.cache
-        or args.clear_cache
-        or args.cache_dir != DEFAULT_CACHE_DIR
-    )
-    if not wants_cache:
+    if not (args.cache or args.clear_cache or args.cache_dir is not None):
         return None
-    cache = ResultCache(root=args.cache_dir)
+    cache = _result_cache(args.cache_dir)
     if args.clear_cache:
         cache.clear()
     return cache
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:
+    from repro.core.team import CoCoATeam
+    from repro.experiments.metrics import summarize_errors
+
     config = _config_from_args(args)
     print("scenario: %d robots (%d anchors), %s, T=%.0fs t=%.0fs k=%d, "
           "v_max=%.1f, %.0fs, seed=%d"
@@ -504,7 +509,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _print_cache_summary(cache: Optional[ResultCache], out) -> None:
+def _print_cache_summary(cache, out) -> None:
     if cache is None:
         return
     stats = cache.stats
@@ -611,13 +616,9 @@ def cmd_resilience(args: argparse.Namespace, out) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out) -> int:
-    from repro.telemetry import (
-        TelemetrySnapshot,
-        merge_snapshots,
-        prometheus_text,
-        read_jsonl,
-        render_report,
-    )
+    from repro.telemetry.export import prometheus_text, read_jsonl
+    from repro.telemetry.report import render_report
+    from repro.telemetry.snapshot import TelemetrySnapshot, merge_snapshots
 
     snapshots = []
     sweep = None
@@ -644,7 +645,7 @@ def cmd_report(args: argparse.Namespace, out) -> int:
         # a finished sweep needs no re-simulation.  A --warm-cache
         # server's session checkpoints share the directory; they are
         # skipped unread rather than counted as errors and misses.
-        cache = ResultCache(root=args.cache_dir)
+        cache = _result_cache(args.cache_dir)
         for fingerprint in cache.fingerprints():
             if fingerprint.startswith(CHECKPOINT_PREFIX):
                 continue
@@ -669,16 +670,14 @@ def cmd_report(args: argparse.Namespace, out) -> int:
 
 
 def cmd_lint(args: argparse.Namespace, out) -> int:
-    from repro.lint import (
+    from repro.lint.rules import (
         FRAMEWORK_CODES,
-        SANITIZER_CODES,
         LintUsageError,
         all_rules,
-        format_human,
-        format_json,
-        lint_paths,
         parse_code_list,
     )
+    from repro.lint.runner import format_human, format_json, lint_paths
+    from repro.lint.sanitize import SANITIZER_CODES
 
     if args.list_rules:
         for code, cls in all_rules().items():
@@ -727,7 +726,7 @@ def serve_config_from_args(args: argparse.Namespace):
     """
     from dataclasses import fields
 
-    from repro.serve import ServeConfig
+    from repro.serve.server import ServeConfig
 
     names = {field.name for field in fields(ServeConfig)}
     return ServeConfig(
@@ -740,11 +739,11 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
     import asyncio
     import signal
 
-    from repro.serve import LocalizationServer, ServiceCore
+    from repro.serve.server import LocalizationServer, ServiceCore
 
     checkpoint_cache = None
     if args.warm_cache is not None:
-        checkpoint_cache = ResultCache(root=args.warm_cache)
+        checkpoint_cache = _result_cache(args.warm_cache)
     try:
         config = serve_config_from_args(args)
     except ValueError as exc:
@@ -834,7 +833,7 @@ async def _export_traces(core, args, out) -> None:
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
-    from repro.obs import render_slowest, render_summary
+    from repro.obs.summary import render_slowest, render_summary
     from repro.telemetry.export import read_trace_jsonl, write_perfetto_json
 
     try:
@@ -865,7 +864,8 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
     import asyncio
 
     from repro.core.config import CoCoAConfig
-    from repro.serve import ChaosSchedule, record_replay_log, run_chaos
+    from repro.serve.chaos import ChaosSchedule, run_chaos
+    from repro.serve.replay import record_replay_log
     from repro.util.geometry import Rect
 
     if args.seeds:
@@ -950,11 +950,12 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
 
 async def _serve_smoke(server, out) -> int:
     """Two-tenant round trip, an undersized-hello refusal and the HTTP
-    scrapes (every closed lane parked), against ourselves."""
+    scrapes (every closed lane parked, every memo cleared), against
+    ourselves."""
     import asyncio
     import re
 
-    from repro.serve import ServeClient
+    from repro.serve.client import ServeClient
 
     port = server.port
     for tenant in ("smoke-a", "smoke-b"):
@@ -1018,6 +1019,15 @@ async def _serve_smoke(server, out) -> int:
               "closed (%r)" % (grids and grids.group(0),), file=out)
         return 1
     print("smoke: no lane holds a grid once its window closed", file=out)
+    fields = re.search(
+        rb"^repro_serve_constraint_fields_live (\S+)$", scrape, re.M
+    )
+    if fields is None or fields.group(1) != b"0.0":
+        print("smoke FAIL: constraint fields still held after every "
+              "window closed (%r)" % (fields and fields.group(0),), file=out)
+        return 1
+    print("smoke: no session holds a constraint field once its windows "
+          "closed", file=out)
     for path, want in ((b"/healthz", b"ok"), (b"/readyz", b"ready")):
         scrape = await _scrape(path)
         if b"200 OK" not in scrape or want not in scrape:

@@ -17,44 +17,3 @@ This package implements the paper's primary contribution (§2):
   simulated robot team from a :class:`~repro.core.config.CoCoAConfig` and
   runs the paper's scenarios.
 """
-
-from repro.core.bayes import GridBayesFilter
-from repro.core.beaconing import BEACON_KIND, AnchorBeaconer, BeaconPayload
-from repro.core.calibration import CalibrationResult, build_pdf_table
-from repro.core.clock import DriftingClock
-from repro.core.config import (
-    CoCoAConfig,
-    LocalizationFilter,
-    LocalizationMode,
-    MulticastProtocol,
-)
-from repro.core.coordinator import Coordinator, SyncPayload
-from repro.core.estimator import PositionEstimator
-from repro.core.node import RobotNode, RobotRole
-from repro.core.particle import ParticleFilter
-from repro.core.pdf_table import DistanceDistribution, PdfTable
-from repro.core.team import CoCoATeam, TeamResult
-
-__all__ = [
-    "CoCoAConfig",
-    "LocalizationMode",
-    "LocalizationFilter",
-    "MulticastProtocol",
-    "DriftingClock",
-    "CalibrationResult",
-    "build_pdf_table",
-    "PdfTable",
-    "DistanceDistribution",
-    "GridBayesFilter",
-    "ParticleFilter",
-    "PositionEstimator",
-    "AnchorBeaconer",
-    "BeaconPayload",
-    "BEACON_KIND",
-    "Coordinator",
-    "SyncPayload",
-    "RobotNode",
-    "RobotRole",
-    "CoCoATeam",
-    "TeamResult",
-]

@@ -7,7 +7,7 @@ beacon frame evaluates the same two fields over that grid: the distance
 from each cell to the beacon's claimed origin, and — for robots whose
 RSSI snapped to the same PDF-table bin — the very same constraint
 density.  A frame is heard by a few dozen robots, and they apply it back
-to back, one per delivery (in serve, one per window close).
+to back, one per delivery.
 
 :class:`ConstraintFieldCache` shares those fields between the hearers of
 one frame, and it is the filter's only source of constraint fields: a
@@ -16,7 +16,11 @@ filter built on its own makes a private one.  It is a **one-position
 memo**: it holds the distance field and LUT index field of the current
 claimed beacon position plus one constraint field per RSSI bin heard
 there.  A lookup at any other position drops all of it and starts
-fresh.  A claimed position repeats
+fresh, and :meth:`ConstraintFieldCache.clear` drops it outright.  A
+serve session clears its memo at the end of every window close and
+restore, so there the memo shares fields only between the beacons one
+close applies (say k beacons from one anchor), and an idle tenant holds
+none.  A claimed position repeats
 across frames only when its advertiser stands still or re-advertises an
 unchanged estimate (a promoted robot in :mod:`repro.ext.promotion` does
 the latter between fixes).  The fig7-cocoa and rf-dense-faults benchmark
@@ -54,9 +58,7 @@ class ConstraintFieldCache:
         self._x = float("nan")
         self._y = float("nan")
         self._table = None
-        self._distances: Optional[np.ndarray] = None
-        self._index: Optional[np.ndarray] = None
-        self._constraints: Dict[int, np.ndarray] = {}
+        self._drop_fields()
         self.hits = 0
         self.misses = 0
         self.distance_hits = 0
@@ -121,9 +123,23 @@ class ConstraintFieldCache:
         self._x = beacon.x
         self._y = beacon.y
         self._table = table
-        self._distances = None
-        self._index = None
-        self._constraints = {}
+        self._drop_fields()
+
+    def clear(self) -> None:
+        """Drop the held position, table and fields.
+
+        The grid binding and the counters stay.  A serve session calls
+        this after each window close, so an idle tenant holds no fields.
+        """
+        self._x = float("nan")
+        self._y = float("nan")
+        self._table = None
+        self._drop_fields()
+
+    def _drop_fields(self) -> None:
+        self._distances: Optional[np.ndarray] = None
+        self._index: Optional[np.ndarray] = None
+        self._constraints: Dict[int, np.ndarray] = {}
 
     def distance_field(self, grid, beacon) -> np.ndarray:
         """The cell-to-beacon distance field of ``beacon``'s position.

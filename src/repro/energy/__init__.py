@@ -7,20 +7,3 @@ draws a state-dependent power while transmitting, receiving, idling or
 sleeping.  The paper's key constants — 900 mW idle versus 50 mW sleep — are
 what make CoCoA's coordinated sleeping profitable.
 """
-
-from repro.energy.battery import Battery, LifetimeProjection, project_lifetime
-from repro.energy.model import EnergyModel, RadioState
-from repro.energy.meter import EnergyBreakdown, EnergyMeter
-from repro.energy.report import TeamEnergyReport, aggregate_meters
-
-__all__ = [
-    "EnergyModel",
-    "RadioState",
-    "EnergyMeter",
-    "EnergyBreakdown",
-    "TeamEnergyReport",
-    "aggregate_meters",
-    "Battery",
-    "LifetimeProjection",
-    "project_lifetime",
-]

@@ -14,29 +14,3 @@
   failover, the robustness story the single-Sync-robot design needs in
   the paper's disaster scenarios.
 """
-
-from repro.ext.failures import FailureSchedule, ResilientTeam, SyncFailover
-from repro.ext.georouting import GeoRoutingResult, greedy_route, run_georouting_study
-from repro.ext.online_routing import (
-    GeoRouter,
-    NeighborTable,
-    RoutingTeam,
-)
-from repro.ext.power_control import PowerControlPoint, run_power_sweep
-from repro.ext.promotion import PromotionConfig, PromotionTeam
-
-__all__ = [
-    "FailureSchedule",
-    "ResilientTeam",
-    "SyncFailover",
-    "PromotionConfig",
-    "PromotionTeam",
-    "run_power_sweep",
-    "PowerControlPoint",
-    "greedy_route",
-    "GeoRouter",
-    "NeighborTable",
-    "RoutingTeam",
-    "run_georouting_study",
-    "GeoRoutingResult",
-]

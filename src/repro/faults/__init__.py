@@ -15,23 +15,3 @@ A default-constructed :class:`FaultPlan` is a no-op: the team skips the
 injector entirely and the simulation is bit-identical to a build without
 this package.
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.spec import (
-    BrownoutSpec,
-    BurstInterferenceSpec,
-    DefenseConfig,
-    FaultPlan,
-    PayloadCorruptionSpec,
-    RssiBiasSpec,
-)
-
-__all__ = [
-    "BrownoutSpec",
-    "BurstInterferenceSpec",
-    "DefenseConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "PayloadCorruptionSpec",
-    "RssiBiasSpec",
-]

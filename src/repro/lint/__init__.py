@@ -21,7 +21,7 @@ suites in debug mode and promotes blocked-loop / lost-task warnings
 
 Run it as ``python -m repro lint src tests`` or programmatically::
 
-    from repro.lint import lint_paths
+    from repro.lint.runner import lint_paths
     report = lint_paths(["src"])
     assert report.exit_code == 0, [f.format() for f in report.findings]
 
@@ -29,61 +29,3 @@ Suppress a deliberate deviation inline, justification mandatory::
 
     rng = random.Random(seed)  # repro: noqa[REP001] seeded backoff jitter
 """
-
-from repro.lint.driver import FileLintResult, LintContext, lint_source
-from repro.lint.findings import Finding
-from repro.lint.rules import (
-    BAD_NOQA_CODE,
-    FRAMEWORK_CODES,
-    PARSE_ERROR_CODE,
-    LintUsageError,
-    Rule,
-    all_rules,
-    code_family,
-    known_codes,
-    parse_code_list,
-    register,
-)
-from repro.lint.runner import (
-    FINDINGS_SCHEMA,
-    LintReport,
-    findings_payload,
-    format_human,
-    format_json,
-    iter_python_files,
-    lint_paths,
-    lint_text,
-)
-from repro.lint.sanitize import (
-    SANITIZER_CODES,
-    LoopSanitizer,
-    loop_sanitizer,
-)
-
-__all__ = [
-    "BAD_NOQA_CODE",
-    "FINDINGS_SCHEMA",
-    "FRAMEWORK_CODES",
-    "PARSE_ERROR_CODE",
-    "SANITIZER_CODES",
-    "FileLintResult",
-    "Finding",
-    "LintContext",
-    "LintReport",
-    "LintUsageError",
-    "LoopSanitizer",
-    "Rule",
-    "all_rules",
-    "code_family",
-    "findings_payload",
-    "format_human",
-    "format_json",
-    "iter_python_files",
-    "known_codes",
-    "lint_paths",
-    "lint_source",
-    "lint_text",
-    "loop_sanitizer",
-    "parse_code_list",
-    "register",
-]

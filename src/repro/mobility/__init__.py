@@ -19,22 +19,3 @@ sample; a lone robot is a block of one row, and a robot's estimator
 holds a :class:`~repro.mobility.dead_reckoning.ReckonerRow` view.  True
 poses come from a :class:`~repro.sim.world.WorldState`, one row per robot.
 """
-
-from repro.mobility.base import Leg, MobilityModel, Pose, ScriptedMobility, StationaryMobility
-from repro.mobility.dead_reckoning import DeadReckoning, ReckonerRow
-from repro.mobility.odometry import OdometryNoise, OdometryReading, OdometrySensor
-from repro.mobility.waypoint import WaypointMobility
-
-__all__ = [
-    "Pose",
-    "MobilityModel",
-    "StationaryMobility",
-    "ScriptedMobility",
-    "WaypointMobility",
-    "Leg",
-    "OdometrySensor",
-    "OdometryNoise",
-    "OdometryReading",
-    "DeadReckoning",
-    "ReckonerRow",
-]

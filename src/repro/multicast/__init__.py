@@ -9,24 +9,3 @@ robots have about themselves — current velocity, time to the next waypoint,
 and rest time ``d_rest`` — to predict link lifetimes and select a sparser,
 longer-lived mesh (the pruning step, §2.3 of the CoCoA paper).
 """
-
-from repro.multicast.lifetime import (
-    Kinematics,
-    kinematics_of,
-    predict_link_lifetime,
-)
-from repro.multicast.flooding import DuplicateCache
-from repro.multicast.mesh import connectivity_graph
-from repro.multicast.odmrp import MulticastStats, OdmrpNode
-from repro.multicast.mrmm import MrmmNode
-
-__all__ = [
-    "Kinematics",
-    "kinematics_of",
-    "predict_link_lifetime",
-    "DuplicateCache",
-    "OdmrpNode",
-    "MulticastStats",
-    "MrmmNode",
-    "connectivity_graph",
-]

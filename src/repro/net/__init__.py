@@ -8,35 +8,9 @@ evaluation needs:
 - :mod:`repro.net.phy` — log-distance path loss with the paper's two-regime
   RSSI noise (Gaussian within 40 m, multipath-distorted beyond, Figure 1),
 - :mod:`repro.net.radio` — the radio state machine (TX/RX/IDLE/SLEEP/OFF)
-  wired to an :class:`~repro.energy.EnergyMeter`,
+  wired to an :class:`~repro.energy.meter.EnergyMeter`,
 - :mod:`repro.net.channel` — the shared broadcast medium with per-receiver
   delivery, SINR capture and collision handling,
 - :mod:`repro.net.mac` — a CSMA/CA broadcast MAC at 2 Mbps,
 - :mod:`repro.net.interface` — the per-node facade protocols talk to.
 """
-
-from repro.net.channel import BroadcastChannel, Transmission
-from repro.net.interface import NetworkInterface
-from repro.net.mac import CsmaMac
-from repro.net.packet import (
-    IP_HEADER_BYTES,
-    UDP_HEADER_BYTES,
-    Packet,
-    ReceivedPacket,
-)
-from repro.net.phy import PathLossModel, ReceiverModel
-from repro.net.radio import Radio
-
-__all__ = [
-    "Packet",
-    "ReceivedPacket",
-    "IP_HEADER_BYTES",
-    "UDP_HEADER_BYTES",
-    "PathLossModel",
-    "ReceiverModel",
-    "Radio",
-    "BroadcastChannel",
-    "Transmission",
-    "CsmaMac",
-    "NetworkInterface",
-]

@@ -1,9 +1,9 @@
 """Radio state machine with integrated energy accounting.
 
 A :class:`Radio` owns the interface's power state.  Time spent in each state
-is charged to the node's :class:`~repro.energy.EnergyMeter` lazily: on every
-state change the elapsed interval is billed to the *previous* state, and
-:meth:`finalize` bills the tail at the end of a run.
+is charged to the node's :class:`~repro.energy.meter.EnergyMeter` lazily: on
+every state change the elapsed interval is billed to the *previous* state,
+and :meth:`finalize` bills the tail at the end of a run.
 
 State semantics follow the coordination design of §2.3:
 

@@ -23,30 +23,3 @@ Pieces:
 - :mod:`~repro.obs.summary` — per-hop latency attribution tables and
   the ``repro trace summarize`` / ``slowest`` views.
 """
-
-from repro.obs.oplog import OpsEvent, OpsLog
-from repro.obs.summary import (
-    hop_table,
-    render_slowest,
-    render_summary,
-    slowest_traces,
-)
-from repro.obs.trace import (
-    ActiveTrace,
-    NULL_TRACER,
-    RequestTracer,
-    TraceConfig,
-)
-
-__all__ = [
-    "ActiveTrace",
-    "NULL_TRACER",
-    "OpsEvent",
-    "OpsLog",
-    "RequestTracer",
-    "TraceConfig",
-    "hop_table",
-    "render_slowest",
-    "render_summary",
-    "slowest_traces",
-]

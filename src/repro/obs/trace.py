@@ -73,9 +73,9 @@ class TraceConfig:
         max_spans: span-ring capacity (oldest evicted first).
     """
 
-    mode: str = "sampled"
-    head_sample_every: int = 128
-    slow_ms: float = 25.0
+    mode: str
+    head_sample_every: int
+    slow_ms: float
     max_spans: int = 50_000
 
     def __post_init__(self) -> None:
@@ -203,12 +203,12 @@ class RequestTracer:
 
     def __init__(
         self,
-        config: Optional[TraceConfig] = None,
+        config: TraceConfig,
         clock: Optional[Callable[[], float]] = None,
         registry=NULL_REGISTRY,
         id_entropy: Optional[str] = None,
     ) -> None:
-        self.config = config if config is not None else TraceConfig()
+        self.config = config
         self._clock = clock if clock is not None else time.perf_counter
         self._registry = registry
         if id_entropy is None:
@@ -290,7 +290,6 @@ class _NullTracer:
     """Disabled-tracing shim sharing :class:`RequestTracer`'s surface."""
 
     enabled = False
-    config = TraceConfig(mode="off")
 
     def mint(self) -> str:  # pragma: no cover - never sensible when off
         return "off"

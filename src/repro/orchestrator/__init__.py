@@ -14,42 +14,3 @@ Results come back in deterministic job order regardless of completion
 order, and parallel execution is bit-identical to serial execution
 because every scenario derives all randomness from its own master seed.
 """
-
-from repro.orchestrator.cache import CacheStats, ResultCache
-from repro.orchestrator.executor import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepExecutionError,
-    SweepOutcome,
-    run_sweep,
-)
-from repro.orchestrator.jobs import (
-    CODE_VERSION,
-    SweepJob,
-    config_digest,
-    seed_jobs,
-)
-from repro.orchestrator.progress import (
-    JobRecord,
-    ProgressListener,
-    ProgressPrinter,
-    SweepReport,
-)
-
-__all__ = [
-    "CODE_VERSION",
-    "CacheStats",
-    "JobRecord",
-    "ProcessPoolBackend",
-    "ProgressListener",
-    "ProgressPrinter",
-    "ResultCache",
-    "SerialBackend",
-    "SweepExecutionError",
-    "SweepJob",
-    "SweepOutcome",
-    "SweepReport",
-    "config_digest",
-    "run_sweep",
-    "seed_jobs",
-]

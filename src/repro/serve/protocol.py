@@ -289,8 +289,12 @@ def _validate(request: Request) -> None:
         raise ProtocolError(
             "trace must be a non-empty string (<=%d chars)" % MAX_TRACE_CHARS
         )
-    if not isinstance(request, PingRequest):
-        tenant = request.tenant
+    tenant = request.tenant
+    if isinstance(request, PingRequest):
+        # A ping may name no tenant, but it is routed by the one it names.
+        if not isinstance(tenant, str) or len(tenant) > 256:
+            raise ProtocolError("ping tenant must be a string (<=256 chars)")
+    else:
         if not isinstance(tenant, str) or not tenant or len(tenant) > 256:
             raise ProtocolError("tenant must be a non-empty string (<=256 chars)")
         if request.rid is not None:

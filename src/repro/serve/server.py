@@ -50,7 +50,7 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.obs.oplog import OpsLog
-from repro.obs.trace import RequestTracer, TraceConfig
+from repro.obs.trace import TRACE_MODES, RequestTracer, TraceConfig
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.session import CalibrationStore, TenantSession
 from repro.serve.shard import Shard, shard_index_for
@@ -121,7 +121,14 @@ class ServeConfig:
             raise ValueError("session_ttl_s must be >= 0")
         if self.sweep_interval_s <= 0:
             raise ValueError("sweep_interval_s must be > 0")
-        self.trace_config()
+        # TraceConfig checks these too, under its own field names; these
+        # checks name the settings the user gave.
+        if self.trace_mode not in TRACE_MODES:
+            raise ValueError("trace_mode must be one of %r" % (TRACE_MODES,))
+        if self.trace_sample_every < 1:
+            raise ValueError("trace_sample_every must be >= 1")
+        if self.trace_slow_ms < 0:
+            raise ValueError("trace_slow_ms must be >= 0")
 
     def trace_config(self) -> TraceConfig:
         """The knobs as an :class:`~repro.obs.trace.TraceConfig`."""
@@ -341,6 +348,11 @@ class ServiceCore:
         # lane is parked).
         self.registry.gauge("serve_lane_grids_live").set(
             sum(session.grids_live for session in sessions)
+        )
+        # Fields the sessions' constraint memos hold: none once every
+        # close has finished (a close clears its memo).
+        self.registry.gauge("serve_constraint_fields_live").set(
+            sum(len(session.constraint_cache) for session in sessions)
         )
         # ru_maxrss is KiB on Linux and bytes on macOS; reading it is a
         # syscall, not file I/O, so the scrape stays loop-safe.

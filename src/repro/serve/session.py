@@ -27,7 +27,9 @@ reply and the checkpoint are built (see
 :meth:`~repro.core.bayes.GridBayesFilter.park`): ``fix`` and
 ``confidence`` then read the memoised mean, spread and entropy, and the
 next open allocates a fresh uniform grid.  A restore parks each closed
-lane as soon as it is rebuilt.
+lane as soon as it is rebuilt.  The close and the restore then clear the
+session's constraint-field memo, so between requests a session holds no
+grid-sized array but its open windows' posteriors.
 
 Durability (regression-tested in ``tests/test_serve_durability.py``):
 a session given a :class:`~repro.serve.checkpoint.CheckpointStore`
@@ -139,8 +141,8 @@ class TenantSession:
         self._registry = registry
         self._checkpoints = checkpoints
         self._area = Rect.square(hello.area_side_m)
-        #: One memo for every lane: robots that close back to back on a
-        #: beacon at the same claimed position share its fields.
+        #: One memo for every lane, cleared after each close and restore:
+        #: it shares fields only between the beacons one close applies.
         self.constraint_cache = ConstraintFieldCache()
         self._lanes: Dict[int, _RobotLane] = {}
         #: robot -> its record in the last snapshot; lanes untouched
@@ -374,6 +376,7 @@ class TenantSession:
         # Nothing writes the posterior again before the next open, and
         # fix/confidence read only its memoised moments.
         estimator.filter.park(self._table)
+        self.constraint_cache.clear()
         return response
 
     def _fix(self, request: FixRequest) -> Response:
@@ -530,17 +533,21 @@ class TenantSession:
         if len(robots) > MAX_ROBOTS:
             raise ValueError("checkpoint exceeds this session's robot limit")
         restored = []
-        for record in checkpoint.lanes:
-            estimator = self._new_estimator()
-            estimator.restore(record["estimator"])
-            if not record["window_open"]:
-                # One replayed grid at a time, as a close leaves it.
-                estimator.filter.park(self._table)
-            pending = [
-                (seq, BeaconObservation(**fields))
-                for seq, fields in record["pending"]
-            ]
-            restored.append((record, estimator, pending))
+        try:
+            for record in checkpoint.lanes:
+                estimator = self._new_estimator()
+                estimator.restore(record["estimator"])
+                if not record["window_open"]:
+                    # One replayed grid at a time, as a close leaves it.
+                    estimator.filter.park(self._table)
+                pending = [
+                    (seq, BeaconObservation(**fields))
+                    for seq, fields in record["pending"]
+                ]
+                restored.append((record, estimator, pending))
+        finally:
+            # The replays filled the memo; a refused checkpoint too.
+            self.constraint_cache.clear()
         # Adopted state invalidates every cached lane record (restore
         # may roll lanes back to states no cached record describes).
         self._lane_records.clear()

@@ -88,10 +88,10 @@ class Shard:
         self,
         index: int,
         session_factory: Callable[[HelloRequest], TenantSession],
-        queue_limit: int = 256,
-        tenant_inflight_limit: int = 32,
-        session_ttl_s: float = 300.0,
-        sweep_interval_s: float = 1.0,
+        queue_limit: int,
+        tenant_inflight_limit: int,
+        session_ttl_s: float,
+        sweep_interval_s: float,
         clock: Optional[Callable[[], float]] = None,
         registry=NULL_REGISTRY,
         checkpoints=None,

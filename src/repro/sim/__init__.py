@@ -17,15 +17,3 @@ Tracing is not part of the kernel: simulation spans and the channel's
 ``channel.*`` events go to :class:`~repro.telemetry.spans.SpanTracer`,
 stamped with the engine's clock by the caller.
 """
-
-from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.rng import RandomStreams
-from repro.sim.timers import PeriodicTimer
-
-__all__ = [
-    "Simulator",
-    "Event",
-    "SimulationError",
-    "PeriodicTimer",
-    "RandomStreams",
-]

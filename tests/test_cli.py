@@ -2,12 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import RequestTracer, TraceConfig
+from repro.obs.trace import RequestTracer
 from repro.serve.protocol import FixRequest, WindowRequest
+from repro.serve.server import ServeConfig
 
 
 def run_cli(argv):
@@ -220,8 +222,10 @@ def trace_file(tmp_path):
     """Two requests recorded on a fake clock, dumped as trace JSONL with
     plain ``json`` so the fixture does not depend on the writer."""
     clock = _FakeClock()
-    tracer = RequestTracer(TraceConfig(mode="always"), clock=clock,
-                           id_entropy="cli")
+    tracer = RequestTracer(
+        replace(ServeConfig().trace_config(), mode="always"), clock=clock,
+        id_entropy="cli",
+    )
     fast = tracer.begin(FixRequest(tenant="acme", robot=1, rid=4,
                                    trace="t-fast"))
     clock.tick(0.001)

@@ -1,34 +1,72 @@
-"""Import boundaries: networkx stays off every run and serve process,
-and the orchestrator imports cleanly on its own.
+"""Import boundaries: each entry point loads only what it runs.
 
-Only analysis helpers (mesh connectivity checks, geographic routing
-studies) use networkx, and they load it on first use (their own tests
-in ``test_multicast_odmrp.py`` and ``test_ext.py`` exercise that path).
-The check runs in a fresh interpreter, because this test process may
-already have imported networkx through another test.
+- networkx stays off every run and serve process.  Only analysis
+  helpers (mesh connectivity checks, geographic routing studies) use
+  it, and they load it on first use (their own tests in
+  ``test_multicast_odmrp.py`` and ``test_ext.py`` exercise that path).
+- ``repro serve`` loads none of the simulator's network, multicast or
+  team modules, nor the chaos harness, client, replay, orchestrator,
+  experiments or linter.
+- Every package ``__init__`` is only its docstring, so no import of a
+  submodule runs a package-wide re-export, and each name has one
+  import path: the module that defines it.
+- The orchestrator imports cleanly on its own.
+
+The module checks run in a fresh interpreter, because this test process
+has already imported most of the package through other tests.
 """
 
+import ast
+import glob
+import json
 import os
 import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-#: The entry points of the simulator and the service, plus the two
-#: packages whose analysis helpers use networkx.
+
+def _package_modules(package):
+    """Every module of ``package`` (a ``repro`` subpackage)."""
+    folder = os.path.join(SRC, *package.split("."))
+    return tuple(
+        "%s.%s" % (package, os.path.basename(path)[:-3])
+        for path in sorted(glob.glob(os.path.join(folder, "*.py")))
+        if not path.endswith("__init__.py")
+    )
+
+
+#: The entry points of the simulator and the service, plus every module
+#: of the two packages whose analysis helpers use networkx.
 MODULES = (
-    "repro.cli",
-    "repro.core.team",
-    "repro.serve.server",
+    ("repro.cli", "repro.core.team", "repro.serve.server")
+    + _package_modules("repro.multicast")
+    + _package_modules("repro.ext")
+)
+
+#: What ``python -m repro serve`` imports before its first request.
+SERVE_ENTRY = ("repro.cli", "repro.serve.server")
+
+#: Modules and packages the serve process must not load.
+NOT_SERVED = (
+    "repro.net.channel",
+    "repro.net.mac",
     "repro.multicast",
-    "repro.ext",
+    "repro.core.team",
+    "repro.serve.chaos",
+    "repro.serve.client",
+    "repro.serve.replay",
+    "repro.orchestrator",
+    "repro.experiments",
+    "repro.lint",
 )
 
 
-def test_run_and_serve_imports_do_not_load_networkx():
-    code = "".join("import %s\n" % name for name in MODULES) + (
-        "import sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+def _modules_after(imports):
+    """Every module a fresh interpreter holds after ``imports``."""
+    code = "".join("import %s\n" % name for name in imports) + (
+        "import json, sys\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
@@ -36,7 +74,39 @@ def test_run_and_serve_imports_do_not_load_networkx():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_run_and_serve_imports_do_not_load_networkx():
+    loaded = _modules_after(MODULES)
+    assert [m for m in loaded if m.split(".")[0] == "networkx"] == []
+
+
+def test_serve_entry_loads_no_simulator_or_tooling():
+    loaded = _modules_after(SERVE_ENTRY)
+    assert "repro.serve.server" in loaded
+    unwanted = [
+        module for module in loaded
+        for name in NOT_SERVED
+        if module == name or module.startswith(name + ".")
+    ]
+    assert unwanted == []
+
+
+def test_package_inits_are_docstring_only():
+    inits = sorted(glob.glob(
+        os.path.join(SRC, "repro", "**", "__init__.py"), recursive=True
+    ))
+    assert len(inits) > 1
+    for path in inits:
+        with open(path, encoding="utf-8") as handle:
+            body = ast.parse(handle.read()).body
+        assert all(
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for node in body
+        ) and len(body) <= 1, path
 
 
 #: Packages that must import on their own: ``repro.orchestrator``'s

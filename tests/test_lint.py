@@ -18,15 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import (
+from repro.lint.rules import (
     BAD_NOQA_CODE,
     PARSE_ERROR_CODE,
     LintUsageError,
     all_rules,
-    lint_paths,
-    lint_text,
     parse_code_list,
 )
+from repro.lint.runner import lint_paths, lint_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -360,7 +359,7 @@ class TestRep007OverbroadExcept:
         ) == []
 
 
-class TestSuppressionAndBaseline:
+class TestNoqaSuppression:
     def test_justified_inline_noqa_suppresses(self):
         result = lint_text(
             "import random\n"

@@ -22,10 +22,10 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.lint import (
+from repro.lint.driver import LintContext
+from repro.lint.findings import Finding
+from repro.lint.runner import (
     FINDINGS_SCHEMA,
-    Finding,
-    LintContext,
     LintReport,
     findings_payload,
     format_human,

@@ -6,22 +6,21 @@ clock's ticks.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    OpsLog,
-    RequestTracer,
-    TraceConfig,
+from repro.obs import oplog
+from repro.obs.oplog import NULL_OPS_LOG, OpsLog
+from repro.obs.summary import (
     hop_table,
     render_slowest,
     render_summary,
     slowest_traces,
 )
-from repro.obs import oplog
-from repro.obs.oplog import NULL_OPS_LOG
+from repro.obs.trace import NULL_TRACER, RequestTracer
 from repro.serve.protocol import FixRequest, WindowRequest
+from repro.serve.server import ServeConfig
 from repro.telemetry.export import (
     perfetto_trace_events,
     read_trace_jsonl,
@@ -45,9 +44,14 @@ class FakeClock:
         self.now += dt
 
 
+def trace_config(**knobs):
+    """``ServeConfig``'s tracing knobs, ``knobs`` overriding them."""
+    return replace(ServeConfig().trace_config(), **knobs)
+
+
 def make_tracer(mode="always", clock=None, registry=None, **knobs):
     return RequestTracer(
-        TraceConfig(mode=mode, **knobs),
+        trace_config(mode=mode, **knobs),
         clock=clock if clock is not None else FakeClock(),
         registry=registry if registry is not None else MetricsRegistry(),
         id_entropy="test",
@@ -59,7 +63,7 @@ REQUEST = FixRequest(tenant="acme", robot=3, rid=7)
 
 class TestTraceConfig:
     def test_defaults_valid(self):
-        config = TraceConfig()
+        config = ServeConfig().trace_config()
         assert config.mode == "sampled"
 
     @pytest.mark.parametrize("knobs", [
@@ -70,7 +74,7 @@ class TestTraceConfig:
     ])
     def test_bad_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):
-            TraceConfig(**knobs)
+            trace_config(**knobs)
 
 
 class TestActiveTrace:

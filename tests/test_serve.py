@@ -19,17 +19,8 @@ from repro.core.config import LocalizationMode
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
 from repro.orchestrator.cache import ResultCache
-from repro.serve import (
-    InProcessClient,
-    LocalizationServer,
-    ProtocolError,
-    ServeClient,
-    ServeConfig,
-    ServiceCore,
-    Shard,
-    TenantSession,
-    shard_index_for,
-)
+from repro.serve import session as session_module
+from repro.serve.client import InProcessClient, ServeClient
 from repro.serve.protocol import (
     MAX_CALIBRATION_SAMPLES,
     MAX_GRID_CELLS,
@@ -38,6 +29,7 @@ from repro.serve.protocol import (
     HelloRequest,
     ObserveRequest,
     PingRequest,
+    ProtocolError,
     StatsRequest,
     WindowRequest,
     encode_request,
@@ -45,8 +37,9 @@ from repro.serve.protocol import (
     parse_request,
     parse_response,
 )
-from repro.serve import session as session_module
-from repro.serve.session import CalibrationStore
+from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
+from repro.serve.session import CalibrationStore, TenantSession
+from repro.serve.shard import Shard, shard_index_for
 from repro.util.geometry import Rect
 
 
@@ -144,6 +137,9 @@ NAN_OBSERVE = (
     '"x": 1, "y": 2, "rssi_dbm": -60}',                      # empty tenant
     '{"op": "observe", "tenant": "t", "robot": true, "seq": 0, '
     '"x": 1, "y": 2, "rssi_dbm": -60}',                      # bool robot
+    # A ping may omit its tenant, but the shard router hashes any it names.
+    '{"op": "ping", "tenant": 1}',
+    '{"op": "ping", "tenant": null}',
     '{"op": "hello", "tenant": "t", "calibration_samples": 0}',
     # Mistyped or out-of-range hello fields.
     '{"op": "hello", "tenant": "t", "min_beacons_for_fix": "3"}',
@@ -272,7 +268,8 @@ def test_session_lanes_share_one_field_memo(pdf_table):
     for _window in range(2):
         for robot, reference in enumerate(bare):
             # Robot r hears the beacons rotated right by r, so its first
-            # beacon (lowest seq) is the one robot r - 1 closed on last.
+            # beacon (lowest seq) is the one robot r - 1 closed on last;
+            # that close cleared the memo, so nothing carries over.
             beacons = BEACONS[n - robot:] + BEACONS[:n - robot]
             assert session.handle(WindowRequest(
                 tenant="t", robot=robot, event="open"
@@ -291,8 +288,8 @@ def test_session_lanes_share_one_field_memo(pdf_table):
                 tenant="t", robot=robot, event="close"
             )).payload
             reference.on_window_close()
-            if robot > 0:
-                assert memo.hits == hits + 1
+            assert memo.hits == hits
+            assert len(memo) == 0
             assert close["fixed"]
             assert close["x_hex"] == reference.estimate.x.hex()
             assert close["y_hex"] == reference.estimate.y.hex()
@@ -305,6 +302,60 @@ def test_session_lanes_share_one_field_memo(pdf_table):
             and value.size == grid.posterior.size
         ]
         assert len(held) == 1 and held[0] is grid._posterior
+
+
+def test_session_clears_field_memo_after_every_close(pdf_table):
+    """A close (and a restore) leaves the memo empty, and the replies are
+    bit for bit those of a twin session whose memo is never cleared."""
+    session = _session(pdf_table)
+    twin = _session(pdf_table)
+    twin.constraint_cache.clear = lambda: None
+    n = len(BEACONS)
+    for window in range(3):
+        for robot in range(3):
+            # Robot r's first beacon is robot r - 1's last: the twin
+            # reuses its field across the two closes.
+            beacons = BEACONS[n - robot:] + BEACONS[:n - robot]
+            for target in (session, twin):
+                target.handle(WindowRequest(
+                    tenant="t", robot=robot, event="open"
+                ))
+                for seq, (x, y, rssi) in enumerate(beacons):
+                    target.handle(ObserveRequest(
+                        tenant="t", robot=robot, seq=seq, x=x, y=y,
+                        rssi_dbm=rssi + window,
+                    ))
+            close = session.handle(WindowRequest(
+                tenant="t", robot=robot, event="close"
+            ))
+            twin_close = twin.handle(WindowRequest(
+                tenant="t", robot=robot, event="close"
+            ))
+            assert close.ok and close.payload["fixed"]
+            assert close.payload == twin_close.payload
+            assert len(session.constraint_cache) == 0
+    assert len(twin.constraint_cache) > 0
+    assert twin.constraint_cache.hits > 0 == session.constraint_cache.hits
+    session.restore_from(twin.snapshot())
+    assert len(session.constraint_cache) == 0
+
+
+def test_session_memo_shares_fields_within_one_close(pdf_table):
+    """Two beacons from one anchor position in one close share its
+    constraint field, though the close then clears the memo."""
+    session = _session(pdf_table)
+    memo = session.constraint_cache
+    beacons = BEACONS[:1] + BEACONS  # back to back, as k beacons arrive
+    session.handle(WindowRequest(tenant="t", robot=0, event="open"))
+    for seq, (x, y, rssi) in enumerate(beacons):
+        session.handle(ObserveRequest(
+            tenant="t", robot=0, seq=seq, x=x, y=y, rssi_dbm=rssi,
+        ))
+    hits = memo.hits
+    close = session.handle(WindowRequest(tenant="t", robot=0, event="close"))
+    assert close.ok and close.payload["applied"] == len(beacons)
+    assert memo.hits == hits + 1
+    assert len(memo) == 0
 
 
 def _assert_only_open_lanes_hold_grids(session):
@@ -507,9 +558,22 @@ def _failing_factory(hello):
     raise RuntimeError("no sessions today")
 
 
+def _shard(session_factory, clock=None, **settings):
+    """Shard 0 at ``ServeConfig``'s limits, ``settings`` overriding them."""
+    config = replace(ServeConfig(), **settings)
+    return Shard(
+        0, session_factory,
+        queue_limit=config.queue_limit,
+        tenant_inflight_limit=config.tenant_inflight_limit,
+        session_ttl_s=config.session_ttl_s,
+        sweep_interval_s=config.sweep_interval_s,
+        clock=clock,
+    )
+
+
 def test_shard_queue_full_sheds():
     async def scenario():
-        shard = Shard(0, _failing_factory, queue_limit=1,
+        shard = _shard(_failing_factory, queue_limit=1,
                       tenant_inflight_limit=10)
         # Worker not started: the queue fills and stays full.
         futures = [shard.submit(PingRequest()) for _ in range(3)]
@@ -525,7 +589,7 @@ def test_shard_queue_full_sheds():
 
 def test_shard_tenant_inflight_limit_sheds():
     async def scenario():
-        shard = Shard(0, _failing_factory, queue_limit=100,
+        shard = _shard(_failing_factory, queue_limit=100,
                       tenant_inflight_limit=2)
         futures = [
             shard.submit(StatsRequest(tenant="hog")) for _ in range(4)
@@ -541,7 +605,7 @@ def test_shard_tenant_inflight_limit_sheds():
 
 def test_shard_routes_and_reports_unknown_tenant(pdf_table):
     async def scenario():
-        shard = Shard(0, lambda hello: TenantSession(hello, pdf_table))
+        shard = _shard(lambda hello: TenantSession(hello, pdf_table))
         shard.start()
         missing = await shard.submit(StatsRequest(tenant="ghost"))
         assert missing.error == "unknown_tenant"
@@ -560,7 +624,7 @@ def test_shard_routes_and_reports_unknown_tenant(pdf_table):
 
 def test_shard_internal_errors_do_not_kill_the_worker():
     async def scenario():
-        shard = Shard(0, _failing_factory)
+        shard = _shard(_failing_factory)
         shard.start()
         broken = await shard.submit(_hello("doomed"))
         assert broken.error == "internal"
@@ -573,8 +637,8 @@ def test_shard_internal_errors_do_not_kill_the_worker():
 def test_shard_evicts_idle_sessions(pdf_table):
     async def scenario():
         now = {"t": 0.0}
-        shard = Shard(
-            0, lambda hello: TenantSession(hello, pdf_table,
+        shard = _shard(
+            lambda hello: TenantSession(hello, pdf_table,
                                            clock=lambda: now["t"]),
             session_ttl_s=30.0, clock=lambda: now["t"],
         )
@@ -594,7 +658,7 @@ def test_shard_evicts_idle_sessions(pdf_table):
 
 def test_shard_stop_clears_inflight_ledger():
     async def scenario():
-        shard = Shard(0, _failing_factory, queue_limit=100,
+        shard = _shard(_failing_factory, queue_limit=100,
                       tenant_inflight_limit=2)
         # Worker not started: both submissions sit queued, charged to
         # the tenant's in-flight budget.
@@ -616,7 +680,7 @@ def test_shard_stop_clears_inflight_ledger():
 
 def test_shard_sweeper_survives_sweep_errors():
     async def scenario():
-        shard = Shard(0, _failing_factory, session_ttl_s=30.0,
+        shard = _shard(_failing_factory, session_ttl_s=30.0,
                       sweep_interval_s=0.01)
         calls = {"n": 0}
         recovered = asyncio.Event()
@@ -717,6 +781,27 @@ def test_tcp_bad_line_keeps_connection_usable():
         for _ in range(4 + len(OVERSIZED_HELLOS)):
             refused = parse_response(await reader.readline())
             assert not refused.ok and refused.error == "bad_request"
+        pong = parse_response(await reader.readline())
+        assert pong.ok and pong.payload["pong"]
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_tcp_ping_with_non_string_tenant_keeps_connection_usable():
+    async def scenario():
+        server = LocalizationServer(_small_core())
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(b'{"op": "ping", "tenant": 1}\n')
+        writer.write(b'{"op": "ping"}\n')
+        await writer.drain()
+        refused = parse_response(await reader.readline())
+        assert not refused.ok and refused.error == "bad_request"
         pong = parse_response(await reader.readline())
         assert pong.ok and pong.payload["pong"]
         writer.close()
@@ -927,6 +1012,9 @@ def test_cli_serve_bad_config_exits_2(capsys, argv):
     out = capsys.readouterr().out
     assert code == 2
     assert out.startswith("serve: ")
+    if "--trace-slow-ms" in argv:
+        # Named as the setting the flag sets, not TraceConfig's field.
+        assert out == "serve: trace_slow_ms must be >= 0\n"
 
 
 # -- observability: trace echo, gauges, probes under load ---------------------

@@ -15,15 +15,16 @@ import json
 import pytest
 
 from repro.core.config import CoCoAConfig, LocalizationMode
-from repro.serve import (
+from repro.serve.chaos import (
+    FAULT_KINDS,
     ChaosEvent,
     ChaosReport,
     ChaosSchedule,
-    ServeConfig,
-    record_replay_log,
+    SteppedClock,
     run_chaos,
 )
-from repro.serve.chaos import FAULT_KINDS, SteppedClock
+from repro.serve.replay import record_replay_log
+from repro.serve.server import ServeConfig
 from repro.util.geometry import Rect
 
 CHAOS_SEEDS = (1, 2, 3)

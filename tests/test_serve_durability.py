@@ -24,18 +24,17 @@ import numpy as np
 import pytest
 
 from repro.orchestrator.cache import ResultCache
-from repro.serve import (
+from repro.serve.checkpoint import (
     CheckpointStore,
+    SessionCheckpoint,
+    checkpoint_fingerprint,
+)
+from repro.serve.client import (
     InProcessClient,
     RetryPolicy,
     ServeClient,
-    ServeConfig,
-    ServiceCore,
     ServiceError,
-    SessionCheckpoint,
-    TenantSession,
     TransportError,
-    checkpoint_fingerprint,
     ensure_ok,
 )
 from repro.serve.protocol import (
@@ -48,6 +47,8 @@ from repro.serve.protocol import (
     encode_request,
     parse_request,
 )
+from repro.serve.server import ServeConfig, ServiceCore
+from repro.serve.session import TenantSession
 from repro.serve import session as session_module
 
 WINDOW_A = [
@@ -504,7 +505,7 @@ def test_retry_policy_backoff_is_seeded_and_capped():
 def test_client_reconnects_and_server_dedups(pdf_table):
     async def scenario():
         core = ServiceCore(ServeConfig(n_shards=1))
-        from repro.serve import LocalizationServer
+        from repro.serve.server import LocalizationServer
 
         server = LocalizationServer(core)
         await server.start()
@@ -818,7 +819,7 @@ def test_drain_flushes_checkpoints_and_sheds(pdf_table):
 
 def test_health_endpoints_over_tcp(pdf_table):
     async def scenario():
-        from repro.serve import LocalizationServer
+        from repro.serve.server import LocalizationServer
 
         core = ServiceCore(ServeConfig(n_shards=1))
         server = LocalizationServer(core)

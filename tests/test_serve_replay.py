@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import CoCoAConfig, LocalizationMode
-from repro.serve import (
-    InProcessClient,
-    ServeConfig,
-    ServiceCore,
-    diff_fixes,
-    record_replay_log,
-    replay_log,
-)
+from repro.serve.client import InProcessClient
+from repro.serve.replay import diff_fixes, record_replay_log, replay_log
+from repro.serve.server import ServeConfig, ServiceCore
 from repro.util.geometry import Rect
 
 GATE_SEEDS = (1, 2, 3)

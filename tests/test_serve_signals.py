@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.serve import ServeClient
+from repro.serve.client import ServeClient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 

@@ -21,23 +21,23 @@ from repro.experiments.runner import run_scenario
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.executor import run_sweep
 from repro.orchestrator.jobs import seed_jobs
-from repro.telemetry import (
-    COUNT_EDGES,
-    DEFAULT_MAX_SPANS,
-    NULL_REGISTRY,
-    Histogram,
-    MetricsRegistry,
-    SpanTracer,
-    Telemetry,
-    TelemetrySnapshot,
-    merge_snapshots,
+from repro.telemetry.collect import Telemetry
+from repro.telemetry.export import (
     prometheus_text,
     read_jsonl,
     read_trace_jsonl,
-    render_report,
     write_jsonl,
     write_perfetto_json,
 )
+from repro.telemetry.registry import (
+    COUNT_EDGES,
+    NULL_REGISTRY,
+    Histogram,
+    MetricsRegistry,
+)
+from repro.telemetry.report import render_report
+from repro.telemetry.snapshot import TelemetrySnapshot, merge_snapshots
+from repro.telemetry.spans import DEFAULT_MAX_SPANS, SpanTracer
 from repro.util.geometry import Rect
 
 
@@ -537,7 +537,7 @@ class TestReportCommand:
         """A --warm-cache server's checkpoints share the report's cache
         directory: the report renders as without them, reads none of
         them, and counts no error or miss."""
-        import repro.cli
+        import repro.orchestrator.cache
         from repro.serve.checkpoint import SessionCheckpoint
 
         root = str(tmp_path / "c")
@@ -555,7 +555,10 @@ class TestReportCommand:
                 super().__init__(*args, **kwargs)
                 opened.append(self)
 
-        monkeypatch.setattr(repro.cli, "ResultCache", RecordingCache)
+        # The CLI imports the cache class when a command needs it.
+        monkeypatch.setattr(
+            repro.orchestrator.cache, "ResultCache", RecordingCache
+        )
         code, after = self._run_cli(["report", "--cache-dir", root])
         assert code == 0
         assert after == before
