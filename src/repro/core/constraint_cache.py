@@ -55,10 +55,7 @@ class ConstraintFieldCache:
 
     def __init__(self) -> None:
         self._signature: Optional[str] = None
-        self._x = float("nan")
-        self._y = float("nan")
-        self._table = None
-        self._drop_fields()
+        self.clear()
         self.hits = 0
         self.misses = 0
         self.distance_hits = 0

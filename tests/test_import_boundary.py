@@ -101,12 +101,11 @@ def test_package_inits_are_docstring_only():
     for path in inits:
         with open(path, encoding="utf-8") as handle:
             body = ast.parse(handle.read()).body
-        assert all(
-            isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-            for node in body
-        ) and len(body) <= 1, path
+        assert len(body) <= 1, path
+        for node in body:
+            assert isinstance(node, ast.Expr), path
+            assert isinstance(node.value, ast.Constant), path
+            assert isinstance(node.value.value, str), path
 
 
 #: Packages that must import on their own: ``repro.orchestrator``'s
