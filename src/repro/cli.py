@@ -203,18 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # The flags that set a ServeConfig field name it as their dest and
     # stay unset unless given, so ServeConfig holds the only defaults
-    # (see serve_config_from_args).  The CLI's port is its own: 7707.
+    # and the only range checks (see serve_config_from_args).  The
+    # CLI's port is its own: 7707.
     unset = argparse.SUPPRESS
     serve.add_argument("--host", default=unset, help="bind address")
     serve.add_argument("--port", type=int, default=7707,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--shards", dest="n_shards", type=_positive_int,
+    serve.add_argument("--shards", dest="n_shards", type=int,
                        default=unset, metavar="SHARDS",
                        help="worker event loops (tenants hash across them)")
-    serve.add_argument("--queue-limit", type=_positive_int, default=unset,
+    serve.add_argument("--queue-limit", type=int, default=unset,
                        help="bounded request queue depth per shard")
     serve.add_argument("--tenant-inflight", dest="tenant_inflight_limit",
-                       type=_positive_int, default=unset,
+                       type=int, default=unset,
                        metavar="TENANT_INFLIGHT",
                        help="max queued requests per tenant before shedding")
     serve.add_argument("--session-ttl", dest="session_ttl_s", type=float,
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-mode", choices=TRACE_MODES, default=unset,
                        help="request tracing: off, sampled (head-sample "
                             "1-in-N plus slow requests) or always")
-    serve.add_argument("--trace-sample-every", type=_positive_int,
+    serve.add_argument("--trace-sample-every", type=int,
                        default=unset, metavar="N",
                        help="head-sample one request in N (sampled mode)")
     serve.add_argument("--trace-slow-ms", type=float, default=unset,
@@ -741,14 +742,14 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     from repro.serve.server import LocalizationServer, ServiceCore
 
-    checkpoint_cache = None
-    if args.warm_cache is not None:
-        checkpoint_cache = _result_cache(args.warm_cache)
     try:
         config = serve_config_from_args(args)
     except ValueError as exc:
         print("serve: %s" % exc, file=out)
         return 2
+    checkpoint_cache = None
+    if args.warm_cache is not None:
+        checkpoint_cache = _result_cache(args.warm_cache)
 
     async def _run() -> int:
         core = ServiceCore(config, checkpoint_cache=checkpoint_cache)

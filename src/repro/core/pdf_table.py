@@ -228,6 +228,12 @@ class PdfTable:
         key = int(round(rssi_dbm))
         if key in self._bins:
             return key
+        # Past either end the nearest bin is that end's, and a key
+        # outside int64 could not be subtracted from the keys array.
+        if key <= self._keys[0]:
+            return int(self._keys[0])
+        if key >= self._keys[-1]:
+            return int(self._keys[-1])
         idx = int(np.argmin(np.abs(self._keys - key)))
         return int(self._keys[idx])
 

@@ -6,11 +6,11 @@ trace ids, and records ``wall``-clock spans — none of which may ever
 touch a science payload.  The span record, its bounded ring and the
 JSONL/Perfetto exporters are shared with the simulator's tracer and
 live in :mod:`repro.telemetry`; they read no clock.  The serve layer
-threads an optional :class:`RequestTracer` through its request path
-exactly the way it threads a
-:class:`~repro.telemetry.registry.MetricsRegistry`: a no-op by
-construction when disabled, and proven byte-inert when enabled by the
-replay gate (``tests/test_serve_replay.py`` runs the 3-seed
+threads one :class:`RequestTracer`, built from ``ServeConfig``'s trace
+settings, through its request path the way it threads a
+:class:`~repro.telemetry.registry.MetricsRegistry`: mode ``off`` makes
+every hook a ``None`` check, and the replay gate proves it byte-inert
+in every mode (``tests/test_serve_replay.py`` runs the 3-seed
 service-vs-batch comparison with tracing off, always-on and sampled).
 
 Pieces:

@@ -75,23 +75,3 @@ class OpsLog:
 
     def records(self) -> List[Dict[str, Any]]:
         return [event.as_record() for event in self.ring]
-
-
-class _NullOpsLog:
-    """No-op ops log for cores constructed without observability."""
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-
-#: Shared no-op instance (mirrors NULL_REGISTRY / NULL_TRACER).
-NULL_OPS_LOG = _NullOpsLog()

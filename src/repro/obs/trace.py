@@ -24,10 +24,14 @@ Sampling keeps the always-on cost bounded:
 
 - ``mode="always"`` keeps every trace (benchmarks, chaos forensics);
 - ``mode="sampled"`` (the serving default) head-samples one request in
-  ``head_sample_every`` *and* tail-keeps any request slower than
+  ``sample_every`` *and* tail-keeps any request slower than
   ``slow_ms`` — the slow outliers are precisely the traces worth
   keeping, and the head sample keeps the baseline shape visible;
 - ``mode="off"`` makes every hook a cheap ``None`` check.
+
+The server passes :class:`~repro.serve.server.ServeConfig`'s
+``trace_mode``, ``trace_sample_every`` and ``trace_slow_ms``, which it
+checks; the tracer's ring keeps the newest :data:`MAX_SPANS` spans.
 
 The tracer is loop-confined like everything else in the serve stack
 (one asyncio loop owns it), so its :class:`~repro.telemetry.spans.Ring`
@@ -39,56 +43,17 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.telemetry.spans import Ring, Span
 
-__all__ = [
-    "TraceConfig",
-    "ActiveTrace",
-    "RequestTracer",
-    "NULL_TRACER",
-    "TRACE_MODES",
-]
+__all__ = ["ActiveTrace", "RequestTracer", "TRACE_MODES", "MAX_SPANS"]
 
 TRACE_MODES = ("off", "sampled", "always")
 
-#: Maximum accepted length of a wire ``trace`` field (protocol guard).
-MAX_TRACE_ID_CHARS = 128
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Tracing knobs.
-
-    Attributes:
-        mode: ``off`` / ``sampled`` / ``always``.
-        head_sample_every: in ``sampled`` mode, keep one request in N
-            regardless of latency (N=1 keeps everything).
-        slow_ms: in ``sampled`` mode, also keep any request whose total
-            latency reaches this many milliseconds (tail sampling);
-            0 keeps everything.
-        max_spans: span-ring capacity (oldest evicted first).
-    """
-
-    mode: str
-    head_sample_every: int
-    slow_ms: float
-    max_spans: int = 50_000
-
-    def __post_init__(self) -> None:
-        if self.mode not in TRACE_MODES:
-            raise ValueError(
-                "trace mode must be one of %r, got %r" % (TRACE_MODES, self.mode)
-            )
-        if self.head_sample_every < 1:
-            raise ValueError("head_sample_every must be >= 1")
-        if self.slow_ms < 0:
-            raise ValueError("slow_ms must be >= 0")
-        if self.max_spans < 1:
-            raise ValueError("max_spans must be >= 1")
+#: Spans a tracer keeps; the oldest are dropped (and counted).
+MAX_SPANS = 50_000
 
 
 class ActiveTrace:
@@ -193,7 +158,12 @@ class RequestTracer:
     """Mints trace ids, accumulates request spans, samples, buffers.
 
     Args:
-        config: sampling knobs (:class:`TraceConfig`).
+        mode: ``off`` / ``sampled`` / ``always``.
+        sample_every: in ``sampled`` mode, keep one request in N
+            regardless of latency (N=1 keeps everything).
+        slow_ms: in ``sampled`` mode, also keep any request whose total
+            latency reaches this many milliseconds (tail sampling);
+            0 keeps everything.
         clock: relative wall clock (injectable so tests never sleep).
         registry: telemetry registry for trace accounting counters.
         id_entropy: hex prefix distinguishing this process's minted ids
@@ -203,12 +173,16 @@ class RequestTracer:
 
     def __init__(
         self,
-        config: TraceConfig,
+        mode: str,
+        sample_every: int,
+        slow_ms: float,
         clock: Optional[Callable[[], float]] = None,
         registry=NULL_REGISTRY,
         id_entropy: Optional[str] = None,
     ) -> None:
-        self.config = config
+        self.mode = mode
+        self._sample_every = sample_every
+        self._slow_ms = slow_ms
         self._clock = clock if clock is not None else time.perf_counter
         self._registry = registry
         if id_entropy is None:
@@ -216,11 +190,7 @@ class RequestTracer:
         self._id_prefix = id_entropy
         self._ids = itertools.count(1)
         self._head_countdown = 0
-        self.ring = Ring(self.config.max_spans)
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.mode != "off"
+        self.ring = Ring(MAX_SPANS)
 
     def mint(self) -> str:
         """A fresh trace id (server-edge minting for raw TCP peers)."""
@@ -236,18 +206,18 @@ class RequestTracer:
         (cheap, before any work); the tail decision waits for the
         latency measured at :meth:`finish`.
         """
-        if self.config.mode == "off":
+        if self.mode == "off":
             return None
         trace_id = getattr(request, "trace", None)
         if trace_id is None:
             trace_id = self.mint()
-        if self.config.mode == "always":
+        if self.mode == "always":
             keep_head = True
         else:
             self._head_countdown -= 1
             keep_head = self._head_countdown <= 0
             if keep_head:
-                self._head_countdown = self.config.head_sample_every
+                self._head_countdown = self._sample_every
         return ActiveTrace(
             trace_id,
             clock=self._clock,
@@ -263,7 +233,7 @@ class RequestTracer:
         if response is not None and not getattr(response, "ok", True):
             error = getattr(response, "error", None)
         duration_s = active.seal(error)
-        slow = duration_s * 1000.0 >= self.config.slow_ms
+        slow = duration_s * 1000.0 >= self._slow_ms
         if not (active.keep_head or slow):
             self._registry.counter("obs_traces_sampled_out").inc()
             return
@@ -284,28 +254,3 @@ class RequestTracer:
             span.as_record() for span in self.ring
             if span.trace == trace_id
         ]
-
-
-class _NullTracer:
-    """Disabled-tracing shim sharing :class:`RequestTracer`'s surface."""
-
-    enabled = False
-
-    def mint(self) -> str:  # pragma: no cover - never sensible when off
-        return "off"
-
-    def begin(self, request) -> None:
-        return None
-
-    def finish(self, active, response) -> None:
-        pass
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-    def spans_for(self, trace_id: str) -> List[Dict[str, Any]]:
-        return []
-
-
-#: Shared no-op tracer for code paths constructed without tracing.
-NULL_TRACER = _NullTracer()

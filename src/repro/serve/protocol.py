@@ -22,6 +22,15 @@ Request vocabulary (the ``op`` field):
 - ``bye`` — drop the tenant session explicitly.
 - ``ping`` — liveness/no-op.
 
+Each wire field has one rule — type, range and whether it may be
+absent — in ``_FIELD_RULES``, and means the same in every op that
+carries it.  :func:`parse_request` checks a request field by field
+from that table; a request class gaining a field with no rule fails at
+import.  Two rules span more than one field and are written out: a
+ping may name an empty tenant, and a hello's grid must fit its area in
+at most :data:`MAX_GRID_CELLS` cells.  A line that breaks any rule gets
+one ``bad_request`` reply, and the connection stays usable.
+
 Idempotent retries: every tenant-scoped request may carry a client-
 assigned ``rid`` (a per-tenant monotonically increasing request id).
 The session keeps a small bounded reply cache of the *state-mutating*
@@ -42,8 +51,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import (
+    Any, Callable, Dict, NamedTuple, Optional, Tuple, Union, get_args,
+)
 
 from repro.core.bayes import GRID_RESOLUTION_M
 from repro.core.calibration import CALIBRATION_SAMPLES
@@ -200,18 +211,120 @@ Request = Union[
     PingRequest,
 ]
 
-_REQUEST_TYPES: Dict[str, type] = {
-    "hello": HelloRequest,
-    "window": WindowRequest,
-    "observe": ObserveRequest,
-    "fix": FixRequest,
-    "confidence": ConfidenceRequest,
-    "stats": StatsRequest,
-    "bye": ByeRequest,
-    "ping": PingRequest,
+_WINDOW_EVENTS = ("open", "close")
+
+#: Maximum accepted length of a wire ``trace`` id (characters).
+MAX_TRACE_CHARS = 128
+
+#: Maximum accepted length of a ``tenant`` or ``resume`` string.
+MAX_NAME_CHARS = 256
+
+#: Upper bounds on what one hello may make the server allocate: the
+#: calibration draws ``calibration_samples`` values per array, and the
+#: posterior holds ``round(area_side_m / grid_resolution_m) ** 2`` cells.
+MAX_CALIBRATION_SAMPLES = 1_000_000
+MAX_GRID_CELLS = 250_000
+
+
+class _Rule(NamedTuple):
+    """``check`` accepts a value, ``message`` (after the field's name) is
+    the ``bad_request`` detail for any other, and an ``optional`` field
+    may be absent (its request classes default it to ``None``)."""
+
+    check: Callable[[Any], bool]
+    message: str
+    optional: bool = False
+
+
+def _is_finite(value: Any) -> bool:
+    """A finite int or float, not a bool.  ``json`` reads ``NaN``,
+    ``Infinity`` and ``1e999`` as floats, and an int too large for a
+    float has no finite float value either."""
+    try:
+        return value.__class__ is not bool and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _integer(
+    low: int, high: Optional[int] = None, optional: bool = False
+) -> _Rule:
+    if high is None:
+        return _Rule(
+            lambda value: (isinstance(value, int)
+                           and value.__class__ is not bool and value >= low),
+            "must be an integer >= %d" % low, optional,
+        )
+    return _Rule(
+        lambda value: (isinstance(value, int) and value.__class__ is not bool
+                       and low <= value <= high),
+        "must be an integer in [%d, %d]" % (low, high), optional,
+    )
+
+
+def _text(limit: int, optional: bool = False) -> _Rule:
+    return _Rule(
+        lambda value: isinstance(value, str) and 0 < len(value) <= limit,
+        "must be a non-empty string (<=%d chars)" % limit, optional,
+    )
+
+
+_FINITE = _Rule(_is_finite, "must be a finite number")
+
+#: The checkpoint address hashes ``float(value)``, so an integer too
+#: large for a float is as unusable as inf or NaN.
+_POSITIVE = _Rule(lambda value: _is_finite(value) and value > 0,
+                  "must be a finite positive number")
+
+#: The one rule of each wire field, whichever op carries it.
+_FIELD_RULES: Dict[str, _Rule] = {
+    "tenant": _text(MAX_NAME_CHARS),
+    "rid": _integer(0, optional=True),
+    "trace": _text(MAX_TRACE_CHARS, optional=True),
+    "robot": _integer(0),
+    "event": _Rule(_WINDOW_EVENTS.__contains__,
+                   "must be one of %r" % (_WINDOW_EVENTS,)),
+    "expected": _integer(0, optional=True),
+    "seq": _integer(0),
+    "x": _FINITE,
+    "y": _FINITE,
+    "rssi_dbm": _FINITE,
+    "anchor_id": _integer(0, optional=True),
+    "t": _FINITE,
+    "calibration_seed": _integer(0),
+    "calibration_samples": _integer(1, MAX_CALIBRATION_SAMPLES),
+    "area_side_m": _POSITIVE,
+    "grid_resolution_m": _POSITIVE,
+    "min_beacons_for_fix": _integer(1),
+    "resume": _text(MAX_NAME_CHARS, optional=True),
 }
 
-_WINDOW_EVENTS = ("open", "close")
+
+def _field_checks(cls: type) -> Tuple[tuple, ...]:
+    """``cls``'s wire fields as ``(name, check, message, optional)``;
+    a field with no rule, or whose ``None`` default disagrees with its
+    rule's ``optional``, is a TypeError at import."""
+    checks = []
+    for spec in fields(cls):
+        if not spec.init:  # ``op``: the class names it, not the line
+            continue
+        rule = _FIELD_RULES.get(spec.name)
+        if rule is None:
+            raise TypeError(
+                "%s.%s has no wire rule" % (cls.__name__, spec.name)
+            )
+        if rule.optional != (spec.default is None):
+            raise TypeError(
+                "%s.%s must default to None exactly when its rule is "
+                "optional" % (cls.__name__, spec.name)
+            )
+        checks.append((spec.name, rule.check,
+                       "%s %s" % (spec.name, rule.message), rule.optional))
+    return tuple(checks)
+
+
+_REQUEST_TYPES: Dict[str, type] = {cls.op: cls for cls in get_args(Request)}
+_FIELD_CHECKS = {cls: _field_checks(cls) for cls in get_args(Request)}
 
 
 @dataclass(frozen=True)
@@ -257,138 +370,52 @@ def parse_request(data: Union[str, bytes, Dict[str, Any]]) -> Request:
             raise ProtocolError("malformed JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ProtocolError("request must be a JSON object")
-    op = data.get("op")
-    cls = _REQUEST_TYPES.get(op)
+    given = dict(data)
+    op = given.pop("op", None)
+    cls = _REQUEST_TYPES.get(op) if isinstance(op, str) else None
     if cls is None:
         raise ProtocolError("unknown op %r" % (op,))
-    fields = {k: v for k, v in data.items() if k != "op"}
     try:
-        request = cls(**fields)
+        request = cls(**given)
     except TypeError as exc:
         raise ProtocolError("bad %s request: %s" % (op, exc)) from None
     _validate(request)
     return request
 
 
-#: Maximum accepted length of a wire ``trace`` id (characters).
-MAX_TRACE_CHARS = 128
-
-#: Upper bounds on what one hello may make the server allocate: the
-#: calibration draws ``calibration_samples`` values per array, and the
-#: posterior holds ``round(area_side_m / grid_resolution_m) ** 2`` cells.
-MAX_CALIBRATION_SAMPLES = 1_000_000
-MAX_GRID_CELLS = 250_000
-
-
 def _validate(request: Request) -> None:
-    if request.trace is not None and (
-        not isinstance(request.trace, str)
-        or not request.trace
-        or len(request.trace) > MAX_TRACE_CHARS
-    ):
+    cls = type(request)
+    for name, check, message, optional in _FIELD_CHECKS[cls]:
+        value = getattr(request, name)
+        if (optional and value is None) or check(value):
+            continue
+        # A ping may name no tenant: the shard router hashes "".
+        if cls is PingRequest and name == "tenant" and value == "":
+            continue
+        raise ProtocolError(message)
+    if cls is not HelloRequest:
+        return
+    # The hello's grid rules span two fields.  GridBayesFilter refuses a
+    # cell wider than the area; a side one cell wide is a 1 x 1 grid.
+    if request.grid_resolution_m > request.area_side_m:
+        raise ProtocolError("grid_resolution_m must not exceed area_side_m")
+    # The same per-side cell count GridBayesFilter rounds to; the ratio
+    # of two finite floats can still overflow to inf.
+    per_side = request.area_side_m / request.grid_resolution_m
+    if math.isinf(per_side) or max(1, round(per_side)) ** 2 > MAX_GRID_CELLS:
         raise ProtocolError(
-            "trace must be a non-empty string (<=%d chars)" % MAX_TRACE_CHARS
+            "area_side_m / grid_resolution_m must give a grid of "
+            "<= %d cells" % MAX_GRID_CELLS
         )
-    tenant = request.tenant
-    if isinstance(request, PingRequest):
-        # A ping may name no tenant, but it is routed by the one it names.
-        if not isinstance(tenant, str) or len(tenant) > 256:
-            raise ProtocolError("ping tenant must be a string (<=256 chars)")
-    else:
-        if not isinstance(tenant, str) or not tenant or len(tenant) > 256:
-            raise ProtocolError("tenant must be a non-empty string (<=256 chars)")
-        if request.rid is not None:
-            _check_int("rid", request.rid)
-    if isinstance(request, WindowRequest):
-        if request.event not in _WINDOW_EVENTS:
-            raise ProtocolError(
-                "window event must be one of %r" % (_WINDOW_EVENTS,)
-            )
-        _check_int("robot", request.robot)
-        _check_finite("t", request.t)
-        if request.expected is not None:
-            _check_int("expected", request.expected)
-    if isinstance(request, ObserveRequest):
-        _check_int("robot", request.robot)
-        _check_int("seq", request.seq)
-        for name in ("x", "y", "rssi_dbm", "t"):
-            _check_finite(name, getattr(request, name))
-        if request.anchor_id is not None:
-            _check_int("anchor_id", request.anchor_id)
-    if isinstance(request, (FixRequest, ConfidenceRequest)):
-        _check_int("robot", request.robot)
-    if isinstance(request, HelloRequest):
-        _check_int("calibration_seed", request.calibration_seed)
-        _check_int("calibration_samples", request.calibration_samples, 1)
-        if request.calibration_samples > MAX_CALIBRATION_SAMPLES:
-            raise ProtocolError(
-                "calibration_samples must be <= %d" % MAX_CALIBRATION_SAMPLES
-            )
-        _check_int("min_beacons_for_fix", request.min_beacons_for_fix, 1)
-        for name in ("area_side_m", "grid_resolution_m"):
-            value = getattr(request, name)
-            # The checkpoint address hashes float(value), so an integer
-            # too large for a float is as unusable as inf or NaN.
-            if not _is_finite(value) or value <= 0:
-                raise ProtocolError(
-                    "%s must be a finite positive number" % name
-                )
-        # GridBayesFilter refuses a cell wider than the area; a side
-        # exactly one cell wide is a valid 1 x 1 grid.
-        if request.grid_resolution_m > request.area_side_m:
-            raise ProtocolError(
-                "grid_resolution_m must not exceed area_side_m"
-            )
-        # The same per-side cell count GridBayesFilter rounds to; the
-        # ratio of two finite floats can still overflow to inf.
-        per_side = request.area_side_m / request.grid_resolution_m
-        if (
-            math.isinf(per_side)
-            or max(1, round(per_side)) ** 2 > MAX_GRID_CELLS
-        ):
-            raise ProtocolError(
-                "area_side_m / grid_resolution_m must give a grid of "
-                "<= %d cells" % MAX_GRID_CELLS
-            )
-        if request.resume is not None and (
-            not isinstance(request.resume, str)
-            or not request.resume
-            or len(request.resume) > 256
-        ):
-            raise ProtocolError(
-                "resume must be a non-empty string (<=256 chars)"
-            )
-
-
-def _is_finite(value: Any) -> bool:
-    """A finite int or float, not a bool.  ``json`` reads ``NaN``,
-    ``Infinity`` and ``1e999`` as floats, and an int too large for a
-    float has no finite float value either."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _check_finite(name: str, value: Any) -> None:
-    if not _is_finite(value):
-        raise ProtocolError("%s must be a finite number" % name)
-
-
-def _check_int(name: str, value: Any, minimum: int = 0) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ProtocolError("%s must be an integer >= %d" % (name, minimum))
 
 
 def encode_request(request: Request) -> str:
     """One request as its wire line (no trailing newline)."""
     record = asdict(request)
-    # Drop defaulted optionals to keep lines short on the hot path.
-    for optional in ("anchor_id", "rid", "resume", "expected", "trace"):
-        if record.get(optional, 0) is None:
-            del record[optional]
+    # Drop absent optionals to keep lines short on the hot path.
+    for name, _check, _message, optional in _FIELD_CHECKS[type(request)]:
+        if optional and record[name] is None:
+            del record[name]
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 

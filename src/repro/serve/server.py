@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     Request,
     Response,
@@ -50,7 +51,7 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.obs.oplog import OpsLog
-from repro.obs.trace import TRACE_MODES, RequestTracer, TraceConfig
+from repro.obs.trace import TRACE_MODES, RequestTracer
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.session import CalibrationStore, TenantSession
 from repro.serve.shard import Shard, shard_index_for
@@ -115,28 +116,20 @@ class ServeConfig:
             raise ValueError("port must be in [0, 65535]")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.queue_limit < 1 or self.tenant_inflight_limit < 1:
-            raise ValueError("queue limits must be >= 1")
+        if self.queue_limit < 1:
+            raise ValueError("queue_limit must be >= 1")
+        if self.tenant_inflight_limit < 1:
+            raise ValueError("tenant_inflight_limit must be >= 1")
         if self.session_ttl_s < 0:
             raise ValueError("session_ttl_s must be >= 0")
         if self.sweep_interval_s <= 0:
             raise ValueError("sweep_interval_s must be > 0")
-        # TraceConfig checks these too, under its own field names; these
-        # checks name the settings the user gave.
         if self.trace_mode not in TRACE_MODES:
             raise ValueError("trace_mode must be one of %r" % (TRACE_MODES,))
         if self.trace_sample_every < 1:
             raise ValueError("trace_sample_every must be >= 1")
         if self.trace_slow_ms < 0:
             raise ValueError("trace_slow_ms must be >= 0")
-
-    def trace_config(self) -> TraceConfig:
-        """The knobs as an :class:`~repro.obs.trace.TraceConfig`."""
-        return TraceConfig(
-            mode=self.trace_mode,
-            head_sample_every=self.trace_sample_every,
-            slow_ms=self.trace_slow_ms,
-        )
 
 
 class ServiceCore:
@@ -166,7 +159,10 @@ class ServiceCore:
         # Wall-clock observability (repro.obs) — outside the sim core's
         # virtual-time contract, inert toward science payloads.
         self.tracer = RequestTracer(
-            self.config.trace_config(), registry=self.registry
+            self.config.trace_mode,
+            self.config.trace_sample_every,
+            self.config.trace_slow_ms,
+            registry=self.registry,
         )
         self.ops = OpsLog()
         self.calibrations = CalibrationStore(registry=self.registry)
@@ -374,6 +370,19 @@ class ServiceCore:
         return out
 
 
+async def _drop_line(reader: asyncio.StreamReader) -> bool:
+    """Discard the rest of a line longer than the stream's limit; False
+    if the peer goes away first."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            await reader.read(exc.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
+
+
 class LocalizationServer:
     """The TCP front end: NDJSON request streams plus HTTP ``/metrics``.
 
@@ -399,7 +408,8 @@ class LocalizationServer:
         self.core.start()
         config = self.core.config
         self._server = await asyncio.start_server(
-            self._handle_connection, host=config.host, port=config.port
+            self._handle_connection, host=config.host, port=config.port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def stop(self) -> None:
@@ -456,8 +466,20 @@ class LocalizationServer:
         first = True
         while True:
             try:
-                line = await reader.readline()
-            except (ConnectionError, asyncio.IncompleteReadError):
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # the last line, unterminated
+            except asyncio.LimitOverrunError:
+                # Longer than MAX_LINE_BYTES: drop it through its
+                # newline, then refuse it like any other bad line.
+                if not await _drop_line(reader):
+                    return
+                first = False
+                await self._refuse(
+                    replies, "request line exceeds %d bytes" % MAX_LINE_BYTES
+                )
+                continue
+            except ConnectionError:
                 return
             if not line:
                 return
@@ -471,15 +493,19 @@ class LocalizationServer:
             try:
                 request = parse_request(stripped)
             except ProtocolError as exc:
-                self.core.registry.counter("serve_protocol_errors").inc()
-                done = asyncio.get_running_loop().create_future()
-                done.set_result(error_response("bad_request", str(exc)))
-                await replies.put((done, None))
+                await self._refuse(replies, str(exc))
                 continue
             # Bounded reply queue: when the consumer stops reading its
             # responses this put blocks, pausing the reader — TCP
             # backpressure all the way to the sender.
             await replies.put(self.core.submit_traced(request))
+
+    async def _refuse(self, replies, detail: str) -> None:
+        """Queue a ``bad_request`` reply for a line that is no request."""
+        self.core.registry.counter("serve_protocol_errors").inc()
+        done = asyncio.get_running_loop().create_future()
+        done.set_result(error_response("bad_request", detail))
+        await replies.put((done, None))
 
     async def _write_replies(self, replies, writer) -> None:
         """Write replies in request order, one socket write per run of

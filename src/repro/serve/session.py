@@ -235,10 +235,14 @@ class TenantSession:
                 return cached
         response = self._dispatch(request, trace)
         if rid is not None and _mutated_state(request, response):
-            self._replies[rid] = response
-            while len(self._replies) > REPLY_CACHE_SIZE:
-                self._replies.popitem(last=False)
+            self._remember(rid, response)
         return response
+
+    def _remember(self, rid: int, response: Response) -> None:
+        """Cache ``response`` as the reply to ``rid``, oldest out first."""
+        self._replies[rid] = response
+        while len(self._replies) > REPLY_CACHE_SIZE:
+            self._replies.popitem(last=False)
 
     def _dispatch(self, request, trace=None) -> Response:
         if isinstance(request, ObserveRequest):
@@ -365,9 +369,7 @@ class TenantSession:
             # reply cache covers this close: a client that retries it
             # after a crash-and-restore gets this reply, not a re-close.
             if request.rid is not None:
-                self._replies[request.rid] = response
-                while len(self._replies) > REPLY_CACHE_SIZE:
-                    self._replies.popitem(last=False)
+                self._remember(request.rid, response)
             if trace is not None:
                 with trace.hop("checkpoint", robot=request.robot):
                     self.checkpoint_now()

@@ -44,7 +44,7 @@ from repro.serve.protocol import (
     Response,
     error_response,
 )
-from repro.obs.oplog import NULL_OPS_LOG
+from repro.obs.oplog import OpsLog
 from repro.serve.session import TenantSession
 from repro.telemetry.registry import NULL_REGISTRY
 
@@ -71,14 +71,14 @@ class Shard:
             (``0`` disables eviction).
         sweep_interval_s: how often the sweeper task looks for idle
             sessions to evict.
+        ops: structured ops-event log (:class:`~repro.obs.oplog.OpsLog`)
+            for eviction events.
         clock: monotonic time source for idle measurement (injectable
             for tests — eviction tests advance it instead of sleeping).
         registry: telemetry registry for queue/eviction counters.
         checkpoints: optional
             :class:`~repro.serve.checkpoint.CheckpointStore` enabling
             checkpoint-before-evict and resume-token re-hydration.
-        ops: structured ops-event log (:class:`~repro.obs.oplog.OpsLog`)
-            for eviction events; a no-op shim by default.
 
     The limits are not checked here: the server builds every shard from
     a :class:`~repro.serve.server.ServeConfig`, which checks them.
@@ -92,10 +92,10 @@ class Shard:
         tenant_inflight_limit: int,
         session_ttl_s: float,
         sweep_interval_s: float,
+        ops: OpsLog,
         clock: Optional[Callable[[], float]] = None,
         registry=NULL_REGISTRY,
         checkpoints=None,
-        ops=NULL_OPS_LOG,
     ) -> None:
         self.index = index
         self._session_factory = session_factory

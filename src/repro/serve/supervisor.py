@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
-from repro.obs.oplog import NULL_OPS_LOG
+from repro.obs.oplog import OpsLog
 from repro.serve.shard import Shard, shard_index_for
 from repro.telemetry.registry import NULL_REGISTRY
 
@@ -41,23 +41,23 @@ class ShardSupervisor:
         shard: the supervised shard.
         n_shards: total shard count (tenant → shard routing for
             re-hydration).
+        ops: structured ops-event log (:class:`~repro.obs.oplog.OpsLog`)
+            — restarts and re-hydrations are exactly the events an
+            operator pivots to from a slow trace.
         checkpoints: the server's
             :class:`~repro.serve.checkpoint.CheckpointStore`, or None
             (restart-only supervision: workers revive, lost sessions
             stay lost until a client resumes them).
         registry: telemetry registry.
-        ops: structured ops-event log (:class:`~repro.obs.oplog.OpsLog`)
-            — restarts and re-hydrations are exactly the events an
-            operator pivots to from a slow trace.
     """
 
     def __init__(
         self,
         shard: Shard,
         n_shards: int,
+        ops: OpsLog,
         checkpoints=None,
         registry=NULL_REGISTRY,
-        ops=NULL_OPS_LOG,
     ) -> None:
         self._shard = shard
         self._n_shards = n_shards

@@ -2,7 +2,6 @@
 
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -222,9 +221,10 @@ def trace_file(tmp_path):
     """Two requests recorded on a fake clock, dumped as trace JSONL with
     plain ``json`` so the fixture does not depend on the writer."""
     clock = _FakeClock()
+    config = ServeConfig()
     tracer = RequestTracer(
-        replace(ServeConfig().trace_config(), mode="always"), clock=clock,
-        id_entropy="cli",
+        "always", config.trace_sample_every, config.trace_slow_ms,
+        clock=clock, id_entropy="cli",
     )
     fast = tracer.begin(FixRequest(tenant="acme", robot=1, rid=4,
                                    trace="t-fast"))

@@ -124,6 +124,9 @@ class TestPdfTable:
         table = self.make_table()
         assert table.bin_for(-120.0).mean_m == pytest.approx(60.0)
         assert table.bin_for(-10.0).mean_m == pytest.approx(5.0)
+        # Finite readings far outside int64 snap to the end bins too.
+        assert table.bin_key_for(-1e308) == -85
+        assert table.bin_key_for(1e308) == -50
 
     def test_rssi_range(self):
         assert self.make_table().rssi_range == (-85, -50)

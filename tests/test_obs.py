@@ -6,19 +6,18 @@ clock's ticks.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.obs import oplog
-from repro.obs.oplog import NULL_OPS_LOG, OpsLog
+from repro.obs import oplog, trace
+from repro.obs.oplog import OpsLog
 from repro.obs.summary import (
     hop_table,
     render_slowest,
     render_summary,
     slowest_traces,
 )
-from repro.obs.trace import NULL_TRACER, RequestTracer
+from repro.obs.trace import RequestTracer
 from repro.serve.protocol import FixRequest, WindowRequest
 from repro.serve.server import ServeConfig
 from repro.telemetry.export import (
@@ -44,14 +43,14 @@ class FakeClock:
         self.now += dt
 
 
-def trace_config(**knobs):
-    """``ServeConfig``'s tracing knobs, ``knobs`` overriding them."""
-    return replace(ServeConfig().trace_config(), **knobs)
-
-
-def make_tracer(mode="always", clock=None, registry=None, **knobs):
+def make_tracer(mode="always", clock=None, registry=None, **settings):
+    """A tracer at ``ServeConfig``'s trace settings, ``settings``
+    overriding them."""
+    config = ServeConfig(trace_mode=mode, **settings)
     return RequestTracer(
-        trace_config(mode=mode, **knobs),
+        config.trace_mode,
+        config.trace_sample_every,
+        config.trace_slow_ms,
         clock=clock if clock is not None else FakeClock(),
         registry=registry if registry is not None else MetricsRegistry(),
         id_entropy="test",
@@ -59,22 +58,6 @@ def make_tracer(mode="always", clock=None, registry=None, **knobs):
 
 
 REQUEST = FixRequest(tenant="acme", robot=3, rid=7)
-
-
-class TestTraceConfig:
-    def test_defaults_valid(self):
-        config = ServeConfig().trace_config()
-        assert config.mode == "sampled"
-
-    @pytest.mark.parametrize("knobs", [
-        {"mode": "sometimes"},
-        {"head_sample_every": 0},
-        {"slow_ms": -1.0},
-        {"max_spans": 0},
-    ])
-    def test_bad_knobs_rejected(self, knobs):
-        with pytest.raises(ValueError):
-            trace_config(**knobs)
 
 
 class TestActiveTrace:
@@ -138,7 +121,6 @@ class TestSampling:
     def test_off_mode_returns_none(self):
         tracer = make_tracer(mode="off")
         assert tracer.begin(REQUEST) is None
-        assert not tracer.enabled
         assert tracer.records() == []
 
     def test_always_mode_keeps_everything(self):
@@ -151,8 +133,8 @@ class TestSampling:
 
     def test_head_sampling_one_in_n(self):
         registry = MetricsRegistry()
-        tracer = make_tracer(mode="sampled", head_sample_every=4,
-                             slow_ms=1e9, registry=registry)
+        tracer = make_tracer(mode="sampled", trace_sample_every=4,
+                             trace_slow_ms=1e9, registry=registry)
         for _ in range(8):
             tracer.finish(tracer.begin(REQUEST), None)
         assert registry.counter("obs_traces_recorded").value == 2.0
@@ -161,8 +143,9 @@ class TestSampling:
     def test_tail_sampling_keeps_slow_requests(self):
         clock = FakeClock()
         registry = MetricsRegistry()
-        tracer = make_tracer(mode="sampled", head_sample_every=10**6,
-                             slow_ms=25.0, clock=clock, registry=registry)
+        tracer = make_tracer(mode="sampled", trace_sample_every=10**6,
+                             trace_slow_ms=25.0, clock=clock,
+                             registry=registry)
         # Burn the head sample so only the tail rule can keep traces.
         tracer.finish(tracer.begin(REQUEST), None)
         fast = tracer.begin(REQUEST)
@@ -199,13 +182,6 @@ class TestSampling:
                  if record["name"] == "request"]
         assert roots[0]["attrs"]["error"] == "overloaded"
 
-    def test_null_tracer_surface(self):
-        assert NULL_TRACER.begin(REQUEST) is None
-        NULL_TRACER.finish(None, None)
-        assert NULL_TRACER.records() == []
-        assert NULL_TRACER.spans_for("x") == []
-        assert not NULL_TRACER.enabled
-
 
 class TestSpanBuffer:
     def test_bounded_with_drop_accounting(self):
@@ -219,8 +195,9 @@ class TestSpanBuffer:
         with pytest.raises(ValueError):
             Ring(0)
 
-    def test_tracer_buffer_evicts_oldest(self):
-        tracer = make_tracer(max_spans=4)
+    def test_tracer_buffer_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_SPANS", 4)
+        tracer = make_tracer()
         first = tracer.begin(REQUEST)
         tracer.finish(first, None)
         second = tracer.begin(REQUEST)
@@ -261,10 +238,6 @@ class TestOpsLog:
         assert write_jsonl(path, ops.records()) == 1
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "tick"
-
-    def test_null_shim(self):
-        NULL_OPS_LOG.emit("anything", key="value")
-        assert NULL_OPS_LOG.records() == []
 
 
 def recorded_spans():

@@ -18,12 +18,15 @@ import pytest
 from repro.core.config import LocalizationMode
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
+from repro.obs.oplog import OpsLog
 from repro.orchestrator.cache import ResultCache
 from repro.serve import session as session_module
 from repro.serve.client import InProcessClient, ServeClient
 from repro.serve.protocol import (
     MAX_CALIBRATION_SAMPLES,
     MAX_GRID_CELLS,
+    MAX_LINE_BYTES,
+    ByeRequest,
     ConfidenceRequest,
     FixRequest,
     HelloRequest,
@@ -91,9 +94,14 @@ def test_protocol_request_round_trip():
         WindowRequest(tenant="alpha", robot=3, event="open", t=12.5),
         ObserveRequest(tenant="alpha", robot=3, seq=2, x=1.25, y=-4.5,
                        rssi_dbm=-63.5, anchor_id=9, t=12.75),
+        WindowRequest(tenant="alpha", robot=3, event="close", expected=1,
+                      rid=11, trace="t-close"),
         FixRequest(tenant="alpha", robot=3),
+        ConfidenceRequest(tenant="alpha", robot=3, rid=12),
         StatsRequest(tenant="alpha"),
+        ByeRequest(tenant="alpha", rid=13),
         PingRequest(),
+        _hello("alpha", resume="token", rid=14, trace="t-hello"),
     ]
     for request in requests:
         assert parse_request(encode_request(request)) == request
@@ -131,6 +139,7 @@ NAN_OBSERVE = (
 @pytest.mark.parametrize("line", [
     "not json",
     '{"op": "warp"}',
+    '{"op": []}',                                            # unhashable op
     '{"op": "observe", "tenant": "t"}',                     # missing fields
     '{"op": "window", "tenant": "t", "robot": 0, "event": "pause"}',
     '{"op": "observe", "tenant": "", "robot": 0, "seq": 0, '
@@ -567,6 +576,7 @@ def _shard(session_factory, clock=None, **settings):
         tenant_inflight_limit=config.tenant_inflight_limit,
         session_ttl_s=config.session_ttl_s,
         sweep_interval_s=config.sweep_interval_s,
+        ops=OpsLog(),
         clock=clock,
     )
 
@@ -790,6 +800,35 @@ def test_tcp_bad_line_keeps_connection_usable():
     asyncio.run(scenario())
 
 
+def test_tcp_overlong_line_keeps_connection_usable():
+    """A line longer than MAX_LINE_BYTES gets one bad_request, whether it
+    arrives whole or in pieces, and the next line is read as a line."""
+    async def scenario():
+        server = LocalizationServer(_small_core())
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(b'{"op": "ping", "tenant": "%s"}\n'
+                     % (b"x" * MAX_LINE_BYTES))
+        for _ in range(3):
+            writer.write(b"{" * MAX_LINE_BYTES)
+            await writer.drain()
+        writer.write(b'\n{"op": "ping"}\n')
+        await writer.drain()
+        for _ in range(2):
+            refused = parse_response(await reader.readline())
+            assert refused.error == "bad_request"
+            assert "exceeds" in refused.payload["detail"]
+        pong = parse_response(await reader.readline())
+        assert pong.ok and pong.payload["pong"]
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+
+    asyncio.run(scenario())
+
+
 def test_tcp_ping_with_non_string_tenant_keeps_connection_usable():
     async def scenario():
         server = LocalizationServer(_small_core())
@@ -1004,6 +1043,10 @@ def test_cli_serve_flags_set_serve_config_fields():
     ["serve", "--port", "70000"],
     ["serve", "--port", "0", "--session-ttl", "-1"],
     ["serve", "--port", "0", "--trace-slow-ms", "-1"],
+    ["serve", "--port", "0", "--shards", "0"],
+    ["serve", "--port", "0", "--queue-limit", "0"],
+    ["serve", "--port", "0", "--tenant-inflight", "0"],
+    ["serve", "--port", "0", "--trace-sample-every", "0"],
 ])
 def test_cli_serve_bad_config_exits_2(capsys, argv):
     from repro.cli import main
@@ -1013,7 +1056,7 @@ def test_cli_serve_bad_config_exits_2(capsys, argv):
     assert code == 2
     assert out.startswith("serve: ")
     if "--trace-slow-ms" in argv:
-        # Named as the setting the flag sets, not TraceConfig's field.
+        # Named as the setting the flag sets.
         assert out == "serve: trace_slow_ms must be >= 0\n"
 
 
