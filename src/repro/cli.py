@@ -230,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false", default=unset,
                        help="disable session checkpointing (crashes and "
                             "evictions lose sessions)")
-    serve.add_argument("--no-supervise", dest="supervise",
-                       action="store_false", default=unset,
-                       help="disable shard-worker supervision (a dead "
-                            "worker stays dead)")
     serve.add_argument("--smoke", action="store_true",
                        help="start, run a 2-tenant round trip, a "
                             "hello too small to calibrate (must get "

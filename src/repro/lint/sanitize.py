@@ -85,13 +85,14 @@ ENV_THRESHOLD_MS = "REPRO_SLOW_CALLBACK_MS"
 ENV_OUT = "REPRO_SANITIZE_OUT"
 
 #: The asyncio suites the ``--sanitize`` gate runs (service, crash
-#: recovery, chaos, replay determinism, and the obs layer they report
-#: through).
+#: recovery, chaos, replay determinism, the boundary's property tests
+#: in process and over TCP, and the obs layer they report through).
 DEFAULT_SUITES = (
     "tests/test_serve.py",
     "tests/test_serve_durability.py",
     "tests/test_serve_chaos.py",
     "tests/test_serve_replay.py",
+    "tests/test_serve_properties.py",
     "tests/test_obs.py",
 )
 

@@ -17,19 +17,26 @@ fire mid-stream*.  Four fault kinds, drawn from a seeded schedule:
 - ``delay`` — advance the injectable clock by less than the TTL (time
   passes, nothing may break).
 
+The requests are the replay gate's: the one driver,
+:func:`~repro.serve.replay.replay_windows`, yields each robot window
+(open → observes → close, the close carrying the ``expected`` count),
+and :func:`~repro.serve.replay.close_record` records each fix.  This
+module adds only what is specific to chaos: rid and trace stamping,
+fault firing at request slots, and the window retry and recovery
+policy.
+
 Faults fire at *request boundaries* (the schedule indexes the driver's
 global request counter), so kills land mid-window as naturally as
 between windows — including in the middle of an earlier fault's
 *retry*.  The driver recovers with **window-granularity retries**: each
-robot window (open → observes → close) is built once with
-client-stamped rids and re-sent wholesale when the session signals
-state loss (``unknown_tenant`` → re-hello with the resume token;
-``buffered: false`` on an observe → the window is gone, re-open it;
-``window_incomplete`` on the close → a rehydration rolled part of the
-window back between observes, re-send the unit).  Every close carries
-``expected`` (the unit's observation count), so a partially-rolled-back
-window can never close short and silently diverge.
-The idempotency analysis for why any interleaving of these retries is
+window is stamped once with client rids and re-sent wholesale when the
+session signals state loss (``unknown_tenant`` → re-hello with the
+resume token; ``buffered: false`` on an observe → the window is gone,
+re-open it; ``window_incomplete`` on the close → a rehydration rolled
+part of the window back between observes, re-send the unit).  Every
+close carries ``expected`` (the unit's observation count), so a
+partially-rolled-back window can never close short and silently
+diverge.  The idempotency analysis for why any interleaving of these retries is
 byte-identical lives in DESIGN.md's durability section.
 
 Everything is seeded — the schedule (``numpy`` generator), the client's
@@ -52,13 +59,15 @@ from repro.serve.client import (
     TransportError,
     ensure_ok,
 )
-from repro.serve.protocol import (
-    HelloRequest,
-    ObserveRequest,
-    Request,
-    WindowRequest,
+from repro.serve.protocol import Request
+from repro.serve.replay import (
+    ReplayLog,
+    ReplayWindow,
+    close_record,
+    diff_fixes,
+    first_divergence,
+    replay_windows,
 )
-from repro.serve.replay import ReplayLog, close_problems, diff_fixes
 from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
 
 __all__ = [
@@ -279,29 +288,13 @@ class _ChaosDriver:
 
     async def run(self) -> List[Dict[str, Any]]:
         await self._hello(resume=None)
-        opens: Dict[int, Dict[str, Any]] = {}
-        beacons: Dict[int, List[Dict[str, Any]]] = {}
-        for event in self._log.events:
-            robot = event["robot"]
-            kind = event["kind"]
-            if kind == "open":
-                opens[robot] = event
-                beacons[robot] = []
-            elif kind == "beacon":
-                beacons.setdefault(robot, []).append(event)
-            elif kind == "close":
-                await self._drive_window(
-                    robot,
-                    opens.pop(robot, {"t": 0.0}),
-                    beacons.pop(robot, []),
-                    event,
-                )
+        for window in replay_windows(self._log, self._tenant):
+            await self._drive_window(window)
         return self.fixes
 
     # -- one window ----------------------------------------------------------
 
-    async def _drive_window(self, robot, open_event, beacon_events,
-                            close_event) -> None:
+    async def _drive_window(self, window: ReplayWindow) -> None:
         """Send open → observes → close as a retryable unit.
 
         Every request is rid-stamped exactly once, so a retry re-sends
@@ -309,49 +302,28 @@ class _ChaosDriver:
         already executed.  The unit restarts from its open whenever the
         session reports state loss; see the module docstring.
         """
-        tenant = self._tenant
         stamp = self._stamp
-        open_request = stamp(WindowRequest(
-            tenant=tenant, robot=robot, event="open",
-            t=open_event.get("t", 0.0),
-        ))
-        observe_requests = [
-            stamp(ObserveRequest(
-                tenant=tenant,
-                robot=robot,
-                seq=beacon["seq"],
-                x=beacon["x"],
-                y=beacon["y"],
-                rssi_dbm=beacon["rssi_dbm"],
-                anchor_id=beacon.get("anchor_id"),
-                t=beacon.get("t", 0.0),
-            ))
-            for beacon in beacon_events
-        ]
-        close_request = stamp(WindowRequest(
-            tenant=tenant, robot=robot, event="close",
-            t=close_event.get("t", 0.0),
-            # Completeness guard: a crash that rolls the pending buffer
-            # back mid-retry must surface as window_incomplete, never as
-            # a short (silently divergent) close.
-            expected=len(observe_requests),
-        ))
+        open_request = stamp(window.open)
+        observe_requests = [stamp(request) for request in window.observes]
+        close_request = stamp(window.close)
         for attempt in range(1, MAX_WINDOW_ATTEMPTS + 1):
             response = await self._try_window(
                 open_request, observe_requests, close_request
             )
             if response is not None:
-                self._record_close(close_event, close_request, response)
+                self.fixes.append(
+                    close_record(window, close_request, response)
+                )
                 return
             self.window_retries += 1
             self._journal.append({
-                "kind": "window_retry", "robot": robot,
-                "window": close_event.get("window"), "attempt": attempt,
+                "kind": "window_retry", "robot": close_request.robot,
+                "window": window.recorded.get("window"), "attempt": attempt,
                 "rid": close_request.rid, "trace": close_request.trace,
             })
         raise RuntimeError(
             "window for robot %s did not complete in %d attempts"
-            % (robot, MAX_WINDOW_ATTEMPTS)
+            % (close_request.robot, MAX_WINDOW_ATTEMPTS)
         )
 
     async def _try_window(self, open_request, observe_requests,
@@ -409,16 +381,7 @@ class _ChaosDriver:
         return await self._client.request(request)
 
     async def _hello(self, resume: Optional[str]) -> None:
-        log = self._log
-        hello_request = self._stamp(HelloRequest(
-            tenant=self._tenant,
-            calibration_seed=log.calibration_seed,
-            calibration_samples=log.calibration_samples,
-            area_side_m=log.area_side_m,
-            grid_resolution_m=log.grid_resolution_m,
-            min_beacons_for_fix=log.min_beacons_for_fix,
-            resume=resume,
-        ))
+        hello_request = self._stamp(self._log.hello_for(self._tenant, resume))
         response = ensure_ok(await self._send(hello_request))
         token = response.payload.get("resume")
         if token:
@@ -428,19 +391,6 @@ class _ChaosDriver:
             "restored": bool(response.payload.get("restored")),
             "rid": hello_request.rid, "trace": hello_request.trace,
         })
-
-    def _record_close(self, close_event, close_request, response) -> None:
-        record = {
-            "robot": close_event["robot"],
-            "window": close_event["window"],
-            "fixed": bool(response.payload.get("fixed")),
-            "rid": close_request.rid,
-            "trace": close_request.trace,
-        }
-        if record["fixed"]:
-            record["x_hex"] = response.payload["x_hex"]
-            record["y_hex"] = response.payload["y_hex"]
-        self.fixes.append(record)
 
 
 async def run_chaos(
@@ -464,9 +414,9 @@ async def run_chaos(
             :func:`~repro.serve.replay.record_replay_log`).
         schedule: the fault schedule (see :meth:`ChaosSchedule.for_log`).
         tenant: tenant name for the run.
-        config: server knobs; defaults to 2 shards, checkpointing and
-            supervision on, and a sweep interval long enough that only
-            the harness triggers evictions.
+        config: server knobs; defaults to 2 shards, checkpointing on,
+            and a sweep interval long enough that only the harness
+            triggers evictions.
         chaos_log_path: optional JSONL path recording every fault,
             retry and re-hello (the CI job uploads it as an artifact).
         trace_log_path: optional trace-JSONL path dumping the run's
@@ -486,10 +436,8 @@ async def run_chaos(
             # must be in the buffer, whichever request it was.
             trace_mode="always",
         )
-    if not config.checkpointing or not config.supervise:
-        raise ValueError(
-            "chaos runs need checkpointing and supervision enabled"
-        )
+    if not config.checkpointing:
+        raise ValueError("chaos runs need checkpointing enabled")
     core = ServiceCore(config=config, clock=clock)
     server = LocalizationServer(core)
     journal: List[Dict[str, Any]] = []
@@ -523,9 +471,8 @@ async def run_chaos(
         injector = driver._injector
     finally:
         await server.drain()
-    divergent_trace = (
-        _first_divergent_trace(log, fixes) if problems else None
-    )
+    first = first_divergence(log, fixes)
+    divergent_trace = None if first is None else fixes[first].get("trace")
     divergent_spans = (
         core.tracer.spans_for(divergent_trace)
         if divergent_trace is not None else []
@@ -571,21 +518,6 @@ async def run_chaos(
             write_jsonl, trace_log_path, core.tracer.records()
         )
     return report
-
-
-def _first_divergent_trace(
-    log: ReplayLog, replayed: List[Dict[str, Any]]
-) -> Optional[str]:
-    """The trace id of the first replayed close that diverges from the
-    recorded batch fixes (by :func:`close_problems`, as
-    :func:`diff_fixes` compares them)."""
-    recorded = [e for e in log.events if e["kind"] == "close"]
-    for want, got in zip(recorded, replayed):
-        if close_problems(want, got):
-            return got.get("trace")
-    if len(replayed) > len(recorded):
-        return replayed[len(recorded)].get("trace")
-    return None
 
 
 def _dump_chaos_log(path, schedule: ChaosSchedule,

@@ -38,33 +38,46 @@ from repro.telemetry.registry import NULL_REGISTRY
 
 __all__ = [
     "CHECKPOINT_PREFIX",
+    "SESSION_IDENTITY",
     "SessionCheckpoint",
     "CheckpointStore",
     "checkpoint_fingerprint",
+    "session_identity",
 ]
 
 #: Prefix of every checkpoint fingerprint; no TeamResult fingerprint
 #: (a bare SHA-256 hex digest) carries it.
 CHECKPOINT_PREFIX = "ckpt-"
 
+#: The hello fields that make a session's identity -- its calibration
+#: identity and estimator geometry -- each with its label and encoding
+#: in the checkpoint address.  Exact ``float.hex`` for the geometry, so
+#: two geometries that differ in the last bit get distinct addresses.
+SESSION_IDENTITY = (
+    ("calibration_seed", "seed", int),
+    ("calibration_samples", "samples", int),
+    ("area_side_m", "area", lambda value: float(value).hex()),
+    ("grid_resolution_m", "grid", lambda value: float(value).hex()),
+    ("min_beacons_for_fix", "min", int),
+)
+
+
+def session_identity(hello: HelloRequest) -> Dict[str, Any]:
+    """The identity fields of ``hello`` by name: what a checkpoint
+    stores, and with a tenant, enough to rebuild the same session."""
+    return {name: getattr(hello, name) for name, _, _ in SESSION_IDENTITY}
+
 
 def checkpoint_fingerprint(hello: HelloRequest) -> str:
     """The checkpoint address (= resume token) of a session identity.
 
-    Derived from the tenant name plus everything that shapes the
-    estimator pipeline (geometry, calibration identity) —
-    exact ``float.hex`` encoding, so two geometries that differ in the
-    last bit get distinct addresses.  Prefixed so checkpoint payloads
-    can never collide with TeamResult entries inside the shared
-    orchestrator cache.
+    Derived from the tenant name plus every :data:`SESSION_IDENTITY`
+    field.  Prefixed so checkpoint payloads can never collide with
+    TeamResult entries inside the shared orchestrator cache.
     """
-    token = "checkpoint|tenant=%s|seed=%d|samples=%d|area=%s|grid=%s|min=%d" % (
-        hello.tenant,
-        hello.calibration_seed,
-        hello.calibration_samples,
-        float(hello.area_side_m).hex(),
-        float(hello.grid_resolution_m).hex(),
-        hello.min_beacons_for_fix,
+    token = "checkpoint|tenant=%s" % hello.tenant + "".join(
+        "|%s=%s" % (label, encode(getattr(hello, name)))
+        for name, label, encode in SESSION_IDENTITY
     )
     return CHECKPOINT_PREFIX + hashlib.sha256(token.encode("utf-8")).hexdigest()
 
@@ -76,9 +89,8 @@ class SessionCheckpoint:
     Attributes:
         fingerprint: the content address (= resume token).
         tenant: owning tenant.
-        hello: the session-shaping hello fields (enough to rebuild an
-            identically-configured session: geometry + calibration
-            identity; transport-only fields like ``rid`` are excluded).
+        hello: the session's :func:`session_identity` (transport-only
+            fields like ``rid`` are excluded).
         counters: the session's service counters.
         lanes: one mapping per robot lane — robot id, window counter,
             open flag, pending ``(seq, observation-fields)`` buffer and

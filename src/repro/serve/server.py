@@ -84,7 +84,6 @@ class ServeConfig:
             drain and re-hydrate them after crashes (see
             :mod:`repro.serve.checkpoint`).  Off = the pre-durability
             behaviour: a crash or eviction loses the session.
-        supervise: revive dead shard workers automatically.
         trace_mode: request tracing — ``off``, ``sampled`` (head-sample
             one request in ``trace_sample_every`` plus every request
             slower than ``trace_slow_ms``; the always-on-cheap default)
@@ -104,7 +103,6 @@ class ServeConfig:
     session_ttl_s: float = 300.0
     sweep_interval_s: float = 1.0
     checkpointing: bool = True
-    supervise: bool = True
     trace_mode: str = "sampled"
     trace_sample_every: int = 128
     trace_slow_ms: float = 25.0
@@ -197,7 +195,7 @@ class ServiceCore:
                 ops=self.ops,
             )
             for shard in self.shards
-        ] if self.config.supervise else []
+        ]
         self._started = False
         self._draining = False
 

@@ -62,7 +62,11 @@ from repro.core.constraint_cache import ConstraintFieldCache
 from repro.core.estimator import BeaconObservation, PositionEstimator
 from repro.core.pdf_table import PdfTable
 from repro.net.phy import PathLossModel
-from repro.serve.checkpoint import SessionCheckpoint, checkpoint_fingerprint
+from repro.serve.checkpoint import (
+    SessionCheckpoint,
+    checkpoint_fingerprint,
+    session_identity,
+)
 from repro.serve.protocol import (
     ConfidenceRequest,
     FixRequest,
@@ -95,6 +99,18 @@ MAX_PENDING_OBSERVATIONS = 1024
 #: entries fall out first.  It only needs to cover one client's retry
 #: horizon (one in-flight window), so it stays small.
 REPLY_CACHE_SIZE = 256
+
+#: The session counters: the ``stats`` op serves them and a checkpoint
+#: carries them.
+COUNTERS = (
+    "observations",
+    "observations_dropped",
+    "observations_out_of_window",
+    "windows_opened",
+    "windows_closed",
+    "fixes",
+    "replays_served",
+)
 
 
 class _RobotLane:
@@ -286,6 +302,19 @@ class TenantSession:
         return Response(ok=True, payload={"window": lane.window})
 
     def _observe(self, request: ObserveRequest) -> Response:
+        # A beacon claimed farther than the table's support outside the
+        # area is that far from every cell, so every cell reads the
+        # uniform floor: it carries no information, and a distance field
+        # that overflows would turn it into a confident fix.
+        reach = self._table.support_max_m
+        side = self.hello.area_side_m
+        for name, value in (("x", request.x), ("y", request.y)):
+            if not -reach <= value <= side + reach:
+                return error_response(
+                    "bad_request",
+                    "%s lies more than the calibration support (%g m) "
+                    "outside [0, %g]" % (name, reach, side),
+                )
         lane = self._lane_for(request.robot, create=False)
         if lane is None or not lane.window_open:
             # Mirrors the batch path: a beacon landing outside a round
@@ -413,17 +442,11 @@ class TenantSession:
 
     def stats(self) -> Dict[str, object]:
         """The session's counters (the ``stats`` op payload)."""
-        return {
-            "tenant": self.tenant,
-            "robots": self.n_robots,
-            "observations": self.observations,
-            "observations_dropped": self.observations_dropped,
-            "observations_out_of_window": self.observations_out_of_window,
-            "windows_opened": self.windows_opened,
-            "windows_closed": self.windows_closed,
-            "fixes": self.fixes,
-            "replays_served": self.replays_served,
+        stats: Dict[str, object] = {
+            "tenant": self.tenant, "robots": self.n_robots,
         }
+        stats.update((name, getattr(self, name)) for name in COUNTERS)
+        return stats
 
     # -- checkpointing -------------------------------------------------------
 
@@ -451,7 +474,6 @@ class TenantSession:
         table, so a record stays a few hundred bytes however fine the
         grid.
         """
-        hello = self.hello
         lanes = []
         for robot in sorted(self._lanes):
             record = self._lane_records.get(robot)
@@ -485,24 +507,9 @@ class TenantSession:
         return SessionCheckpoint(
             fingerprint=self.resume_token,
             tenant=self.tenant,
-            hello={
-                "calibration_seed": hello.calibration_seed,
-                "calibration_samples": hello.calibration_samples,
-                "area_side_m": hello.area_side_m,
-                "grid_resolution_m": hello.grid_resolution_m,
-                "min_beacons_for_fix": hello.min_beacons_for_fix,
-            },
+            hello=session_identity(self.hello),
             lanes=lanes,
-            counters={
-                "observations": self.observations,
-                "observations_dropped": self.observations_dropped,
-                "observations_out_of_window":
-                    self.observations_out_of_window,
-                "windows_opened": self.windows_opened,
-                "windows_closed": self.windows_closed,
-                "fixes": self.fixes,
-                "replays_served": self.replays_served,
-            },
+            counters={name: getattr(self, name) for name in COUNTERS},
             replies=[
                 (rid, reply.ok, reply.error, dict(reply.payload))
                 for rid, reply in self._replies.items()
@@ -562,16 +569,8 @@ class TenantSession:
             lane.window_open = bool(record["window_open"])
             lane.pending = pending
             self._dirty_lanes.add(robot)
-        counters = checkpoint.counters
-        self.observations = int(counters["observations"])
-        self.observations_dropped = int(counters["observations_dropped"])
-        self.observations_out_of_window = int(
-            counters["observations_out_of_window"]
-        )
-        self.windows_opened = int(counters["windows_opened"])
-        self.windows_closed = int(counters["windows_closed"])
-        self.fixes = int(counters["fixes"])
-        self.replays_served = int(counters.get("replays_served", 0))
+        for name in COUNTERS:
+            setattr(self, name, int(checkpoint.counters.get(name, 0)))
         self._replies.clear()
         for rid, ok, error, payload in checkpoint.replies:
             self._replies[rid] = Response(

@@ -485,6 +485,45 @@ def test_session_acknowledges_out_of_window_observations(pdf_table):
     assert _run_window(session)["applied"] == len(BEACONS)
 
 
+def test_session_refuses_beacons_claimed_beyond_the_support(pdf_table):
+    """A beacon claimed more than the table's support outside the area is
+    that far from every cell, so every cell reads the uniform floor: the
+    session answers bad_request naming the axis and buffers nothing."""
+    session = _session(pdf_table, area_side_m=40.0, min_beacons_for_fix=1)
+    reach = pdf_table.support_max_m
+
+    def observe(seq, x, y):
+        return session.handle(ObserveRequest(
+            tenant="t", robot=0, seq=seq, x=x, y=y, rssi_dbm=-60.0,
+        ))
+
+    def window(event):
+        return session.handle(
+            WindowRequest(tenant="t", robot=0, event=event)
+        ).payload
+
+    window("open")
+    # Once a confident fix at the area's centre (the distance field
+    # overflowed); now refused, so the window closes with no evidence.
+    refused = observe(0, 1e308, 20.0)
+    assert (refused.ok, refused.error) == (False, "bad_request")
+    assert refused.payload["detail"].startswith("x lies more than")
+    close = window("close")
+    assert (close["applied"], close["fixed"]) == (0, False)
+    window("open")
+    for seq, (x, y, axis) in enumerate([
+        (20.0, 40.0 + reach + 1.0, "y"),
+        (-reach - 1.0, 20.0, "x"),
+    ]):
+        refused = observe(seq, x, y)
+        assert (refused.ok, refused.error) == (False, "bad_request")
+        assert refused.payload["detail"].startswith(axis + " lies")
+    # A claim at the edge of the support is still evidence.
+    assert observe(5, 40.0 + reach, -reach).payload == {"buffered": True}
+    assert window("close")["applied"] == 1
+    assert session.observations == 1
+
+
 def test_session_pending_limit_sheds(pdf_table, monkeypatch):
     monkeypatch.setattr(session_module, "MAX_PENDING_OBSERVATIONS", 2)
     session = _session(pdf_table)
@@ -1027,13 +1066,13 @@ def test_cli_serve_flags_set_serve_config_fields():
     config = serve_config_from_args(build_parser().parse_args([
         "serve", "--host", "0.0.0.0", "--port", "0", "--shards", "2",
         "--queue-limit", "8", "--tenant-inflight", "3", "--session-ttl", "0",
-        "--no-checkpointing", "--no-supervise", "--trace-mode", "always",
+        "--no-checkpointing", "--trace-mode", "always",
         "--trace-sample-every", "5", "--trace-slow-ms", "1.5",
     ]))
     assert config == ServeConfig(
         host="0.0.0.0", port=0, n_shards=2, queue_limit=8,
         tenant_inflight_limit=3, session_ttl_s=0.0, checkpointing=False,
-        supervise=False, trace_mode="always", trace_sample_every=5,
+        trace_mode="always", trace_sample_every=5,
         trace_slow_ms=1.5,
     )
 

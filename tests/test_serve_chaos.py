@@ -118,12 +118,10 @@ def test_chaos_event_is_frozen():
 def test_run_chaos_requires_durability_features(chaos_logs):
     log = chaos_logs[1]
     schedule = ChaosSchedule.for_log(log, seed=1)
-    for broken in (
-        ServeConfig(checkpointing=False),
-        ServeConfig(supervise=False),
-    ):
-        with pytest.raises(ValueError):
-            asyncio.run(run_chaos(log, schedule, config=broken))
+    with pytest.raises(ValueError):
+        asyncio.run(run_chaos(
+            log, schedule, config=ServeConfig(checkpointing=False)
+        ))
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -185,7 +183,7 @@ def _close(robot, window, fixed=True, x="0x1.8p+4", y="0x1.2p+5"):
 
 
 def test_first_divergent_trace_pinpoints_the_bad_fix():
-    from repro.serve.chaos import _first_divergent_trace
+    from repro.serve.replay import first_divergence
 
     log = _FakeLog([_close(0, 0), _close(1, 0)])
     replayed = [
@@ -194,13 +192,13 @@ def test_first_divergent_trace_pinpoints_the_bad_fix():
         {"robot": 1, "window": 0, "fixed": True, "x_hex": "0xd.eadp+0",
          "y_hex": "0x1.2p+5", "trace": "chaos1-9"},
     ]
-    assert _first_divergent_trace(log, replayed) == "chaos1-9"
+    assert replayed[first_divergence(log, replayed)]["trace"] == "chaos1-9"
     # Byte-identical replay: nothing to report.
     replayed[1]["x_hex"] = "0x1.8p+4"
-    assert _first_divergent_trace(log, replayed) is None
+    assert first_divergence(log, replayed) is None
     # A missing fix diverges too (fixed flag flips).
     replayed[0]["fixed"] = False
-    assert _first_divergent_trace(log, replayed) == "chaos1-7"
+    assert replayed[first_divergence(log, replayed)]["trace"] == "chaos1-7"
 
 
 def test_chaos_run_records_traces_and_journal_ids(chaos_logs, tmp_path):

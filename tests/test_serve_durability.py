@@ -342,6 +342,21 @@ def test_checkpoint_fingerprint_separates_identities():
     assert base != checkpoint_fingerprint(_hello("a", grid_resolution_m=1.0))
 
 
+def test_resume_token_is_pinned():
+    """A resume token crosses process restarts (it addresses checkpoints
+    in a warm cache), so its bytes are pinned; an integer side is the
+    same identity as its float."""
+    pinned = (
+        "ckpt-a5a2352f30557347bb5512ae821b5ac8e23968573787920e3c558ac4635c6c51"
+    )
+    for side in (80.0, 80):
+        hello = HelloRequest(
+            tenant="pinned", calibration_seed=7, calibration_samples=4000,
+            area_side_m=side, grid_resolution_m=2.5, min_beacons_for_fix=3,
+        )
+        assert checkpoint_fingerprint(hello) == pinned
+
+
 # -- reply cache --------------------------------------------------------------
 
 

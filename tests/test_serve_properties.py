@@ -206,11 +206,13 @@ OBSERVES = st.fixed_dictionaries({
                         max_size=3))
 def test_close_reports_the_beacons_its_estimator_applied(pdf_table, windows):
     """A close's ``applied`` equals the lane estimator's
-    ``beacons_applied`` delta: every observe the boundary accepts reaches
-    the estimator, none is dropped there silently."""
+    ``beacons_applied`` delta: every observe the boundary and the session
+    accept reaches the estimator, none is dropped there silently."""
     session = TenantSession(
         HelloRequest(tenant="t", area_side_m=40.0), table=pdf_table
     )
+
+    reach = pdf_table.support_max_m
 
     def beacons_applied() -> int:
         reply = session.handle(ConfidenceRequest(tenant="t", robot=0))
@@ -228,7 +230,15 @@ def test_close_reports_the_beacons_its_estimator_applied(pdf_table, windows):
                 request = parse_request(line)
             except ProtocolError:
                 continue
-            assert session.handle(request).payload["buffered"]
+            reply = session.handle(request)
+            if not reply.ok:
+                # Claimed beyond the calibration support: refused, as
+                # the boundary refuses a non-finite number.
+                assert reply.error == "bad_request"
+                assert not all(-reach <= value <= 40.0 + reach
+                               for value in (request.x, request.y))
+                continue
+            assert reply.payload["buffered"]
             accepted += 1
         close = session.handle(
             WindowRequest(tenant="t", robot=0, event="close")

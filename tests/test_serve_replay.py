@@ -10,6 +10,8 @@ randomly shuffled delivery within each beacon window.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ from repro.serve.server import ServeConfig, ServiceCore
 from repro.util.geometry import Rect
 
 GATE_SEEDS = (1, 2, 3)
+
+#: SHA-256 of the close records an in-order replay of the seed-1 log
+#: returns (sorted-key JSON).  The gates above compare serve with batch,
+#: so a change that moves both together passes them; it fails this pin.
+SEED1_CLOSES_SHA256 = (
+    "e8afa46ed0a3ea54480aae0a73de0a5b0eec82a05c966e9d80b0ae0337fa746d"
+)
 
 
 def _scenario(seed: int) -> CoCoAConfig:
@@ -127,3 +136,10 @@ def test_diff_fixes_reports_divergence(recorded_logs):
     problems = diff_fixes(log, replayed)
     assert len(problems) == 1
     assert "x_hex differs" in problems[0]
+
+
+def test_served_fixes_match_the_committed_digest(recorded_logs):
+    replayed = _replay(recorded_logs[1], "pinned")
+    assert sum(record["fixed"] for record in replayed) == 15
+    encoded = json.dumps(replayed, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(encoded).hexdigest() == SEED1_CLOSES_SHA256

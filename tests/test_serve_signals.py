@@ -38,8 +38,7 @@ def _open_session(port):
 def test_signal_drains_with_sigint_ignored(tmp_path, signum):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--no-supervise"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         cwd=str(tmp_path),
         env=env,
         stdout=subprocess.PIPE,
